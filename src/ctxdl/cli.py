@@ -342,7 +342,7 @@ def _cmd_stable(args, report: _Report) -> None:
     ps = doc.presheaf()
     section = ps.section(args.context, parse_fact_list(args.section, doc.signature))
     chain = chain_from(list(doc.coverings), args.context)
-    verdict, failing = stable_under_refinement(ps, section, chain, max_universe=args.max_universe)
+    verdict, failing = stable_under_refinement(ps, section, chain)
     record = {
         "command": "stable",
         "context": args.context,
@@ -497,7 +497,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--context", required=True)
     p.add_argument("--section", required=True, help="fact list, e.g. 'a:A, (a,b):r'")
-    p.add_argument("--max-universe", type=int, default=20)
     p.set_defaults(fn=_cmd_stable)
 
     p = sub.add_parser("global-sections", help="enumerate refinement-stable sections")

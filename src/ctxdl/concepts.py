@@ -297,12 +297,3 @@ def subconcepts(c: ConceptExpr) -> frozenset[ConceptExpr]:
         elif isinstance(node, (Exists, Forall)):
             stack.append(node.child)
     return frozenset(out)
-
-
-def validate_concept(c: ConceptExpr, sig: Signature) -> None:
-    """Check that every name in *c* is declared; raise UnknownNameError if not."""
-    for node in subconcepts(c):
-        if isinstance(node, Atomic) and node.name not in sig.concept_names:
-            raise UnknownNameError(f"unknown concept name {node.name!r}")
-        if isinstance(node, (Exists, Forall)) and node.role not in sig.role_names:
-            raise UnknownNameError(f"unknown role name {node.role!r}")

@@ -23,7 +23,6 @@ from ctxdl.concepts import (
     Signature,
     parse_concept_stream,
     print_concept,
-    validate_concept,
 )
 from ctxdl.contexts import ContextPoset
 from ctxdl.errors import UnknownNameError
@@ -108,21 +107,6 @@ def _context(ts: TokenStream, sig: Signature) -> str:
     if tok.text not in sig.context_names:
         raise UnknownNameError(f"unknown context name {tok.text!r}", tok.line, tok.col)
     return tok.text
-
-
-def validate_assertion(a: Assertion, sig: Signature) -> None:
-    if isinstance(a, ConceptAssertion):
-        if a.individual not in sig.individual_names:
-            raise UnknownNameError(f"unknown individual name {a.individual!r}")
-        validate_concept(a.concept, sig)
-    else:
-        for name in (a.subject, a.target):
-            if name not in sig.individual_names:
-                raise UnknownNameError(f"unknown individual name {name!r}")
-        if a.role not in sig.role_names:
-            raise UnknownNameError(f"unknown role name {a.role!r}")
-    if a.context not in sig.context_names:
-        raise UnknownNameError(f"unknown context name {a.context!r}")
 
 
 def canonical_abox(abox: Iterable[Assertion]) -> list[str]:

@@ -24,6 +24,12 @@ test suite as the independent oracle.
 
 Overlaps of two covering members are their meet in the poset; a pair
 without a meet imposes no compatibility constraint.
+
+Refinement stability needs no gluing. By interpolation, the restrictions
+of one section to the members of a covering always agree on meets and
+never force a fact the section lacks, so they glue back to that section
+exactly when the member universes jointly cover the target universe,
+whatever its facts are.
 """
 
 from __future__ import annotations
@@ -287,10 +293,21 @@ def _subsets_in_order(facts: Iterable[Fact]) -> list[frozenset[Fact]]:
     return out
 
 
-def _check_family(ps: Presheaf, family: list[Section], cov: Covering) -> None:
+def _check_covering(ps: Presheaf, cov: Covering) -> None:
     bad = validate_covering(ps.poset, cov)
     if bad:
         raise ValueError(f"invalid covering of {cov.target!r}: " + "; ".join(bad))
+
+
+def _check_section(ps: Presheaf, s: Section) -> None:
+    stray = s.facts - ps.universe(s.context)
+    if stray:
+        names = ", ".join(sorted(render_fact(f) for f in stray))
+        raise ValueError(f"section at {s.context!r} leaves its universe: {names}")
+
+
+def _check_family(ps: Presheaf, family: list[Section], cov: Covering) -> None:
+    _check_covering(ps, cov)
     got = [s.context for s in family]
     if sorted(got) != sorted(cov.members):
         raise ValueError(
@@ -298,45 +315,35 @@ def _check_family(ps: Presheaf, family: list[Section], cov: Covering) -> None:
             f"{sorted(cov.members)}"
         )
     for s in family:
-        stray = s.facts - ps.universe(s.context)
-        if stray:
-            names = ", ".join(sorted(render_fact(f) for f in stray))
-            raise ValueError(f"section at {s.context!r} leaves its universe: {names}")
+        _check_section(ps, s)
 
 
 def stable_under_refinement(
-    ps: Presheaf,
-    s: Section,
-    refinements: list[Covering],
-    *,
-    max_universe: int = DEFAULT_MAX_UNIVERSE,
+    ps: Presheaf, s: Section, refinements: list[Covering]
 ) -> tuple[bool, Covering | None]:
     """Check that *s* survives every refinement stage.
 
     Coverings are processed in order; each must cover the section's own
-    context or a member context reached by an earlier stage. The stage
-    restricts the reached section to the members and requires the family to
-    glue back to exactly that section; the first covering that fails is
-    returned. A covering of an unreached context is a chain error.
+    context or a member context reached by an earlier stage. A stage glues
+    its restrictions back to the reached section exactly when the member
+    universes jointly cover the target universe (see the module docstring),
+    so the verdict is the same for every section over ``s.context``: the
+    first covering that fails is returned. A covering of an unreached
+    context is a chain error; a section leaving its universe or an invalid
+    covering is a ValueError.
     """
-    reached: dict[str, Section] = {s.context: s}
+    _check_section(ps, s)
+    reached = {s.context}
     for cov in refinements:
-        parent = reached.get(cov.target)
-        if parent is None:
+        if cov.target not in reached:
             raise RefinementChainError(
                 f"covering of {cov.target!r} does not attach to any reached context"
             )
-        family = [restrict(ps, parent, m) for m in cov.members]
-        result = glue(ps, family, cov, max_universe=max_universe)
-        if not (isinstance(result, Glued) and result.section == parent):
+        _check_covering(ps, cov)
+        covered = frozenset().union(*(ps.universe(m) for m in cov.members))
+        if not ps.universe(cov.target) <= covered:
             return False, cov
-        for member_section in family:
-            ctx = member_section.context
-            if ctx in reached and reached[ctx] != member_section:
-                raise RefinementChainError(
-                    f"context {ctx!r} reached twice with different sections"
-                )
-            reached[ctx] = member_section
+        reached.update(cov.members)
     return True, None
 
 
@@ -349,23 +356,19 @@ def global_sections(
 ) -> list[Section]:
     """All sections over *top* stable under the given refinement coverings.
 
-    Enumerates every subset of the top universe in canonical order and
-    filters by stable_under_refinement.
+    Stability does not depend on the section's facts, so the result is
+    all-or-nothing: every subset of the top universe in canonical order, or
+    none. *max_universe* bounds the length of that listing.
     """
     univ = ps.universe(top)
-    if top not in ps.poset.contexts:
-        raise UnknownNameError(f"unknown context {top!r}")
     if len(univ) > max_universe:
         raise SearchSpaceError(
             f"universe of {top!r} has {len(univ)} facts, above the limit of {max_universe}"
         )
-    out = []
-    for facts in _subsets_in_order(univ):
-        section = Section(top, facts)
-        ok, _ = stable_under_refinement(ps, section, coverings, max_universe=max_universe)
-        if ok:
-            out.append(section)
-    return out
+    stable, _ = stable_under_refinement(ps, Section(top, frozenset()), coverings)
+    if not stable:
+        return []
+    return [Section(top, facts) for facts in _subsets_in_order(univ)]
 
 
 def chain_from(poset_coverings: list[Covering], top: str) -> list[Covering]:

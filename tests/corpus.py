@@ -236,3 +236,25 @@ def random_family(rng: random.Random, ps: Presheaf, cov: Covering) -> list[Secti
         Section(m, frozenset(f for f in ps.universe(m) if rng.random() < 0.5))
         for m in cov.members
     ]
+
+
+def random_chain(rng: random.Random, ps: Presheaf, max_stages=4) -> tuple[str, list[Covering]]:
+    """A top context and 1..max_stages coverings, each of a reached context.
+
+    The top is a context with the most subcontexts, and members are drawn
+    from strict subcontexts when there are any, so that stages whose
+    members cover the target only jointly are common.
+    """
+    leq = ps.poset.leq
+    names = sorted(ps.poset.contexts)
+    top = max(names, key=lambda u: sum(leq(v, u) for v in names))
+    chain: list[Covering] = []
+    reached = [top]
+    for _ in range(rng.randint(1, max_stages)):
+        target = rng.choice(reached)
+        below = [c for c in names if leq(c, target) and (c != target or rng.random() < 0.2)]
+        below = below or [target]
+        members = sorted(rng.sample(below, rng.randint(1, len(below))))
+        chain.append(Covering(target, members))
+        reached += [m for m in members if m not in reached]
+    return top, chain

@@ -1,14 +1,16 @@
 """Independent brute-force implementations the engine is checked against.
 
 These share no code with the engine paths they verify: the derivation
-search walks the big-step rules as a nondeterministic proof search, and the
-gluing oracle tries all 2^n candidate subsets literally.
+search walks the big-step rules as a nondeterministic proof search, the
+gluing oracle tries all 2^n candidate subsets literally, and the stability
+oracle re-glues every refinement stage with it.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations
 
+from ctxdl.errors import RefinementChainError
 from ctxdl.kb import KnowledgeState, guard_sat
 from ctxdl.programs import Add, Del, If, Program, Seq, Skip, While
 from ctxdl.sheaf import Covering, Presheaf, Section, compatible
@@ -83,3 +85,24 @@ def brute_force_glue(ps: Presheaf, family: list[Section], cov: Covering):
 def powerset(items):
     items = list(items)
     return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))
+
+
+def brute_force_stable(ps: Presheaf, s: Section, refinements: list[Covering]):
+    """Stage-by-stage stability: restrict, re-glue with brute_force_glue.
+
+    Returns (True, None) or (False, first failing covering), mirroring the
+    contract of stable_under_refinement(). Asserts that no context is
+    reached twice with different sections, which restriction composing
+    along chains rules out.
+    """
+    reached = {s.context: s}
+    for cov in refinements:
+        parent = reached.get(cov.target)
+        if parent is None:
+            raise RefinementChainError(f"covering of {cov.target!r} is unreached")
+        family = [Section(m, parent.facts & ps.universe(m)) for m in cov.members]
+        if brute_force_glue(ps, family, cov) != ("glued", parent):
+            return False, cov
+        for member in family:
+            assert reached.setdefault(member.context, member) == member
+    return True, None

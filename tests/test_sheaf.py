@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from corpus import random_family, random_presheaf
-from oracles import brute_force_glue
+from corpus import random_chain, random_family, random_presheaf
+from oracles import brute_force_glue, brute_force_stable, powerset
 from ctxdl.contexts import ContextPoset, Covering
 from ctxdl.errors import RefinementChainError, SearchSpaceError
 from ctxdl.sheaf import (
@@ -271,13 +271,20 @@ class TestStability:
             assert ok
 
     def test_losing_a_fact_under_restriction_fails(self):
-        # V's universe misses F2, so the restricted family re-glues to a
-        # NonUnique set and the covering is reported.
+        # V's universe misses F2, so V does not cover U and the covering is
+        # reported.
         poset = ContextPoset(["U", "V"], [("V", "U")])
         ps = Presheaf(poset, {"U": {F1, F2}, "V": {F1}})
         cov = Covering("U", ["V"])
         ok, failing = stable_under_refinement(ps, Section("U", frozenset({F1, F2})), [cov])
         assert not ok and failing == cov
+
+    def test_members_may_cover_only_jointly(self):
+        poset = ContextPoset(["U", "V", "W"], [("V", "U"), ("W", "U")])
+        ps = Presheaf(poset, {"U": {F1, F2}, "V": {F1}, "W": {F2}})
+        cov = Covering("U", ["V", "W"])
+        for facts in (frozenset(), frozenset({F1}), frozenset({F1, F2})):
+            assert stable_under_refinement(ps, Section("U", facts), [cov]) == (True, None)
 
     def test_staged_refinement_descends_into_members(self):
         poset = ContextPoset(["U", "V", "W"], [("V", "U"), ("W", "V")])
@@ -293,6 +300,42 @@ class TestStability:
             stable_under_refinement(
                 ps, Section("U", frozenset()), [Covering("V", ["W"])]
             )
+
+    def test_section_outside_its_universe_is_rejected(self):
+        ps = simple_presheaf()
+        with pytest.raises(ValueError, match="leaves its universe: \\(a,b\\):r"):
+            stable_under_refinement(ps, Section("U", frozenset({F1, F3})), [])
+
+    def test_verdict_needs_no_universe_limit(self):
+        # A stage target of 25 facts is beyond any listing, not a verdict.
+        poset = ContextPoset(["U", "V"], [("V", "U")])
+        big = {ConceptFact("a", f"A{i}") for i in range(25)}
+        ps = Presheaf(poset, {"U": big, "V": big})
+        covs = [Covering("U", ["V"])]
+        with pytest.raises(SearchSpaceError):
+            global_sections(ps, "U", covs)
+        assert stable_under_refinement(ps, Section("U", frozenset(big)), covs) == (True, None)
+
+    def test_agrees_with_brute_force_on_random_chains(self):
+        # Every section of the top universe, so an all-or-nothing listing
+        # is checked against the oracle rather than assumed.
+        rng = random.Random(101)
+        listings = []
+        for _ in range(300):
+            ps, _ = random_presheaf(rng, max_facts=6)
+            top, chain = random_chain(rng, ps)
+            stable = []
+            for picked in powerset(ps.universe(top)):
+                section = Section(top, frozenset(picked))
+                want = brute_force_stable(ps, section, chain)
+                assert stable_under_refinement(ps, section, chain) == want
+                if want[0]:
+                    stable.append(section)
+            listed = global_sections(ps, top, chain)
+            assert len(listed) in (0, 1 << len(ps.universe(top)))
+            assert set(listed) == set(stable)
+            listings.append(bool(listed))
+        assert 0 < listings.count(False) < len(listings)
 
     def test_chain_from_filters_reachable_coverings(self):
         covs = [Covering("U", ["V"]), Covering("X", ["Y"]), Covering("V", ["W"])]
