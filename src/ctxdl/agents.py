@@ -41,7 +41,7 @@ from typing import Union
 from ctxdl.concepts import Atomic, Signature
 from ctxdl.contexts import ContextPoset
 from ctxdl.errors import InteractionError, LoadError, OracleError, ParseError
-from ctxdl.kb import Assertion, ConceptAssertion, KnowledgeState, RoleAssertion
+from ctxdl.kb import GUARD_MODES, Assertion, ConceptAssertion, KnowledgeState, RoleAssertion
 from ctxdl.oracle import OracleQuery, OracleSpec, load_script, run_session
 from ctxdl.programs import (
     DEFAULT_FUEL,
@@ -299,7 +299,7 @@ def load_agent(path: Union[str, Path]) -> Agent:
         raise fail(f"unknown seed policy kind {kind!r}")
     value = int(policy_raw.get("value", policy_raw.get("start", 0)))
     mode = str(raw.get("guards", "literal"))
-    if mode not in ("literal", "saturated"):
+    if mode not in GUARD_MODES:
         raise fail(f"unknown guard mode {mode!r}")
     return Agent(
         name=str(raw["name"]),

@@ -29,7 +29,7 @@ from ctxdl.errors import (
     RefinementChainError,
     SearchSpaceError,
 )
-from ctxdl.kb import KnowledgeState, canonical_abox, render_assertion, saturate
+from ctxdl.kb import GUARD_MODES, KnowledgeState, canonical_abox, render_assertion, saturate
 from ctxdl.kbfile import KBDocument, load_kb, load_state, write_state
 from ctxdl.oracle import (
     OracleQuery,
@@ -46,9 +46,11 @@ from ctxdl.programs import (
 )
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET, is_satisfiable, subsumes
 from ctxdl.sheaf import (
+    DEFAULT_MAX_UNIVERSE,
     Glued,
     Incompatible,
     NonUnique,
+    Presheaf,
     Section,
     chain_from,
     global_sections,
@@ -263,13 +265,13 @@ def _cmd_apply_oracle(args, report: _Report) -> None:
         write_state(args.dump, doc.signature, state.abox)
 
 
-def _parse_cli_section(text: str, doc: KBDocument) -> Section:
+def _parse_cli_section(text: str, doc: KBDocument, ps: Presheaf) -> Section:
     head, sep, body = text.partition(":")
     if not sep:
         raise ValueError(f"section must look like 'CTX: fact, fact', got {text!r}")
     ctx = head.strip()
     facts = parse_fact_list(body, doc.signature)
-    return doc.presheaf().section(ctx, facts)
+    return ps.section(ctx, facts)
 
 
 def _pick_covering(doc: KBDocument, target: str, index: int | None) -> Covering:
@@ -291,7 +293,7 @@ def _cmd_glue(args, report: _Report) -> None:
     doc = load_kb(args.kb)
     ps = doc.presheaf()
     cov = _pick_covering(doc, args.target, args.cover_index)
-    family = [_parse_cli_section(s, doc) for s in args.section]
+    family = [_parse_cli_section(s, doc, ps) for s in args.section]
     glue_result = glue(ps, family, cov, max_universe=args.max_universe)
     if isinstance(glue_result, Glued):
         report.add(
@@ -462,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb", required=True)
     p.add_argument("--format", choices=("text", "records"), default="text")
     p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
-    p.add_argument("--guards", choices=("literal", "saturated"), default="literal")
+    p.add_argument("--guards", choices=GUARD_MODES, default="literal")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--state", help="load the fact set from a state dump")
     p.add_argument("--dump", help="write the final state as a state dump")
@@ -490,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="family member as 'CTX: fact, fact' (repeatable)",
     )
-    p.add_argument("--max-universe", type=int, default=20)
+    p.add_argument("--max-universe", type=int, default=DEFAULT_MAX_UNIVERSE)
     p.set_defaults(fn=_cmd_glue)
 
     p = sub.add_parser("stable", help="check a section against the declared refinements")
@@ -502,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("global-sections", help="enumerate refinement-stable sections")
     common(p)
     p.add_argument("--top", required=True)
-    p.add_argument("--max-universe", type=int, default=20)
+    p.add_argument("--max-universe", type=int, default=DEFAULT_MAX_UNIVERSE)
     p.set_defaults(fn=_cmd_global_sections)
 
     p = sub.add_parser("stability", help="repeated agent interaction, exact-match verdict")

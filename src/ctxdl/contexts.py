@@ -1,8 +1,10 @@
 """Finite partial orders of contexts and their declared covering families.
 
 The order is declared as pairs ``(v, u)`` meaning "v is a subcontext of u"
-and closed reflexively and transitively at construction. Cycles between
-distinct names violate antisymmetry and are rejected at load time.
+and closed reflexively and transitively at construction. The poset is stored
+as its down-sets, one per context: ``below(u)`` holds every subcontext of u,
+u included, and every order query reads that map. Cycles between distinct
+names violate antisymmetry and are rejected at load time.
 """
 
 from __future__ import annotations
@@ -35,32 +37,24 @@ class ContextPoset:
         self._contexts = frozenset(contexts)
         declared = list(leq_pairs)
         for v, u in declared:
-            for name in (v, u):
-                if name not in self._contexts:
-                    raise UnknownNameError(f"unknown context {name!r}")
-        self._leq = self._close(declared)
+            self._check_declared(v, u)
+        self._below = self._close(declared)
         self._check_antisymmetry()
 
-    def _close(self, declared: list[tuple[str, str]]) -> frozenset[tuple[str, str]]:
+    def _close(self, declared: list[tuple[str, str]]) -> dict[str, frozenset[str]]:
         below: dict[str, set[str]] = {u: {u} for u in self._contexts}
         for v, u in declared:
             below[u].add(v)
-        # Transitive closure by iteration to a fixed point (desk-scale posets).
-        changed = True
-        while changed:
-            changed = False
+        # Warshall's transitive closure, one down-set row per context.
+        for k in self._contexts:
             for u in self._contexts:
-                extra = set()
-                for v in below[u]:
-                    extra |= below[v]
-                if not extra <= below[u]:
-                    below[u] |= extra
-                    changed = True
-        return frozenset((v, u) for u in self._contexts for v in below[u])
+                if k in below[u]:
+                    below[u] |= below[k]
+        return {u: frozenset(down) for u, down in below.items()}
 
     def _check_antisymmetry(self) -> None:
-        for v, u in self._leq:
-            if v != u and (u, v) in self._leq:
+        for v, u in sorted(self.leq_pairs):
+            if v != u and u in self._below[v]:
                 raise ValueError(f"order cycle between contexts {v!r} and {u!r}")
 
     @property
@@ -70,21 +64,25 @@ class ContextPoset:
     @property
     def leq_pairs(self) -> frozenset[tuple[str, str]]:
         """The reflexive-transitive closure of the declared pairs."""
-        return self._leq
+        return frozenset((v, u) for u, down in self._below.items() for v in down)
 
     def _check_declared(self, *names: str) -> None:
         for name in names:
             if name not in self._contexts:
                 raise UnknownNameError(f"unknown context {name!r}")
 
+    def below(self, u: str) -> frozenset[str]:
+        """Every subcontext of *u*, *u* included."""
+        self._check_declared(u)
+        return self._below[u]
+
     def leq(self, v: str, u: str) -> bool:
         """True iff *v* is a subcontext of *u* (reflexive, transitive)."""
         self._check_declared(v, u)
-        return (v, u) in self._leq
+        return v in self._below[u]
 
     def lower_bounds(self, u: str, v: str) -> frozenset[str]:
-        self._check_declared(u, v)
-        return frozenset(w for w in self._contexts if (w, u) in self._leq and (w, v) in self._leq)
+        return self.below(u) & self.below(v)
 
     def meet(self, u: str, v: str) -> str | None:
         """The greatest lower bound of *u* and *v*, or None if it does not exist.
@@ -96,7 +94,7 @@ class ContextPoset:
         maximal = [
             w
             for w in bounds
-            if not any(x != w and (w, x) in self._leq for x in bounds)
+            if not any(x != w and w in self._below[x] for x in bounds)
         ]
         if len(maximal) == 1:
             return maximal[0]

@@ -9,7 +9,9 @@ Guard satisfaction has two modes. ``literal`` checks raw membership of the
 asserted fact in the current fact set. ``saturated`` additionally accepts a
 fact at context V whenever it is asserted at some supercontext U >= V, i.e.
 membership in the downward-closed saturation. Saturation is computed on
-demand and never stored, so deletion stays plain set difference.
+demand and never stored, so deletion stays plain set difference; a saturated
+guard atom costs one membership lookup per declared supercontext of V, not a
+scan of the fact set.
 """
 
 from __future__ import annotations
@@ -141,10 +143,7 @@ def saturate(abox: Iterable[Assertion], poset: ContextPoset) -> frozenset[Assert
     """
     out: set[Assertion] = set()
     for a in abox:
-        out.add(a)
-        for v, u in poset.leq_pairs:
-            if u == a.context and v != u:
-                out.add(replace(a, context=v))
+        out.update(replace(a, context=v) for v in poset.below(a.context))
     return frozenset(out)
 
 
@@ -193,12 +192,8 @@ FALSE_GUARD = Falsity()
 
 def _holds_saturated(abox: frozenset[Assertion], wanted: Assertion, poset: ContextPoset) -> bool:
     # Membership in saturate(abox) without materializing the closure.
-    for a in abox:
-        if type(a) is not type(wanted):
-            continue
-        if replace(a, context=wanted.context) == wanted and poset.leq(wanted.context, a.context):
-            return True
-    return False
+    v = wanted.context
+    return any(poset.leq(v, u) and replace(wanted, context=u) in abox for u in poset.contexts)
 
 
 def guard_sat(

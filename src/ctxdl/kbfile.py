@@ -83,8 +83,6 @@ def loads(text: str, path: str = "<kb>") -> KBDocument:
     try:
         statements = _split_statements(text)
         return _build(statements, path)
-    except LoadError:
-        raise
     except ParseError as exc:
         raise LoadError(path, exc.line, exc.message) from exc
 
@@ -215,14 +213,14 @@ def _build(statements: list[_Statement], path: str) -> KBDocument:
         sig = Signature(concepts, roles, individuals, contexts)
     except ValueError as exc:
         raise err(statements[0].line if statements else 1, str(exc)) from exc
-    leq_pairs = []
+    declared = []
     for stmt, v, u in leq_stmts:
         for tok in (v, u):
             if tok.text not in contexts:
                 raise err(tok.line, f"unknown context {tok.text!r}")
-        leq_pairs.append((v.text, u.text))
+        declared.append((v.text, u.text))
     try:
-        poset = ContextPoset(contexts, leq_pairs)
+        poset = ContextPoset(contexts, declared)
     except ValueError as exc:
         line = leq_stmts[-1][0].line if leq_stmts else (statements[0].line if statements else 1)
         raise err(line, str(exc)) from exc

@@ -139,19 +139,17 @@ class Presheaf:
         self._check_interpolation()
 
     def _check_interpolation(self) -> None:
-        for w, v in self.poset.leq_pairs:
-            if w == v:
-                continue
-            for v2, u in self.poset.leq_pairs:
-                if v2 != v or u == v:
-                    continue
-                stranded = (self.universe(u) & self.universe(w)) - self.universe(v)
-                if stranded:
-                    fact = sorted(render_fact(f) for f in stranded)[0]
-                    raise ValueError(
-                        f"universes are not a presheaf: {fact} is expressible at "
-                        f"{u!r} and at {w!r} but not at {v!r} in between"
-                    )
+        # Chains W < V < U in sorted order, so the reported chain is stable.
+        for u in sorted(self.poset.contexts):
+            for v in sorted(self.poset.below(u) - {u}):
+                for w in sorted(self.poset.below(v) - {v}):
+                    stranded = (self.universe(u) & self.universe(w)) - self.universe(v)
+                    if stranded:
+                        fact = min(render_fact(f) for f in stranded)
+                        raise ValueError(
+                            f"universes are not a presheaf: {fact} is expressible at "
+                            f"{u!r} and at {w!r} but not at {v!r} in between"
+                        )
 
     def universe(self, ctx: str) -> frozenset[Fact]:
         if ctx not in self.poset.contexts:
@@ -235,7 +233,6 @@ def glue(
     candidates map to Incompatible, Glued, and NonUnique (all candidates
     listed in canonical order).
     """
-    _check_family(ps, family, cov)
     ok, conflicts = compatible(ps, family, cov)
     if not ok:
         return Incompatible(conflicts)

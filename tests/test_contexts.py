@@ -23,6 +23,18 @@ def diamond():
     )
 
 
+def _reachable_below(edges, u):
+    """Down-set of *u* by search over the declared edges, independent of the closure."""
+    seen, todo = {u}, [u]
+    while todo:
+        x = todo.pop()
+        for a, b in edges:
+            if b == x and a not in seen:
+                seen.add(a)
+                todo.append(a)
+    return seen
+
+
 class TestOrder:
     def test_reflexive(self):
         assert chain().leq("U", "U")
@@ -38,6 +50,8 @@ class TestOrder:
     def test_undeclared_context(self):
         with pytest.raises(UnknownNameError):
             chain().leq("U", "X")
+        with pytest.raises(UnknownNameError):
+            chain().below("X")
 
     def test_cycle_rejected_at_load(self):
         with pytest.raises(ValueError) as exc:
@@ -90,6 +104,9 @@ class TestMeet:
         v = data.draw(st.sampled_from(names))
         m = p.meet(u, v)
         bounds = p.lower_bounds(u, v)
+        assert p.below(u) == _reachable_below(edges, u)
+        assert p.below(u) == {w for w in names if p.leq(w, u)}
+        assert bounds == p.below(u) & p.below(v)
         if m is None:
             # No single greatest element among the common lower bounds.
             assert not any(all(p.leq(w, x) for w in bounds) for x in bounds)

@@ -69,6 +69,10 @@ class TestSaturate:
     def test_empty_is_empty(self):
         assert saturate(frozenset(), POSET) == frozenset()
 
+    def test_undeclared_context_raises(self):
+        with pytest.raises(UnknownNameError):
+            saturate({ca("a", "A", "X")}, POSET)
+
     def test_fact_propagates_downward(self):
         out = saturate({ca("a", "A", "U")}, POSET)
         assert out == {ca("a", "A", "U"), ca("a", "A", "V"), ca("a", "A", "W")}
@@ -124,6 +128,11 @@ class TestGuardSat:
         g = AssertGuard(ca("a", "A", "V"))
         assert guard_sat(self.state, g, "saturated", POSET) is True
         assert guard_sat(self.state, g, "literal") is False
+
+    def test_saturated_guard_over_undeclared_context_raises(self):
+        # Raises even though no assertion in the state could match.
+        with pytest.raises(UnknownNameError):
+            guard_sat(self.state, AssertGuard(ca("b", "B", "X")), "saturated", POSET)
 
     def test_saturated_mode_requires_poset(self):
         with pytest.raises(ValueError):

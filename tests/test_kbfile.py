@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +16,8 @@ from ctxdl.kb import ConceptAssertion, RoleAssertion
 from ctxdl.kbfile import dump_state, load_kb, load_state, loads, write_state
 from ctxdl.sheaf import ConceptFact
 
-SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
 
 
 class TestLoad:
@@ -158,6 +163,67 @@ class TestLoadErrors:
         with pytest.raises(LoadError) as exc:
             load_kb(bad)
         assert exc.value.line == 1
+
+
+CYCLE_DOC = """
+contexts
+  context U, V, W.
+  U <= V. V <= W. W <= U.
+"""
+
+# T has M1 and M2 below it, L1 sits below M1 and L2 below M2; a:A and a:B
+# are stranded at both L1 and L2, so two chains violate interpolation, each
+# with two facts.
+STRANDED_DOC = """
+signature
+  concept A, B.
+  individual a.
+contexts
+  context T, M1, M2, L1, L2.
+  M1 <= T. M2 <= T. L1 <= M1. L2 <= M2.
+facts
+  facts T : { a:A, a:B }.
+  facts L1 : { a:A, a:B }.
+  facts L2 : { a:A, a:B }.
+"""
+
+_LOAD_EACH = """
+import json, sys
+from ctxdl.errors import LoadError
+from ctxdl.kbfile import loads
+messages = []
+for text in json.load(sys.stdin):
+    try:
+        loads(text, "doc.kb")
+        messages.append(None)
+    except LoadError as exc:
+        messages.append(str(exc))
+print(json.dumps(messages))
+"""
+
+
+class TestDeterministicDiagnostics:
+    def test_one_message_per_document_across_hash_seeds(self):
+        src = str(ROOT / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        seen = set()
+        for seed in range(6):
+            proc = subprocess.run(
+                [sys.executable, "-c", _LOAD_EACH],
+                input=json.dumps([CYCLE_DOC, STRANDED_DOC]),
+                env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path},
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            seen.add(tuple(json.loads(proc.stdout)))
+        assert seen == {
+            (
+                "doc.kb:4: order cycle between contexts 'U' and 'V'",
+                "doc.kb:11: universes are not a presheaf: a:A is expressible at 'T' "
+                "and at 'L1' but not at 'M1' in between",
+            )
+        }
 
 
 class TestStateDump:
