@@ -259,6 +259,11 @@ def load_agent(path: Union[str, Path]) -> Agent:
     def fail(msg: str) -> LoadError:
         return LoadError(str(path), 1, msg)
 
+    def integer(value: object, field: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise fail(f"{field} must be an integer")
+        return value
+
     for key in ("name", "kb", "input_context", "projection"):
         if key not in raw:
             raise fail(f"missing required field {key!r}")
@@ -289,15 +294,19 @@ def load_agent(path: Union[str, Path]) -> Agent:
         if not isinstance(qs, list):
             raise fail("oracle queries must be a list of payload templates")
         queries = tuple(str(q) for q in qs)
+    if not isinstance(raw["projection"], list):
+        raise fail("projection must be a list of fact patterns")
     try:
         projection = tuple(FactPattern.parse(str(p)) for p in raw["projection"])
     except ValueError as exc:
         raise fail(str(exc)) from exc
     policy_raw = raw.get("seed_policy", {"kind": "constant", "value": 0})
+    if not isinstance(policy_raw, dict):
+        raise fail("seed_policy must be an object")
     kind = str(policy_raw.get("kind", "constant"))
     if kind not in ("constant", "sequence"):
         raise fail(f"unknown seed policy kind {kind!r}")
-    value = int(policy_raw.get("value", policy_raw.get("start", 0)))
+    value = integer(policy_raw.get("value", policy_raw.get("start", 0)), "seed_policy value")
     mode = str(raw.get("guards", "literal"))
     if mode not in GUARD_MODES:
         raise fail(f"unknown guard mode {mode!r}")
@@ -311,7 +320,7 @@ def load_agent(path: Union[str, Path]) -> Agent:
         oracle=oracle,
         queries=queries,
         projection=projection,
-        fuel=int(raw.get("fuel", DEFAULT_FUEL)),
+        fuel=integer(raw.get("fuel", DEFAULT_FUEL), "fuel"),
         guard_mode=mode,
         seed_policy=SeedPolicy(kind, value),
     )

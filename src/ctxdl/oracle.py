@@ -199,9 +199,9 @@ def replay_session(source: Union[str, Path, IO[str]], sig: Signature) -> ReplayO
             name = entry_name
         elif entry_name != name:
             raise LoadError(path, lineno, f"log names two oracles: {name!r} and {entry_name!r}")
-        match = obj.get("match", {})
-        payload = match.get("payload")
-        state = match.get("state")
+        match = obj.get("match")
+        payload = match.get("payload") if isinstance(match, dict) else None
+        state = match.get("state") if isinstance(match, dict) else None
         if not isinstance(payload, str) or not isinstance(state, str):
             raise LoadError(path, lineno, "log record needs match.payload and match.state")
         response = _parse_response(obj, sig, path, lineno)

@@ -11,17 +11,20 @@ Determinism: labels are processed in insertion order, disjunctions explore
 the left branch first, and successors are expanded in label order, so
 repeated calls return identical results and spend identical budgets.
 
-The brute-force side (``enumerate_models``, ``find_witness``) exists as an
-independent check on the tableau; it shares nothing with it but the concept
-semantics, evaluated directly over explicit finite interpretations.
+The brute-force side exists as an independent check on the tableau; it
+shares nothing with it but the concept semantics. ``enumerate_models`` and
+``extension`` evaluate explicit finite interpretations one at a time.
+``find_witness`` evaluates every interpretation of a domain size at once,
+bit-sliced over Python integers (bit c stands for the model with code c),
+and returns the first model that ``enumerate_models`` would yield.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable, Iterator, Mapping
-
-import numpy as np
 
 from ctxdl.concepts import (
     And,
@@ -284,48 +287,48 @@ def enumerate_models(
                 yield model
 
 
-def _vector_extension(
-    c: ConceptExpr,
-    codes: np.ndarray,
-    offsets: dict[str, int],
-    k: int,
-) -> np.ndarray:
-    """Per-model k-bit extension masks of *c*, vectorized over *codes*."""
-    dt = codes.dtype.type
-    full = dt((1 << k) - 1)
-    if isinstance(c, Top):
-        return np.full(codes.shape, full, dtype=codes.dtype)
-    if isinstance(c, Bot):
-        return np.zeros(codes.shape, dtype=codes.dtype)
-    if isinstance(c, Atomic):
-        if c.name not in offsets:
-            raise UnknownNameError(f"signature does not declare concept {c.name!r}")
-        return (codes >> dt(offsets[c.name])) & full
-    if isinstance(c, Not):
-        return _vector_extension(c.child, codes, offsets, k) ^ full
-    if isinstance(c, And):
-        return _vector_extension(c.left, codes, offsets, k) & _vector_extension(
-            c.right, codes, offsets, k
-        )
-    if isinstance(c, Or):
-        return _vector_extension(c.left, codes, offsets, k) | _vector_extension(
-            c.right, codes, offsets, k
-        )
-    if isinstance(c, (Exists, Forall)):
-        if c.role not in offsets:
-            raise UnknownNameError(f"signature does not declare role {c.role!r}")
-        child = _vector_extension(c.child, codes, offsets, k)
-        rbits = codes >> dt(offsets[c.role])
-        result = np.zeros(codes.shape, dtype=codes.dtype)
-        for i in range(k):
-            row = (rbits >> dt(k * i)) & full
-            if isinstance(c, Exists):
-                hit = (row & child) != 0
-            else:
-                hit = (row & (child ^ full)) == 0
-            result |= hit.astype(codes.dtype) << dt(i)
-        return result
-    raise TypeError(f"not a concept expression: {c!r}")
+class _CodeSpace:
+    """Every interpretation over {1..k} at once: bit c of an int stands for code c.
+
+    Bit c of ``columns[j]`` is bit j of code c, a repeated byte pattern that
+    overhangs a 1- or 2-bit space; bits past the codes are never read, as
+    every result is cut by the TBox filter, which starts from ``ones``.
+    """
+
+    def __init__(self, sig: Signature, k: int):
+        _, _, self.offsets, bits = _bit_layout(sig, k)
+        self.k = k
+        self.ones = (1 << (1 << bits)) - 1
+        self.columns: list[int] = []
+        for j in range(bits):
+            run = (1 << j) // 8
+            pattern = bytes(run) + b"\xff" * run if run else bytes([(0xAA, 0xCC, 0xF0)[j]])
+            repeats = max(1, (1 << bits) // (8 * len(pattern)))
+            self.columns.append(int.from_bytes(pattern * repeats, "little"))
+
+    def extension(self, c: ConceptExpr) -> list[int]:
+        """Extension of *c* at every code: bit c of entry i says element i+1 is in it."""
+        if isinstance(c, (Top, Bot)):
+            return [self.ones if isinstance(c, Top) else 0] * self.k
+        if isinstance(c, Atomic):
+            if c.name not in self.offsets:
+                raise UnknownNameError(f"signature does not declare concept {c.name!r}")
+            return self.columns[self.offsets[c.name] : self.offsets[c.name] + self.k]
+        if isinstance(c, Not):
+            return [x ^ self.ones for x in self.extension(c.child)]
+        if isinstance(c, And):
+            return [x & y for x, y in zip(self.extension(c.left), self.extension(c.right))]
+        if isinstance(c, Or):
+            return [x | y for x, y in zip(self.extension(c.left), self.extension(c.right))]
+        if isinstance(c, Forall):
+            return self.extension(Not(Exists(c.role, Not(c.child))))
+        if isinstance(c, Exists):
+            if c.role not in self.offsets:
+                raise UnknownNameError(f"signature does not declare role {c.role!r}")
+            child = self.extension(c.child)
+            edges, k = self.columns[self.offsets[c.role] :], self.k
+            return [reduce(or_, (edges[i * k + j] & y for j, y in enumerate(child))) for i in range(k)]
+        raise TypeError(f"not a concept expression: {c!r}")
 
 
 def find_witness(
@@ -335,34 +338,24 @@ def find_witness(
     max_size: int,
     *,
     max_bits: int = DEFAULT_MAX_BITS,
-    chunk_bits: int = 22,
 ) -> FiniteModel | None:
     """First model of *tbox* (in enumerate_models order) where *concept* is nonempty.
 
-    Vectorized equivalent of filtering enumerate_models by a nonempty
+    Bit-sliced equivalent of filtering enumerate_models by a nonempty
     extension; returns None when no such model exists up to *max_size*.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
     _guard_bits(sig, max_size, max_bits)
     for k in range(1, max_size + 1):
-        _, _, offsets, bits = _bit_layout(sig, k)
-        dtype = np.uint32 if bits < 32 else np.uint64
-        total = 1 << bits
-        step = 1 << min(chunk_bits, bits)
-        for start in range(0, total, step):
-            codes = np.arange(start, min(start + step, total), dtype=dtype)
-            sat = np.ones(codes.shape, dtype=bool)
-            for lhs, rhs in tbox.inclusions:
-                lmask = _vector_extension(lhs, codes, offsets, k)
-                rmask = _vector_extension(rhs, codes, offsets, k)
-                sat &= (lmask & ~rmask) == 0
-                if not sat.any():
-                    break
-            if not sat.any():
-                continue
-            witness = sat & (_vector_extension(concept, codes, offsets, k) != 0)
-            hits = np.nonzero(witness)[0]
-            if hits.size:
-                return _decode_model(int(codes[hits[0]]), sig, k)
+        space = _CodeSpace(sig, k)
+        models = space.ones
+        for lhs, rhs in tbox.inclusions:
+            models &= reduce(and_, space.extension(Or(Not(lhs), rhs)))
+            if not models:
+                break
+        else:
+            witness = models & reduce(or_, space.extension(concept))
+            if witness:
+                return _decode_model((witness & -witness).bit_length() - 1, sig, k)
     return None

@@ -158,12 +158,9 @@ class Presheaf:
 
     def section(self, ctx: str, facts: Iterable[Fact]) -> Section:
         """Build a validated section: its facts must be in the universe."""
-        fs = frozenset(facts)
-        stray = fs - self.universe(ctx)
-        if stray:
-            names = ", ".join(sorted(render_fact(f) for f in stray))
-            raise ValueError(f"facts not in the universe of {ctx!r}: {names}")
-        return Section(ctx, fs)
+        s = Section(ctx, frozenset(facts))
+        _check_section(self, s)
+        return s
 
 
 def restrict(ps: Presheaf, s: Section, v: str) -> Section:

@@ -46,7 +46,7 @@ SIG = Signature(
 def random_concept(rng: random.Random, depth: int, concepts=("A", "B", "C"), roles=("r", "s")) -> ConceptExpr:
     if depth <= 0 or rng.random() < 0.3:
         return rng.choice([TOP, BOT] + [Atomic(n) for n in concepts])
-    kind = rng.choice(["not", "and", "or", "exists", "forall"])
+    kind = rng.choice(["not", "and", "or"] + (["exists", "forall"] if roles else []))
     if kind == "not":
         return Not(random_concept(rng, depth - 1, concepts, roles))
     if kind in ("and", "or"):

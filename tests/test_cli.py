@@ -274,3 +274,13 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("ok:")
+
+    def test_import_leaves_numpy_out(self):
+        # No command needs numpy, so importing the CLI must not load it.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, ctxdl.cli; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout.strip() == "False"

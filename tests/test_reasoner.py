@@ -171,21 +171,30 @@ class TestEnumerateModels:
 
 
 class TestFindWitness:
-    def test_agrees_with_stream_filtering(self):
-        # The vectorized search must return the first streamed model with a
+    @pytest.mark.parametrize(
+        "concepts, roles, size",
+        [
+            pytest.param(("A", "B"), ("r",), 2, id="AB-r-size2"),
+            pytest.param(("A",), (), 1, id="A-size1"),  # a 1-bit space
+            pytest.param(("A",), (), 2, id="A-size2"),  # 1 bit, then 2 bits
+            pytest.param(("A",), ("r",), 3, id="A-r-size3"),  # 12 bits at size 3
+        ],
+    )
+    def test_agrees_with_stream_filtering(self, concepts, roles, size):
+        # The bit-sliced search must return the first streamed model with a
         # nonempty extension, or None exactly when no streamed model has one.
         rng = random.Random(23)
-        sig = Signature(concept_names=("A", "B"), role_names=("r",))
+        sig = Signature(concept_names=concepts, role_names=roles)
         for _ in range(40):
-            t = random_tbox(rng, depth=2, concepts=("A", "B"), roles=("r",))
-            c = random_concept(rng, 2, concepts=("A", "B"), roles=("r",))
+            t = random_tbox(rng, depth=2, concepts=concepts, roles=roles)
+            c = random_concept(rng, 2, concepts=concepts, roles=roles)
             streamed = None
-            for m in enumerate_models(sig, t, 2, max_bits=16):
+            for m in enumerate_models(sig, t, size, max_bits=16):
                 _, ext = check_interpretation(m, t, c)
                 if ext:
                     streamed = m
                     break
-            assert find_witness(sig, t, c, 2, max_bits=16) == streamed
+            assert find_witness(sig, t, c, size, max_bits=16) == streamed
 
     def test_soundness_against_tableau(self):
         rng = random.Random(29)

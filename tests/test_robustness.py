@@ -122,6 +122,37 @@ BAD_AGENTS = [
         "broken-program-ref",
         '{"name": "n", "kb": "base.kb", "program": "broken.p", "input_context": "U", "projection": []}',
     ),
+    (
+        "fuel-not-an-integer",
+        '{"name": "n", "kb": "base.kb", "input_context": "U", "projection": [], "fuel": [1]}',
+    ),
+    (
+        "seed-policy-not-an-object",
+        '{"name": "n", "kb": "base.kb", "input_context": "U", "projection": [], "seed_policy": 3}',
+    ),
+    (
+        "seed-value-not-an-integer",
+        '{"name": "n", "kb": "base.kb", "input_context": "U", "projection": [], '
+        '"seed_policy": {"kind": "sequence", "start": "one"}}',
+    ),
+    ("projection-not-a-list", '{"name": "n", "kb": "base.kb", "input_context": "U", "projection": 5}'),
+]
+
+# Session logs for ``apply-oracle --replay``; each is broken on its last line.
+GOOD_LOG_LINE = '{"seq": 0, "oracle": "s", "match": {"payload": "p", "state": "d"}, "add": []}\n'
+BAD_LOGS = [
+    ("invalid-json", "{oops}\n"),
+    ("not-an-object", "[1]\n"),
+    ("missing-seq", '{"oracle": "s", "match": {"payload": "p", "state": "d"}}\n'),
+    ("reordered", GOOD_LOG_LINE + GOOD_LOG_LINE),
+    ("missing-oracle-name", '{"seq": 0, "match": {"payload": "p", "state": "d"}}\n'),
+    ("match-not-an-object", '{"seq": 0, "oracle": "s", "match": [1]}\n'),
+    ("missing-state", '{"seq": 0, "oracle": "s", "match": {"payload": "p"}}\n'),
+    (
+        "two-oracles",
+        GOOD_LOG_LINE + '{"seq": 1, "oracle": "t", "match": {"payload": "q", "state": "d"}}\n',
+    ),
+    ("bad-assertion", GOOD_LOG_LINE.replace('"add": []', '"add": ["zz@@"]')),
 ]
 
 
@@ -181,11 +212,17 @@ def build_corpus(root: Path) -> list[tuple[list[str], bool]]:
     agent_dir = root / "agents"
     agent_dir.mkdir()
     (agent_dir / "broken.p").write_text("while true do", encoding="utf-8")
-    for count in range(10):
-        name, text = BAD_AGENTS[count % len(BAD_AGENTS)]
+    for count, (name, text) in enumerate(BAD_AGENTS):
         path = agent_dir / f"{name}-{count}.json"
         path.write_text(text.replace("base.kb", str(base)), encoding="utf-8")
         cases.append((["stability", str(path), "--runs", "2"], True))
+
+    log_dir = root / "logs"
+    log_dir.mkdir()
+    for name, text in BAD_LOGS:
+        path = log_dir / f"{name}.jsonl"
+        path.write_text(text, encoding="utf-8")
+        cases.append((["apply-oracle", str(base), "--replay", str(path), "--payload", "p"], True))
 
     from ctxdl.kb import signature_digest
     from ctxdl.kbfile import load_kb
