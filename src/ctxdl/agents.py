@@ -310,6 +310,9 @@ def load_agent(path: Union[str, Path]) -> Agent:
     mode = str(raw.get("guards", "literal"))
     if mode not in GUARD_MODES:
         raise fail(f"unknown guard mode {mode!r}")
+    fuel = integer(raw.get("fuel", DEFAULT_FUEL), "fuel")
+    if fuel < 1:
+        raise fail("fuel must be at least 1")
     return Agent(
         name=str(raw["name"]),
         signature=sig,
@@ -320,7 +323,7 @@ def load_agent(path: Union[str, Path]) -> Agent:
         oracle=oracle,
         queries=queries,
         projection=projection,
-        fuel=integer(raw.get("fuel", DEFAULT_FUEL), "fuel"),
+        fuel=fuel,
         guard_mode=mode,
         seed_policy=SeedPolicy(kind, value),
     )

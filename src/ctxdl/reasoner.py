@@ -1,15 +1,29 @@
 """Concept satisfiability and subsumption, plus a brute-force model oracle.
 
 The decision procedure is a tableau with the usual four expansion rules.
-Axioms ``C <= D`` are internalized as the global constraint ``!C | D`` added
-to every node label. Termination comes from subset blocking: a node whose
-saturated label is contained in an ancestor's label is not expanded further
-(sound here because the language has no inverse roles, so the blocked node
-can be folded onto its blocker when reading off a model).
+An axiom ``A <= D`` whose left side is a concept name is unfolded lazily:
+D joins a label when A does. That is enough, because the model read off a
+completed tableau puts an element in A only when A is in its label. Every
+other axiom ``C <= D`` is internalized as the global constraint ``!C | D``
+added to every node label. Termination comes from subset blocking: a node
+whose saturated label is contained in an ancestor's label is not expanded
+further (sound here because the language has no inverse roles, so the
+blocked node can be folded onto its blocker when reading off a model).
+
+Backjumping: each label entry carries the branch points (disjunction
+choices) it depends on, and a clash returns the union of its two sides'
+sets. An unfolded concept depends on its name, a successor's whole label
+on the existential that made it. When the left disjunct's clash does not
+depend on its own choice, the right disjunct would meet the same clash, so
+it is skipped and the clash passed up; otherwise the right disjunct
+depends on the rest of that clash. The node budget counts nodes,
+conjunctions decomposed, names unfolded and disjuncts tried.
 
 Determinism: labels are processed in insertion order, disjunctions explore
-the left branch first, and successors are expanded in label order, so
-repeated calls return identical results and spend identical budgets.
+the left branch first, branch points are numbered in the order the choices
+are made, successors are expanded in label order, and nothing outlives one
+call, so repeated calls return identical results and spend identical
+budgets.
 
 The brute-force side exists as an independent check on the tableau; it
 shares nothing with it but the concept semantics. ``enumerate_models`` and
@@ -44,6 +58,10 @@ from ctxdl.errors import BudgetExceededError, SearchSpaceError, UnknownNameError
 DEFAULT_NODE_BUDGET = 100_000
 DEFAULT_MAX_BITS = 24
 
+# The branch points (disjunction choices) a label entry or a clash depends on.
+Deps = frozenset[int]
+NO_DEPS: Deps = frozenset()
+
 
 @dataclass(frozen=True)
 class TBox:
@@ -77,86 +95,105 @@ class FiniteModel:
 
 
 class _Tableau:
-    def __init__(self, constraints: tuple[ConceptExpr, ...], budget: int):
+    def __init__(
+        self,
+        constraints: tuple[ConceptExpr, ...],
+        unfold: Mapping[str, tuple[ConceptExpr, ...]],
+        budget: int,
+    ):
         self.constraints = constraints
+        self.unfold = unfold
         self.budget = budget
         self.spent = 0
+        self.points = 0
 
     def _spend(self) -> None:
         self.spent += 1
         if self.spent > self.budget:
             raise BudgetExceededError(self.budget)
 
-    def sat(self, label: list[ConceptExpr], ancestors: tuple[frozenset, ...]) -> bool:
+    def sat(self, label: list[tuple[ConceptExpr, Deps]], ancestors: tuple[frozenset, ...]) -> Deps | None:
+        """None when *label* is satisfiable, else the branch points its clash depends on."""
         self._spend()
         items: list[ConceptExpr] = []
-        present: set[ConceptExpr] = set()
-        for c in label:
-            if not _add(c, items, present):
-                return False
+        present: dict[ConceptExpr, Deps] = {}
+        for c, dep in label:
+            clash = _add(c, dep, items, present)
+            if clash is not None:
+                return clash
         return self._expand(items, present, 0, ancestors)
 
     def _expand(
         self,
         items: list[ConceptExpr],
-        present: set[ConceptExpr],
+        present: dict[ConceptExpr, Deps],
         i: int,
         ancestors: tuple[frozenset, ...],
-    ) -> bool:
+    ) -> Deps | None:
         while i < len(items):
             c = items[i]
             i += 1
-            if isinstance(c, And):
-                self._spend()
-                if not (_add(c.left, items, present) and _add(c.right, items, present)):
-                    return False
-            elif isinstance(c, Or):
+            dep = present[c]
+            if isinstance(c, Or):
                 if c.left in present or c.right in present:
                     continue
-                for branch in (c.left, c.right):
-                    self._spend()
-                    forked_items = items[:]
-                    forked_present = set(present)
-                    if _add(branch, forked_items, forked_present) and self._expand(
-                        forked_items, forked_present, i, ancestors
-                    ):
-                        return True
-                return False
+                self.points += 1
+                point = self.points
+                self._spend()
+                forked_items, forked_present = items[:], dict(present)
+                clash = _add(c.left, dep | {point}, forked_items, forked_present)
+                if clash is None:
+                    clash = self._expand(forked_items, forked_present, i, ancestors)
+                if clash is None or point not in clash:
+                    return clash  # the right disjunct would meet the same clash
+                # No choice is left here, so the right disjunct goes on in place.
+                parts, dep = (c.right,), dep | (clash - {point})
+            elif isinstance(c, And):
+                parts = (c.left, c.right)
+            elif isinstance(c, Atomic) and c.name in self.unfold:
+                parts = self.unfold[c.name]
+            else:
+                continue
+            self._spend()
+            for part in parts:
+                clash = _add(part, dep, items, present)
+                if clash is not None:
+                    return clash
         # Propositionally saturated: block or expand existential successors.
         snapshot = frozenset(present)
         if any(snapshot <= ancestor for ancestor in ancestors):
-            return True
+            return None
         deeper = ancestors + (snapshot,)
         for c in items:
             if isinstance(c, Exists):
-                child = [c.child]
-                child.extend(d.child for d in items if isinstance(d, Forall) and d.role == c.role)
-                child.extend(self.constraints)
-                if not self.sat(child, deeper):
-                    return False
-        return True
+                # The successor exists only through c, so its whole label depends on c.
+                dep = present[c]
+                child = [(c.child, dep)]
+                child.extend(
+                    (d.child, present[d] | dep) for d in items if isinstance(d, Forall) and d.role == c.role
+                )
+                child.extend((k, dep) for k in self.constraints)
+                clash = self.sat(child, deeper)
+                if clash is not None:
+                    return clash
+        return None
 
 
-def _add(c: ConceptExpr, items: list[ConceptExpr], present: set[ConceptExpr]) -> bool:
-    """Insert a concept into a node label; False signals a clash."""
-    if isinstance(c, Top):
-        return True
+def _add(
+    c: ConceptExpr, dep: Deps, items: list[ConceptExpr], present: dict[ConceptExpr, Deps]
+) -> Deps | None:
+    """Insert a concept into a node label; on a clash return both sides' branch points."""
+    if isinstance(c, Top) or c in present:
+        return None
     if isinstance(c, Bot):
-        return False
-    if c in present:
-        return True
+        return dep
     if isinstance(c, Atomic) and Not(c) in present:
-        return False
+        return dep | present[Not(c)]
     if isinstance(c, Not) and c.child in present:
-        return False
-    present.add(c)
+        return dep | present[c.child]
+    present[c] = dep
     items.append(c)
-    return True
-
-
-def internalized_constraints(tbox: TBox) -> tuple[ConceptExpr, ...]:
-    """The per-node constraints equivalent to the inclusions: nnf(!lhs | rhs)."""
-    return tuple(dict.fromkeys(nnf(Or(Not(lhs), rhs)) for lhs, rhs in tbox.inclusions))
+    return None
 
 
 def is_satisfiable(tbox: TBox, concept: ConceptExpr, *, budget: int = DEFAULT_NODE_BUDGET) -> bool:
@@ -165,9 +202,15 @@ def is_satisfiable(tbox: TBox, concept: ConceptExpr, *, budget: int = DEFAULT_NO
     Raises BudgetExceededError when the node budget runs out; the exception
     is the third outcome, never folded into True or False.
     """
-    constraints = internalized_constraints(tbox)
-    tableau = _Tableau(constraints, budget)
-    return tableau.sat([nnf(concept), *constraints], ())
+    unfold: dict[str, tuple[ConceptExpr, ...]] = {}
+    constraints: dict[ConceptExpr, None] = {}
+    for lhs, rhs in tbox.inclusions:
+        if isinstance(lhs, Atomic):
+            unfold[lhs.name] = unfold.get(lhs.name, ()) + (nnf(rhs),)
+        else:
+            constraints[nnf(Or(Not(lhs), rhs))] = None
+    tableau = _Tableau(tuple(constraints), unfold, budget)
+    return tableau.sat([(c, NO_DEPS) for c in (nnf(concept), *constraints)], ()) is None
 
 
 def subsumes(tbox: TBox, c: ConceptExpr, d: ConceptExpr, *, budget: int = DEFAULT_NODE_BUDGET) -> bool:

@@ -19,6 +19,7 @@ from ctxdl.concepts import (
     Or,
     Signature,
     TOP,
+    subconcepts,
 )
 from ctxdl.contexts import ContextPoset, Covering
 from ctxdl.kb import (
@@ -32,7 +33,7 @@ from ctxdl.kb import (
     TRUE_GUARD,
 )
 from ctxdl.programs import Add, Del, If, Program, Seq, SKIP, While
-from ctxdl.reasoner import TBox
+from ctxdl.reasoner import DEFAULT_MAX_BITS, TBox
 from ctxdl.sheaf import ConceptFact, Presheaf, RoleFact, Section
 
 SIG = Signature(
@@ -58,12 +59,65 @@ def random_concept(rng: random.Random, depth: int, concepts=("A", "B", "C"), rol
     return Exists(role, child) if kind == "exists" else Forall(role, child)
 
 
+def random_conjunction(
+    rng: random.Random, depth: int, max_conjuncts=4, concepts=("A", "B", "C"), roles=("r", "s")
+) -> ConceptExpr:
+    """1..max_conjuncts random concepts joined by ``&``, so that the choices
+    of several disjunctions meet in one label, as in a clause set."""
+    c = random_concept(rng, depth, concepts, roles)
+    for _ in range(rng.randint(0, max_conjuncts - 1)):
+        c = And(c, random_concept(rng, depth, concepts, roles))
+    return c
+
+
 def random_tbox(rng: random.Random, max_inclusions=2, depth=3, concepts=("A", "B", "C"), roles=("r", "s")) -> TBox:
     n = rng.randint(0, max_inclusions)
     return TBox(
         (random_concept(rng, depth, concepts, roles), random_concept(rng, depth, concepts, roles))
         for _ in range(n)
     )
+
+
+def random_absorbable_tbox(
+    rng: random.Random, max_inclusions=4, depth=3, concepts=("A", "B", "C"), roles=("r", "s")
+) -> TBox:
+    """Inclusions of which at least half have an atomic left side: the
+    first, third, ... one always, each other one on a coin flip.
+
+    Those are the inclusions the tableau unfolds lazily; the rest have a
+    random left side of depth 2 and are internalized.
+    """
+    inclusions = []
+    for i in range(rng.randint(0, max_inclusions)):
+        if i % 2 == 0 or rng.random() < 0.5:
+            lhs = Atomic(rng.choice(concepts))
+        else:
+            lhs = random_concept(rng, 2, concepts, roles)
+        inclusions.append((lhs, random_concept(rng, depth, concepts, roles)))
+    return TBox(inclusions)
+
+
+def witness_space(tbox: TBox, concept: ConceptExpr) -> tuple[Signature, int]:
+    """The names occurring in the instance and the largest domain size, at
+    most 3, that the 24-bit enumeration guard allows for them (0 if none).
+
+    A model of the sub-signature extends to the full one with empty
+    extensions and back, leaving satisfaction untouched.
+    """
+    names = set(subconcepts(concept))
+    for lhs, rhs in tbox.inclusions:
+        names |= subconcepts(lhs) | subconcepts(rhs)
+    concepts = sorted(n.name for n in names if isinstance(n, Atomic))
+    roles = sorted({n.role for n in names if isinstance(n, (Exists, Forall))})
+    k = max(
+        (
+            size
+            for size in (1, 2, 3)
+            if len(concepts) * size + len(roles) * size * size <= DEFAULT_MAX_BITS
+        ),
+        default=0,
+    )
+    return Signature(concept_names=concepts, role_names=roles), k
 
 
 def random_poset(rng: random.Random, size: int) -> ContextPoset:

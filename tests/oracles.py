@@ -2,17 +2,20 @@
 
 These share no code with the engine paths they verify: the derivation
 search walks the big-step rules as a nondeterministic proof search, the
-gluing oracle tries all 2^n candidate subsets literally, and the stability
-oracle re-glues every refinement stage with it.
+gluing oracle tries all 2^n candidate subsets literally, the stability
+oracle re-glues every refinement stage with it, and the plain tableau
+internalizes every inclusion and backtracks chronologically.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations
 
-from ctxdl.errors import RefinementChainError
+from ctxdl.concepts import And, Atomic, Bot, Exists, Forall, Not, Or, Top, nnf
+from ctxdl.errors import BudgetExceededError, RefinementChainError
 from ctxdl.kb import KnowledgeState, guard_sat
 from ctxdl.programs import Add, Del, If, Program, Seq, Skip, While
+from ctxdl.reasoner import DEFAULT_NODE_BUDGET
 from ctxdl.sheaf import Covering, Presheaf, Section, compatible
 
 
@@ -106,3 +109,65 @@ def brute_force_stable(ps: Presheaf, s: Section, refinements: list[Covering]):
         for member in family:
             assert reached.setdefault(member.context, member) == member
     return True, None
+
+
+def plain_satisfiable(tbox, concept, *, budget=DEFAULT_NODE_BUDGET):
+    """Tableau with every inclusion internalized as nnf(!lhs | rhs) in every
+    node and chronological backtracking, mirroring the contract of
+    is_satisfiable(): True, False, or BudgetExceededError once *budget* units
+    (nodes, conjunctions and disjuncts tried) are spent.
+    """
+    constraints = tuple(dict.fromkeys(nnf(Or(Not(lhs), rhs)) for lhs, rhs in tbox.inclusions))
+    spent = 0
+
+    def spend():
+        nonlocal spent
+        spent += 1
+        if spent > budget:
+            raise BudgetExceededError(budget)
+
+    def add(c, items, present):
+        if isinstance(c, Top) or c in present:
+            return True
+        if isinstance(c, Bot) or (isinstance(c, Atomic) and Not(c) in present):
+            return False
+        if isinstance(c, Not) and c.child in present:
+            return False
+        present.add(c)
+        items.append(c)
+        return True
+
+    def sat(label, ancestors):
+        spend()
+        items, present = [], set()
+        return all(add(c, items, present) for c in label) and expand(items, present, 0, ancestors)
+
+    def expand(items, present, i, ancestors):
+        while i < len(items):
+            c = items[i]
+            i += 1
+            if isinstance(c, And):
+                spend()
+                if not (add(c.left, items, present) and add(c.right, items, present)):
+                    return False
+            elif isinstance(c, Or) and c.left not in present and c.right not in present:
+                for branch in (c.left, c.right):
+                    spend()
+                    forked_items, forked_present = items[:], set(present)
+                    if add(branch, forked_items, forked_present) and expand(
+                        forked_items, forked_present, i, ancestors
+                    ):
+                        return True
+                return False
+        snapshot = frozenset(present)
+        if any(snapshot <= ancestor for ancestor in ancestors):
+            return True
+        deeper = ancestors + (snapshot,)
+        for c in items:
+            if isinstance(c, Exists):
+                foralls = [d.child for d in items if isinstance(d, Forall) and d.role == c.role]
+                if not sat([c.child, *foralls, *constraints], deeper):
+                    return False
+        return True
+
+    return sat([nnf(concept), *constraints], ())

@@ -14,12 +14,10 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from corpus import CURATED_UNSAT, SIG, assertion_universe, random_concept, random_family, random_presheaf, random_program, random_tbox
+from corpus import CURATED_UNSAT, SIG, assertion_universe, random_concept, random_family, random_presheaf, random_program, random_tbox, witness_space
 from oracles import brute_force_glue
 from ctxdl.cli import main
-from ctxdl.concepts import Atomic, Signature, subconcepts
-from ctxdl.concepts import Exists as CExists
-from ctxdl.concepts import Forall as CForall
+from ctxdl.concepts import Atomic
 from ctxdl.kb import (
     AssertGuard,
     ConceptAssertion,
@@ -127,10 +125,9 @@ def test_criterion_2_reasoner_soundness_cross_check():
 
     The implication "witness exists => is_satisfiable" can only fail when
     the tableau answers unsat, so those instances get the exhaustive model
-    search. The search runs over the names occurring in the instance (a
-    model of the sub-signature extends to the full one with empty
-    extensions and back, leaving satisfaction untouched) with the domain
-    capped at 3, trimmed per instance by the 24-bit enumeration guard.
+    search. The search runs over the names occurring in the instance with
+    the domain capped at 3, trimmed per instance by the 24-bit enumeration
+    guard (see corpus.witness_space).
     """
     with criterion("2 reasoner soundness cross-check (500 instances, < 60 s)"):
         start = time.perf_counter()
@@ -141,20 +138,7 @@ def test_criterion_2_reasoner_soundness_cross_check():
             concept = random_concept(rng, 3)
             if is_satisfiable(tbox, concept):
                 continue  # no witness can contradict a positive verdict
-            names = set(subconcepts(concept))
-            for lhs, rhs in tbox.inclusions:
-                names |= subconcepts(lhs) | subconcepts(rhs)
-            concepts = sorted(n.name for n in names if isinstance(n, Atomic))
-            roles = sorted({n.role for n in names if isinstance(n, (CExists, CForall))})
-            sub_sig = Signature(concept_names=concepts, role_names=roles)
-            k = max(
-                (
-                    size
-                    for size in (1, 2, 3)
-                    if len(concepts) * size + len(roles) * size * size <= 24
-                ),
-                default=0,
-            )
+            sub_sig, k = witness_space(tbox, concept)
             if k == 0:
                 continue  # nothing enumerable under the guard
             witness = find_witness(sub_sig, tbox, concept, k)

@@ -126,6 +126,7 @@ BAD_AGENTS = [
         "fuel-not-an-integer",
         '{"name": "n", "kb": "base.kb", "input_context": "U", "projection": [], "fuel": [1]}',
     ),
+    ("fuel-below-one", '{"name": "n", "kb": "base.kb", "input_context": "U", "projection": [], "fuel": 0}'),
     (
         "seed-policy-not-an-object",
         '{"name": "n", "kb": "base.kb", "input_context": "U", "projection": [], "seed_policy": 3}',
