@@ -28,15 +28,29 @@ Agent definition files are JSON::
 Relative paths are resolved against the file's directory. ``program`` and
 ``oracle`` are each optional; an agent with neither is the identity on its
 injected facts (modulo projection).
+
+Loading rejects, with a positioned ``LoadError``, a projection pattern that
+names an undeclared individual, concept, role or context (``*`` matches any
+name and is always allowed), and a query template with any replacement
+field other than a plain ``{seed}`` or ``{parity}``, or with unbalanced
+braces. A loaded agent's queries therefore always format.
+
+Projection looks patterns up rather than scanning for them. A pattern whose
+name slots are all concrete selects at most one fact, so it is decided by
+membership probes into the final fact set: one when the pattern names its
+context, else one per declared context. A pattern with ``*`` in a name slot
+scans the fact set. Both give what matching every assertion against every
+pattern gives, because every assertion of a run is at a declared context.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Iterable, Union
 
 from ctxdl.concepts import Atomic, Signature
 from ctxdl.contexts import ContextPoset
@@ -86,6 +100,20 @@ class FactPattern:
         if m:
             return FactPattern("concept", (m.group("ind"), m.group("con")), m.group("ctx"))
         raise ValueError(f"bad fact pattern {text!r}")
+
+    def named_slots(self) -> tuple[tuple[str, str], ...]:
+        """(kind, name) of every slot, context included, that is not '*'."""
+        kinds = ("individual", "concept") if self.kind == "concept" else ("individual", "individual", "role")
+        slots = (*zip(kinds, self.fields), ("context", self.context))
+        return tuple((kind, name) for kind, name in slots if name not in (None, "*"))
+
+    def at(self, context: str) -> Assertion:
+        """The one assertion a pattern without '*' name slots selects at *context*."""
+        if self.kind == "concept":
+            individual, concept = self.fields
+            return ConceptAssertion(individual, Atomic(concept), context)
+        subject, target, role = self.fields
+        return RoleAssertion(subject, target, role, context)
 
     def matches(self, assertion: Assertion) -> bool:
         if self.context not in (None, "*") and assertion.context != self.context:
@@ -163,14 +191,29 @@ def _inject(fact: Fact, context: str) -> Assertion:
     return RoleAssertion(fact.subject, fact.target, fact.role, context)
 
 
-def _project(abox: frozenset[Assertion], projection: tuple[FactPattern, ...]) -> frozenset[Fact]:
+def _fact(a: Assertion) -> Fact:
+    if isinstance(a, ConceptAssertion):
+        return ConceptFact(a.individual, a.concept.name)
+    return RoleFact(a.subject, a.target, a.role)
+
+
+def _project(
+    abox: frozenset[Assertion], projection: tuple[FactPattern, ...], contexts: Iterable[str]
+) -> frozenset[Fact]:
+    """The facts the patterns select; every assertion must be at one of *contexts*."""
     out: set[Fact] = set()
-    for a in abox:
-        if any(p.matches(a) for p in projection):
-            if isinstance(a, ConceptAssertion):
-                out.add(ConceptFact(a.individual, a.concept.name))
-            else:
-                out.add(RoleFact(a.subject, a.target, a.role))
+    scanned = []
+    for p in projection:
+        if "*" in p.fields:
+            scanned.append(p)
+            continue
+        for u in contexts if p.context in (None, "*") else (p.context,):
+            probe = p.at(u)
+            if probe in abox:
+                out.add(_fact(probe))
+                break
+    if scanned:
+        out.update(_fact(a) for a in abox if any(p.matches(a) for p in scanned))
     return frozenset(out)
 
 
@@ -194,7 +237,7 @@ def interact(agent: Agent, latent: LatentStructure, seed: int = 0) -> Manifested
                 f"agent program exhausted its fuel of {agent.fuel} after {outcome.steps} steps"
             )
         state = outcome.state
-    return Manifested(_project(state.abox, agent.projection))
+    return Manifested(_project(state.abox, agent.projection, agent.signature.context_names))
 
 
 @dataclass(frozen=True)
@@ -240,6 +283,22 @@ def stability_check(
     if len(counts) == 1:
         return StabilityReport(True, results[0], ordered, k, tuple(seeds))
     return StabilityReport(False, None, ordered, k, tuple(seeds))
+
+
+_QUERY_FIELDS = ("seed", "parity")
+
+
+def _template_problem(template: str) -> str | None:
+    """Why *template* cannot be formatted with seed and parity, or None."""
+    try:
+        parts = list(string.Formatter().parse(template))
+    except ValueError as exc:
+        return str(exc)
+    for _, field, spec, conversion in parts:
+        if field is not None and (field not in _QUERY_FIELDS or spec or conversion):
+            shown = field + (f"!{conversion}" if conversion else "") + (f":{spec}" if spec else "")
+            return f"field {{{shown}}} is not a plain {{seed}} or {{parity}}"
+    return None
 
 
 def load_agent(path: Union[str, Path]) -> Agent:
@@ -294,12 +353,26 @@ def load_agent(path: Union[str, Path]) -> Agent:
         if not isinstance(qs, list):
             raise fail("oracle queries must be a list of payload templates")
         queries = tuple(str(q) for q in qs)
+        for template in queries:
+            problem = _template_problem(template)
+            if problem is not None:
+                raise fail(f"oracle query template {template!r}: {problem}")
     if not isinstance(raw["projection"], list):
         raise fail("projection must be a list of fact patterns")
     try:
         projection = tuple(FactPattern.parse(str(p)) for p in raw["projection"])
     except ValueError as exc:
         raise fail(str(exc)) from exc
+    declared = {
+        "individual": sig.individual_names,
+        "concept": sig.concept_names,
+        "role": sig.role_names,
+        "context": sig.context_names,
+    }
+    for text, pattern in zip(raw["projection"], projection):
+        for kind, name in pattern.named_slots():
+            if name not in declared[kind]:
+                raise fail(f"projection pattern {str(text)!r} names an undeclared {kind} {name!r}")
     policy_raw = raw.get("seed_policy", {"kind": "constant", "value": 0})
     if not isinstance(policy_raw, dict):
         raise fail("seed_policy must be an object")

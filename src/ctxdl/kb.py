@@ -4,6 +4,10 @@ Assertions are written ``a : C @ U`` (individual, concept, context) and
 ``(a, b) : r @ U`` (role between two individuals, context). The canonical
 rendering drops the optional whitespace: ``a:C@U`` / ``(a,b):r@U``; sorting
 those strings gives the canonical order used by state dumps and digests.
+Each assertion object renders its text once, on first use, and keeps it:
+a digest of a fact set whose assertions were rendered before is a sort and
+join of stored strings. The text is not a field, so equality, hashing and
+``replace`` ignore it, and a ``replace`` copy renders its own.
 
 Guard satisfaction has two modes. ``literal`` checks raw membership of the
 asserted fact in the current fact set. ``saturated`` additionally accepts a
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Union
 
 from ctxdl.concepts import (
@@ -40,6 +45,11 @@ class ConceptAssertion:
     concept: ConceptExpr
     context: str
 
+    @cached_property
+    def text(self) -> str:
+        """Canonical rendering ``a:C@U``, computed on first use."""
+        return f"{self.individual}:{print_concept(self.concept)}@{self.context}"
+
 
 @dataclass(frozen=True)
 class RoleAssertion:
@@ -47,6 +57,11 @@ class RoleAssertion:
     target: str
     role: str
     context: str
+
+    @cached_property
+    def text(self) -> str:
+        """Canonical rendering ``(a,b):r@U``, computed on first use."""
+        return f"({self.subject},{self.target}):{self.role}@{self.context}"
 
 
 Assertion = Union[ConceptAssertion, RoleAssertion]
@@ -64,9 +79,7 @@ class KnowledgeState:
 
 
 def render_assertion(a: Assertion) -> str:
-    if isinstance(a, ConceptAssertion):
-        return f"{a.individual}:{print_concept(a.concept)}@{a.context}"
-    return f"({a.subject},{a.target}):{a.role}@{a.context}"
+    return a.text
 
 
 def parse_assertion(text: str, sig: Signature) -> Assertion:
@@ -113,7 +126,7 @@ def _context(ts: TokenStream, sig: Signature) -> str:
 
 def canonical_abox(abox: Iterable[Assertion]) -> list[str]:
     """Canonical sorted rendering, one string per assertion."""
-    return sorted(render_assertion(a) for a in abox)
+    return sorted(a.text for a in abox)
 
 
 def abox_digest(abox: Iterable[Assertion]) -> str:

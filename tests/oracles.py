@@ -3,20 +3,22 @@
 These share no code with the engine paths they verify: the derivation
 search walks the big-step rules as a nondeterministic proof search, the
 gluing oracle tries all 2^n candidate subsets literally, the stability
-oracle re-glues every refinement stage with it, and the plain tableau
-internalizes every inclusion and backtracks chronologically.
+oracle re-glues every refinement stage with it, the plain tableau
+internalizes every inclusion and backtracks chronologically, the scan
+projection matches every assertion against every pattern, and the plain
+digest renders every assertion afresh.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations
 
-from ctxdl.concepts import And, Atomic, Bot, Exists, Forall, Not, Or, Top, nnf
+from ctxdl.concepts import And, Atomic, Bot, Exists, Forall, Not, Or, Top, nnf, print_concept
 from ctxdl.errors import BudgetExceededError, RefinementChainError
-from ctxdl.kb import KnowledgeState, guard_sat
+from ctxdl.kb import ConceptAssertion, KnowledgeState, guard_sat
 from ctxdl.programs import Add, Del, If, Program, Seq, Skip, While
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET
-from ctxdl.sheaf import Covering, Presheaf, Section, compatible
+from ctxdl.sheaf import ConceptFact, Covering, Presheaf, RoleFact, Section, compatible
 
 
 def derivations(prog: Program, state: KnowledgeState, depth: int, mode="literal", poset=None):
@@ -171,3 +173,30 @@ def plain_satisfiable(tbox, concept, *, budget=DEFAULT_NODE_BUDGET):
         return True
 
     return sat([nnf(concept), *constraints], ())
+
+
+def scan_project(abox, projection):
+    """Projection by matching every assertion against every pattern,
+    mirroring the contract of agents._project().
+    """
+    out = set()
+    for a in abox:
+        if any(p.matches(a) for p in projection):
+            if isinstance(a, ConceptAssertion):
+                out.add(ConceptFact(a.individual, a.concept.name))
+            else:
+                out.add(RoleFact(a.subject, a.target, a.role))
+    return frozenset(out)
+
+
+def plain_digest(abox):
+    """Every assertion rendered afresh, sorted and joined by ';', mirroring
+    the contract of kb.abox_digest().
+    """
+
+    def render(a):
+        if isinstance(a, ConceptAssertion):
+            return f"{a.individual}:{print_concept(a.concept)}@{a.context}"
+        return f"({a.subject},{a.target}):{a.role}@{a.context}"
+
+    return ";".join(sorted(render(a) for a in abox))

@@ -2,26 +2,32 @@
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 
-from corpus import SIG
+from corpus import SIG, random_assertion, random_concept
 from ctxdl.agents import (
     Agent,
     FactPattern,
     LatentStructure,
     Manifested,
     SeedPolicy,
+    _project,
     interact,
+    load_agent,
     stability_check,
 )
-from ctxdl.concepts import Atomic
+from ctxdl.concepts import Atomic, Not
 from ctxdl.contexts import ContextPoset
-from ctxdl.errors import InteractionError
-from ctxdl.kb import ConceptAssertion, KnowledgeState
+from ctxdl.errors import InteractionError, LoadError
+from ctxdl.kb import ConceptAssertion, KnowledgeState, RoleAssertion
 from ctxdl.oracle import OracleResponse, ScriptEntry, ScriptedOracle
 from ctxdl.programs import parse_program
 from ctxdl.reasoner import EMPTY_TBOX
 from ctxdl.sheaf import ConceptFact, RoleFact
+from oracles import scan_project
 
 POSET = ContextPoset(["U", "V", "W"], [("V", "U"), ("W", "V")])
 EMPTY_STATE = KnowledgeState(EMPTY_TBOX, frozenset())
@@ -57,8 +63,6 @@ class TestFactPattern:
         assert p.matches(ConceptAssertion("a", Atomic("A"), "V"))
 
     def test_role_pattern(self):
-        from ctxdl.kb import RoleAssertion
-
         p = FactPattern.parse("(a,*):r")
         assert p.matches(RoleAssertion("a", "b", "r", "U"))
         assert not p.matches(RoleAssertion("b", "a", "r", "U"))
@@ -66,6 +70,95 @@ class TestFactPattern:
     def test_bad_pattern(self):
         with pytest.raises(ValueError):
             FactPattern.parse("a::b")
+
+
+class TestProjection:
+    def test_lookup_agrees_with_the_scan_on_random_aboxes(self):
+        rng = random.Random(20261018)
+        inds, concepts, roles = (sorted(names) for names in (SIG.individual_names, SIG.concept_names, SIG.role_names))
+        contexts = sorted(SIG.context_names)
+
+        def slot(names):
+            return rng.choice([*names, "*"])
+
+        def pattern():
+            at = rng.choice(["", "@*", *(f"@{u}" for u in contexts)])
+            if rng.random() < 0.5:
+                return FactPattern.parse(f"{slot(inds)}:{slot(concepts)}{at}")
+            return FactPattern.parse(f"({slot(inds)},{slot(inds)}):{slot(roles)}{at}")
+
+        def assertion():
+            if rng.random() < 0.3:  # mostly non-atomic: never selected
+                return ConceptAssertion(rng.choice(inds), random_concept(rng, 3), rng.choice(contexts))
+            return random_assertion(rng, SIG, contexts)
+
+        probed_hits = 0
+        for _ in range(3000):
+            abox = frozenset(assertion() for _ in range(rng.randint(0, 12)))
+            projection = tuple(pattern() for _ in range(rng.randint(1, 3)))
+            got = _project(abox, projection, SIG.context_names)
+            assert got == scan_project(abox, projection), (sorted(map(repr, abox)), projection)
+            probed = tuple(p for p in projection if "*" not in p.fields)
+            probed_hits += len(scan_project(abox, probed))
+        assert probed_hits > 300  # the lookup path is exercised, not only the scan
+
+    def test_non_atomic_assertions_are_never_selected(self):
+        abox = frozenset({ConceptAssertion("a", Not(Atomic("C")), "U")})
+        projection = tuple(FactPattern.parse(p) for p in ("a:C", "a:C@U", "*:C", "*:*", "a:*@*"))
+        assert _project(abox, projection, SIG.context_names) == frozenset()
+
+    def test_role_lookup_at_every_context(self):
+        abox = frozenset({RoleAssertion("a", "b", "r", "W")})
+        for text, want in (("(a,b):r", {LINK}), ("(a,b):r@*", {LINK}), ("(a,b):r@U", set()), ("(b,a):r", set())):
+            assert _project(abox, (FactPattern.parse(text),), SIG.context_names) == want, text
+
+
+KB_TEXT = """\
+signature
+  concept A, B.
+  role r.
+  individual a, b.
+contexts
+  context U, V.
+  V <= U.
+"""
+
+
+def write_agent(tmp_path, **fields):
+    (tmp_path / "base.kb").write_text(KB_TEXT, encoding="utf-8")
+    (tmp_path / "feed.jsonl").write_text('{"oracle": "feed", "match": {"payload": "*"}, "add": []}\n', encoding="utf-8")
+    raw = {"name": "n", "kb": "base.kb", "input_context": "U", "projection": [], **fields}
+    path = tmp_path / "agent.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
+
+
+class TestLoadAgent:
+    def test_wildcards_and_plain_fields_load(self, tmp_path):
+        path = write_agent(
+            tmp_path,
+            projection=["*:*@*", "(*,b):*", "a:A@V", "(a,b):r"],
+            oracle={"script": "feed.jsonl", "queries": ["t-{seed}-{parity}", "{{seed}}", "plain"]},
+        )
+        agent = load_agent(path)
+        assert len(agent.projection) == 4
+        assert [q.format(seed=5, parity=1) for q in agent.queries] == ["t-5-1", "{seed}", "plain"]
+
+    @pytest.mark.parametrize(
+        "pattern, kind",
+        [("a:Zz", "concept"), ("zz:A", "individual"), ("(a,zz):r", "individual"), ("(a,b):q", "role"), ("a:A@Zz", "context")],
+    )
+    def test_undeclared_projection_names_are_load_errors(self, tmp_path, pattern, kind):
+        with pytest.raises(LoadError, match=f"undeclared {kind}") as info:
+            load_agent(write_agent(tmp_path, projection=[pattern]))
+        assert info.value.line == 1
+
+    @pytest.mark.parametrize("template", ["read-{sead}", "read-{0}", "read-{seed", "{}", "{seed:03d}", "{parity!r}", "x}"])
+    def test_bad_query_templates_are_load_errors(self, tmp_path, template):
+        path = write_agent(tmp_path, oracle={"script": "feed.jsonl", "queries": [template]})
+        with pytest.raises(LoadError, match="oracle query template") as info:
+            load_agent(path)
+        assert info.value.line == 1
 
 
 class TestInteract:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from corpus import SIG, random_abox, random_guard, random_poset
+from corpus import SIG, random_abox, random_assertion, random_concept, random_guard, random_poset
 from ctxdl.concepts import And, Atomic, Not
 from ctxdl.contexts import ContextPoset
 from ctxdl.errors import ParseError, UnknownNameError
@@ -28,6 +29,7 @@ from ctxdl.kb import (
     saturate,
 )
 from ctxdl.reasoner import EMPTY_TBOX, TBox
+from oracles import plain_digest
 
 A = Atomic("A")
 B = Atomic("B")
@@ -63,6 +65,41 @@ class TestAssertionSyntax:
         lines = canonical_abox(abox)
         assert lines == sorted(lines)
         assert abox_digest(abox) == ";".join(lines)
+
+
+class TestRenderingCache:
+    def test_digest_equals_a_fresh_rendering_on_random_aboxes(self):
+        rng = random.Random(20261018)
+        inds, contexts = sorted(SIG.individual_names), sorted(SIG.context_names)
+        for _ in range(400):
+            abox = frozenset(
+                ConceptAssertion(rng.choice(inds), random_concept(rng, 4), rng.choice(contexts))
+                if rng.random() < 0.5
+                else random_assertion(rng, SIG, contexts)
+                for _ in range(rng.randint(0, 10))
+            )
+            want = plain_digest(abox)
+            assert abox_digest(abox) == want  # renders and keeps each text
+            assert abox_digest(abox) == want  # reads the kept texts
+            assert ";".join(canonical_abox(abox)) == want
+
+    def test_replace_renders_its_own_context(self):
+        for a in (ConceptAssertion("a", And(A, Not(B)), "U"), RoleAssertion("a", "b", "r", "U")):
+            before = render_assertion(a)
+            moved = replace(a, context="V")
+            assert render_assertion(moved) == plain_digest({moved})
+            assert render_assertion(moved).endswith("@V")
+            assert render_assertion(a) == before
+
+    def test_cached_and_fresh_assertions_are_interchangeable(self):
+        for make in (lambda: ConceptAssertion("a", And(A, Not(B)), "U"), lambda: RoleAssertion("a", "b", "r", "U")):
+            cached, fresh = make(), make()
+            render_assertion(cached)
+            assert "text" in vars(cached) and "text" not in vars(fresh)
+            assert cached == fresh and hash(cached) == hash(fresh)
+            assert repr(cached) == repr(fresh)
+            assert len({cached, fresh}) == 1
+            assert replace(cached, context="U") == cached
 
 
 class TestSaturate:

@@ -137,6 +137,25 @@ BAD_AGENTS = [
         '"seed_policy": {"kind": "sequence", "start": "one"}}',
     ),
     ("projection-not-a-list", '{"name": "n", "kb": "base.kb", "input_context": "U", "projection": 5}'),
+    (
+        "projection-misspelled-concept",
+        '{"name": "n", "kb": "base.kb", "input_context": "U", "projection": ["a:Obstacel"]}',
+    ),
+    (
+        "query-unknown-field",
+        '{"name": "n", "kb": "base.kb", "input_context": "U", "projection": [], '
+        '"oracle": {"script": "feed.jsonl", "queries": ["read-{sead}"]}}',
+    ),
+    (
+        "query-positional-field",
+        '{"name": "n", "kb": "base.kb", "input_context": "U", "projection": [], '
+        '"oracle": {"script": "feed.jsonl", "queries": ["read-{0}"]}}',
+    ),
+    (
+        "query-unclosed-field",
+        '{"name": "n", "kb": "base.kb", "input_context": "U", "projection": [], '
+        '"oracle": {"script": "feed.jsonl", "queries": ["read-{seed"]}}',
+    ),
 ]
 
 # Session logs for ``apply-oracle --replay``; each is broken on its last line.
@@ -213,6 +232,7 @@ def build_corpus(root: Path) -> list[tuple[list[str], bool]]:
     agent_dir = root / "agents"
     agent_dir.mkdir()
     (agent_dir / "broken.p").write_text("while true do", encoding="utf-8")
+    (agent_dir / "feed.jsonl").write_text('{"oracle": "s", "match": {"payload": "*"}, "add": []}\n', encoding="utf-8")
     for count, (name, text) in enumerate(BAD_AGENTS):
         path = agent_dir / f"{name}-{count}.json"
         path.write_text(text.replace("base.kb", str(base)), encoding="utf-8")
