@@ -219,8 +219,7 @@ def _project(
 
 def interact(agent: Agent, latent: LatentStructure, seed: int = 0) -> Manifested:
     """One interpretation run; a function of (agent, latent, seed)."""
-    injected = {_inject(f, agent.input_context) for f in latent.payload}
-    state = agent.base_state.with_abox(agent.base_state.abox | injected)
+    state = agent.base_state.updated(_inject(f, agent.input_context) for f in latent.payload)
     if agent.oracle is not None:
         queries = [
             OracleQuery(agent.oracle.name, template.format(seed=seed, parity=seed % 2))

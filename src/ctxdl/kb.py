@@ -9,6 +9,14 @@ a digest of a fact set whose assertions were rendered before is a sort and
 join of stored strings. The text is not a field, so equality, hashing and
 ``replace`` ignore it, and a ``replace`` copy renders its own.
 
+A knowledge state keeps its canonical lines the same way: one sort, the
+first time they are needed. ``KnowledgeState.updated`` derives the next
+state's lines from the current ones by bisection, so a run of small
+updates pays for its changes, not for the whole fact set. The lines and
+the digest read off them are exactly what ``canonical_abox`` and
+``abox_digest`` give for the state's fact set; the digest format is
+unchanged.
+
 Guard satisfaction has two modes. ``literal`` checks raw membership of the
 asserted fact in the current fact set. ``saturated`` additionally accepts a
 fact at context V whenever it is asserted at some supercontext U >= V, i.e.
@@ -21,9 +29,10 @@ scan of the fact set.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Union
+from typing import AbstractSet, Iterable, Union
 
 from ctxdl.concepts import (
     ConceptExpr,
@@ -76,6 +85,40 @@ class KnowledgeState:
 
     def with_abox(self, abox: Iterable[Assertion]) -> "KnowledgeState":
         return replace(self, abox=frozenset(abox))
+
+    @cached_property
+    def lines(self) -> tuple[str, ...]:
+        """``canonical_abox(self.abox)``, sorted on first use and kept."""
+        return tuple(canonical_abox(self.abox))
+
+    @property
+    def digest(self) -> str:
+        """``abox_digest(self.abox)``, joined from the kept lines."""
+        return ";".join(self.lines)
+
+    def updated(
+        self, additions: Iterable[Assertion], deletions: Iterable[Assertion] = ()
+    ) -> "KnowledgeState":
+        """The state whose fact set is ``(abox | additions) - deletions``.
+
+        Its lines come from this state's: the text of each deletion that was
+        present is removed and the text of each addition that was absent is
+        inserted, by bisection, with no sort and no render of the rest.
+        """
+        deletions = frozenset(deletions)
+        removed = deletions & self.abox
+        added = frozenset(additions) - deletions - self.abox
+        if not removed and not added:
+            return self
+        lines = list(self.lines)
+        for a in removed:
+            del lines[bisect_left(lines, a.text)]
+        for a in added:
+            insort(lines, a.text)
+        abox = self.abox - removed if removed else self.abox  # each set operation copies
+        child = KnowledgeState(self.tbox, abox | added if added else abox)
+        child.__dict__["lines"] = tuple(lines)  # where cached_property keeps it
+        return child
 
 
 def render_assertion(a: Assertion) -> str:
@@ -203,7 +246,7 @@ TRUE_GUARD = Truth()
 FALSE_GUARD = Falsity()
 
 
-def _holds_saturated(abox: frozenset[Assertion], wanted: Assertion, poset: ContextPoset) -> bool:
+def _holds_saturated(abox: AbstractSet[Assertion], wanted: Assertion, poset: ContextPoset) -> bool:
     # Membership in saturate(abox) without materializing the closure.
     v = wanted.context
     return any(poset.leq(v, u) and replace(wanted, context=u) in abox for u in poset.contexts)
@@ -219,6 +262,8 @@ def guard_sat(
 ) -> bool:
     """Decide whether *state* satisfies *guard*.
 
+    *state* is read through its ``tbox`` and its ``abox``, which may be any
+    set of assertions: program evaluation passes its working fact set.
     Assertion atoms test membership (literal mode) or saturated membership
     (saturated mode, which requires the context poset). Subsumption atoms
     consult the reasoner and may raise BudgetExceededError.

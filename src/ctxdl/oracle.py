@@ -4,6 +4,9 @@ An oracle maps (state digest, query payload) to a response of assertion
 additions and deletions. The digest is the canonical sorted one-line
 rendering of the fact set (see kb.abox_digest), so scripts can key on exact
 states; entries may instead match on the payload alone, with ``*`` globbing.
+A step reads the digest from the lines its state keeps and derives the next
+state's lines from them (``KnowledgeState.updated``), so a session sorts its
+fact set once, not once per query; the digest format is unchanged.
 
 Script files are line-delimited JSON. An optional first header record sets
 flags; every other record is one table entry::
@@ -38,7 +41,6 @@ from ctxdl.errors import (
 from ctxdl.kb import (
     Assertion,
     KnowledgeState,
-    abox_digest,
     parse_assertion,
     render_assertion,
 )
@@ -273,9 +275,8 @@ def oracle_step(
         raise UnknownOracleError(
             f"unknown oracle {query.oracle!r}: this session serves {spec.name!r}"
         )
-    response = spec.respond(abox_digest(state.abox), query.payload)
-    new_state = state.with_abox((state.abox | response.additions) - response.deletions)
-    return new_state, response
+    response = spec.respond(state.digest, query.payload)
+    return state.updated(response.additions, response.deletions), response
 
 
 def run_session(

@@ -26,6 +26,10 @@ stream.
 Evaluation is the standard big-step relation over knowledge states. One
 fuel unit is spent per rule application, each loop unfolding included, so
 non-terminating loops surface as a FuelExhausted outcome instead of hanging.
+An evaluation copies the input fact set once into a working set that its
+``add`` and ``del`` commands mutate in place, and freezes the final state
+once; the caller's state is never changed. Commands wait on an explicit
+stack, so a long ``;`` chain costs no Python recursion.
 Guard evaluation cost is not fuel: the reasoner has its own node budget, and
 a guard that exhausts it aborts the run with the partial trace attached.
 """
@@ -319,60 +323,72 @@ def print_guard(g: Guard) -> str:
 
 
 class _Runner:
-    def __init__(self, mode: str, poset: ContextPoset | None, budget: int):
+    """One evaluation: the inclusions, a working fact set and the trace.
+
+    ``Add`` and ``Del`` write the working set in place, so a write costs its
+    one assertion, not a copy of the fact set. Guards read the runner itself
+    through ``guard_sat``, which looks only at ``tbox`` and ``abox``.
+    """
+
+    def __init__(self, state: KnowledgeState, mode: str, poset: ContextPoset | None, budget: int):
+        self.tbox = state.tbox
+        self.abox = set(state.abox)
         self.mode = mode
         self.poset = poset
         self.budget = budget
         self.trace: list[TraceEntry] = []
 
-    def _guard(self, state: KnowledgeState, guard: Guard) -> bool:
-        return guard_sat(state, guard, self.mode, self.poset, budget=self.budget)
-
     def _record(self, rule: str, guard: bool | None, added=frozenset(), removed=frozenset()):
-        self.trace.append(TraceEntry(rule, guard, frozenset(added), frozenset(removed)))
+        self.trace.append(TraceEntry(rule, guard, added, removed))
 
-    def exec(self, prog: Program, state: KnowledgeState, fuel: int) -> tuple[KnowledgeState, int, bool]:
-        """Run *prog*; returns (state, fuel left, completed). A False flag
-        means the fuel hit zero before the next rule application."""
-        if fuel == 0:
-            return state, 0, False
-        if isinstance(prog, Skip):
-            self._record("skip", None)
-            return state, fuel - 1, True
-        if isinstance(prog, Add):
-            beta = prog.assertion
-            added = frozenset() if beta in state.abox else frozenset({beta})
-            self._record("add", None, added=added)
-            return state.with_abox(state.abox | {beta}), fuel - 1, True
-        if isinstance(prog, Del):
-            beta = prog.assertion
-            removed = frozenset({beta}) if beta in state.abox else frozenset()
-            self._record("del", None, removed=removed)
-            return state.with_abox(state.abox - {beta}), fuel - 1, True
-        if isinstance(prog, Seq):
-            state, fuel, done = self.exec(prog.first, state, fuel - 1)
-            if not done:
-                return state, 0, False
-            return self.exec(prog.second, state, fuel)
-        if isinstance(prog, If):
-            taken = self._guard(state, prog.guard)
-            self._record("if-true" if taken else "if-false", taken)
-            branch = prog.then_branch if taken else prog.else_branch
-            return self.exec(branch, state, fuel - 1)
-        if isinstance(prog, While):
-            while True:
-                if fuel == 0:
-                    return state, 0, False
-                looping = self._guard(state, prog.guard)
-                fuel -= 1
-                if not looping:
+    def exec(self, prog: Program, fuel: int) -> tuple[int, bool]:
+        """Run *prog* on the working set; returns (fuel left, completed). A
+        False flag means the fuel hit zero before the next rule application.
+
+        Pending commands wait on an explicit stack, so nesting depth costs
+        no Python recursion. Fuel is checked before every rule application
+        and spent in the order of the big-step derivation: a ``Seq`` pays
+        before its first part runs, a loop pays for each guard test.
+        """
+        pending = [prog]
+        while pending:
+            if fuel == 0:
+                return 0, False
+            prog = pending.pop()
+            fuel -= 1
+            if isinstance(prog, Skip):
+                self._record("skip", None)
+            elif isinstance(prog, Add):
+                beta = prog.assertion
+                if beta in self.abox:
+                    self._record("add", None)
+                else:
+                    self.abox.add(beta)
+                    self._record("add", None, added=frozenset({beta}))
+            elif isinstance(prog, Del):
+                beta = prog.assertion
+                if beta in self.abox:
+                    self.abox.remove(beta)
+                    self._record("del", None, removed=frozenset({beta}))
+                else:
+                    self._record("del", None)
+            elif isinstance(prog, Seq):
+                pending.append(prog.second)
+                pending.append(prog.first)
+            elif isinstance(prog, If):
+                taken = guard_sat(self, prog.guard, self.mode, self.poset, budget=self.budget)
+                self._record("if-true" if taken else "if-false", taken)
+                pending.append(prog.then_branch if taken else prog.else_branch)
+            elif isinstance(prog, While):
+                if guard_sat(self, prog.guard, self.mode, self.poset, budget=self.budget):
+                    self._record("while-true", True)
+                    pending.append(prog)  # test the guard again after the body
+                    pending.append(prog.body)
+                else:
                     self._record("while-false", False)
-                    return state, fuel, True
-                self._record("while-true", True)
-                state, fuel, done = self.exec(prog.body, state, fuel)
-                if not done:
-                    return state, 0, False
-        raise TypeError(f"not a program: {prog!r}")
+            else:
+                raise TypeError(f"not a program: {prog!r}")
+        return fuel, True
 
 
 def _run(
@@ -385,11 +401,12 @@ def _run(
 ) -> tuple[EvalOutcome, tuple[TraceEntry, ...]]:
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
-    runner = _Runner(mode, poset, budget)
+    runner = _Runner(state, mode, poset, budget)
     try:
-        final, left, done = runner.exec(prog, state, fuel)
+        left, done = runner.exec(prog, fuel)
     except BudgetExceededError as exc:
         raise EvalAborted(exc, tuple(runner.trace)) from exc
+    final = KnowledgeState(state.tbox, frozenset(runner.abox))
     steps = fuel - left
     outcome: EvalOutcome = Terminated(final, steps) if done else FuelExhausted(final, steps)
     return outcome, tuple(runner.trace)

@@ -146,23 +146,29 @@ def random_abox(rng: random.Random, sig: Signature, contexts: list[str], max_siz
     return frozenset(random_assertion(rng, sig, contexts) for _ in range(rng.randint(0, max_size)))
 
 
-def random_guard(rng: random.Random, depth: int, universe) -> Guard:
+def random_guard(rng: random.Random, depth: int, universe, subsumptions=()) -> Guard:
+    """A random guard over assertion atoms from *universe*; when
+    *subsumptions* is given, some atoms are drawn from it instead."""
     if depth <= 0 or rng.random() < 0.4:
         roll = rng.random()
         if roll < 0.3:
             return TRUE_GUARD
         if roll < 0.5:
             return FALSE_GUARD
+        if subsumptions and roll < 0.7:
+            return rng.choice(subsumptions)
         return AssertGuard(rng.choice(universe))
     if rng.random() < 0.5:
-        return GuardNot(random_guard(rng, depth - 1, universe))
+        return GuardNot(random_guard(rng, depth - 1, universe, subsumptions))
     return GuardAnd(
-        random_guard(rng, depth - 1, universe), random_guard(rng, depth - 1, universe)
+        random_guard(rng, depth - 1, universe, subsumptions),
+        random_guard(rng, depth - 1, universe, subsumptions),
     )
 
 
-def random_program(rng: random.Random, size: int, universe) -> Program:
-    """A random program of AST size (command count) at most *size*."""
+def random_program(rng: random.Random, size: int, universe, subsumptions=()) -> Program:
+    """A random program of AST size (command count) at most *size*; guards
+    are drawn as by random_guard."""
     if size <= 1:
         roll = rng.random()
         if roll < 0.3:
@@ -176,17 +182,20 @@ def random_program(rng: random.Random, size: int, universe) -> Program:
     if kind == "seq":
         split = rng.randint(1, size - 1)
         return Seq(
-            random_program(rng, split, universe),
-            random_program(rng, size - split, universe),
+            random_program(rng, split, universe, subsumptions),
+            random_program(rng, size - split, universe, subsumptions),
         )
     if kind == "if":
         split = max(1, (size - 1) // 2)
         return If(
-            random_guard(rng, 2, universe),
-            random_program(rng, split, universe),
-            random_program(rng, max(1, size - 1 - split), universe),
+            random_guard(rng, 2, universe, subsumptions),
+            random_program(rng, split, universe, subsumptions),
+            random_program(rng, max(1, size - 1 - split), universe, subsumptions),
         )
-    return While(random_guard(rng, 2, universe), random_program(rng, size - 1, universe))
+    return While(
+        random_guard(rng, 2, universe, subsumptions),
+        random_program(rng, size - 1, universe, subsumptions),
+    )
 
 
 def assertion_universe(sig: Signature = SIG, contexts=("U", "V")) -> list:

@@ -5,8 +5,9 @@ search walks the big-step rules as a nondeterministic proof search, the
 gluing oracle tries all 2^n candidate subsets literally, the stability
 oracle re-glues every refinement stage with it, the plain tableau
 internalizes every inclusion and backtracks chronologically, the scan
-projection matches every assertion against every pattern, and the plain
-digest renders every assertion afresh.
+projection matches every assertion against every pattern, the plain
+digest renders every assertion afresh, and the reference evaluator
+recurses over the program and copies the fact set on every write.
 """
 
 from __future__ import annotations
@@ -14,9 +15,20 @@ from __future__ import annotations
 from itertools import chain, combinations
 
 from ctxdl.concepts import And, Atomic, Bot, Exists, Forall, Not, Or, Top, nnf, print_concept
-from ctxdl.errors import BudgetExceededError, RefinementChainError
+from ctxdl.errors import BudgetExceededError, EvalAborted, RefinementChainError
 from ctxdl.kb import ConceptAssertion, KnowledgeState, guard_sat
-from ctxdl.programs import Add, Del, If, Program, Seq, Skip, While
+from ctxdl.programs import (
+    Add,
+    Del,
+    FuelExhausted,
+    If,
+    Program,
+    Seq,
+    Skip,
+    Terminated,
+    TraceEntry,
+    While,
+)
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET
 from ctxdl.sheaf import ConceptFact, Covering, Presheaf, RoleFact, Section, compatible
 
@@ -200,3 +212,68 @@ def plain_digest(abox):
         return f"({a.subject},{a.target}):{a.role}@{a.context}"
 
     return ";".join(sorted(render(a) for a in abox))
+
+
+def reference_evaluate_trace(prog, state, fuel, mode="literal", poset=None, *, budget=DEFAULT_NODE_BUDGET):
+    """Recursive evaluation that builds a new state on every write,
+    mirroring the contract of programs.evaluate_trace(): the same outcome,
+    steps, final state and trace, and EvalAborted with the partial trace
+    when a guard exhausts *budget*. Deep ``Seq`` chains exceed Python's
+    recursion limit here.
+    """
+    if fuel < 1:
+        raise ValueError("fuel must be at least 1")
+    trace = []
+
+    def record(rule, guard, added=frozenset(), removed=frozenset()):
+        trace.append(TraceEntry(rule, guard, frozenset(added), frozenset(removed)))
+
+    def holds(state, guard):
+        return guard_sat(state, guard, mode, poset, budget=budget)
+
+    def run(prog, state, fuel):
+        # (state, fuel left, completed); not completed means the fuel hit
+        # zero before the next rule application.
+        if fuel == 0:
+            return state, 0, False
+        if isinstance(prog, Skip):
+            record("skip", None)
+            return state, fuel - 1, True
+        if isinstance(prog, Add):
+            beta = prog.assertion
+            record("add", None, added=() if beta in state.abox else (beta,))
+            return state.with_abox(state.abox | {beta}), fuel - 1, True
+        if isinstance(prog, Del):
+            beta = prog.assertion
+            record("del", None, removed=(beta,) if beta in state.abox else ())
+            return state.with_abox(state.abox - {beta}), fuel - 1, True
+        if isinstance(prog, Seq):
+            state, fuel, done = run(prog.first, state, fuel - 1)
+            if not done:
+                return state, 0, False
+            return run(prog.second, state, fuel)
+        if isinstance(prog, If):
+            taken = holds(state, prog.guard)
+            record("if-true" if taken else "if-false", taken)
+            return run(prog.then_branch if taken else prog.else_branch, state, fuel - 1)
+        if isinstance(prog, While):
+            while True:
+                if fuel == 0:
+                    return state, 0, False
+                looping = holds(state, prog.guard)
+                fuel -= 1
+                if not looping:
+                    record("while-false", False)
+                    return state, fuel, True
+                record("while-true", True)
+                state, fuel, done = run(prog.body, state, fuel)
+                if not done:
+                    return state, 0, False
+        raise TypeError(f"not a program: {prog!r}")
+
+    try:
+        final, left, done = run(prog, state, fuel)
+    except BudgetExceededError as exc:
+        raise EvalAborted(exc, tuple(trace)) from exc
+    outcome = (Terminated if done else FuelExhausted)(final, fuel - left)
+    return outcome, tuple(trace)

@@ -105,6 +105,17 @@ class TestRun:
         assert code == 0
         assert records_of(out)[0]["assertions"] == ["a:A@U", "a:B@U", "a:C@U"]
 
+    def test_flat_sequence_of_3000_commands(self, capsys, tmp_path):
+        prog = tmp_path / "flat.p"
+        prog.write_text("; ".join(["skip"] * 3000) + "\n", encoding="utf-8")
+        code, out, err = run_cli(
+            "run", "--kb", SAMPLES / "empty.kb", prog, "--format", "records", capsys=capsys
+        )
+        assert (code, err) == (0, "")
+        assert records_of(out) == [
+            {"command": "run", "outcome": "terminated", "steps": 5999, "assertions": []}
+        ]
+
 
 class TestOracleCommand:
     def test_session_and_final_state(self, capsys):

@@ -101,6 +101,17 @@ class TestRenderingCache:
             assert len({cached, fresh}) == 1
             assert replace(cached, context="U") == cached
 
+    def test_kept_state_lines_are_not_a_field(self):
+        abox = frozenset({ca("b", "B", "V"), RoleAssertion("a", "b", "r", "U")})
+        kept, fresh = KnowledgeState(EMPTY_TBOX, abox), KnowledgeState(EMPTY_TBOX, abox)
+        assert kept.digest == abox_digest(abox)
+        assert "lines" in vars(kept) and "lines" not in vars(fresh)
+        assert kept == fresh and hash(kept) == hash(fresh) and repr(kept) == repr(fresh)
+        assert "lines" not in vars(replace(kept, abox=frozenset()))
+        child = kept.updated({ca("a", "A", "U")})
+        assert "lines" in vars(child)
+        assert child == KnowledgeState(EMPTY_TBOX, abox | {ca("a", "A", "U")})
+
 
 class TestSaturate:
     def test_empty_is_empty(self):

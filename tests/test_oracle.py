@@ -6,19 +6,24 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpus import SIG
-from ctxdl.concepts import Atomic
+from ctxdl.agents import Agent, FactPattern, LatentStructure, interact
+from ctxdl.concepts import And, Atomic, Exists, Not
+from ctxdl.contexts import ContextPoset
 from ctxdl.errors import (
     LoadError,
     ReplayMismatchError,
     ScriptLookupError,
     UnknownOracleError,
 )
-from ctxdl.kb import ConceptAssertion, KnowledgeState, abox_digest, canonical_abox
+from ctxdl.kb import ConceptAssertion, KnowledgeState, RoleAssertion, abox_digest, canonical_abox
 from ctxdl.oracle import (
     OracleQuery,
     OracleResponse,
+    OracleSpec,
     ScriptEntry,
     ScriptedOracle,
     load_script,
@@ -28,6 +33,8 @@ from ctxdl.oracle import (
     run_session,
 )
 from ctxdl.reasoner import EMPTY_TBOX, TBox
+from ctxdl.sheaf import ConceptFact, RoleFact
+from oracles import plain_digest
 
 BETA = ConceptAssertion("a", Atomic("A"), "U")
 GAMMA = ConceptAssertion("b", Atomic("B"), "V")
@@ -219,3 +226,104 @@ class TestRecordReplay:
         records = [json.loads(line) for line in sink.getvalue().splitlines()]
         assert [r["seq"] for r in records] == [0, 1]
         assert records[0]["add"] == ["a:A@U"]
+
+
+BETA_AT_V = ConceptAssertion("a", Atomic("A"), "V")
+LINK = RoleAssertion("a", "b", "r", "U")
+# Texts that share prefixes and sort across kinds: '(' sorts before letters.
+POOL = (
+    BETA,
+    GAMMA,
+    BETA_AT_V,
+    ConceptAssertion("a", Not(Atomic("A")), "U"),
+    ConceptAssertion("a", And(Atomic("A"), Atomic("B")), "U"),
+    ConceptAssertion("b", Exists("r", Atomic("C")), "W"),
+    LINK,
+    RoleAssertion("b", "a", "s", "W"),
+)
+LATENT = (ConceptFact("a", "A"), ConceptFact("b", "C"), RoleFact("a", "b", "r"))
+fact_sets = st.frozensets(st.sampled_from(POOL))
+responses = st.lists(
+    st.tuples(fact_sets, fact_sets).map(lambda ad: OracleResponse(ad[0] - ad[1], ad[1])),
+    max_size=8,
+)
+# Adds what is present, deletes what is absent, then deletes and re-adds.
+MIXED_SESSION = (
+    frozenset({BETA, GAMMA}),
+    [
+        OracleResponse(frozenset({BETA, LINK}), frozenset({BETA_AT_V, GAMMA})),
+        OracleResponse(frozenset(), frozenset({BETA})),
+        OracleResponse(frozenset({BETA, GAMMA}), frozenset({LINK})),
+    ],
+)
+
+
+class ListOracle(OracleSpec):
+    """Answers payload i with the i-th response and keeps every digest."""
+
+    name = "probe"
+
+    def __init__(self, responses):
+        self.responses = responses
+        self.digests = []
+
+    def respond(self, digest, payload):
+        self.digests.append(digest)
+        return self.responses[int(payload)]
+
+
+def fresh_digests(start, responses):
+    """The fresh-render digest before each response is applied."""
+    want, out = set(start), []
+    for response in responses:
+        out.append(plain_digest(want))
+        want = (want | response.additions) - response.deletions
+    return out, want
+
+
+class TestDerivedDigests:
+    """A session's digests come from lines derived step by step; they must
+    equal a fresh render of the fact set at every step."""
+
+    @given(fact_sets, responses)
+    @example(*MIXED_SESSION)
+    @settings(max_examples=150, deadline=None)
+    def test_oracle_step_digests(self, base, session):
+        spec = ListOracle(session)
+        state = KnowledgeState(EMPTY_TBOX, base)
+        for i in range(len(session)):
+            state, _ = oracle_step(state, spec, OracleQuery("probe", str(i)))
+        want, final = fresh_digests(base, session)
+        assert spec.digests == want
+        assert state.abox == final and state.digest == plain_digest(final)
+
+    @given(fact_sets, st.frozensets(st.sampled_from(LATENT)), responses)
+    @example(MIXED_SESSION[0], frozenset(LATENT), MIXED_SESSION[1])
+    @settings(max_examples=100, deadline=None)
+    def test_interact_records_fresh_digests(self, base, latent, session):
+        sink = io.StringIO()
+        agent = Agent(
+            name="probe",
+            signature=SIG,
+            poset=ContextPoset(["U", "V", "W"], []),
+            base_state=KnowledgeState(EMPTY_TBOX, base),
+            input_context="U",
+            program=None,
+            oracle=record_session(ListOracle(session), sink),
+            queries=tuple(str(i) for i in range(len(session))),
+            projection=(FactPattern.parse("*:*"),),
+        )
+        injected = {
+            ConceptAssertion(f.individual, Atomic(f.concept), "U")
+            if isinstance(f, ConceptFact)
+            else RoleAssertion(f.subject, f.target, f.role, "U")
+            for f in latent
+        }
+        want, _ = fresh_digests(base | injected, session)
+        structure = LatentStructure.of("latent", latent)
+        for _ in range(2):  # the second run reads the base state's kept lines
+            interact(agent, structure)
+            records = [json.loads(line) for line in sink.getvalue().splitlines()]
+            assert [r["match"]["state"] for r in records] == want
+            sink.seek(0)
+            sink.truncate()

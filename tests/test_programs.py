@@ -17,6 +17,7 @@ from ctxdl.kb import (
     GuardAnd,
     GuardNot,
     KnowledgeState,
+    RoleAssertion,
     SubsumeGuard,
     TRUE_GUARD,
 )
@@ -35,7 +36,8 @@ from ctxdl.programs import (
     parse_program,
     print_program,
 )
-from ctxdl.reasoner import EMPTY_TBOX, TBox
+from ctxdl.reasoner import DEFAULT_NODE_BUDGET, EMPTY_TBOX, TBox
+from oracles import reference_evaluate_trace
 
 A, B = Atomic("A"), Atomic("B")
 BETA = ConceptAssertion("a", A, "U")
@@ -262,3 +264,43 @@ class TestFuelAndDeterminism:
         with pytest.raises(EvalAborted) as exc:
             evaluate(prog, KnowledgeState(t, frozenset()), 10, budget=1)
         assert [e.rule for e in exc.value.trace] == ["add"]
+
+
+class TestAgainstReferenceEvaluator:
+    """The in-place evaluator against the copy-per-write recursive one."""
+
+    def test_same_outcome_state_and_trace_on_random_programs(self):
+        rng = random.Random(20261018)
+        universe = assertion_universe() + [
+            ConceptAssertion("a", A, "V"),
+            RoleAssertion("a", "b", "r", "U"),
+        ]
+        tbox = TBox([(A, And(B, Atomic("C")))])
+        subsumptions = (SubsumeGuard(A, B), SubsumeGuard(B, A))
+        seen = set()
+
+        def run(evaluator, *args, **kwargs):
+            try:
+                return evaluator(*args, **kwargs)
+            except EvalAborted as exc:
+                return "aborted", exc.trace
+
+        for _ in range(600):
+            prog = random_program(rng, rng.randint(1, 12), universe, subsumptions)
+            start = KnowledgeState(tbox, frozenset(a for a in universe if rng.random() < 0.5))
+            abox, snapshot = start.abox, set(start.abox)
+            mode, poset = rng.choice([("literal", None), ("saturated", POSET)])
+            fuel = rng.randint(1, 40)
+            budget = rng.choice([1, 3, DEFAULT_NODE_BUDGET])
+            want = run(reference_evaluate_trace, prog, start, fuel, mode, poset, budget=budget)
+            got = run(evaluate_trace, prog, start, fuel, mode, poset, budget=budget)
+            assert got == want
+            assert start.abox is abox and abox == snapshot
+            seen.add(got[0] if isinstance(got[0], str) else type(got[0]).__name__)
+        assert seen == {"Terminated", "FuelExhausted", "aborted"}
+
+    def test_flat_sequence_of_3000_commands(self):
+        # The reference evaluator recurses once per ';' and cannot run this.
+        prog = parse_program("; ".join(["skip"] * 3000), SIG)
+        start = state(BETA)
+        assert evaluate(prog, start) == Terminated(start, 5999)
