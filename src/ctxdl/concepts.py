@@ -12,7 +12,9 @@ operators binding tighter than ``&``, which binds tighter than ``|``)::
                   | '(' disjunction ')'
 
 Every name must be declared in the signature before use; undeclared names
-are rejected with a positioned error.
+are rejected with a positioned error. Each ``!``, quantifier and
+parenthesis opens a nesting level, and input nested deeper than
+``lexer.MAX_NESTING`` levels is rejected the same way.
 """
 
 from __future__ import annotations
@@ -187,14 +189,19 @@ def _parse_unary(ts: TokenStream, sig: Signature) -> ConceptExpr:
     tok = ts.peek()
     if tok.kind == "!":
         ts.next()
-        return Not(_parse_unary(ts, sig))
+        ts.descend(tok)
+        child = _parse_unary(ts, sig)
+        ts.ascend()
+        return Not(child)
     if tok.kind == IDENT and tok.text in ("exists", "forall"):
         ts.next()
         role = ts.expect(IDENT, "a role name")
         if role.text not in sig.role_names:
             raise UnknownNameError(f"unknown role name {role.text!r}", role.line, role.col)
         ts.expect(".")
+        ts.descend(tok)
         child = _parse_unary(ts, sig)
+        ts.ascend()
         return Exists(role.text, child) if tok.text == "exists" else Forall(role.text, child)
     if tok.kind == IDENT:
         ts.next()
@@ -207,8 +214,10 @@ def _parse_unary(ts: TokenStream, sig: Signature) -> ConceptExpr:
         return Atomic(tok.text)
     if tok.kind == "(":
         ts.next()
+        ts.descend(tok)
         expr = _parse_or(ts, sig)
         ts.expect(")")
+        ts.ascend()
         return expr
     found = "end of input" if tok.kind == "end" else f"{tok.text!r}"
     raise ParseError(f"expected a concept expression, found {found}", tok.line, tok.col)

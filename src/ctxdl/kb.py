@@ -266,7 +266,10 @@ def guard_sat(
     set of assertions: program evaluation passes its working fact set.
     Assertion atoms test membership (literal mode) or saturated membership
     (saturated mode, which requires the context poset). Subsumption atoms
-    consult the reasoner and may raise BudgetExceededError.
+    consult the reasoner and may raise BudgetExceededError. When *state*
+    also has a ``verdicts`` dict, as a program run does, a subsumption atom
+    is decided once and then answered from it: the inclusions never change
+    within a run, so the verdict cannot either.
     """
     if mode not in GUARD_MODES:
         raise ValueError(f"unknown guard mode {mode!r}")
@@ -281,7 +284,10 @@ def guard_sat(
             return guard.assertion in state.abox
         return _holds_saturated(state.abox, guard.assertion, poset)
     if isinstance(guard, SubsumeGuard):
-        return subsumes(state.tbox, guard.lhs, guard.rhs, budget=budget)
+        verdicts = getattr(state, "verdicts", {})
+        if guard not in verdicts:
+            verdicts[guard] = subsumes(state.tbox, guard.lhs, guard.rhs, budget=budget)
+        return verdicts[guard]
     if isinstance(guard, GuardNot):
         return not guard_sat(state, guard.child, mode, poset, budget=budget)
     if isinstance(guard, GuardAnd):

@@ -3,6 +3,15 @@
 Identifiers follow ``[A-Za-z][A-Za-z0-9_]*``. Symbols are single characters
 except the two-character ``<=``. ``#`` starts a comment running to end of
 line. Every token carries a 1-based (line, col) position.
+
+The concept, guard and program parsers share one nesting limit,
+``MAX_NESTING``. Each ``!``, ``exists``/``forall``, parenthesis, ``if`` and
+``while`` opens a level, counted across the three grammars together, and
+the token that would open a level past the limit is a positioned
+ParseError. Parsing, printing, ``nnf``, hashing, the tableau and the
+witness search each take at most four Python frames per level, so the
+limit keeps them well inside the default recursion limit of 1,000 frames.
+Long flat chains (``A & B & ...``, ``c1; c2; ...``) open no levels.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ _SYMBOLS = frozenset("(){}.,:;@&|!*")
 
 END = "end"
 IDENT = "ident"
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -78,6 +88,7 @@ class TokenStream:
     def __init__(self, tokens: list[Token]):
         self._toks = tokens
         self._i = 0
+        self._depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
         j = min(self._i + ahead, len(self._toks) - 1)
@@ -116,9 +127,23 @@ class TokenStream:
         if tok.kind != END:
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
 
+    def descend(self, tok: Token) -> None:
+        """Open one nesting level at *tok*; one past MAX_NESTING is an error."""
+        if self._depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
+        self._depth += 1
+
+    def ascend(self) -> None:
+        """Close the innermost nesting level."""
+        self._depth -= 1
+
     @property
     def pos(self) -> int:
         return self._i
 
-    def restore(self, pos: int) -> None:
-        self._i = pos
+    def mark(self) -> tuple[int, int]:
+        """The cursor and nesting depth, for ``restore`` after a failed attempt."""
+        return self._i, self._depth
+
+    def restore(self, mark: tuple[int, int]) -> None:
+        self._i, self._depth = mark

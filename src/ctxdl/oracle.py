@@ -131,16 +131,45 @@ class RecordingOracle(OracleSpec):
 
     def respond(self, digest: str, payload: str) -> OracleResponse:
         response = self.inner.respond(digest, payload)
-        record = {
-            "seq": self._seq,
-            "oracle": self.name,
-            "match": {"payload": payload, "state": digest},
-            "add": sorted(render_assertion(a) for a in response.additions),
-            "del": sorted(render_assertion(a) for a in response.deletions),
-        }
-        self._sink.write(json.dumps(record, sort_keys=True) + "\n")
+        self._sink.write(
+            _log_line(
+                self._seq,
+                self.name,
+                payload,
+                digest,
+                sorted(render_assertion(a) for a in response.additions),
+                sorted(render_assertion(a) for a in response.deletions),
+            )
+        )
         self._seq += 1
         return response
+
+
+# The ASCII characters json.dumps escapes: the controls, quote, backslash and DEL.
+_JSON_ESCAPED = bytes(range(0x20)) + b'"\\\x7f'
+
+
+def _log_line(
+    seq: int, oracle: str, payload: str, state: str, additions: list[str], deletions: list[str]
+) -> str:
+    """One session record, byte for byte ``json.dumps(record, sort_keys=True)``
+    plus a newline, with the keys written in sorted order.
+
+    The state digest is most of the line. It is built from declared names
+    and the renderer's ASCII symbols, so it is written verbatim whenever
+    JSON would leave it unchanged; only other digests go through the
+    encoder's escaping. (Deleting the escaped bytes and comparing lengths
+    is several times faster than ``str.isprintable`` or the encoder.)
+    """
+    if state.isascii() and len(state.encode().translate(None, _JSON_ESCAPED)) == len(state):
+        state_json = f'"{state}"'
+    else:
+        state_json = json.dumps(state)
+    return (
+        f'{{"add": {json.dumps(additions)}, "del": {json.dumps(deletions)}, '
+        f'"match": {{"payload": {json.dumps(payload)}, "state": {state_json}}}, '
+        f'"oracle": {json.dumps(oracle)}, "seq": {seq}}}\n'
+    )
 
 
 @dataclass

@@ -21,7 +21,9 @@ A guard-level ``!`` binds the whole atom that follows, so ``!A <= B`` negates
 the subsumption; negate a concept on the left side with parentheses:
 ``(!A) <= B``. Disambiguation of ``(`` (role assertion vs. parenthesized
 concept vs. parenthesized guard) uses bounded backtracking on the token
-stream.
+stream. Each ``if``, ``while``, guard ``!`` and guard parenthesis opens a
+nesting level, shared with the concepts inside, and input nested deeper
+than ``lexer.MAX_NESTING`` levels is a positioned ParseError.
 
 Evaluation is the standard big-step relation over knowledge states. One
 fuel unit is spent per rule application, each loop unfolding included, so
@@ -32,6 +34,11 @@ once; the caller's state is never changed. Commands wait on an explicit
 stack, so a long ``;`` chain costs no Python recursion.
 Guard evaluation cost is not fuel: the reasoner has its own node budget, and
 a guard that exhausts it aborts the run with the partial trace attached.
+The inclusions are fixed for a run, so each run keeps the verdict of every
+subsumption atom it has decided and answers a repeated one from that memo:
+a ``while A <= B do ... od`` loop runs the tableau once, not once per
+unfolding. A hit spends no budget units. An exhausted budget is never
+stored, since it aborts the run.
 """
 
 from __future__ import annotations
@@ -182,6 +189,7 @@ def _parse_command(ts: TokenStream, sig: Signature) -> Program:
             return Add(parse_assertion_stream(ts, sig))
         if tok.text == "del":
             return Del(parse_assertion_stream(ts, sig))
+        ts.descend(tok)
         if tok.text == "if":
             guard = _parse_guard(ts, sig)
             ts.expect_word("then")
@@ -189,11 +197,13 @@ def _parse_command(ts: TokenStream, sig: Signature) -> Program:
             ts.expect_word("else")
             else_branch = _parse_program(ts, sig)
             ts.expect_word("fi")
+            ts.ascend()
             return If(guard, then_branch, else_branch)
         guard = _parse_guard(ts, sig)
         ts.expect_word("do")
         body = _parse_program(ts, sig)
         ts.expect_word("od")
+        ts.ascend()
         return While(guard, body)
     found = "end of input" if ts.at_end() else f"{tok.text!r}"
     raise ParseError(f"expected a command, found {found}", tok.line, tok.col)
@@ -217,9 +227,13 @@ def _parse_gconj(ts: TokenStream, sig: Signature) -> Guard:
 
 
 def _parse_gunary(ts: TokenStream, sig: Signature) -> Guard:
-    if ts.peek().kind == "!":
+    tok = ts.peek()
+    if tok.kind == "!":
         ts.next()
-        return GuardNot(_parse_gunary(ts, sig))
+        ts.descend(tok)
+        child = _parse_gunary(ts, sig)
+        ts.ascend()
+        return GuardNot(child)
     return _parse_gatom(ts, sig)
 
 
@@ -240,14 +254,16 @@ def _parse_gatom(ts: TokenStream, sig: Signature) -> Guard:
             return AssertGuard(parse_assertion_stream(ts, sig))
         # Either a parenthesized concept opening a subsumption or a
         # parenthesized guard; try the subsumption reading first.
-        mark = ts.pos
+        mark = ts.mark()
         try:
             return _parse_subsume(ts, sig)
         except ParseError:
             ts.restore(mark)
         ts.next()
+        ts.descend(tok)
         guard = _parse_guard(ts, sig)
         ts.expect(")")
+        ts.ascend()
         return guard
     found = "end of input" if tok.kind == "end" else f"{tok.text!r}"
     raise ParseError(f"expected a guard, found {found}", tok.line, tok.col)
@@ -327,12 +343,14 @@ class _Runner:
 
     ``Add`` and ``Del`` write the working set in place, so a write costs its
     one assertion, not a copy of the fact set. Guards read the runner itself
-    through ``guard_sat``, which looks only at ``tbox`` and ``abox``.
+    through ``guard_sat``, which looks only at ``tbox``, ``abox`` and the
+    ``verdicts`` memo of the subsumption atoms decided so far.
     """
 
     def __init__(self, state: KnowledgeState, mode: str, poset: ContextPoset | None, budget: int):
         self.tbox = state.tbox
         self.abox = set(state.abox)
+        self.verdicts: dict[SubsumeGuard, bool] = {}
         self.mode = mode
         self.poset = poset
         self.budget = budget

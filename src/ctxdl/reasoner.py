@@ -21,9 +21,12 @@ conjunctions decomposed, names unfolded and disjuncts tried.
 
 Determinism: labels are processed in insertion order, disjunctions explore
 the left branch first, branch points are numbered in the order the choices
-are made, successors are expanded in label order, and nothing outlives one
-call, so repeated calls return identical results and spend identical
-budgets.
+are made, and successors are expanded in label order. The one thing that
+outlives a call is the TBox's absorbed form (the unfold map and the
+constraints), kept on the immutable ``TBox`` after its first use. It is a
+pure function of the inclusions and no call mutates it, so repeated calls
+return identical results and spend identical budgets, whether they share
+one TBox object or use equal ones.
 
 The brute-force side exists as an independent check on the tableau; it
 shares nothing with it but the concept semantics. ``enumerate_models`` and
@@ -36,7 +39,7 @@ and returns the first model that ``enumerate_models`` would yield.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Iterable, Iterator, Mapping
 
@@ -75,6 +78,25 @@ class TBox:
 
     def __init__(self, inclusions: Iterable[tuple[ConceptExpr, ConceptExpr]] = ()):
         object.__setattr__(self, "inclusions", tuple(dict.fromkeys(inclusions)))
+
+    @cached_property
+    def absorbed(self) -> tuple[Mapping[str, tuple[ConceptExpr, ...]], tuple[ConceptExpr, ...]]:
+        """The form the tableau reads, computed on first use and kept.
+
+        The unfold map sends each concept name A to the NNF right sides of
+        the inclusions ``A <= D``; the constraints are the deduplicated
+        ``nnf(!C | D)`` of every other inclusion, in first-occurrence order.
+        Not a field, so equality, hashing and the repr ignore it. Readers
+        never mutate it.
+        """
+        unfold: dict[str, tuple[ConceptExpr, ...]] = {}
+        constraints: dict[ConceptExpr, None] = {}
+        for lhs, rhs in self.inclusions:
+            if isinstance(lhs, Atomic):
+                unfold[lhs.name] = unfold.get(lhs.name, ()) + (nnf(rhs),)
+            else:
+                constraints[nnf(Or(Not(lhs), rhs))] = None
+        return unfold, tuple(constraints)
 
 
 EMPTY_TBOX = TBox()
@@ -202,14 +224,8 @@ def is_satisfiable(tbox: TBox, concept: ConceptExpr, *, budget: int = DEFAULT_NO
     Raises BudgetExceededError when the node budget runs out; the exception
     is the third outcome, never folded into True or False.
     """
-    unfold: dict[str, tuple[ConceptExpr, ...]] = {}
-    constraints: dict[ConceptExpr, None] = {}
-    for lhs, rhs in tbox.inclusions:
-        if isinstance(lhs, Atomic):
-            unfold[lhs.name] = unfold.get(lhs.name, ()) + (nnf(rhs),)
-        else:
-            constraints[nnf(Or(Not(lhs), rhs))] = None
-    tableau = _Tableau(tuple(constraints), unfold, budget)
+    unfold, constraints = tbox.absorbed
+    tableau = _Tableau(constraints, unfold, budget)
     return tableau.sat([(c, NO_DEPS) for c in (nnf(concept), *constraints)], ()) is None
 
 

@@ -7,7 +7,8 @@ oracle re-glues every refinement stage with it, the plain tableau
 internalizes every inclusion and backtracks chronologically, the scan
 projection matches every assertion against every pattern, the plain
 digest renders every assertion afresh, and the reference evaluator
-recurses over the program and copies the fact set on every write.
+recurses over the program, copies the fact set on every write and runs
+the tableau for every subsumption guard it tests.
 """
 
 from __future__ import annotations
@@ -215,7 +216,8 @@ def plain_digest(abox):
 
 
 def reference_evaluate_trace(prog, state, fuel, mode="literal", poset=None, *, budget=DEFAULT_NODE_BUDGET):
-    """Recursive evaluation that builds a new state on every write,
+    """Recursive evaluation that builds a new state on every write and
+    keeps no verdict memo (guard_sat gets a plain KnowledgeState),
     mirroring the contract of programs.evaluate_trace(): the same outcome,
     steps, final state and trace, and EvalAborted with the partial trace
     when a guard exhausts *budget*. Deep ``Seq`` chains exceed Python's

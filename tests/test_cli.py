@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ctxdl.cli import main
+from ctxdl.lexer import MAX_NESTING
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -295,3 +299,57 @@ class TestConsoleEntry:
             check=True,
         )
         assert proc.stdout.strip() == "False"
+
+
+DEEP_KB = """\
+signature
+  concept A, B.
+  role r.
+  individual a.
+contexts
+  context U.
+tbox
+  A <= B.
+abox
+  a : A @ U.
+"""
+
+# Each input opens n nesting levels. An `if` opens one itself.
+NESTED = {
+    "exists": lambda n: ("sat", "exists r." * n + "A"),
+    "not": lambda n: ("sat", "!" * n + "A"),
+    "parens": lambda n: ("sat", "(" * n + "A" + ")" * n),
+    "guard-not": lambda n: ("run", "if " + "!" * (n - 1) + "a:A@U then skip else skip fi"),
+    "guard-parens": lambda n: ("run", "if " + "(" * (n - 1) + "a:A@U" + ")" * (n - 1) + " then skip else skip fi"),
+    "if": lambda n: ("run", "if a:A@U then " * n + "skip" + " else skip fi" * n),
+    "while-in-if": lambda n: ("run", "if true then " * (n - 1) + "while false do skip od" + " else skip fi" * (n - 1)),
+}
+
+
+class TestNestingLimit:
+    """Input nested up to MAX_NESTING levels gets a verdict; one level more
+    is a positioned parse error. Neither may end in a traceback."""
+
+    @pytest.mark.parametrize("kind", sorted(NESTED))
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_at_and_past_the_limit(self, tmp_path, kind, extra):
+        kb = tmp_path / "deep.kb"
+        kb.write_text(DEEP_KB, encoding="utf-8")
+        command, text = NESTED[kind](MAX_NESTING + extra)
+        if command == "sat":
+            argv = ["sat", str(kb), text]
+        else:
+            program = tmp_path / "deep.p"
+            program.write_text(text, encoding="utf-8")
+            argv = ["run", str(program), "--kb", str(kb)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctxdl.cli", *argv], capture_output=True, text=True
+        )
+        assert "Traceback" not in proc.stderr
+        if extra:
+            assert proc.returncode == 2
+            where = r"1:\d+" if command == "sat" else r".*deep\.p:1"
+            assert re.fullmatch(f"error: {where}: nesting deeper than {MAX_NESTING} levels\n", proc.stderr)
+        else:
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""

@@ -327,3 +327,39 @@ class TestDerivedDigests:
             assert [r["match"]["state"] for r in records] == want
             sink.seek(0)
             sink.truncate()
+
+
+# Any text, and text drawn from the digest alphabet plus characters JSON
+# must escape: quotes, backslashes, control characters, non-ASCII and a
+# lone surrogate.
+TEXTS = st.text() | st.text(
+    st.sampled_from('aAz_9:;@(),.&|!"\\\x00\x1f\x7f é \ud800')
+)
+
+
+class TestLogLines:
+    """A recorded line equals json.dumps of its record with sorted keys,
+    whichever way the state digest is written."""
+
+    @given(
+        name=TEXTS,
+        payload=TEXTS,
+        digest=TEXTS | fact_sets.map(abox_digest),
+        response=st.tuples(fact_sets, fact_sets).map(lambda ad: OracleResponse(ad[0] - ad[1], ad[1])),
+    )
+    @example(name="probe", payload="p", digest='a:A@U;b:"B"@V', response=OracleResponse(frozenset({BETA})))
+    @example(name="é", payload='"', digest="a:A@U\\;\x7f", response=OracleResponse(frozenset()))
+    @example(name="probe", payload="\x00", digest="a:A@U;\x1f", response=OracleResponse(frozenset()))
+    @settings(max_examples=300, deadline=None)
+    def test_lines_equal_sorted_json_dumps(self, name, payload, digest, response):
+        sink = io.StringIO()
+        inner = ScriptedOracle(name, [ScriptEntry("*", None, response)], allow_deletions=True)
+        record_session(inner, sink).respond(digest, payload)
+        record = {
+            "seq": 0,
+            "oracle": name,
+            "match": {"payload": payload, "state": digest},
+            "add": sorted(a.text for a in response.additions),
+            "del": sorted(a.text for a in response.deletions),
+        }
+        assert sink.getvalue() == json.dumps(record, sort_keys=True) + "\n"

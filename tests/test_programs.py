@@ -6,10 +6,11 @@ import random
 
 import pytest
 
+import ctxdl.kb
 from corpus import SIG, assertion_universe, random_program
 from ctxdl.concepts import And, Atomic, Not
 from ctxdl.contexts import ContextPoset
-from ctxdl.errors import EvalAborted, ParseError
+from ctxdl.errors import BudgetExceededError, EvalAborted, ParseError
 from ctxdl.kb import (
     AssertGuard,
     ConceptAssertion,
@@ -36,7 +37,7 @@ from ctxdl.programs import (
     parse_program,
     print_program,
 )
-from ctxdl.reasoner import DEFAULT_NODE_BUDGET, EMPTY_TBOX, TBox
+from ctxdl.reasoner import DEFAULT_NODE_BUDGET, EMPTY_TBOX, TBox, subsumes
 from oracles import reference_evaluate_trace
 
 A, B = Atomic("A"), Atomic("B")
@@ -304,3 +305,79 @@ class TestAgainstReferenceEvaluator:
         prog = parse_program("; ".join(["skip"] * 3000), SIG)
         start = state(BETA)
         assert evaluate(prog, start) == Terminated(start, 5999)
+
+
+class TestSubsumptionMemo:
+    """A run decides each subsumption atom once; later tests of the same
+    atom are answered from the run's memo and change no outcome."""
+
+    TBOX = TBox([(A, And(B, Atomic("C")))])
+
+    @pytest.fixture
+    def tableau_runs(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return subsumes(*args, **kwargs)
+
+        monkeypatch.setattr(ctxdl.kb, "subsumes", counted)
+        return calls
+
+    @pytest.mark.parametrize("unfoldings", [1, 5, 60])
+    def test_loop_guard_runs_the_tableau_once_per_evaluation(self, tableau_runs, unfoldings):
+        prog = parse_program("while A <= B do add a:A@U; del a:A@U od", SIG)
+        start = KnowledgeState(self.TBOX, frozenset({GAMMA}))
+        fuel = 4 * unfoldings  # per unfolding: the guard test, the body's Seq, add and del
+        want = reference_evaluate_trace(prog, start, fuel)
+        assert len(tableau_runs) == unfoldings
+        tableau_runs.clear()
+        for _ in range(2):  # a second run keeps no memo from the first
+            got = evaluate_trace(prog, start, fuel)
+            assert got == want
+            assert tableau_runs == [(A, B)]
+            tableau_runs.clear()
+        outcome, trace = want
+        assert isinstance(outcome, FuelExhausted) and outcome.state == start
+        assert [e.rule for e in trace].count("while-true") == unfoldings
+
+    def test_each_atom_is_decided_once(self, tableau_runs):
+        prog = parse_program(
+            "if A <= B then skip else skip fi; if B <= A then skip else skip fi; "
+            "if A <= B & !(B <= A) then add a:A@U else skip fi",
+            SIG,
+        )
+        outcome, trace = evaluate_trace(prog, KnowledgeState(self.TBOX, frozenset()))
+        assert tableau_runs == [(A, B), (B, A)]
+        assert [e.guard for e in trace if e.guard is not None] == [True, False, True]
+        assert outcome.state.abox == {BETA}
+
+    def test_an_exhausted_guard_aborts_with_the_reference_trace(self, tableau_runs):
+        # The cheap atom is decided once and repeated from the memo; the
+        # costly one runs out of budget on its first test, as without memo.
+        cheap, costly = "B <= A", "(A & exists r.A) <= B"
+        budget = next(b for b in range(1, 50) if self._affords(cheap, b))
+        assert not self._affords(costly, budget)
+        prog = parse_program(
+            f"add a:A@U; if {cheap} then skip else skip fi; if {cheap} then skip else del a:A@U fi; "
+            f"if {costly} then skip else skip fi",
+            SIG,
+        )
+        start = KnowledgeState(self.TBOX, frozenset())
+        with pytest.raises(EvalAborted) as want:
+            reference_evaluate_trace(prog, start, 100, budget=budget)
+        tableau_runs.clear()
+        with pytest.raises(EvalAborted) as got:
+            evaluate_trace(prog, start, 100, budget=budget)
+        assert got.value.trace == want.value.trace
+        assert [e.rule for e in got.value.trace] == ["add", "if-false", "skip", "if-false", "del"]
+        assert got.value.cause.budget == budget
+        assert len(tableau_runs) == 2
+
+    def _affords(self, guard, budget):
+        g = parse_guard(guard, SIG)
+        try:
+            subsumes(self.TBOX, g.lhs, g.rhs, budget=budget)
+        except BudgetExceededError:
+            return False
+        return True

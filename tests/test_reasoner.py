@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -130,6 +131,45 @@ class TestAgainstPlainTableau:
                 assert find_witness(sig, t, c, k) is not None, (t, c)
         assert compared >= 1_990
         assert 2 * atomic >= inclusions
+
+
+class TestCompiledTBox:
+    """The absorbed form is kept on the TBox; it changes no answer."""
+
+    def test_shared_tbox_answers_as_fresh_equal_ones(self):
+        # The TestAgainstPlainTableau corpus: each instance is asked of one
+        # TBox object at every budget twice, and of a new equal TBox, whose
+        # form is computed afresh, at every budget once.
+        def ask(tbox, c, budget):
+            try:
+                return is_satisfiable(tbox, c, budget=budget)
+            except BudgetExceededError as exc:
+                return "budget", exc.budget
+
+        rng = random.Random(31)
+        names = {"concepts": ("A", "B", "C"), "roles": ("r",)}
+        outcomes = set()
+        for _ in range(2_000):
+            t = random_absorbable_tbox(rng, max_inclusions=3, depth=2, **names)
+            c = random_conjunction(rng, 3, **names)
+            budgets = (5, 30, 200, 5_000)
+            shared = [ask(t, c, b) for _ in range(2) for b in budgets]
+            fresh = [ask(TBox(t.inclusions), c, b) for b in budgets]
+            assert shared == fresh * 2, (t, c)
+            outcomes.update(map(str, shared))
+        assert outcomes == {"True", "False", "('budget', 5)", "('budget', 30)"}
+
+    def test_equality_hash_and_repr_ignore_the_cached_form(self):
+        inclusions = [(A, And(B, C)), (Exists("r", B), Not(A)), (A, B)]
+        t, u = TBox(inclusions), TBox(inclusions)
+        before = (repr(t), hash(t))
+        unfold, constraints = t.absorbed
+        assert unfold == {"A": (And(B, C), B)}
+        assert constraints == (Or(Forall("r", Not(B)), Not(A)),)
+        assert (repr(t), hash(t)) == before
+        assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
+        assert "absorbed" not in {f.name for f in fields(TBox)}
+        assert t.absorbed is t.absorbed
 
 
 class TestSubsumption:
