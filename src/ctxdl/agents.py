@@ -340,7 +340,7 @@ def load_agent(path: Union[str, Path]) -> Agent:
         except OSError as exc:
             raise LoadError(str(prog_path), None, str(exc)) from exc
         except ParseError as exc:
-            raise LoadError(str(prog_path), exc.line, exc.message) from exc
+            raise LoadError(str(prog_path), exc.line, exc.message, exc.col) from exc
     oracle = None
     queries: tuple[str, ...] = ()
     if "oracle" in raw:

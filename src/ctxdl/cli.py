@@ -187,7 +187,7 @@ def _cmd_run(args, report: _Report) -> None:
     try:
         program = parse_program(text, doc.signature)
     except ParseError as exc:
-        raise LoadError(args.program, exc.line, exc.message) from exc
+        raise LoadError(args.program, exc.line, exc.message, exc.col) from exc
     outcome, trace = evaluate_trace(
         program, state, args.fuel, args.guards, doc.poset, budget=args.budget
     )

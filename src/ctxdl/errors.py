@@ -35,13 +35,20 @@ class UnknownNameError(ParseError):
 
 
 class LoadError(EngineError):
-    """A document (KB, script, agent, state dump) failed to load."""
+    """A document (KB, script, agent, state dump) failed to load.
 
-    def __init__(self, path: str, line: int | None, message: str):
+    Rendered ``path:line:col: message``; the column, and then the line, are
+    left out when unknown.
+    """
+
+    def __init__(self, path: str, line: int | None, message: str, col: int | None = None):
         self.path = path
         self.line = line
+        self.col = col
         self.message = message
-        where = f"{path}:{line}" if line is not None else path
+        where = path if line is None else f"{path}:{line}"
+        if line is not None and col is not None:
+            where += f":{col}"
         super().__init__(f"{where}: {message}")
 
 

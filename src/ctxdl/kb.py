@@ -270,6 +270,12 @@ def guard_sat(
     also has a ``verdicts`` dict, as a program run does, a subsumption atom
     is decided once and then answered from it: the inclusions never change
     within a run, so the verdict cannot either.
+
+    Negations and conjunctions wait on an explicit stack, so a long guard
+    (``a | b`` is ``!(!a & !b)``, left-nested) costs no Python recursion.
+    Atoms are decided left to right and ``&`` short-circuits, so the
+    subsumption atoms run, and may exhaust the budget, in the order of
+    the recursive definition.
     """
     if mode not in GUARD_MODES:
         raise ValueError(f"unknown guard mode {mode!r}")
@@ -288,10 +294,22 @@ def guard_sat(
         if guard not in verdicts:
             verdicts[guard] = subsumes(state.tbox, guard.lhs, guard.rhs, budget=budget)
         return verdicts[guard]
-    if isinstance(guard, GuardNot):
-        return not guard_sat(state, guard.child, mode, poset, budget=budget)
-    if isinstance(guard, GuardAnd):
-        return guard_sat(state, guard.left, mode, poset, budget=budget) and guard_sat(
-            state, guard.right, mode, poset, budget=budget
-        )
-    raise TypeError(f"not a guard: {guard!r}")
+    if not isinstance(guard, (GuardNot, GuardAnd)):
+        raise TypeError(f"not a guard: {guard!r}")
+    pending: list[GuardNot | GuardAnd] = []
+    while True:
+        while isinstance(guard, (GuardNot, GuardAnd)):
+            pending.append(guard)
+            guard = guard.child if isinstance(guard, GuardNot) else guard.left
+        # An atom: this call answers it above and never reaches the stack.
+        value = guard_sat(state, guard, mode, poset, budget=budget)
+        # Hand the value up to the innermost compound that needs more work.
+        while pending:
+            node = pending.pop()
+            if isinstance(node, GuardNot):
+                value = not value
+            elif value:
+                guard = node.right  # the conjunction is now its right side
+                break
+        else:
+            return value

@@ -30,6 +30,11 @@ of one section to the members of a covering always agree on meets and
 never force a fact the section lacks, so they glue back to that section
 exactly when the member universes jointly cover the target universe,
 whatever its facts are.
+
+Global sections and gluing candidates are listed in one canonical order:
+with the facts sorted by their rendering, subset number ``code`` holds fact
+i exactly when bit i of ``code`` is set. Listing costs one set union and
+one ``Section`` per subset.
 """
 
 from __future__ import annotations
@@ -279,11 +284,13 @@ def glue(
 
 
 def _subsets_in_order(facts: Iterable[Fact]) -> list[frozenset[Fact]]:
-    """All subsets, ordered by the ascending bit encoding over sorted facts."""
-    ordered = sorted(facts, key=render_fact)
-    out = []
-    for code in range(1 << len(ordered)):
-        out.append(frozenset(f for i, f in enumerate(ordered) if code >> i & 1))
+    """All subsets in canonical order (see the module docstring), built by
+    doubling: after fact i the list holds codes 0 to 2^(i+1) - 1 at their
+    own index, and each subset costs one set union."""
+    out = [frozenset()]
+    for f in sorted(facts, key=render_fact):
+        single = frozenset((f,))
+        out += [s | single for s in out]
     return out
 
 

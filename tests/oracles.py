@@ -8,7 +8,9 @@ internalizes every inclusion and backtracks chronologically, the scan
 projection matches every assertion against every pattern, the plain
 digest renders every assertion afresh, and the reference evaluator
 recurses over the program, copies the fact set on every write and runs
-the tableau for every subsumption guard it tests.
+the tableau for every subsumption guard it tests. The per-code subset
+listing builds each subset from its bit code, and the recursive guard
+evaluator recurses once per guard node.
 """
 
 from __future__ import annotations
@@ -17,7 +19,19 @@ from itertools import chain, combinations
 
 from ctxdl.concepts import And, Atomic, Bot, Exists, Forall, Not, Or, Top, nnf, print_concept
 from ctxdl.errors import BudgetExceededError, EvalAborted, RefinementChainError
-from ctxdl.kb import ConceptAssertion, KnowledgeState, guard_sat
+from ctxdl.kb import (
+    GUARD_MODES,
+    AssertGuard,
+    ConceptAssertion,
+    Falsity,
+    GuardAnd,
+    GuardNot,
+    KnowledgeState,
+    SubsumeGuard,
+    Truth,
+    _holds_saturated,
+    guard_sat,
+)
 from ctxdl.programs import (
     Add,
     Del,
@@ -30,8 +44,8 @@ from ctxdl.programs import (
     TraceEntry,
     While,
 )
-from ctxdl.reasoner import DEFAULT_NODE_BUDGET
-from ctxdl.sheaf import ConceptFact, Covering, Presheaf, RoleFact, Section, compatible
+from ctxdl.reasoner import DEFAULT_NODE_BUDGET, subsumes
+from ctxdl.sheaf import ConceptFact, Covering, Presheaf, RoleFact, Section, compatible, render_fact
 
 
 def derivations(prog: Program, state: KnowledgeState, depth: int, mode="literal", poset=None):
@@ -98,6 +112,18 @@ def brute_force_glue(ps: Presheaf, family: list[Section], cov: Covering):
     if len(candidates) == 1:
         return ("glued", candidates[0])
     return ("non-unique", candidates)
+
+
+def per_code_subsets(facts):
+    """All subsets, ordered by the ascending bit encoding over sorted facts,
+    each built from its code, mirroring the contract of
+    sheaf._subsets_in_order().
+    """
+    ordered = sorted(facts, key=render_fact)
+    out = []
+    for code in range(1 << len(ordered)):
+        out.append(frozenset(f for i, f in enumerate(ordered) if code >> i & 1))
+    return out
 
 
 def powerset(items):
@@ -279,3 +305,35 @@ def reference_evaluate_trace(prog, state, fuel, mode="literal", poset=None, *, b
         raise EvalAborted(exc, tuple(trace)) from exc
     outcome = (Terminated if done else FuelExhausted)(final, fuel - left)
     return outcome, tuple(trace)
+
+
+def recursive_guard_sat(state, guard, mode="literal", poset=None, *, budget=DEFAULT_NODE_BUDGET):
+    """One Python call per guard node, mirroring the contract of
+    kb.guard_sat(): the same verdicts, the same subsumption atoms decided
+    in the same order, and BudgetExceededError at the same atom. A long
+    ``|`` chain exceeds Python's recursion limit here.
+    """
+    if mode not in GUARD_MODES:
+        raise ValueError(f"unknown guard mode {mode!r}")
+    if mode == "saturated" and poset is None:
+        raise ValueError("saturated guard mode requires a context poset")
+    if isinstance(guard, Truth):
+        return True
+    if isinstance(guard, Falsity):
+        return False
+    if isinstance(guard, AssertGuard):
+        if mode == "literal":
+            return guard.assertion in state.abox
+        return _holds_saturated(state.abox, guard.assertion, poset)
+    if isinstance(guard, SubsumeGuard):
+        verdicts = getattr(state, "verdicts", {})
+        if guard not in verdicts:
+            verdicts[guard] = subsumes(state.tbox, guard.lhs, guard.rhs, budget=budget)
+        return verdicts[guard]
+    if isinstance(guard, GuardNot):
+        return not recursive_guard_sat(state, guard.child, mode, poset, budget=budget)
+    if isinstance(guard, GuardAnd):
+        return recursive_guard_sat(state, guard.left, mode, poset, budget=budget) and recursive_guard_sat(
+            state, guard.right, mode, poset, budget=budget
+        )
+    raise TypeError(f"not a guard: {guard!r}")

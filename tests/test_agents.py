@@ -160,6 +160,12 @@ class TestLoadAgent:
             load_agent(path)
         assert info.value.line == 1
 
+    def test_program_parse_error_has_line_and_column(self, tmp_path):
+        (tmp_path / "bad.p").write_text("skip;\nadd a:A@U; fi\n", encoding="utf-8")
+        with pytest.raises(LoadError) as info:
+            load_agent(write_agent(tmp_path, program="bad.p"))
+        assert str(info.value) == f"{tmp_path / 'bad.p'}:2:12: expected a command, found 'fi'"
+
 
 class TestInteract:
     def test_identity_agent_returns_the_payload(self):

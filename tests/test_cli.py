@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,8 @@ from ctxdl.cli import main
 from ctxdl.lexer import MAX_NESTING
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_cli(*argv, capsys):
@@ -120,6 +123,33 @@ class TestRun:
             {"command": "run", "outcome": "terminated", "steps": 5999, "assertions": []}
         ]
 
+    @pytest.mark.parametrize("n", [700, 3000])
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_long_disjunction_guard(self, tmp_path, n, trace):
+        # 'a | b' parses as '!(!a & !b)', left-nested: three guard nodes
+        # per disjunct. Only the last disjunct holds.
+        prog = tmp_path / "wide.p"
+        guard = " | ".join(["a:B@U"] * (n - 1) + ["a:A@U"])
+        prog.write_text(f"if {guard} then add a:C@U else skip fi\n", encoding="utf-8")
+        argv = ["run", str(prog), "--kb", str(SAMPLES / "chain.kb"), "--format", "records"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctxdl.cli", *argv, *(["--trace"] if trace else [])],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        recs = records_of(proc.stdout)
+        assert recs[0] == {
+            "command": "run", "outcome": "terminated", "steps": 2, "assertions": ["a:A@U", "a:C@U"]
+        }
+        assert [r["rule"] for r in recs[1:]] == (["if-true", "add"] if trace else [])
+
+    def test_program_parse_error_has_line_and_column(self, capsys, tmp_path):
+        prog = tmp_path / "bad.p"
+        prog.write_text("skip;\nif a:A@U then skip else skip fu\n", encoding="utf-8")
+        code, _, err = run_cli("run", prog, "--kb", SAMPLES / "chain.kb", capsys=capsys)
+        assert code == 2
+        assert err == f"error: {prog}:2:30: expected 'fi', found 'fu'\n"
+
 
 class TestOracleCommand:
     def test_session_and_final_state(self, capsys):
@@ -216,6 +246,50 @@ class TestSheafCommands:
         assert recs[0]["count"] == 2
         facts = [r["facts"] for r in recs if r["command"] == "section"]
         assert ["scene:Obstacle"] in facts
+
+
+class TestRecordsGoldens:
+    """Byte-identical records over a universe mixing concept and role facts,
+    which pin the canonical order of sections and gluing candidates."""
+
+    def test_global_sections_of_five_facts(self, capsys):
+        code, out, _ = run_cli(
+            "global-sections", GOLDEN / "mixed.kb", "--top", "Scene", "--format", "records",
+            capsys=capsys,
+        )
+        assert code == 0
+        assert out == (GOLDEN / "global_sections_mixed.records").read_text(encoding="utf-8")
+        assert records_of(out)[0]["count"] == 32
+
+    def test_non_unique_glue_with_three_free_facts(self, capsys):
+        code, out, _ = run_cli(
+            "glue", GOLDEN / "mixed.kb", "--target", "Dock", "--section", "Probe: scene:Obstacle",
+            "--format", "records", capsys=capsys,
+        )
+        assert code == 0
+        assert out == (GOLDEN / "glue_nonunique_mixed.records").read_text(encoding="utf-8")
+        (rec,) = records_of(out)
+        assert rec["verdict"] == "non-unique"
+        assert len(rec["candidates"]) == 8
+
+    def test_benchmark_tour_records(self, capsys, monkeypatch, tmp_path):
+        # The cli benchmark's README tour, in-process: the same commands on
+        # copies of its fixtures, compared with its expected records.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from tour import TOUR
+
+        fixtures = PERFBENCH / "tour"
+        for path in fixtures.iterdir():
+            if path.name != "expected.json":
+                shutil.copyfile(path, tmp_path / path.name)
+        expected = json.loads((fixtures / "expected.json").read_text(encoding="utf-8"))
+        assert list(TOUR).index("apply_oracle_record") < list(TOUR).index("apply_oracle_replay")
+        assert sorted(TOUR) == sorted(expected)
+        monkeypatch.chdir(tmp_path)
+        for label, argv in TOUR.items():
+            code, out, err = run_cli(*argv, "--format", "records", capsys=capsys)
+            assert (code, err) == (0, ""), label
+            assert out.splitlines() == expected[label], label
 
 
 class TestStabilityCommand:
@@ -348,7 +422,7 @@ class TestNestingLimit:
         assert "Traceback" not in proc.stderr
         if extra:
             assert proc.returncode == 2
-            where = r"1:\d+" if command == "sat" else r".*deep\.p:1"
+            where = r"1:\d+" if command == "sat" else r".*deep\.p:1:\d+"
             assert re.fullmatch(f"error: {where}: nesting deeper than {MAX_NESTING} levels\n", proc.stderr)
         else:
             assert proc.returncode == 0, proc.stderr

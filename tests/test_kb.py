@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from corpus import SIG, random_abox, random_assertion, random_concept, random_guard, random_poset
+import ctxdl.kb
+import oracles
+from corpus import SIG, random_abox, random_assertion, random_concept, random_guard, random_poset, random_tbox
 from ctxdl.concepts import And, Atomic, Not
 from ctxdl.contexts import ContextPoset
-from ctxdl.errors import ParseError, UnknownNameError
+from ctxdl.errors import BudgetExceededError, ParseError, UnknownNameError
 from ctxdl.kb import (
     AssertGuard,
     ConceptAssertion,
@@ -29,7 +32,8 @@ from ctxdl.kb import (
     saturate,
 )
 from ctxdl.reasoner import EMPTY_TBOX, TBox
-from oracles import plain_digest
+from ctxdl.programs import parse_guard
+from oracles import plain_digest, recursive_guard_sat
 
 A = Atomic("A")
 B = Atomic("B")
@@ -230,3 +234,74 @@ class TestGuardSat:
                     lit = guard_sat(closed, probe, "literal")
                     sat = guard_sat(raw, probe, "saturated", poset)
                     assert lit == sat
+
+
+class TestGuardStack:
+    """guard_sat evaluates compound guards on an explicit stack; the
+    recursive evaluator in tests/oracles.py is the reference."""
+
+    @staticmethod
+    def outcome(sat, state, guard, mode, poset, budget, log):
+        # The verdict or the exhaustion, and every subsumption atom the
+        # reasoner was asked, in order.
+        del log[:]
+        try:
+            verdict = sat(state, guard, mode, poset, budget=budget)
+        except BudgetExceededError:
+            verdict = "budget"
+        return verdict, list(log)
+
+    def test_agrees_with_the_recursive_evaluator(self, monkeypatch):
+        log = []
+
+        def logged(tbox, lhs, rhs, *, budget):
+            log.append((lhs, rhs))
+            return subsumes(tbox, lhs, rhs, budget=budget)
+
+        subsumes = ctxdl.kb.subsumes
+        monkeypatch.setattr(ctxdl.kb, "subsumes", logged)
+        monkeypatch.setattr(oracles, "subsumes", logged)
+        rng = random.Random(53)
+        universe = [ca("a", "A", "U"), ca("b", "B", "V"), RoleAssertion("a", "b", "r", "W")]
+        seen = {True: 0, False: 0, "budget": 0}
+        for _ in range(400):
+            tbox = random_tbox(rng)
+            atoms = [
+                SubsumeGuard(random_concept(rng, 3), random_concept(rng, 3)) for _ in range(3)
+            ]
+            guard = random_guard(rng, 6, universe, atoms)
+            mode = rng.choice(["literal", "saturated"])
+            budget = rng.choice([1, 3, 10, 60])
+            state = KnowledgeState(tbox, random_abox(rng, SIG, ["U", "V", "W"]))
+            want = self.outcome(recursive_guard_sat, state, guard, mode, POSET, budget, log)
+            got = self.outcome(guard_sat, state, guard, mode, POSET, budget, log)
+            assert got == want
+            seen[want[0]] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_memo_fills_in_the_recursive_order(self):
+        rng = random.Random(59)
+        for _ in range(100):
+            tbox = random_tbox(rng)
+            atoms = [SubsumeGuard(random_concept(rng, 2), random_concept(rng, 2)) for _ in range(4)]
+            guard = random_guard(rng, 6, [ca("a", "A", "U")], atoms)
+            runs = []
+            for sat in (recursive_guard_sat, guard_sat):
+                # Shaped like a program run: inclusions, facts and a memo.
+                state = SimpleNamespace(tbox=tbox, abox={ca("a", "A", "U")}, verdicts={})
+                runs.append((sat(state, guard), list(state.verdicts.items())))
+            assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("n", [700, 3000])
+    def test_long_disjunction_and_conjunction_chains(self, n):
+        # 'a | b' parses as '!(!a & !b)', left-nested: three guard nodes
+        # per disjunct, so n disjuncts nest past Python's recursion limit.
+        state = KnowledgeState(EMPTY_TBOX, frozenset({ca("a", "A", "U")}))
+        hit, miss = "a:A@U", "a:B@U"
+        assert guard_sat(state, parse_guard(" | ".join([miss] * (n - 1) + [hit]), SIG)) is True
+        assert guard_sat(state, parse_guard(" | ".join([miss] * n), SIG)) is False
+        assert guard_sat(state, parse_guard(" & ".join([hit] * n), SIG)) is True
+        assert guard_sat(state, parse_guard(" & ".join([hit] * (n - 1) + [miss]), SIG)) is False
+        assert guard_sat(state, parse_guard("!(" + " & ".join([hit] * n) + ")", SIG)) is False
+        with pytest.raises(RecursionError):
+            recursive_guard_sat(state, parse_guard(" | ".join([miss] * n), SIG))

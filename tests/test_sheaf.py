@@ -7,7 +7,7 @@ import random
 import pytest
 
 from corpus import random_chain, random_family, random_presheaf
-from oracles import brute_force_glue, brute_force_stable, powerset
+from oracles import brute_force_glue, brute_force_stable, per_code_subsets, powerset
 from ctxdl.contexts import ContextPoset, Covering
 from ctxdl.errors import RefinementChainError, SearchSpaceError
 from ctxdl.sheaf import (
@@ -24,6 +24,7 @@ from ctxdl.sheaf import (
     glue,
     restrict,
     stable_under_refinement,
+    _subsets_in_order,
 )
 
 F1 = ConceptFact("a", "A")
@@ -367,3 +368,66 @@ class TestGlobalSections:
             first = global_sections(ps, top, [cov])
             second = global_sections(ps, top, [cov])
             assert first == second
+
+
+def mixed_universe(rng: random.Random, size: int) -> list:
+    """*size* distinct concept and role facts in a shuffled order. A role
+    fact renders as '(a,b):r', which sorts before every concept fact."""
+    pool = [ConceptFact(i, c) for i in ("a", "b", "c1", "Z") for c in ("A", "B", "Cx")]
+    pool += [RoleFact(i, j, r) for i in ("a", "b") for j in ("a", "c1") for r in ("r", "s")]
+    return rng.sample(pool, size)
+
+
+class TestCanonicalOrder:
+    """Listings equal the per-code oracle element for element, not only as sets."""
+
+    def test_subsets_equal_the_per_code_oracle(self):
+        rng = random.Random(107)
+        for size in list(range(13)) * 2:
+            facts = mixed_universe(rng, size)
+            want = per_code_subsets(facts)
+            assert _subsets_in_order(facts) == want
+            assert _subsets_in_order(reversed(facts)) == want
+            assert len(want) == 1 << size
+
+    def test_global_sections_list_in_per_code_order(self):
+        rng = random.Random(109)
+        poset = ContextPoset(["U", "V", "W"], [("V", "U"), ("W", "U")])
+        for size in range(13):
+            facts = mixed_universe(rng, size)
+            split = rng.randint(0, size)
+            # V and W jointly cover U's universe, so every section is stable.
+            ps = Presheaf(poset, {"U": facts, "V": facts[:split], "W": facts[split:]})
+            got = global_sections(ps, "U", [Covering("U", ["V", "W"])])
+            assert got == [Section("U", s) for s in per_code_subsets(facts)]
+
+    def test_glue_candidates_list_in_per_code_order(self):
+        rng = random.Random(113)
+        poset = ContextPoset(["U", "V"], [("V", "U")])
+        for size in range(1, 13):
+            facts = mixed_universe(rng, size)
+            seen = facts[: rng.randint(0, size - 1)]
+            forced = frozenset(f for f in seen if rng.random() < 0.5)
+            ps = Presheaf(poset, {"U": facts, "V": seen})
+            got = glue(ps, [Section("V", forced)], Covering("U", ["V"]))
+            free = set(facts) - set(seen)
+            assert got == NonUnique(
+                tuple(Section("U", forced | extra) for extra in per_code_subsets(free))
+            )
+
+    def test_glue_candidates_on_random_presheaves(self):
+        rng = random.Random(127)
+        listed = 0
+        for _ in range(600):
+            ps, cov = random_presheaf(rng)
+            family = random_family(rng, ps, cov)
+            got = glue(ps, family, cov)
+            if not isinstance(got, NonUnique):
+                continue
+            forced = frozenset().union(*(s.facts for s in family))
+            free = ps.universe(cov.target).difference(*(ps.universe(m) for m in cov.members))
+            assert got.candidates == tuple(
+                Section(cov.target, forced | extra) for extra in per_code_subsets(free)
+            )
+            listed += 1
+        assert listed >= 25
