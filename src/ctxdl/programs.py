@@ -31,7 +31,8 @@ non-terminating loops surface as a FuelExhausted outcome instead of hanging.
 An evaluation copies the input fact set once into a working set that its
 ``add`` and ``del`` commands mutate in place, and freezes the final state
 once; the caller's state is never changed. Commands wait on an explicit
-stack, so a long ``;`` chain costs no Python recursion.
+stack, so a long ``;`` chain costs no Python recursion; the printers keep
+their pending nodes on one too, so a long ``;`` or ``|`` chain prints.
 Guard evaluation cost is not fuel: the reasoner has its own node budget, and
 a guard that exhausts it aborts the run with the partial trace attached.
 The inclusions are fixed for a run, so each run keeps the verdict of every
@@ -286,50 +287,71 @@ def _parse_subsume(ts: TokenStream, sig: Signature) -> Guard:
 def print_program(prog: Program) -> str:
     """Render a program; parsing the result rebuilds the same tree for any
     parser-produced tree (sequencing prints flat and re-parses left-nested)."""
-    if isinstance(prog, Skip):
-        return "skip"
-    if isinstance(prog, Add):
-        return f"add {render_assertion(prog.assertion)}"
-    if isinstance(prog, Del):
-        return f"del {render_assertion(prog.assertion)}"
-    if isinstance(prog, Seq):
-        return f"{print_program(prog.first)}; {print_program(prog.second)}"
-    if isinstance(prog, If):
-        return (
-            f"if {print_guard(prog.guard)} then {print_program(prog.then_branch)} "
-            f"else {print_program(prog.else_branch)} fi"
-        )
-    if isinstance(prog, While):
-        return f"while {print_guard(prog.guard)} do {print_program(prog.body)} od"
-    raise TypeError(f"not a program: {prog!r}")
+    return _print(prog, _program_parts)
 
 
 def print_guard(g: Guard) -> str:
     """Render a guard so that parsing the result rebuilds the same tree."""
+    return _print(g, _guard_parts)
+
+
+def _print(root, parts) -> str:
+    """Join the text of *root*. ``parts(node)`` lists a node's text as
+    strings and ``(child, parts)`` pairs; the pairs wait on an explicit
+    stack, so a long ``;`` or ``|`` chain costs no Python recursion."""
+    out: list[str] = []
+    stack: list = [(root, parts)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            node, node_parts = item
+            stack.extend(reversed(node_parts(node)))
+    return "".join(out)
+
+
+def _program_parts(prog: Program) -> list:
+    if isinstance(prog, Skip):
+        return ["skip"]
+    if isinstance(prog, Add):
+        return [f"add {render_assertion(prog.assertion)}"]
+    if isinstance(prog, Del):
+        return [f"del {render_assertion(prog.assertion)}"]
+    if isinstance(prog, Seq):
+        return [(prog.first, _program_parts), "; ", (prog.second, _program_parts)]
+    if isinstance(prog, If):
+        return [
+            "if ", (prog.guard, _guard_parts),
+            " then ", (prog.then_branch, _program_parts),
+            " else ", (prog.else_branch, _program_parts), " fi",
+        ]
+    if isinstance(prog, While):
+        return ["while ", (prog.guard, _guard_parts), " do ", (prog.body, _program_parts), " od"]
+    raise TypeError(f"not a program: {prog!r}")
+
+
+def _guard_parts(g: Guard) -> list:
     if isinstance(g, Truth):
-        return "true"
+        return ["true"]
     if isinstance(g, Falsity):
-        return "false"
+        return ["false"]
     if isinstance(g, AssertGuard):
-        return render_assertion(g.assertion)
+        return [render_assertion(g.assertion)]
     if isinstance(g, SubsumeGuard):
         lhs = print_concept_operand(g.lhs)
         if isinstance(g.lhs, ConceptNot):
             # A leading '!' would re-parse as guard negation.
             lhs = f"({print_concept(g.lhs)})"
-        return f"{lhs} <= {print_concept_operand(g.rhs)}"
+        return [f"{lhs} <= {print_concept_operand(g.rhs)}"]
     if isinstance(g, GuardNot):
         if isinstance(g.child, GuardAnd):
-            return "!(" + print_guard(g.child) + ")"
-        return "!" + print_guard(g.child)
+            return ["!(", (g.child, _guard_parts), ")"]
+        return ["!", (g.child, _guard_parts)]
     if isinstance(g, GuardAnd):
-        left = print_guard(g.left)
-        right = (
-            "(" + print_guard(g.right) + ")"
-            if isinstance(g.right, GuardAnd)
-            else print_guard(g.right)
-        )
-        return f"{left} & {right}"
+        if isinstance(g.right, GuardAnd):
+            return [(g.left, _guard_parts), " & (", (g.right, _guard_parts), ")"]
+        return [(g.left, _guard_parts), " & ", (g.right, _guard_parts)]
     raise TypeError(f"not a guard: {g!r}")
 
 

@@ -9,16 +9,32 @@ projection matches every assertion against every pattern, the plain
 digest renders every assertion afresh, and the reference evaluator
 recurses over the program, copies the fact set on every write and runs
 the tableau for every subsumption guard it tests. The per-code subset
-listing builds each subset from its bit code, and the recursive guard
-evaluator recurses once per guard node.
+listing builds each subset from its bit code, the recursive guard
+evaluator recurses once per guard node, the recursive printers recurse once
+per program and guard node, and the whole-space witness search evaluates
+every code of a domain size in one int.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain, combinations
+from operator import and_, or_
 
-from ctxdl.concepts import And, Atomic, Bot, Exists, Forall, Not, Or, Top, nnf, print_concept
-from ctxdl.errors import BudgetExceededError, EvalAborted, RefinementChainError
+from ctxdl.concepts import (
+    And,
+    Atomic,
+    Bot,
+    Exists,
+    Forall,
+    Not,
+    Or,
+    Top,
+    nnf,
+    print_concept,
+    print_concept_operand,
+)
+from ctxdl.errors import BudgetExceededError, EvalAborted, RefinementChainError, UnknownNameError
 from ctxdl.kb import (
     GUARD_MODES,
     AssertGuard,
@@ -31,6 +47,7 @@ from ctxdl.kb import (
     Truth,
     _holds_saturated,
     guard_sat,
+    render_assertion,
 )
 from ctxdl.programs import (
     Add,
@@ -44,7 +61,14 @@ from ctxdl.programs import (
     TraceEntry,
     While,
 )
-from ctxdl.reasoner import DEFAULT_NODE_BUDGET, subsumes
+from ctxdl.reasoner import (
+    DEFAULT_MAX_BITS,
+    DEFAULT_NODE_BUDGET,
+    _bit_layout,
+    _decode_model,
+    _guard_bits,
+    subsumes,
+)
 from ctxdl.sheaf import ConceptFact, Covering, Presheaf, RoleFact, Section, compatible, render_fact
 
 
@@ -337,3 +361,124 @@ def recursive_guard_sat(state, guard, mode="literal", poset=None, *, budget=DEFA
             state, guard.right, mode, poset, budget=budget
         )
     raise TypeError(f"not a guard: {guard!r}")
+
+
+class WholeCodeSpace:
+    """Every interpretation over {1..k} at once: bit c of an int stands for code c.
+
+    Bit c of ``columns[j]`` is bit j of code c, a repeated byte pattern that
+    overhangs a 1- or 2-bit space; bits past the codes are never read, as
+    every result is cut by the TBox filter, which starts from ``ones``.
+    """
+
+    def __init__(self, sig, k):
+        _, _, self.offsets, bits = _bit_layout(sig, k)
+        self.k = k
+        self.ones = (1 << (1 << bits)) - 1
+        self.columns = []
+        for j in range(bits):
+            run = (1 << j) // 8
+            pattern = bytes(run) + b"\xff" * run if run else bytes([(0xAA, 0xCC, 0xF0)[j]])
+            repeats = max(1, (1 << bits) // (8 * len(pattern)))
+            self.columns.append(int.from_bytes(pattern * repeats, "little"))
+
+    def extension(self, c):
+        """Extension of *c* at every code: bit c of entry i says element i+1 is in it."""
+        if isinstance(c, (Top, Bot)):
+            return [self.ones if isinstance(c, Top) else 0] * self.k
+        if isinstance(c, Atomic):
+            if c.name not in self.offsets:
+                raise UnknownNameError(f"signature does not declare concept {c.name!r}")
+            return self.columns[self.offsets[c.name] : self.offsets[c.name] + self.k]
+        if isinstance(c, Not):
+            return [x ^ self.ones for x in self.extension(c.child)]
+        if isinstance(c, And):
+            return [x & y for x, y in zip(self.extension(c.left), self.extension(c.right))]
+        if isinstance(c, Or):
+            return [x | y for x, y in zip(self.extension(c.left), self.extension(c.right))]
+        if isinstance(c, Forall):
+            return self.extension(Not(Exists(c.role, Not(c.child))))
+        if isinstance(c, Exists):
+            if c.role not in self.offsets:
+                raise UnknownNameError(f"signature does not declare role {c.role!r}")
+            child = self.extension(c.child)
+            edges, k = self.columns[self.offsets[c.role] :], self.k
+            return [reduce(or_, (edges[i * k + j] & y for j, y in enumerate(child))) for i in range(k)]
+        raise TypeError(f"not a concept expression: {c!r}")
+
+
+def whole_space_witness(sig, tbox, concept, max_size, *, max_bits=DEFAULT_MAX_BITS):
+    """First model of *tbox* (in enumerate_models order) where *concept* is
+    nonempty, with every code of a domain size evaluated in one int,
+    mirroring the contract of reasoner.find_witness().
+    """
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
+    _guard_bits(sig, max_size, max_bits)
+    for k in range(1, max_size + 1):
+        space = WholeCodeSpace(sig, k)
+        models = space.ones
+        for lhs, rhs in tbox.inclusions:
+            models &= reduce(and_, space.extension(Or(Not(lhs), rhs)))
+            if not models:
+                break
+        else:
+            witness = models & reduce(or_, space.extension(concept))
+            if witness:
+                return _decode_model((witness & -witness).bit_length() - 1, sig, k)
+    return None
+
+
+def recursive_print_program(prog):
+    """One Python call per program node, mirroring the contract of
+    programs.print_program(). A long ``;`` chain exceeds Python's recursion
+    limit here.
+    """
+    if isinstance(prog, Skip):
+        return "skip"
+    if isinstance(prog, Add):
+        return f"add {render_assertion(prog.assertion)}"
+    if isinstance(prog, Del):
+        return f"del {render_assertion(prog.assertion)}"
+    if isinstance(prog, Seq):
+        return f"{recursive_print_program(prog.first)}; {recursive_print_program(prog.second)}"
+    if isinstance(prog, If):
+        return (
+            f"if {recursive_print_guard(prog.guard)} then {recursive_print_program(prog.then_branch)} "
+            f"else {recursive_print_program(prog.else_branch)} fi"
+        )
+    if isinstance(prog, While):
+        return f"while {recursive_print_guard(prog.guard)} do {recursive_print_program(prog.body)} od"
+    raise TypeError(f"not a program: {prog!r}")
+
+
+def recursive_print_guard(g):
+    """One Python call per guard node, mirroring the contract of
+    programs.print_guard(). A long ``|`` chain exceeds Python's recursion
+    limit here.
+    """
+    if isinstance(g, Truth):
+        return "true"
+    if isinstance(g, Falsity):
+        return "false"
+    if isinstance(g, AssertGuard):
+        return render_assertion(g.assertion)
+    if isinstance(g, SubsumeGuard):
+        lhs = print_concept_operand(g.lhs)
+        if isinstance(g.lhs, Not):
+            # A leading '!' would re-parse as guard negation.
+            lhs = f"({print_concept(g.lhs)})"
+        return f"{lhs} <= {print_concept_operand(g.rhs)}"
+    if isinstance(g, GuardNot):
+        if isinstance(g.child, GuardAnd):
+            return "!(" + recursive_print_guard(g.child) + ")"
+        return "!" + recursive_print_guard(g.child)
+    if isinstance(g, GuardAnd):
+        left = recursive_print_guard(g.left)
+        right = (
+            "(" + recursive_print_guard(g.right) + ")"
+            if isinstance(g.right, GuardAnd)
+            else recursive_print_guard(g.right)
+        )
+        return f"{left} & {right}"
+    raise TypeError(f"not a guard: {g!r}")

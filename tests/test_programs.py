@@ -7,7 +7,7 @@ import random
 import pytest
 
 import ctxdl.kb
-from corpus import SIG, assertion_universe, random_program
+from corpus import SIG, assertion_universe, random_concept, random_guard, random_program
 from ctxdl.concepts import And, Atomic, Not
 from ctxdl.contexts import ContextPoset
 from ctxdl.errors import BudgetExceededError, EvalAborted, ParseError
@@ -35,10 +35,11 @@ from ctxdl.programs import (
     evaluate_trace,
     parse_guard,
     parse_program,
+    print_guard,
     print_program,
 )
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET, EMPTY_TBOX, TBox, subsumes
-from oracles import reference_evaluate_trace
+from oracles import recursive_print_guard, recursive_print_program, reference_evaluate_trace
 
 A, B = Atomic("A"), Atomic("B")
 BETA = ConceptAssertion("a", A, "U")
@@ -126,6 +127,56 @@ class TestParse:
             prog = random_program(rng, rng.randint(1, 10), universe)
             normalized = parse_program(print_program(prog), SIG)
             assert parse_program(print_program(normalized), SIG) == normalized
+
+
+class TestPrinters:
+    """The explicit-stack printers against the recursive ones they replaced."""
+
+    def test_same_text_as_the_recursive_printers(self):
+        rng = random.Random(59)
+        universe = assertion_universe()
+        # Negated left sides take the parenthesized subsumption branch.
+        atoms = [SubsumeGuard(Not(A), B), SubsumeGuard(And(A, B), Not(B))]
+        atoms += [SubsumeGuard(random_concept(rng, 2), random_concept(rng, 2)) for _ in range(4)]
+        for _ in range(200):
+            prog = random_program(rng, rng.randint(1, 12), universe, atoms)
+            assert print_program(prog) == recursive_print_program(prog)
+            guard = random_guard(rng, 6, universe, atoms)
+            assert print_guard(guard) == recursive_print_guard(guard)
+        for text in ["a:A@U | b:B@V & !(A <= B)", "!(true & false) | (a,b):r@U", "(!A) <= B | !!true"]:
+            guard = parse_guard(text, SIG)
+            assert print_guard(guard) == recursive_print_guard(guard)
+
+    def test_printers_reject_what_is_not_a_program_or_guard(self):
+        with pytest.raises(TypeError, match="not a program"):
+            print_program(Seq(SKIP, TRUE_GUARD))
+        with pytest.raises(TypeError, match="not a guard"):
+            print_program(If(SKIP, SKIP, SKIP))
+
+    def test_flat_sequence_of_3000_commands(self):
+        text = "; ".join(["add a:A@U", "del a:A@U", "skip"] * 1000)
+        prog = parse_program(text, SIG)
+        assert print_program(prog) == text
+        # Left-nested trees this deep are compared by their text: the
+        # generated __eq__ recurses once per node as well.
+        assert print_program(parse_program(print_program(prog), SIG)) == text
+        with pytest.raises(RecursionError):
+            recursive_print_program(prog)
+
+    def test_long_guard_chains(self):
+        hit, miss = "a:A@U", "b:B@V"
+        disjunction = parse_guard(" | ".join([miss] * 699 + [hit]), SIG)
+        text = print_guard(disjunction)
+        assert text.startswith("!(!" * 699) and text.endswith(f" & !{hit})")
+        with pytest.raises(RecursionError):
+            recursive_print_guard(disjunction)
+        # A flat '&' chain prints flat and re-parses: no nesting level.
+        conjunction_text = " & ".join([hit, miss] * 350)
+        conjunction = parse_guard(conjunction_text, SIG)
+        assert print_guard(conjunction) == conjunction_text
+        assert print_guard(parse_guard(print_guard(conjunction), SIG)) == conjunction_text
+        loop = While(conjunction, SKIP)
+        assert print_program(loop) == f"while {conjunction_text} do skip od"
 
 
 class TestBigStepRules:

@@ -15,7 +15,7 @@ from corpus import (
     random_tbox,
     witness_space,
 )
-from oracles import plain_satisfiable
+from oracles import plain_satisfiable, whole_space_witness
 from ctxdl.concepts import (
     And,
     Atomic,
@@ -29,6 +29,7 @@ from ctxdl.concepts import (
 )
 from ctxdl.errors import BudgetExceededError, SearchSpaceError, UnknownNameError
 from ctxdl.reasoner import (
+    BLOCK_BITS,
     EMPTY_TBOX,
     FiniteModel,
     TBox,
@@ -37,6 +38,7 @@ from ctxdl.reasoner import (
     find_witness,
     is_satisfiable,
     subsumes,
+    _bit_layout,
 )
 
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
@@ -305,3 +307,142 @@ class TestFindWitness:
             c = random_concept(rng, 2, concepts=("A", "B"), roles=("r",))
             if find_witness(sig, t, c, 2, max_bits=16) is not None:
                 assert is_satisfiable(t, c) is True
+
+
+def code_of(model: FiniteModel, sig: Signature) -> int:
+    """The code of *model* in enumerate_models order (decoding inverted)."""
+    k = len(model.domain)
+    _, _, offsets, _ = _bit_layout(sig, k)
+    code = 0
+    for name, members in model.concept_ext.items():
+        for i in members:
+            code |= 1 << offsets[name] + i - 1
+    for name, pairs in model.role_ext.items():
+        for i, j in pairs:
+            code |= 1 << offsets[name] + (i - 1) * k + j - 1
+    return code
+
+
+def same_witness(sig, t, c, size):
+    """Run the blocked and the whole-space search; both must return the
+    same model, or both raise UnknownNameError with the same message."""
+    outcomes = []
+    for search in (find_witness, whole_space_witness):
+        try:
+            outcomes.append(search(sig, t, c, size))
+        except UnknownNameError as exc:
+            outcomes.append(("UnknownNameError", str(exc)))
+    assert outcomes[0] == outcomes[1], (t, c)
+    return outcomes[0]
+
+
+def kind_of(outcome, sig) -> str:
+    if outcome is None or isinstance(outcome, tuple):
+        return "none" if outcome is None else "raised"
+    return "block 0" if code_of(outcome, sig) >> BLOCK_BITS == 0 else "later block"
+
+
+# Satisfiable only over three elements: x in A, with r-successors that
+# differ from x and from each other. Conjoined with a random concept, it
+# keeps the search from stopping at domain size 1 or 2.
+THREE_AB = And(And(And(A, Not(B)), Exists("r", And(Not(A), B))), Exists("r", And(Not(A), Not(B))))
+THREE_A = And(And(A, Exists("r", And(Not(A), Exists("r", TOP)))), Exists("r", And(Not(A), Forall("r", BOT))))
+
+
+class TestBlockedWitness:
+    """find_witness over blocks of 2^BLOCK_BITS codes against the
+    whole-space search it replaced.
+
+    With concepts A, B and roles r, s, domain size 3 has 24 code bits and
+    the high 6 are the s-edges leaving elements 2 and 3; with concept A
+    and roles r, s it has 21, and the high 3 are the s-edges leaving
+    element 3. A TBox that demands s-successors therefore empties block 0.
+    """
+
+    SIG_AB = Signature(concept_names=("A", "B"), role_names=("r", "s"))
+    SIG_A = Signature(concept_names=("A",), role_names=("r", "s"))
+
+    def test_witness_first_in_a_later_block(self):
+        # Elements 2 and 3 each need an s-edge, and the cheapest are (2,1)
+        # and (3,1): code bits 18 and 21, so block 0b1001.
+        t = TBox([(TOP, Exists("s", TOP))])
+        found = same_witness(self.SIG_AB, t, THREE_AB, 3)
+        assert code_of(found, self.SIG_AB) >> BLOCK_BITS == 9
+        assert found.role_ext["s"] == {(1, 1), (2, 1), (3, 1)}
+        # Only the two elements outside B need one. Putting the B element
+        # last costs a higher concept bit but leaves element 3 no s-edge:
+        # block 0b000001, whose bit order a reversal would change.
+        found = same_witness(self.SIG_AB, TBox([(Not(B), Exists("s", TOP))]), THREE_AB, 3)
+        assert code_of(found, self.SIG_AB) >> BLOCK_BITS == 1
+        assert found.concept_ext["B"] == {3} and found.role_ext["s"] == {(1, 1), (2, 1)}
+
+    def test_tbox_that_empties_every_block(self):
+        # Every block where element 2 or 3 lacks an s-edge fails the
+        # filter; the concept forbids x an s-edge, so every block fails.
+        t = TBox([(TOP, Exists("s", TOP))])
+        assert same_witness(self.SIG_AB, t, And(THREE_AB, Forall("s", BOT)), 3) is None
+
+    @pytest.mark.parametrize(
+        "sig_name, core, seed, count",
+        [
+            pytest.param("SIG_A", THREE_A, 31, 30, id="21-bits"),
+            pytest.param("SIG_AB", THREE_AB, 33, 6, id="24-bits"),
+        ],
+    )
+    def test_random_spaces_of_several_blocks(self, sig_name, core, seed, count):
+        # The random parts speak of s only, so they move the witness
+        # between blocks without clashing with the core's r-edges.
+        sig = getattr(self, sig_name)
+        concepts = sig.concept_names
+        rng = random.Random(seed)
+        seen = set()
+        for _ in range(count):
+            t = random_tbox(rng, 2, 2, concepts=concepts, roles=("s",))
+            if rng.random() < 0.5:
+                s_edge = Exists("s", random_concept(rng, 1, concepts=concepts, roles=("s",)))
+                t = TBox([(TOP, s_edge), *t.inclusions])
+            c = And(core, random_concept(rng, 2, concepts=concepts, roles=("s",)))
+            seen.add(kind_of(same_witness(sig, t, c, 3), sig))
+        assert seen == {"none", "block 0", "later block"}
+
+    @pytest.mark.parametrize(
+        "concepts, roles",
+        [
+            pytest.param(("A", "B", "C"), ("r",), id="18-bits"),
+            pytest.param(("A", "B"), ("r",), id="15-bits"),
+        ],
+    )
+    def test_one_block_spaces(self, concepts, roles):
+        sig = Signature(concept_names=concepts, role_names=roles)
+        rng = random.Random(37)
+        for _ in range(20):
+            t = random_tbox(rng, depth=2, concepts=concepts, roles=roles)
+            c = And(THREE_AB, random_concept(rng, 2, concepts=concepts, roles=roles))
+            same_witness(sig, t, c, 3)
+
+    def test_undeclared_names_raise_in_both_or_neither(self):
+        sig = self.SIG_A
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(30):
+            t = random_tbox(rng, depth=2, concepts=("A",), roles=("r", "s"))
+            if rng.random() < 0.5:
+                t = TBox([(TOP, Exists("s", TOP)), *t.inclusions])
+            # Z and q are undeclared; they may sit behind a filter that
+            # empties first, or in the concept, which a failed filter skips.
+            rogue = random_concept(rng, 2, concepts=("A", "Z"), roles=("r", "q"))
+            if rng.random() < 0.5:
+                t = TBox([*t.inclusions, (A, rogue)])
+                c = And(THREE_A, random_concept(rng, 1, concepts=("A",), roles=("r", "s")))
+            else:
+                c = And(THREE_A, rogue)
+            seen.add(kind_of(same_witness(sig, t, c, 3), sig))
+        assert "raised" in seen and len(seen) > 1
+
+    def test_filter_emptied_before_an_undeclared_name(self):
+        # The first inclusion empties every block, so the second is never
+        # evaluated; without it, Z is reached and raises.
+        z = Atomic("Z")
+        assert same_witness(self.SIG_A, TBox([(TOP, Exists("s", BOT)), (A, z)]), A, 3) is None
+        with pytest.raises(UnknownNameError):
+            find_witness(self.SIG_A, TBox([(A, z)]), A, 3)

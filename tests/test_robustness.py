@@ -5,14 +5,24 @@ programs, oracle scripts, agent files, state dumps, bad inline arguments),
 runs the matching command on each, and requires exit code 2, an ``error:``
 diagnostic, and no traceback. Running in-process means any unhandled
 exception fails the test directly. Cases flagged as positioned must name
-file and line.
+file and line. A bounded hypothesis fuzz then runs random subcommands
+and arguments on mutated copies of ``samples/`` and requires exit code
+0, 1 or 2.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
 import random
 import re
+import shutil
+import tempfile
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxdl.cli import main
 
@@ -301,3 +311,92 @@ def test_malformed_corpus_is_rejected_cleanly(tmp_path, capsys):
             assert captured.err.startswith("error:"), (argv, captured.err)
         if expect_position:
             assert re.search(r":\d+", captured.err), (argv, captured.err)
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzz: random subcommands, arguments and mutated sample files
+# ---------------------------------------------------------------------------
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+SAMPLE_NAMES = sorted(p.name for p in SAMPLES.iterdir())
+
+# The README tour, file names relative to a copy of samples/, and a
+# subsumption whose node budget runs out.
+TOUR = [
+    ["check", "sensing.kb"],
+    ["sat", "chain.kb", "A & !C"],
+    ["subsumes", "chain.kb", "A", "C"],
+    ["subsumes", "chain.kb", "A", "C", "--budget", "2"],
+    ["saturate", "chain.kb", "--dump", "state.txt"],
+    ["run", "promote.p", "--kb", "chain.kb", "--trace"],
+    ["run", "loop.p", "--kb", "empty.kb", "--fuel", "100"],
+    ["apply-oracle", "chain.kb", "--script", "probe_session.jsonl", "--payload", "scan-1", "--record", "session.log"],
+    ["apply-oracle", "chain.kb", "--replay", "session.log", "--payload", "scan-1"],
+    ["glue", "sensing.kb", "--target", "Scene", "--section", "Cam: scene:Obstacle", "--section", "Lidar: scene:Obstacle"],
+    ["stable", "refine.kb", "--context", "Cam", "--section", "scene:Obstacle"],
+    ["global-sections", "sensing.kb", "--top", "Scene"],
+    ["stability", "sensor_constant.json", "--runs", "2"],
+]
+FLAGS = [
+    "--format", "--budget", "--fuel", "--guards", "--state", "--dump", "--trace", "--script", "--oracle",
+    "--payload", "--record", "--replay", "--target", "--cover-index", "--section", "--max-universe",
+    "--context", "--top", "--runs", "--seeds", "--latent", "--latent-name", "--kb",
+]
+# Numbers stay small, so no fuel, budget, run count or universe bound
+# makes a single example slow.
+WORDS = SAMPLE_NAMES + [
+    "state.txt", "session.log", "missing.kb", "A", "A & !C", "exists r.(", "!", "Scene", "Cam", "Lidar",
+    "Obs", "scan-1", "scene:Obstacle", "Cam: scene:Obstacle", "probe:Seen", "records", "text", "literal",
+    "saturated", "1,2", "0", "-1", "2", "9", "",
+]
+# Inserted text has no decimal digits, so it cannot enlarge a number.
+NO_DIGITS = st.text(st.characters(exclude_categories=("Nd", "Cs")), max_size=12)
+# Arguments have no '/' either: every file a command writes stays in the
+# working copy.
+ARGUMENT = st.one_of(
+    st.sampled_from(WORDS),
+    st.sampled_from(FLAGS),
+    st.text(st.characters(exclude_categories=("Nd", "Cs"), exclude_characters="/"), max_size=12),
+)
+# (position, how many items to delete there, what to insert there)
+ARGV_EDIT = st.tuples(st.integers(0, 20), st.integers(0, 1), st.lists(ARGUMENT, max_size=1))
+TEXT_EDIT = st.tuples(st.integers(0, 2_000), st.integers(0, 40), NO_DIGITS)
+
+
+def _splice(items, edit):
+    pos, length, insert = edit
+    pos %= len(items) + 1
+    return items[:pos] + insert + items[pos + length :]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(TOUR),
+    argv_edits=st.lists(ARGV_EDIT, max_size=3),
+    fmt=st.sampled_from([[], ["--format", "records"]]),
+    target=st.sampled_from(SAMPLE_NAMES),
+    text_edits=st.lists(TEXT_EDIT, max_size=3),
+)
+def test_cli_fuzz_ends_in_an_exit_code(command, argv_edits, fmt, target, text_edits):
+    # Any exception that escapes main fails the example. Relative paths,
+    # including any file a mutated --dump or --record names, resolve in a
+    # fresh copy of samples/.
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in SAMPLE_NAMES:
+            shutil.copy(SAMPLES / name, Path(tmp, name))
+        text = Path(tmp, target).read_text(encoding="utf-8")
+        for edit in text_edits:
+            text = _splice(text, edit)
+        Path(tmp, target).write_text(text, encoding="utf-8")
+        argv = list(command)
+        for edit in argv_edits:
+            argv = _splice(argv, edit)
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv + fmt)
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
