@@ -6,6 +6,9 @@ keys sorted, byte-stable across runs). Verdicts are data: a "no" answer
 still exits 0. Exit code 2 flags bad input (files, syntax, cross-reference
 failures), 1 flags runtime limits (reasoner budget, enumeration guards,
 oracle mismatches).
+
+Only the handlers that run programs, oracles, presheaves or agents import
+those layers, so a command loads no module it does not use.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from ctxdl.agents import LatentStructure, load_agent, stability_check
 from ctxdl.concepts import parse_concept, print_concept
 from ctxdl.contexts import Covering
 from ctxdl.errors import (
@@ -31,34 +33,10 @@ from ctxdl.errors import (
 )
 from ctxdl.kb import GUARD_MODES, KnowledgeState, canonical_abox, render_assertion, saturate
 from ctxdl.kbfile import KBDocument, load_kb, load_state, write_state
-from ctxdl.oracle import (
-    OracleQuery,
-    load_script,
-    oracle_step,
-    record_session,
-    replay_session,
-)
-from ctxdl.programs import (
-    DEFAULT_FUEL,
-    FuelExhausted,
-    evaluate_trace,
-    parse_program,
-)
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET, is_satisfiable, subsumes
-from ctxdl.sheaf import (
-    DEFAULT_MAX_UNIVERSE,
-    Glued,
-    Incompatible,
-    NonUnique,
-    Presheaf,
-    Section,
-    chain_from,
-    global_sections,
-    glue,
-    parse_fact_list,
-    render_fact,
-    stable_under_refinement,
-)
+
+if TYPE_CHECKING:
+    from ctxdl.sheaf import Presheaf, Section
 
 INPUT_ERRORS = (LoadError, ParseError, ValueError, OSError)
 RUNTIME_ERRORS = (
@@ -96,6 +74,8 @@ class _Report:
 
 
 def _facts_json(facts) -> list[str]:
+    from ctxdl.sheaf import render_fact
+
     return sorted(render_fact(f) for f in facts)
 
 
@@ -182,14 +162,17 @@ def _cmd_saturate(args, report: _Report) -> None:
 
 
 def _cmd_run(args, report: _Report) -> None:
+    from ctxdl.programs import DEFAULT_FUEL, FuelExhausted, evaluate_trace, parse_program
+
     doc, state = _load_doc_state(args)
     text = Path(args.program).read_text(encoding="utf-8")
     try:
         program = parse_program(text, doc.signature)
     except ParseError as exc:
         raise LoadError(args.program, exc.line, exc.message, exc.col) from exc
+    fuel = DEFAULT_FUEL if args.fuel is None else args.fuel
     outcome, trace = evaluate_trace(
-        program, state, args.fuel, args.guards, doc.poset, budget=args.budget
+        program, state, fuel, args.guards, doc.poset, budget=args.budget
     )
     kind = "fuel-exhausted" if isinstance(outcome, FuelExhausted) else "terminated"
     lines = canonical_abox(outcome.state.abox)
@@ -228,6 +211,8 @@ def _cmd_run(args, report: _Report) -> None:
 
 
 def _cmd_apply_oracle(args, report: _Report) -> None:
+    from ctxdl.oracle import OracleQuery, load_script, oracle_step, record_session, replay_session
+
     doc, state = _load_doc_state(args)
     if args.replay:
         spec = replay_session(args.replay, doc.signature)
@@ -266,6 +251,8 @@ def _cmd_apply_oracle(args, report: _Report) -> None:
 
 
 def _parse_cli_section(text: str, doc: KBDocument, ps: Presheaf) -> Section:
+    from ctxdl.sheaf import parse_fact_list
+
     head, sep, body = text.partition(":")
     if not sep:
         raise ValueError(f"section must look like 'CTX: fact, fact', got {text!r}")
@@ -290,11 +277,14 @@ def _pick_covering(doc: KBDocument, target: str, index: int | None) -> Covering:
 
 
 def _cmd_glue(args, report: _Report) -> None:
+    from ctxdl.sheaf import DEFAULT_MAX_UNIVERSE, Glued, Incompatible, NonUnique, glue
+
     doc = load_kb(args.kb)
     ps = doc.presheaf()
     cov = _pick_covering(doc, args.target, args.cover_index)
     family = [_parse_cli_section(s, doc, ps) for s in args.section]
-    glue_result = glue(ps, family, cov, max_universe=args.max_universe)
+    limit = DEFAULT_MAX_UNIVERSE if args.max_universe is None else args.max_universe
+    glue_result = glue(ps, family, cov, max_universe=limit)
     if isinstance(glue_result, Glued):
         report.add(
             {
@@ -340,6 +330,8 @@ def _cmd_glue(args, report: _Report) -> None:
 
 
 def _cmd_stable(args, report: _Report) -> None:
+    from ctxdl.sheaf import chain_from, parse_fact_list, stable_under_refinement
+
     doc = load_kb(args.kb)
     ps = doc.presheaf()
     section = ps.section(args.context, parse_fact_list(args.section, doc.signature))
@@ -364,10 +356,13 @@ def _cmd_stable(args, report: _Report) -> None:
 
 
 def _cmd_global_sections(args, report: _Report) -> None:
+    from ctxdl.sheaf import DEFAULT_MAX_UNIVERSE, chain_from, global_sections
+
     doc = load_kb(args.kb)
     ps = doc.presheaf()
     chain = chain_from(list(doc.coverings), args.top)
-    sections = global_sections(ps, args.top, chain, max_universe=args.max_universe)
+    limit = DEFAULT_MAX_UNIVERSE if args.max_universe is None else args.max_universe
+    sections = global_sections(ps, args.top, chain, max_universe=limit)
     report.add(
         {
             "command": "global-sections",
@@ -385,6 +380,9 @@ def _cmd_global_sections(args, report: _Report) -> None:
 
 
 def _cmd_stability(args, report: _Report) -> None:
+    from ctxdl.agents import LatentStructure, load_agent, stability_check
+    from ctxdl.sheaf import parse_fact_list
+
     agent = load_agent(args.agent)
     payload = (
         parse_fact_list(args.latent, agent.signature) if args.latent else frozenset()
@@ -463,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("program", help="program file")
     p.add_argument("--kb", required=True)
     p.add_argument("--format", choices=("text", "records"), default="text")
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p.add_argument("--fuel", type=int)
     p.add_argument("--guards", choices=GUARD_MODES, default="literal")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--state", help="load the fact set from a state dump")
@@ -478,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--payload", action="append", default=[], help="query payload (repeatable)")
     p.add_argument("--state", help="load the fact set from a state dump")
     p.add_argument("--dump", help="write the final state as a state dump")
-    p.add_argument("--record", help="append transitions to this session log")
+    p.add_argument("--record", help="write transitions to this session log, replacing it")
     p.add_argument("--replay", help="replay this session log instead of a script")
     p.set_defaults(fn=_cmd_apply_oracle)
 
@@ -492,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="family member as 'CTX: fact, fact' (repeatable)",
     )
-    p.add_argument("--max-universe", type=int, default=DEFAULT_MAX_UNIVERSE)
+    p.add_argument("--max-universe", type=int)
     p.set_defaults(fn=_cmd_glue)
 
     p = sub.add_parser("stable", help="check a section against the declared refinements")
@@ -504,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("global-sections", help="enumerate refinement-stable sections")
     common(p)
     p.add_argument("--top", required=True)
-    p.add_argument("--max-universe", type=int, default=DEFAULT_MAX_UNIVERSE)
+    p.add_argument("--max-universe", type=int)
     p.set_defaults(fn=_cmd_global_sections)
 
     p = sub.add_parser("stability", help="repeated agent interaction, exact-match verdict")

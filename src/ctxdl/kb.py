@@ -28,7 +28,6 @@ scan of the fact set.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -179,6 +178,8 @@ def abox_digest(abox: Iterable[Assertion]) -> str:
 
 def signature_digest(sig: Signature) -> str:
     """Hex fingerprint of the signature, used by state-dump headers."""
+    import hashlib  # local import: only state dumps need it, and it loads OpenSSL
+
     text = "|".join(
         kind + ":" + ",".join(sorted(names))
         for kind, names in (

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 from ctxdl.concepts import ConceptExpr, Signature, parse_concept_stream
 from ctxdl.contexts import ContextPoset, Covering, validate_covering
@@ -42,7 +42,9 @@ from ctxdl.kb import (
 )
 from ctxdl.lexer import END, IDENT, Token, TokenStream, tokenize
 from ctxdl.reasoner import TBox
-from ctxdl.sheaf import Fact, Presheaf, parse_fact_stream
+
+if TYPE_CHECKING:
+    from ctxdl.sheaf import Fact, Presheaf
 
 SECTIONS = ("signature", "contexts", "covers", "tbox", "abox", "facts")
 
@@ -64,6 +66,8 @@ class KBDocument:
         return KnowledgeState(self.tbox, self.abox)
 
     def presheaf(self) -> Presheaf:
+        from ctxdl.sheaf import Presheaf
+
         return Presheaf(self.poset, self.universes)
 
 
@@ -267,11 +271,15 @@ def _build(statements: list[_Statement], path: str) -> KBDocument:
         universes.setdefault(ctx, set()).update(facts)
 
     frozen_universes = {ctx: frozenset(facts) for ctx, facts in universes.items()}
-    try:
-        Presheaf(poset, frozen_universes)
-    except ValueError as exc:
-        line = facts_stmts[-1][0].line if facts_stmts else 1
-        raise err(line, str(exc)) from exc
+    if facts_stmts:
+        # Without facts every universe is empty and nothing can fail the
+        # presheaf check, so only documents with facts load the sheaf layer.
+        from ctxdl.sheaf import Presheaf
+
+        try:
+            Presheaf(poset, frozen_universes)
+        except ValueError as exc:
+            raise err(facts_stmts[-1][0].line, str(exc)) from exc
 
     return KBDocument(
         signature=sig,
@@ -293,6 +301,8 @@ def _name_list(ts: TokenStream) -> list[str]:
 
 
 def _fact_set(ts: TokenStream, sig: Signature) -> list[Fact]:
+    from ctxdl.sheaf import parse_fact_stream
+
     ts.expect("{")
     facts: list[Fact] = []
     if ts.peek().kind != "}":

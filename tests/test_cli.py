@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -17,6 +18,7 @@ from ctxdl.lexer import MAX_NESTING
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv, capsys):
@@ -27,6 +29,18 @@ def run_cli(*argv, capsys):
 
 def records_of(out: str) -> list[dict]:
     return [json.loads(line) for line in out.splitlines()]
+
+
+def run_child(code: str, *argv, cwd=None, stdin=None, hashseed=None) -> subprocess.CompletedProcess:
+    """Run *code* in a fresh interpreter on this checkout's sources."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = str(hashseed)
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
+        cwd=cwd, input=stdin, env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 class TestVerdictCommands:
@@ -180,6 +194,27 @@ class TestOracleCommand:
         assert code == 0
         assert first == second
 
+    def test_recording_twice_replaces_the_log(self, capsys, tmp_path):
+        # Each recording starts a new log at seq 0; appending to the old one
+        # would leave a log that no replay can follow.
+        log, fresh = tmp_path / "session.jsonl", tmp_path / "fresh.jsonl"
+        script = ("--script", SAMPLES / "probe_session.jsonl")
+        for path, payloads in ((log, ("scan-1", "scan-3")), (log, ("scan-2",)), (fresh, ("scan-2",))):
+            code, _, _ = run_cli(
+                "apply-oracle", SAMPLES / "chain.kb", *script,
+                *(a for p in payloads for a in ("--payload", p)), "--record", path,
+                capsys=capsys,
+            )
+            assert code == 0
+        assert log.read_bytes() == fresh.read_bytes()
+        assert [json.loads(line)["seq"] for line in log.read_text(encoding="utf-8").splitlines()] == [0]
+        code, out, _ = run_cli(
+            "apply-oracle", SAMPLES / "chain.kb", "--replay", log, "--payload", "scan-2",
+            "--format", "records", capsys=capsys,
+        )
+        assert code == 0
+        assert records_of(out)[-1]["assertions"] == ["a:A@U", "a:B@U"]
+
     def test_replay_divergence_is_a_runtime_error(self, capsys, tmp_path):
         log = tmp_path / "session.jsonl"
         run_cli(
@@ -248,6 +283,31 @@ class TestSheafCommands:
         assert ["scene:Obstacle"] in facts
 
 
+# The command behind each file in tests/golden/*.records.
+GOLDEN_COMMANDS = {
+    "global_sections_mixed.records": ["global-sections", GOLDEN / "mixed.kb", "--top", "Scene"],
+    "global_sections_sensing.records": ["global-sections", SAMPLES / "sensing.kb", "--top", "Scene"],
+    "glue_nonunique_mixed.records": [
+        "glue", GOLDEN / "mixed.kb", "--target", "Dock", "--section", "Probe: scene:Obstacle",
+    ],
+    "stability_alternating.records": ["stability", SAMPLES / "sensor_alternating.json", "--runs", "4"],
+    "stability_constant.records": ["stability", SAMPLES / "sensor_constant.json", "--runs", "4"],
+}
+
+# Reads a JSON list of argument lists; prints the JSON list of their outputs.
+_RUN_EACH = """
+import contextlib, io, json, sys
+from ctxdl.cli import main
+outs = []
+for argv in json.load(sys.stdin):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0, argv
+    outs.append(buf.getvalue())
+print(json.dumps(outs))
+"""
+
+
 class TestRecordsGoldens:
     """Byte-identical records over a universe mixing concept and role facts,
     which pin the canonical order of sections and gluing candidates."""
@@ -271,6 +331,17 @@ class TestRecordsGoldens:
         (rec,) = records_of(out)
         assert rec["verdict"] == "non-unique"
         assert len(rec["candidates"]) == 8
+
+    def test_goldens_under_fixed_hash_seeds(self):
+        # One child per seed runs every golden command in process.
+        assert sorted(GOLDEN_COMMANDS) == sorted(p.name for p in GOLDEN.glob("*.records"))
+        argvs = json.dumps([[*map(str, argv), "--format", "records"] for argv in GOLDEN_COMMANDS.values()])
+        expected = [(GOLDEN / name).read_bytes() for name in GOLDEN_COMMANDS]
+        for seed in (2, 3, 17, 4242, 4294967295):
+            proc = run_child(_RUN_EACH, stdin=argvs, hashseed=seed)
+            assert proc.returncode == 0, proc.stderr
+            outs = [out.encode("utf-8") for out in json.loads(proc.stdout)]
+            assert outs == expected, f"PYTHONHASHSEED={seed}"
 
     def test_benchmark_tour_records(self, capsys, monkeypatch, tmp_path):
         # The cli benchmark's README tour, in-process: the same commands on
@@ -339,6 +410,21 @@ class TestExitCodes:
         assert code == 1
         assert "budget" in err
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["run", "loop.p", "--kb", "empty.kb", "--fuel", "0"], 2, "fuel must be at least 1"),
+            (["global-sections", "sensing.kb", "--top", "Scene", "--max-universe", "0"], 1, "limit of 0"),
+            (["glue", "sensing.kb", "--target", "Scene", "--section", "Cam: scene:Obstacle",
+              "--section", "Lidar: scene:Obstacle", "--max-universe", "0"], 1, "limit of 0"),
+        ],
+    )
+    def test_explicit_zero_limits_are_not_defaults(self, capsys, monkeypatch, argv, code, message):
+        # The handlers fill in the defaults, and only for an absent flag.
+        monkeypatch.chdir(SAMPLES)
+        got, _, err = run_cli(*argv, capsys=capsys)
+        assert (got, message in err) == (code, True)
+
     def test_bad_flags_exit_two(self, capsys):
         assert main(["sat"]) == 2
         capsys.readouterr()
@@ -364,15 +450,118 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert proc.stdout.startswith("ok:")
 
-    def test_import_leaves_numpy_out(self):
-        # No command needs numpy, so importing the CLI must not load it.
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, ctxdl.cli; print('numpy' in sys.modules)"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert proc.stdout.strip() == "False"
+    def test_tour_commands_load_only_their_layers(self, capsys, monkeypatch, tmp_path):
+        # A fresh interpreter per command: in this process other tests have
+        # already imported every module, so only a child shows a handler
+        # that relies on an import it does not make itself.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from tour import TOUR
+
+        assert sorted(TOUR) == sorted(TOUR_LOADS)
+        children, inside = tmp_path / "children", tmp_path / "inside"
+        shutil.copytree(SAMPLES, children)
+        shutil.copytree(SAMPLES, inside)
+        monkeypatch.chdir(inside)
+        for label, argv in TOUR.items():
+            argv = [*argv, "--format", "records"]
+            proc = run_child(_RUN_AND_LIST_MODULES, *argv, cwd=children)
+            assert proc.returncode == 0, (label, proc.stderr)
+            loaded = set(proc.stderr.split())
+            layers = {m.removeprefix("ctxdl.") for m in loaded if m.startswith("ctxdl.")}
+            assert layers | ({"hashlib", "numpy"} & loaded) == TOUR_LOADS[label], label
+            assert run_cli(*argv, capsys=capsys) == (0, proc.stdout, ""), label
+
+    def test_package_exports_load_on_first_use(self):
+        proc = run_child(_PROBE_PACKAGE, stdin=json.dumps(sorted(PUBLIC_NAMES)))
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert seen["after_import"] == ["ctxdl"]
+        assert seen["oracle_step"] is True
+        assert seen["unknown"] == "AttributeError"
+        assert len(PUBLIC_NAMES) == 107
+        assert sorted(seen["resolved"]) == sorted(PUBLIC_NAMES)
+        assert sorted(seen["star"]) == sorted(PUBLIC_NAMES)
+        assert PUBLIC_NAMES <= set(seen["dir"])
+
+
+# Runs the CLI with the given arguments, then lists the loaded modules on stderr.
+_RUN_AND_LIST_MODULES = """
+import sys
+from ctxdl.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(" ".join(sorted(sys.modules)), file=sys.stderr)
+sys.exit(code)
+"""
+
+_BASE_LAYERS = {"cli", "concepts", "contexts", "errors", "kb", "kbfile", "lexer", "reasoner"}
+
+# What each README-tour command imports, beyond the interpreter's own start.
+TOUR_LOADS = {
+    "check": _BASE_LAYERS | {"sheaf"},  # sensing.kb declares fact universes
+    "sat": _BASE_LAYERS,
+    "subsumes": _BASE_LAYERS,
+    "saturate": _BASE_LAYERS | {"hashlib"},  # --dump writes the signature digest
+    "run_promote": _BASE_LAYERS | {"programs"},
+    "run_loop": _BASE_LAYERS | {"programs"},
+    "apply_oracle_record": _BASE_LAYERS | {"oracle"},
+    "apply_oracle_replay": _BASE_LAYERS | {"oracle"},
+    "glue": _BASE_LAYERS | {"sheaf"},
+    "stable": _BASE_LAYERS | {"sheaf"},
+    "global_sections": _BASE_LAYERS | {"sheaf"},
+    "stability": _BASE_LAYERS | {"agents", "oracle", "programs", "sheaf"},
+}
+
+PUBLIC_NAMES = frozenset(
+    """
+    BudgetExceededError EngineError EvalAborted InteractionError LoadError
+    OracleError ParseError RefinementChainError ReplayMismatchError
+    ScriptLookupError SearchSpaceError UnknownNameError UnknownOracleError
+    And Atomic BOT Bot ConceptExpr Exists Forall Not Or Signature TOP Top nnf
+    parse_concept print_concept subconcepts
+    ContextPoset Covering validate_covering
+    FiniteModel TBox check_interpretation enumerate_models find_witness
+    is_satisfiable subsumes
+    Assertion AssertGuard ConceptAssertion Guard GuardAnd GuardNot
+    KnowledgeState RoleAssertion SubsumeGuard abox_digest canonical_abox
+    guard_sat parse_assertion render_assertion saturate
+    ConceptFact Conflict Fact Glued GluingResult Incompatible NonUnique
+    Presheaf RoleFact Section compatible global_sections glue restrict
+    stable_under_refinement
+    KBDocument load_kb load_state loads write_state
+    OracleQuery OracleResponse OracleSpec ScriptedOracle load_script
+    oracle_step record_session replay_session run_session
+    Add Del EvalOutcome FuelExhausted If Program Seq Skip Terminated While
+    evaluate evaluate_trace parse_guard parse_program print_program
+    Agent FactPattern LatentStructure Manifested SeedPolicy StabilityReport
+    interact load_agent stability_check
+    """.split()
+)
+
+# Probes the package surface in a fresh interpreter, resolving the names
+# given on stdin; prints what it saw.
+_PROBE_PACKAGE = """
+import json, sys
+import ctxdl
+seen = {"after_import": sorted(m for m in sys.modules if m.startswith("ctxdl"))}
+seen["oracle_step"] = ctxdl.oracle.oracle_step is sys.modules["ctxdl.oracle"].oracle_step
+try:
+    ctxdl.no_such_name
+except AttributeError:
+    seen["unknown"] = "AttributeError"
+values = {name: getattr(ctxdl, name) for name in json.load(sys.stdin)}
+modules = [m for name, m in sys.modules.items() if name.startswith("ctxdl.")]
+# A name resolves to the object its defining module holds under that name.
+seen["resolved"] = [
+    name for name, value in values.items()
+    if any(getattr(m, name, None) is value for m in modules)
+]
+star = {}
+exec("from ctxdl import *", star)
+seen["star"] = sorted(set(star) - {"__builtins__"})
+seen["dir"] = dir(ctxdl)
+print(json.dumps(seen))
+"""
 
 
 DEEP_KB = """\
