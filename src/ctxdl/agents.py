@@ -65,6 +65,7 @@ from ctxdl.programs import (
     parse_program,
 )
 from ctxdl.sheaf import ConceptFact, Fact, RoleFact, Section, render_fact
+from ctxdl.values import Record
 
 _CONCEPT_PATTERN = re.compile(
     r"^(?P<ind>\*|[A-Za-z]\w*):(?P<con>\*|[A-Za-z]\w*)(?:@(?P<ctx>\*|[A-Za-z]\w*))?$"
@@ -75,18 +76,16 @@ _ROLE_PATTERN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class FactPattern:
+class FactPattern(Record):
     """A fact selector; '*' in any slot matches every name.
 
     Concept patterns ``a:C[@U]`` match atomic concept assertions; role
     patterns ``(a,b):r[@U]`` match role assertions. Without ``@U`` the
-    context is unconstrained.
+    context is unconstrained. *kind* is "concept" or "role", and *fields*
+    holds (ind, con) or (sub, tgt, role).
     """
 
-    kind: str  # "concept" | "role"
-    fields: tuple[str, ...]  # (ind, con) or (sub, tgt, role)
-    context: str | None
+    __slots__ = ("kind", "fields", "context")
 
     @staticmethod
     def parse(text: str) -> "FactPattern":
@@ -131,12 +130,10 @@ class FactPattern:
         return all(want in ("*", got) for want, got in zip(self.fields, values))
 
 
-@dataclass(frozen=True)
-class LatentStructure:
+class LatentStructure(Record):
     """An uninterpreted bundle of facts an agent may interpret."""
 
-    name: str
-    payload: frozenset[Fact]
+    __slots__ = ("name", "payload")
 
     @staticmethod
     def of(name: str, payload: Union[frozenset[Fact], Section]) -> "LatentStructure":
@@ -144,22 +141,22 @@ class LatentStructure:
         return LatentStructure(name, facts)
 
 
-@dataclass(frozen=True)
-class Manifested:
+class Manifested(Record):
     """The fact set an interaction produced; empty means nothing manifested."""
 
-    facts: frozenset[Fact]
+    __slots__ = ("facts",)
 
     def render(self) -> list[str]:
         return sorted(render_fact(f) for f in self.facts)
 
 
-@dataclass(frozen=True)
-class SeedPolicy:
+class SeedPolicy(Record):
     """constant: every run uses *value*; sequence: run i uses start + i."""
 
-    kind: str
-    value: int = 0
+    __slots__ = ("kind", "value")
+
+    def __init__(self, kind: str, value: int = 0):
+        super().__init__(kind, value)
 
     def seeds(self, k: int) -> list[int]:
         if self.kind == "constant":
@@ -169,6 +166,8 @@ class SeedPolicy:
         raise ValueError(f"unknown seed policy {self.kind!r}")
 
 
+# A dataclass, unlike the package's other values: callers copy an agent
+# with dataclasses.replace to swap its oracle.
 @dataclass(frozen=True)
 class Agent:
     name: str
@@ -239,8 +238,7 @@ def interact(agent: Agent, latent: LatentStructure, seed: int = 0) -> Manifested
     return Manifested(_project(state.abox, agent.projection, agent.signature.context_names))
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Record):
     """Outcome of repeated interaction.
 
     stable is True iff all runs manifested the same fact set, in which case
@@ -248,11 +246,7 @@ class StabilityReport:
     sets with their counts, in canonical order.
     """
 
-    stable: bool
-    outcome: Manifested | None
-    outcomes: tuple[tuple[Manifested, int], ...]
-    runs: int
-    seeds: tuple[int, ...]
+    __slots__ = ("stable", "outcome", "outcomes", "runs", "seeds")
 
 
 def stability_check(

@@ -20,10 +20,12 @@ parenthesis opens a nesting level, and input nested deeper than
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from ctxdl.errors import ParseError, UnknownNameError
 from ctxdl.lexer import IDENT, Token, TokenStream, tokenize
+from ctxdl.values import Node, Record
+
+_set = object.__setattr__  # writes a field past Record's frozen __setattr__
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -40,62 +42,55 @@ RESERVED_WORDS = frozenset(
 )
 
 
-class ConceptExpr:
-    """Base class for concept expression AST nodes (structural equality)."""
+class ConceptExpr(Node):
+    """Base class for concept expression AST nodes.
 
+    Nodes are interned (see ``ctxdl.values``): structurally equal
+    expressions are the same object, so ``==`` and ``hash`` cost one step
+    whatever the size of the tree. Each node also keeps its negation
+    normal form once ``nnf`` has computed it.
+    """
+
+    __slots__ = ("_nnf",)
+
+
+class Top(ConceptExpr):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Top(ConceptExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
 class Bot(ConceptExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Atomic(ConceptExpr):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
 class Not(ConceptExpr):
-    child: ConceptExpr
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True, slots=True)
 class And(ConceptExpr):
-    left: ConceptExpr
-    right: ConceptExpr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Or(ConceptExpr):
-    left: ConceptExpr
-    right: ConceptExpr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Exists(ConceptExpr):
-    role: str
-    child: ConceptExpr
+    __slots__ = ("role", "child")
 
 
-@dataclass(frozen=True, slots=True)
 class Forall(ConceptExpr):
-    role: str
-    child: ConceptExpr
+    __slots__ = ("role", "child")
 
 
 TOP = Top()
 BOT = Bot()
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """The four pairwise-disjoint name sets every document is checked against.
 
     Attributes:
@@ -105,10 +100,7 @@ class Signature:
         context_names: names of the contextual domains.
     """
 
-    concept_names: frozenset[str]
-    role_names: frozenset[str]
-    individual_names: frozenset[str]
-    context_names: frozenset[str]
+    __slots__ = ("concept_names", "role_names", "individual_names", "context_names")
 
     def __init__(self, concept_names=(), role_names=(), individual_names=(), context_names=()):
         object.__setattr__(self, "concept_names", frozenset(concept_names))
@@ -233,60 +225,136 @@ def print_concept(c: ConceptExpr) -> str:
 
 
 def _fmt(c: ConceptExpr, min_prec: int) -> str:
-    if isinstance(c, Top):
-        return "top"
-    if isinstance(c, Bot):
-        return "bot"
+    """The text of *c* where an operand must bind at least *min_prec*.
+
+    Pending pieces wait on an explicit stack, so a long ``&`` or ``|``
+    chain costs no Python recursion.
+    """
     if isinstance(c, Atomic):
         return c.name
+    out: list[str] = []
+    stack: list = [(c, min_prec)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, need = item
+        prec, parts = _fmt_parts(node)
+        if prec < need:
+            parts = ["(", *parts, ")"]
+        stack.extend(reversed(parts))
+    return "".join(out)
+
+
+def _fmt_parts(c: ConceptExpr) -> tuple[int, list]:
+    """The precedence of *c* and its text: strings and (operand, min_prec) pairs."""
+    if isinstance(c, Top):
+        return _PREC_ATOM, ["top"]
+    if isinstance(c, Bot):
+        return _PREC_ATOM, ["bot"]
+    if isinstance(c, Atomic):
+        return _PREC_ATOM, [c.name]
     if isinstance(c, Not):
-        s = "!" + _fmt(c.child, _PREC_UNARY)
-        return s if _PREC_UNARY >= min_prec else f"({s})"
+        return _PREC_UNARY, ["!", (c.child, _PREC_UNARY)]
     if isinstance(c, (Exists, Forall)):
         word = "exists" if isinstance(c, Exists) else "forall"
-        s = f"{word} {c.role}.{_fmt(c.child, _PREC_UNARY)}"
-        return s if _PREC_UNARY >= min_prec else f"({s})"
+        return _PREC_UNARY, [f"{word} {c.role}.", (c.child, _PREC_UNARY)]
     if isinstance(c, And):
         # Right operand printed one level tighter to preserve associativity.
-        s = f"{_fmt(c.left, _PREC_AND)} & {_fmt(c.right, _PREC_UNARY)}"
-        return s if _PREC_AND >= min_prec else f"({s})"
+        return _PREC_AND, [(c.left, _PREC_AND), " & ", (c.right, _PREC_UNARY)]
     if isinstance(c, Or):
-        s = f"{_fmt(c.left, _PREC_OR)} | {_fmt(c.right, _PREC_AND)}"
-        return s if _PREC_OR >= min_prec else f"({s})"
+        return _PREC_OR, [(c.left, _PREC_OR), " | ", (c.right, _PREC_AND)]
     raise TypeError(f"not a concept expression: {c!r}")
+
+
+# What a node's _nnf holds when the node is its own NNF: a reference to
+# itself would be a cycle, and keep the node alive after its last user.
+_IS_NNF = False
 
 
 def nnf(c: ConceptExpr) -> ConceptExpr:
-    """Negation normal form: push negation down to atomic concepts."""
-    if isinstance(c, (Top, Bot, Atomic)):
-        return c
-    if isinstance(c, And):
-        return And(nnf(c.left), nnf(c.right))
-    if isinstance(c, Or):
-        return Or(nnf(c.left), nnf(c.right))
-    if isinstance(c, Exists):
-        return Exists(c.role, nnf(c.child))
-    if isinstance(c, Forall):
-        return Forall(c.role, nnf(c.child))
+    """Negation normal form: push negation down to atomic concepts.
+
+    Each node keeps its NNF once computed, so asking again costs one
+    lookup. Nodes whose NNF is pending wait on an explicit stack, so a
+    long flat chain costs no Python recursion.
+    """
+    known = getattr(c, "_nnf", None)
+    if known is None:
+        _fill_nnf(c)
+        known = c._nnf
+    return c if known is _IS_NNF else known
+
+
+def _fill_nnf(root: ConceptExpr) -> None:
+    """Compute and keep the NNF of *root* and of every node it needs."""
+    stack = [(root, _nnf_needs(root))]
+    while stack:
+        node, needs = stack[-1]
+        subs = []
+        for sub in needs:
+            known = getattr(sub, "_nnf", None)
+            if known is None:
+                stack.append((sub, _nnf_needs(sub)))
+                break
+            subs.append(sub if known is _IS_NNF else known)
+        else:
+            stack.pop()
+            if subs == needs and not isinstance(node, Not):
+                result = node  # the operands are in NNF already
+            else:
+                result = _nnf_build(node, subs)
+            _set(node, "_nnf", _IS_NNF if result is node else result)
+
+
+def _nnf_needs(c: ConceptExpr) -> list[ConceptExpr]:
+    """The nodes whose NNFs ``_nnf_build`` combines into the NNF of *c*."""
+    if isinstance(c, (And, Or)):
+        return [c.left, c.right]
     if isinstance(c, Not):
         x = c.child
-        if isinstance(x, Top):
-            return BOT
-        if isinstance(x, Bot):
-            return TOP
-        if isinstance(x, Atomic):
-            return c
+        if isinstance(x, (Atomic, Top, Bot)):
+            return []
         if isinstance(x, Not):
-            return nnf(x.child)
-        if isinstance(x, And):
-            return Or(nnf(Not(x.left)), nnf(Not(x.right)))
-        if isinstance(x, Or):
-            return And(nnf(Not(x.left)), nnf(Not(x.right)))
-        if isinstance(x, Exists):
-            return Forall(x.role, nnf(Not(x.child)))
-        if isinstance(x, Forall):
-            return Exists(x.role, nnf(Not(x.child)))
+            return [x.child]
+        if isinstance(x, (And, Or)):
+            return [Not(x.left), Not(x.right)]
+        if isinstance(x, (Exists, Forall)):
+            return [Not(x.child)]
+    elif isinstance(c, (Exists, Forall)):
+        return [c.child]
+    elif isinstance(c, (Atomic, Top, Bot)):
+        return []
     raise TypeError(f"not a concept expression: {c!r}")
+
+
+def _nnf_build(c: ConceptExpr, subs: list[ConceptExpr]) -> ConceptExpr:
+    """The NNF of *c*, given the NNFs of ``_nnf_needs(c)``."""
+    if isinstance(c, And):
+        return And(*subs)
+    if isinstance(c, Or):
+        return Or(*subs)
+    if isinstance(c, Exists):
+        return Exists(c.role, *subs)
+    if isinstance(c, Forall):
+        return Forall(c.role, *subs)
+    x = c.child
+    if isinstance(x, Top):
+        return BOT
+    if isinstance(x, Bot):
+        return TOP
+    if isinstance(x, Atomic):
+        return c
+    if isinstance(x, Not):
+        return subs[0]
+    if isinstance(x, And):
+        return Or(*subs)
+    if isinstance(x, Or):
+        return And(*subs)
+    if isinstance(x, Exists):
+        return Forall(x.role, *subs)
+    return Exists(x.role, *subs)
 
 
 def subconcepts(c: ConceptExpr) -> frozenset[ConceptExpr]:

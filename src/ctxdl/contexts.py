@@ -9,21 +9,19 @@ names violate antisymmetry and are rejected at load time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from ctxdl.errors import UnknownNameError
+from ctxdl.values import Record
 
 
-@dataclass(frozen=True)
-class Covering:
+class Covering(Record):
     """A declared covering family: *members* jointly cover *target*.
 
     Members are deduplicated preserving declaration order.
     """
 
-    target: str
-    members: tuple[str, ...]
+    __slots__ = ("target", "members")
 
     def __init__(self, target: str, members: Iterable[str]):
         object.__setattr__(self, "target", target)

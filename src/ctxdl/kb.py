@@ -43,8 +43,12 @@ from ctxdl.contexts import ContextPoset
 from ctxdl.errors import UnknownNameError
 from ctxdl.lexer import IDENT, TokenStream, tokenize
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET, TBox, subsumes
+from ctxdl.values import Node
 
 GUARD_MODES = ("literal", "saturated")
+
+# The assertions and KnowledgeState stay dataclasses, unlike the package's
+# other values (see ctxdl.values): callers copy them with dataclasses.replace.
 
 
 @dataclass(frozen=True)
@@ -209,36 +213,32 @@ def saturate(abox: Iterable[Assertion], poset: ContextPoset) -> frozenset[Assert
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Truth:
-    pass
+# Guard nodes are interned like concept nodes (see ``ctxdl.values``), so
+# comparing or hashing a long chain costs one step.
 
 
-@dataclass(frozen=True)
-class Falsity:
-    pass
+class Truth(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AssertGuard:
-    assertion: Assertion
+class Falsity(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SubsumeGuard:
-    lhs: ConceptExpr
-    rhs: ConceptExpr
+class AssertGuard(Node):
+    __slots__ = ("assertion",)
 
 
-@dataclass(frozen=True)
-class GuardNot:
-    child: "Guard"
+class SubsumeGuard(Node):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class GuardAnd:
-    left: "Guard"
-    right: "Guard"
+class GuardNot(Node):
+    __slots__ = ("child",)
+
+
+class GuardAnd(Node):
+    __slots__ = ("left", "right")
 
 
 Guard = Union[Truth, Falsity, AssertGuard, SubsumeGuard, GuardNot, GuardAnd]

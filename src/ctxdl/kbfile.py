@@ -25,7 +25,6 @@ pins the signature the dump was written under.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Union
 
@@ -42,6 +41,7 @@ from ctxdl.kb import (
 )
 from ctxdl.lexer import END, IDENT, Token, TokenStream, tokenize
 from ctxdl.reasoner import TBox
+from ctxdl.values import Record
 
 if TYPE_CHECKING:
     from ctxdl.sheaf import Fact, Presheaf
@@ -51,16 +51,15 @@ SECTIONS = ("signature", "contexts", "covers", "tbox", "abox", "facts")
 STATE_HEADER = "ctxdl-state"
 
 
-@dataclass(frozen=True)
-class KBDocument:
-    """A fully cross-checked knowledge-base document."""
+class KBDocument(Record):
+    """A fully cross-checked knowledge-base document.
 
-    signature: Signature
-    poset: ContextPoset
-    coverings: tuple[Covering, ...]
-    tbox: TBox
-    abox: frozenset[Assertion]
-    universes: dict[str, frozenset[Fact]]
+    Fields: signature, poset, coverings (a tuple of Covering), tbox, abox
+    (a frozenset of assertions) and universes (context name -> frozenset
+    of facts).
+    """
+
+    __slots__ = ("signature", "poset", "coverings", "tbox", "abox", "universes")
 
     def state(self) -> KnowledgeState:
         return KnowledgeState(self.tbox, self.abox)
@@ -93,11 +92,8 @@ def loads(text: str, path: str = "<kb>") -> KBDocument:
 
 # Each statement is the token slice up to its terminating '.', tagged with
 # the active section.
-@dataclass(frozen=True)
-class _Statement:
-    section: str
-    tokens: list[Token]
-    line: int
+class _Statement(Record):
+    __slots__ = ("section", "tokens", "line")
 
 
 def _split_statements(text: str) -> list[_Statement]:

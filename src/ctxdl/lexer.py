@@ -8,17 +8,19 @@ The concept, guard and program parsers share one nesting limit,
 ``MAX_NESTING``. Each ``!``, ``exists``/``forall``, parenthesis, ``if`` and
 ``while`` opens a level, counted across the three grammars together, and
 the token that would open a level past the limit is a positioned
-ParseError. Parsing, printing, ``nnf``, hashing, the tableau and the
-witness search each take at most four Python frames per level, so the
-limit keeps them well inside the default recursion limit of 1,000 frames.
-Long flat chains (``A & B & ...``, ``c1; c2; ...``) open no levels.
+ParseError. Parsing, printing, ``nnf``, the tableau and the witness search
+each take at most four Python frames per level, so the limit keeps them
+well inside the default recursion limit of 1,000 frames. Long flat chains
+(``A & B & ...``, ``c1; c2; ...``) open no levels, and the parsers, the
+printers, ``nnf``, the tableau, program evaluation and ``guard_sat`` walk
+them without recursion. Nodes are interned, so comparing or hashing a
+chain costs one step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ctxdl.errors import ParseError
+from ctxdl.values import Record
 
 _SYMBOLS = frozenset("(){}.,:;@&|!*")
 
@@ -26,13 +28,18 @@ END = "end"
 IDENT = "ident"
 MAX_NESTING = 100
 
+_set = object.__setattr__  # writes a field past Record's frozen __setattr__
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT, END, or the symbol text itself ("(", "<=", ...)
-    text: str
-    line: int
-    col: int
+
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        # kind is IDENT, END, or the symbol text itself ("(", "<=", ...)
+        _set(self, "kind", kind)
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
 def tokenize(text: str) -> list[Token]:

@@ -26,7 +26,6 @@ reproduces the recorded responses byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import IO, Iterable, Union
@@ -44,22 +43,27 @@ from ctxdl.kb import (
     parse_assertion,
     render_assertion,
 )
+from ctxdl.values import Record
+
+_set = object.__setattr__  # writes a field past Record's frozen __setattr__
 
 
-@dataclass(frozen=True)
-class OracleQuery:
-    oracle: str
-    payload: str
+class OracleQuery(Record):
+    __slots__ = ("oracle", "payload")
+
+    def __init__(self, oracle: str, payload: str):
+        _set(self, "oracle", oracle)
+        _set(self, "payload", payload)
 
 
-@dataclass(frozen=True)
-class OracleResponse:
-    additions: frozenset[Assertion]
-    deletions: frozenset[Assertion] = frozenset()
+class OracleResponse(Record):
+    __slots__ = ("additions", "deletions")
 
-    def __post_init__(self):
-        if self.additions & self.deletions:
+    def __init__(self, additions: frozenset[Assertion], deletions: frozenset[Assertion] = frozenset()):
+        if additions & deletions:
             raise ValueError("oracle response adds and deletes the same assertion")
+        _set(self, "additions", additions)
+        _set(self, "deletions", deletions)
 
 
 class OracleSpec:
@@ -71,11 +75,11 @@ class OracleSpec:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ScriptEntry:
-    payload: str  # pattern; shell-style '*'/'?' wildcards allowed
-    state: str | None  # exact digest, or None for payload-only matching
-    response: OracleResponse
+class ScriptEntry(Record):
+    """*payload* is a pattern with shell-style '*'/'?' wildcards; *state* is
+    an exact digest, or None for payload-only matching."""
+
+    __slots__ = ("payload", "state", "response")
 
 
 class ScriptedOracle(OracleSpec):
@@ -172,11 +176,8 @@ def _log_line(
     )
 
 
-@dataclass
-class _LogRecord:
-    payload: str
-    state: str
-    response: OracleResponse
+class _LogRecord(Record):
+    __slots__ = ("payload", "state", "response")
 
 
 class ReplayOracle(OracleSpec):

@@ -44,7 +44,6 @@ stored, since it aborts the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from ctxdl.concepts import (
@@ -74,42 +73,39 @@ from ctxdl.kb import (
 )
 from ctxdl.lexer import IDENT, TokenStream, tokenize
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET
+from ctxdl.values import Node, Record
 
 DEFAULT_FUEL = 10_000
 
-
-@dataclass(frozen=True)
-class Skip:
-    pass
+_set = object.__setattr__  # writes a field past Record's frozen __setattr__
 
 
-@dataclass(frozen=True)
-class Add:
-    assertion: Assertion
+# Program nodes are interned like guard and concept nodes (see
+# ``ctxdl.values``), so comparing or hashing a long ``;`` chain costs one step.
 
 
-@dataclass(frozen=True)
-class Del:
-    assertion: Assertion
+class Skip(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Seq:
-    first: "Program"
-    second: "Program"
+class Add(Node):
+    __slots__ = ("assertion",)
 
 
-@dataclass(frozen=True)
-class If:
-    guard: Guard
-    then_branch: "Program"
-    else_branch: "Program"
+class Del(Node):
+    __slots__ = ("assertion",)
 
 
-@dataclass(frozen=True)
-class While:
-    guard: Guard
-    body: "Program"
+class Seq(Node):
+    __slots__ = ("first", "second")
+
+
+class If(Node):
+    __slots__ = ("guard", "then_branch", "else_branch")
+
+
+class While(Node):
+    __slots__ = ("guard", "body")
 
 
 Program = Union[Skip, Add, Del, Seq, If, While]
@@ -117,34 +113,36 @@ Program = Union[Skip, Add, Del, Seq, If, While]
 SKIP = Skip()
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(Record):
     """One executed command or branch decision.
 
     Structural sequencing produces no entry; it spends fuel but there is
-    nothing to observe about it.
+    nothing to observe about it. *rule* is one of skip, add, del, if-true,
+    if-false, while-true and while-false; *guard* is the guard's value, or
+    None for a command without one.
     """
 
-    rule: str  # skip | add | del | if-true | if-false | while-true | while-false
-    guard: bool | None
-    added: frozenset[Assertion]
-    removed: frozenset[Assertion]
+    __slots__ = ("rule", "guard", "added", "removed")
+
+    def __init__(
+        self, rule: str, guard: bool | None, added: frozenset[Assertion], removed: frozenset[Assertion]
+    ):
+        _set(self, "rule", rule)
+        _set(self, "guard", guard)
+        _set(self, "added", added)
+        _set(self, "removed", removed)
 
 
-@dataclass(frozen=True)
-class Terminated:
+class Terminated(Record):
     """The run derived a final state; steps counts rule applications."""
 
-    state: KnowledgeState
-    steps: int
+    __slots__ = ("state", "steps")
 
 
-@dataclass(frozen=True)
-class FuelExhausted:
+class FuelExhausted(Record):
     """The fuel ran out; state is the last one reached."""
 
-    state: KnowledgeState
-    steps: int
+    __slots__ = ("state", "steps")
 
 
 EvalOutcome = Union[Terminated, FuelExhausted]

@@ -42,7 +42,6 @@ stops at the first block that holds a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Iterable, Iterator, Mapping
@@ -61,6 +60,7 @@ from ctxdl.concepts import (
     nnf,
 )
 from ctxdl.errors import BudgetExceededError, SearchSpaceError, UnknownNameError
+from ctxdl.values import Record
 
 DEFAULT_NODE_BUDGET = 100_000
 DEFAULT_MAX_BITS = 24
@@ -72,15 +72,14 @@ Deps = frozenset[int]
 NO_DEPS: Deps = frozenset()
 
 
-@dataclass(frozen=True)
-class TBox:
+class TBox(Record):
     """A finite list of concept inclusions (lhs <= rhs).
 
     Duplicates collapse under set semantics; first-occurrence order is kept
     so derived data (internalized constraints, model enumeration) is stable.
     """
 
-    inclusions: tuple[tuple[ConceptExpr, ConceptExpr], ...]
+    __slots__ = ("inclusions", "__dict__")  # cached_property keeps its values in __dict__
 
     def __init__(self, inclusions: Iterable[tuple[ConceptExpr, ConceptExpr]] = ()):
         object.__setattr__(self, "inclusions", tuple(dict.fromkeys(inclusions)))
@@ -108,13 +107,14 @@ class TBox:
 EMPTY_TBOX = TBox()
 
 
-@dataclass(frozen=True, eq=True)
-class FiniteModel:
-    """An explicit interpretation over a domain of small positive integers."""
+class FiniteModel(Record):
+    """An explicit interpretation over a domain of small positive integers.
 
-    domain: frozenset[int]
-    concept_ext: Mapping[str, frozenset[int]]
-    role_ext: Mapping[str, frozenset[tuple[int, int]]]
+    Fields: domain (a frozenset of ints), concept_ext (concept name ->
+    frozenset of elements) and role_ext (role name -> frozenset of pairs).
+    """
+
+    __slots__ = ("domain", "concept_ext", "role_ext")
 
 
 # ---------------------------------------------------------------------------
@@ -149,45 +149,80 @@ class _Tableau:
             clash = _add(c, dep, items, present)
             if clash is not None:
                 return clash
-        return self._expand(items, present, 0, ancestors)
+        return self._expand(items, present, ancestors)
 
     def _expand(
         self,
         items: list[ConceptExpr],
         present: dict[ConceptExpr, Deps],
-        i: int,
         ancestors: tuple[frozenset, ...],
     ) -> Deps | None:
-        while i < len(items):
-            c = items[i]
-            i += 1
-            dep = present[c]
-            if isinstance(c, Or):
-                if c.left in present or c.right in present:
+        """Expand one node's label in place; the result is as for ``sat``.
+
+        A disjunction tries its left disjunct on the same label. Its choice
+        point keeps the label's length, so trying the right disjunct first
+        drops what the left one added: entries are only ever appended, and
+        each is one key of *present*. Open choice points wait on a stack, so
+        a label with thousands of disjunctions costs neither Python
+        recursion nor a copy of the label per choice.
+        """
+        # (label length, next item, deps, branch point, right disjunct) per open choice
+        choices: list[tuple[int, int, Deps, int, ConceptExpr]] = []
+        i = 0
+        while True:
+            clash = None
+            while i < len(items):
+                c = items[i]
+                i += 1
+                dep = present[c]
+                if isinstance(c, Or):
+                    if c.left in present or c.right in present:
+                        continue
+                    self.points += 1
+                    self._spend()
+                    choices.append((len(items), i, dep, self.points, c.right))
+                    clash = _add(c.left, dep | {self.points}, items, present)
+                    if clash is not None:
+                        break
                     continue
-                self.points += 1
-                point = self.points
+                if isinstance(c, And):
+                    parts = (c.left, c.right)
+                elif isinstance(c, Atomic) and c.name in self.unfold:
+                    parts = self.unfold[c.name]
+                else:
+                    continue
                 self._spend()
-                forked_items, forked_present = items[:], dict(present)
-                clash = _add(c.left, dep | {point}, forked_items, forked_present)
-                if clash is None:
-                    clash = self._expand(forked_items, forked_present, i, ancestors)
-                if clash is None or point not in clash:
-                    return clash  # the right disjunct would meet the same clash
-                # No choice is left here, so the right disjunct goes on in place.
-                parts, dep = (c.right,), dep | (clash - {point})
-            elif isinstance(c, And):
-                parts = (c.left, c.right)
-            elif isinstance(c, Atomic) and c.name in self.unfold:
-                parts = self.unfold[c.name]
-            else:
-                continue
-            self._spend()
-            for part in parts:
-                clash = _add(part, dep, items, present)
+                for part in parts:
+                    clash = _add(part, dep, items, present)
+                    if clash is not None:
+                        break
                 if clash is not None:
-                    return clash
-        # Propositionally saturated: block or expand existential successors.
+                    break
+            else:
+                clash = self._successors(items, present, ancestors)
+            if clash is None:
+                return None
+            # Hand the clash to the innermost choice whose disjunct it depends on.
+            while choices:
+                size, i, dep, point, right = choices.pop()
+                if point not in clash:
+                    continue  # the right disjunct would meet the same clash
+                for c in items[size:]:
+                    del present[c]
+                del items[size:]
+                # No choice is left here, so the right disjunct goes on in place.
+                dep = dep | (clash - {point})
+                self._spend()
+                clash = _add(right, dep, items, present)
+                if clash is None:
+                    break
+            else:
+                return clash
+
+    def _successors(
+        self, items: list[ConceptExpr], present: dict[ConceptExpr, Deps], ancestors: tuple[frozenset, ...]
+    ) -> Deps | None:
+        """Propositionally saturated: block, or expand the existential successors."""
         snapshot = frozenset(present)
         if any(snapshot <= ancestor for ancestor in ancestors):
             return None
@@ -215,9 +250,12 @@ def _add(
         return None
     if isinstance(c, Bot):
         return dep
-    if isinstance(c, Atomic) and Not(c) in present:
-        return dep | present[Not(c)]
-    if isinstance(c, Not) and c.child in present:
+    if isinstance(c, Atomic):
+        # Nodes are interned: when no node Not(c) exists, no label holds one.
+        negated = Not.existing(c)
+        if negated is not None and negated in present:
+            return dep | present[negated]
+    elif isinstance(c, Not) and c.child in present:
         return dep | present[c.child]
     present[c] = dep
     items.append(c)

@@ -39,7 +39,6 @@ one ``Section`` per subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from ctxdl.concepts import Signature
@@ -50,21 +49,39 @@ from ctxdl.errors import (
     UnknownNameError,
 )
 from ctxdl.lexer import IDENT, TokenStream, tokenize
+from ctxdl.values import Record
 
 DEFAULT_MAX_UNIVERSE = 20
 
-
-@dataclass(frozen=True)
-class ConceptFact:
-    individual: str
-    concept: str
+_set = object.__setattr__  # writes a field past Record's frozen __setattr__
 
 
-@dataclass(frozen=True)
-class RoleFact:
-    subject: str
-    target: str
-    role: str
+# Facts meet in set operations on every sheaf path, so they spell out the
+# equality and hash that Record would compute generically, at half the cost.
+
+
+class ConceptFact(Record):
+    __slots__ = ("individual", "concept")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.individual == other.individual and self.concept == other.concept
+
+    def __hash__(self):
+        return hash((self.individual, self.concept))
+
+
+class RoleFact(Record):
+    __slots__ = ("subject", "target", "role")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.subject == other.subject and self.target == other.target and self.role == other.role
+
+    def __hash__(self):
+        return hash((self.subject, self.target, self.role))
 
 
 Fact = Union[ConceptFact, RoleFact]
@@ -121,10 +138,12 @@ def _name(ts: TokenStream, declared: frozenset[str], kind: str) -> str:
     return tok.text
 
 
-@dataclass(frozen=True)
-class Section:
-    context: str
-    facts: frozenset[Fact]
+class Section(Record):
+    __slots__ = ("context", "facts")
+
+    def __init__(self, context: str, facts: frozenset[Fact]):
+        _set(self, "context", context)
+        _set(self, "facts", facts)
 
 
 class Presheaf:
@@ -175,14 +194,10 @@ def restrict(ps: Presheaf, s: Section, v: str) -> Section:
     return Section(v, s.facts & ps.universe(v))
 
 
-@dataclass(frozen=True)
-class Conflict:
+class Conflict(Record):
     """Two family members disagree about *facts* visible at *overlap*."""
 
-    left: str
-    right: str
-    overlap: str
-    facts: frozenset[Fact]
+    __slots__ = ("left", "right", "overlap", "facts")
 
 
 def compatible(
@@ -203,19 +218,16 @@ def compatible(
     return not conflicts, tuple(conflicts)
 
 
-@dataclass(frozen=True)
-class Glued:
-    section: Section
+class Glued(Record):
+    __slots__ = ("section",)
 
 
-@dataclass(frozen=True)
-class Incompatible:
-    conflicts: tuple[Conflict, ...]
+class Incompatible(Record):
+    __slots__ = ("conflicts",)
 
 
-@dataclass(frozen=True)
-class NonUnique:
-    candidates: tuple[Section, ...]
+class NonUnique(Record):
+    __slots__ = ("candidates",)
 
 
 GluingResult = Union[Glued, Incompatible, NonUnique]
@@ -233,17 +245,14 @@ def glue(
     The candidates are exactly the sections of the target whose restriction
     to each member reproduces that member's section; zero, one, and several
     candidates map to Incompatible, Glued, and NonUnique (all candidates
-    listed in canonical order).
+    listed in canonical order). *max_universe* bounds only that listing:
+    more free facts than that raise SearchSpaceError, whatever the size of
+    the target universe.
     """
     ok, conflicts = compatible(ps, family, cov)
     if not ok:
         return Incompatible(conflicts)
     target_univ = ps.universe(cov.target)
-    if len(target_univ) > max_universe:
-        raise SearchSpaceError(
-            f"universe of {cov.target!r} has {len(target_univ)} facts, above the "
-            f"uniqueness-check limit of {max_universe}"
-        )
     forced_in: set[Fact] = set()
     forced_out: set[Fact] = set()
     first_seen: dict[Fact, str] = {}
@@ -276,6 +285,11 @@ def glue(
     free = target_univ - forced_in - forced_out
     if not free:
         return Glued(Section(cov.target, frozenset(forced_in)))
+    if len(free) > max_universe:
+        raise SearchSpaceError(
+            f"gluing over {cov.target!r} leaves {len(free)} facts free, so "
+            f"2^{len(free)} candidates, above the listing limit of {max_universe}"
+        )
     candidates = tuple(
         Section(cov.target, frozenset(forced_in) | extra)
         for extra in _subsets_in_order(free)

@@ -12,7 +12,10 @@ the tableau for every subsumption guard it tests. The per-code subset
 listing builds each subset from its bit code, the recursive guard
 evaluator recurses once per guard node, the recursive printers recurse once
 per program and guard node, and the whole-space witness search evaluates
-every code of a domain size in one int.
+every code of a domain size in one int. The forking tableau copies the
+label at each disjunction and recurses into the left branch, the
+recursive ``nnf`` builds a fresh tree without reading any node's cache,
+and the recursive concept printer recurses once per concept node.
 """
 
 from __future__ import annotations
@@ -64,9 +67,11 @@ from ctxdl.programs import (
 from ctxdl.reasoner import (
     DEFAULT_MAX_BITS,
     DEFAULT_NODE_BUDGET,
+    _add,
     _bit_layout,
     _decode_model,
     _guard_bits,
+    _Tableau,
     subsumes,
 )
 from ctxdl.sheaf import ConceptFact, Covering, Presheaf, RoleFact, Section, compatible, render_fact
@@ -482,3 +487,105 @@ def recursive_print_guard(g):
         )
         return f"{left} & {right}"
     raise TypeError(f"not a guard: {g!r}")
+
+
+class ForkingTableau(_Tableau):
+    """The tableau with the choice points of reasoner._Tableau, mirroring
+    its contract down to the budget units spent and the branch points
+    numbered: a disjunction copies the label and recurses into its left
+    branch. A label with more than about 950 disjunctions exceeds Python's
+    recursion limit here.
+    """
+
+    def _expand(self, items, present, ancestors, i=0):
+        while i < len(items):
+            c = items[i]
+            i += 1
+            dep = present[c]
+            if isinstance(c, Or):
+                if c.left in present or c.right in present:
+                    continue
+                self.points += 1
+                point = self.points
+                self._spend()
+                forked_items, forked_present = items[:], dict(present)
+                clash = _add(c.left, dep | {point}, forked_items, forked_present)
+                if clash is None:
+                    clash = self._expand(forked_items, forked_present, ancestors, i)
+                if clash is None or point not in clash:
+                    return clash
+                parts, dep = (c.right,), dep | (clash - {point})
+            elif isinstance(c, And):
+                parts = (c.left, c.right)
+            elif isinstance(c, Atomic) and c.name in self.unfold:
+                parts = self.unfold[c.name]
+            else:
+                continue
+            self._spend()
+            for part in parts:
+                clash = _add(part, dep, items, present)
+                if clash is not None:
+                    return clash
+        return self._successors(items, present, ancestors)
+
+
+def recursive_nnf(c):
+    """One Python call per node and no cache, mirroring the contract of
+    concepts.nnf(). A long flat chain exceeds Python's recursion limit here.
+    """
+    if isinstance(c, (Top, Bot, Atomic)):
+        return c
+    if isinstance(c, And):
+        return And(recursive_nnf(c.left), recursive_nnf(c.right))
+    if isinstance(c, Or):
+        return Or(recursive_nnf(c.left), recursive_nnf(c.right))
+    if isinstance(c, Exists):
+        return Exists(c.role, recursive_nnf(c.child))
+    if isinstance(c, Forall):
+        return Forall(c.role, recursive_nnf(c.child))
+    if isinstance(c, Not):
+        x = c.child
+        if isinstance(x, Top):
+            return Bot()
+        if isinstance(x, Bot):
+            return Top()
+        if isinstance(x, Atomic):
+            return c
+        if isinstance(x, Not):
+            return recursive_nnf(x.child)
+        if isinstance(x, And):
+            return Or(recursive_nnf(Not(x.left)), recursive_nnf(Not(x.right)))
+        if isinstance(x, Or):
+            return And(recursive_nnf(Not(x.left)), recursive_nnf(Not(x.right)))
+        if isinstance(x, Exists):
+            return Forall(x.role, recursive_nnf(Not(x.child)))
+        if isinstance(x, Forall):
+            return Exists(x.role, recursive_nnf(Not(x.child)))
+    raise TypeError(f"not a concept expression: {c!r}")
+
+
+def recursive_print_concept(c, min_prec=1):
+    """One Python call per concept node, mirroring the contract of
+    concepts.print_concept(). A long flat chain exceeds Python's recursion
+    limit here.
+    """
+    if isinstance(c, Top):
+        return "top"
+    if isinstance(c, Bot):
+        return "bot"
+    if isinstance(c, Atomic):
+        return c.name
+    if isinstance(c, Not):
+        s = "!" + recursive_print_concept(c.child, 3)
+        return s if min_prec <= 3 else f"({s})"
+    if isinstance(c, (Exists, Forall)):
+        word = "exists" if isinstance(c, Exists) else "forall"
+        s = f"{word} {c.role}.{recursive_print_concept(c.child, 3)}"
+        return s if min_prec <= 3 else f"({s})"
+    if isinstance(c, And):
+        s = f"{recursive_print_concept(c.left, 2)} & {recursive_print_concept(c.right, 3)}"
+        return s if min_prec <= 2 else f"({s})"
+    if isinstance(c, Or):
+        s = f"{recursive_print_concept(c.left, 1)} | {recursive_print_concept(c.right, 2)}"
+        return s if min_prec <= 1 else f"({s})"
+    raise TypeError(f"not a concept expression: {c!r}")

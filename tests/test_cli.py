@@ -415,8 +415,9 @@ class TestExitCodes:
         [
             (["run", "loop.p", "--kb", "empty.kb", "--fuel", "0"], 2, "fuel must be at least 1"),
             (["global-sections", "sensing.kb", "--top", "Scene", "--max-universe", "0"], 1, "limit of 0"),
-            (["glue", "sensing.kb", "--target", "Scene", "--section", "Cam: scene:Obstacle",
-              "--section", "Lidar: scene:Obstacle", "--max-universe", "0"], 1, "limit of 0"),
+            # Only a listing is limited, so the family has to leave facts free.
+            (["glue", GOLDEN / "mixed.kb", "--target", "Dock", "--section", "Probe: scene:Obstacle",
+              "--max-universe", "0"], 1, "limit of 0"),
         ],
     )
     def test_explicit_zero_limits_are_not_defaults(self, capsys, monkeypatch, argv, code, message):
@@ -494,7 +495,7 @@ print(" ".join(sorted(sys.modules)), file=sys.stderr)
 sys.exit(code)
 """
 
-_BASE_LAYERS = {"cli", "concepts", "contexts", "errors", "kb", "kbfile", "lexer", "reasoner"}
+_BASE_LAYERS = {"cli", "concepts", "contexts", "errors", "kb", "kbfile", "lexer", "reasoner", "values"}
 
 # What each README-tour command imports, beyond the interpreter's own start.
 TOUR_LOADS = {
@@ -616,3 +617,20 @@ class TestNestingLimit:
         else:
             assert proc.returncode == 0, proc.stderr
             assert proc.stderr == ""
+
+
+class TestFlatChains:
+    """A flat chain opens no nesting level, so any length gets a verdict."""
+
+    @pytest.mark.parametrize("n", [600, 3000])
+    def test_sat_on_a_ladder_of_n_disjunctions(self, tmp_path, n):
+        names = [f"A{i}" for i in range(1, n + 1)] + [f"B{i}" for i in range(1, n + 1)] + ["C"]
+        kb = tmp_path / "ladder.kb"
+        kb.write_text(f"signature\n  concept {', '.join(names)}.\n  role r.\n", encoding="utf-8")
+        concept = " & ".join([f"(A{i} | B{i})" for i in range(1, n + 1)] + ["exists r.C", "forall r.!C"])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctxdl.cli", "sat", str(kb), concept, "--format", "records"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert records_of(proc.stdout) == [{"command": "sat", "concept": concept, "satisfiable": False}]

@@ -23,6 +23,7 @@ from ctxdl.concepts import (
 )
 from ctxdl.errors import ParseError, UnknownNameError
 from ctxdl.reasoner import EMPTY_TBOX, enumerate_models, extension
+from oracles import recursive_nnf, recursive_print_concept
 
 SIG = Signature(
     concept_names=("A", "B", "C"),
@@ -101,6 +102,26 @@ class TestParse:
     def test_print_parse_round_trip(self, c):
         assert parse_concept(print_concept(c), SIG) == c
 
+    @given(concept_exprs())
+    @settings(max_examples=200)
+    def test_same_text_as_the_recursive_printer(self, c):
+        assert print_concept(c) == recursive_print_concept(c)
+
+
+class TestFlatChains:
+    """Chains that open no nesting level cost no Python recursion."""
+
+    @pytest.mark.parametrize("op", [" & ", " | "])
+    def test_print_parse_and_nnf_of_3000_operands(self, op):
+        text = op.join(["A", "!B", "exists r.!(C | A)"] * 1000)
+        c = parse_concept(text, SIG)
+        assert print_concept(c) == text
+        assert parse_concept(text, SIG) is c and hash(parse_concept(text, SIG)) == hash(c)
+        normal = nnf(c)
+        assert print_concept(normal) == text.replace("!(C | A)", "(!C & !A)")
+        negated = print_concept(nnf(Not(c)))
+        assert negated.count("forall r.(C | A)") == 1000 and negated.count("!A") == 1000
+
 
 class TestSignature:
     def test_disjointness_enforced(self):
@@ -129,6 +150,13 @@ class TestNnf:
 
     def test_double_negation(self):
         assert nnf(Not(Not(A))) == A
+
+    @given(concept_exprs())
+    @settings(max_examples=200)
+    def test_same_as_the_recursive_nnf(self, c):
+        assert nnf(c) is recursive_nnf(c)
+        assert nnf(Not(c)) is recursive_nnf(Not(c))
+        assert nnf(c) is nnf(c)  # the second call reads the node's cache
 
     @given(concept_exprs())
     @settings(max_examples=200)

@@ -157,9 +157,10 @@ class TestPrinters:
         text = "; ".join(["add a:A@U", "del a:A@U", "skip"] * 1000)
         prog = parse_program(text, SIG)
         assert print_program(prog) == text
-        # Left-nested trees this deep are compared by their text: the
-        # generated __eq__ recurses once per node as well.
-        assert print_program(parse_program(print_program(prog), SIG)) == text
+        # Nodes are interned, so comparing and hashing cost one step however
+        # deep the left-nested tree is.
+        again = parse_program(print_program(prog), SIG)
+        assert again == prog and again is prog and hash(again) == hash(prog)
         with pytest.raises(RecursionError):
             recursive_print_program(prog)
 
@@ -174,7 +175,10 @@ class TestPrinters:
         conjunction_text = " & ".join([hit, miss] * 350)
         conjunction = parse_guard(conjunction_text, SIG)
         assert print_guard(conjunction) == conjunction_text
-        assert print_guard(parse_guard(print_guard(conjunction), SIG)) == conjunction_text
+        again = parse_guard(print_guard(conjunction), SIG)
+        assert again == conjunction and hash(again) == hash(conjunction)
+        twin = parse_guard(" | ".join([miss] * 699 + [hit]), SIG)
+        assert twin == disjunction and hash(twin) == hash(disjunction)
         loop = While(conjunction, SKIP)
         assert print_program(loop) == f"while {conjunction_text} do skip od"
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import fields
 
 import pytest
 
@@ -15,7 +14,7 @@ from corpus import (
     random_tbox,
     witness_space,
 )
-from oracles import plain_satisfiable, whole_space_witness
+from oracles import ForkingTableau, plain_satisfiable, whole_space_witness
 from ctxdl.concepts import (
     And,
     Atomic,
@@ -26,13 +25,16 @@ from ctxdl.concepts import (
     Or,
     Signature,
     TOP,
+    nnf,
 )
 from ctxdl.errors import BudgetExceededError, SearchSpaceError, UnknownNameError
 from ctxdl.reasoner import (
     BLOCK_BITS,
+    DEFAULT_NODE_BUDGET,
     EMPTY_TBOX,
     FiniteModel,
     TBox,
+    _Tableau,
     check_interpretation,
     enumerate_models,
     find_witness,
@@ -108,6 +110,47 @@ class TestDependencySets:
             ladder = And(Or(Atomic(f"A{i}"), Atomic(f"B{i}")), ladder)
         assert is_satisfiable(EMPTY_TBOX, ladder, budget=2_000) is False
 
+    @pytest.mark.parametrize("n", [600, 3000])
+    def test_flat_ladder_with_thousands_of_choices(self, n):
+        # Written left to right, the conjunction is a left-nested chain n + 1
+        # deep, and every disjunction is an open choice at the clash.
+        ladder = Or(Atomic("A1"), Atomic("B1"))
+        for i in range(2, n + 1):
+            ladder = And(ladder, Or(Atomic(f"A{i}"), Atomic(f"B{i}")))
+        ladder = And(And(ladder, Exists("r", C)), Forall("r", Not(C)))
+        assert is_satisfiable(EMPTY_TBOX, ladder, budget=2 * n + 3) is False
+        with pytest.raises(BudgetExceededError):
+            is_satisfiable(EMPTY_TBOX, ladder, budget=2 * n + 2)
+
+
+def tableau_run(tableau_class, tbox, concept, budget):
+    """Verdict, budget units spent and branch points made, as is_satisfiable runs them."""
+    unfold, constraints = tbox.absorbed
+    tableau = tableau_class(constraints, unfold, budget)
+    try:
+        verdict = tableau.sat([(c, frozenset()) for c in (nnf(concept), *constraints)], ()) is None
+    except BudgetExceededError:
+        verdict = "budget"
+    return verdict, tableau.spent, tableau.points
+
+
+class TestAgainstForkingTableau:
+    def test_same_verdicts_budgets_and_choices(self):
+        # Trying a right disjunct in place, after dropping the left one's
+        # entries, spends the units and makes the choices that copying the
+        # label at each disjunction did.
+        rng = random.Random(31)
+        names = {"concepts": ("A", "B", "C"), "roles": ("r",)}
+        for _ in range(1_000):
+            t = random_absorbable_tbox(rng, max_inclusions=3, depth=2, **names)
+            c = random_conjunction(rng, 3, **names)
+            for budget in (30, DEFAULT_NODE_BUDGET):
+                assert tableau_run(_Tableau, t, c, budget) == tableau_run(ForkingTableau, t, c, budget)
+        for _ in range(300):
+            t = random_tbox(rng, max_inclusions=3, depth=3, **names)
+            c = random_concept(rng, 4, **names)
+            assert tableau_run(_Tableau, t, c, 20_000) == tableau_run(ForkingTableau, t, c, 20_000)
+
 
 class TestAgainstPlainTableau:
     def test_same_verdicts_on_absorbable_tboxes(self):
@@ -170,7 +213,7 @@ class TestCompiledTBox:
         assert constraints == (Or(Forall("r", Not(B)), Not(A)),)
         assert (repr(t), hash(t)) == before
         assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
-        assert "absorbed" not in {f.name for f in fields(TBox)}
+        assert TBox._fields == ("inclusions",)  # the absorbed form is not a field
         assert t.absorbed is t.absorbed
 
 

@@ -200,13 +200,26 @@ class TestGlue:
         assert any(F3 in c.facts for c in result.conflicts)
 
     def test_universe_guard(self):
-        poset = ContextPoset(["U"])
+        # The limit bounds the listing of candidates: free facts, not the
+        # target universe. Universe validation happens before name checks
+        # against a signature here; the presheaf layer does not consult one.
+        poset = ContextPoset(["U", "V"], [("V", "U")])
         big = {ConceptFact("a", f"A{i}") for i in range(25)}
-        # Universe validation happens before name checks against a signature
-        # here; the presheaf layer does not consult one.
+        seen = {ConceptFact("a", f"A{i}") for i in range(20)}
+        ps = Presheaf(poset, {"U": big, "V": seen})
+        with pytest.raises(SearchSpaceError, match="5 facts free"):
+            glue(ps, [Section("V", frozenset())], Covering("U", ["V"]), max_universe=4)
+        got = glue(ps, [Section("V", frozenset())], Covering("U", ["V"]), max_universe=5)
+        assert isinstance(got, NonUnique) and len(got.candidates) == 1 << 5
+
+    def test_a_forced_family_glues_past_the_limit(self):
+        poset = ContextPoset(["U"])
+        big = frozenset(ConceptFact("a", f"A{i}") for i in range(25))
         ps = Presheaf(poset, {"U": big})
-        with pytest.raises(SearchSpaceError):
-            glue(ps, [Section("U", frozenset())], Covering("U", ["U"]), max_universe=20)
+        some = frozenset(list(big)[:7])
+        for facts in (frozenset(), some, big):
+            got = glue(ps, [Section("U", facts)], Covering("U", ["U"]), max_universe=20)
+            assert got == Glued(Section("U", facts))
 
     def test_agrees_with_brute_force_on_random_presheaves(self):
         rng = random.Random(83)
