@@ -166,8 +166,8 @@ class SeedPolicy(Record):
         raise ValueError(f"unknown seed policy {self.kind!r}")
 
 
-# A dataclass, unlike the package's other values: callers copy an agent
-# with dataclasses.replace to swap its oracle.
+# The package's one dataclass: perfbench/update.py copies an agent with
+# dataclasses.replace to swap its oracle.
 @dataclass(frozen=True)
 class Agent:
     name: str

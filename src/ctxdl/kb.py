@@ -4,10 +4,10 @@ Assertions are written ``a : C @ U`` (individual, concept, context) and
 ``(a, b) : r @ U`` (role between two individuals, context). The canonical
 rendering drops the optional whitespace: ``a:C@U`` / ``(a,b):r@U``; sorting
 those strings gives the canonical order used by state dumps and digests.
-Each assertion object renders its text once, on first use, and keeps it:
-a digest of a fact set whose assertions were rendered before is a sort and
-join of stored strings. The text is not a field, so equality, hashing and
-``replace`` ignore it, and a ``replace`` copy renders its own.
+Assertions are interned nodes (see ``ctxdl.values``): equal assertions
+are one object. Each renders its text once, on first use, and keeps it
+in a private slot, so a digest of a fact set whose assertions were
+rendered before is a sort and join of stored strings.
 
 A knowledge state keeps its canonical lines the same way: one sort, the
 first time they are needed. ``KnowledgeState.updated`` derives the next
@@ -29,70 +29,67 @@ scan of the fact set.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import AbstractSet, Iterable, Union
 
-from ctxdl.concepts import (
-    ConceptExpr,
-    Signature,
-    parse_concept_stream,
-    print_concept,
-)
+from ctxdl.concepts import Signature, parse_concept_stream, print_concept
 from ctxdl.contexts import ContextPoset
 from ctxdl.errors import UnknownNameError
 from ctxdl.lexer import IDENT, TokenStream, tokenize
-from ctxdl.reasoner import DEFAULT_NODE_BUDGET, TBox, subsumes
-from ctxdl.values import Node
+from ctxdl.reasoner import DEFAULT_NODE_BUDGET, subsumes
+from ctxdl.values import Node, Record
 
 GUARD_MODES = ("literal", "saturated")
 
-# The assertions and KnowledgeState stay dataclasses, unlike the package's
-# other values (see ctxdl.values): callers copy them with dataclasses.replace.
+_set = object.__setattr__  # writes a private slot past Record's frozen __setattr__
 
 
-@dataclass(frozen=True)
-class ConceptAssertion:
-    individual: str
-    concept: ConceptExpr
-    context: str
+class ConceptAssertion(Node):
+    __slots__ = ("individual", "concept", "context", "_text")
 
-    @cached_property
+    @property
     def text(self) -> str:
         """Canonical rendering ``a:C@U``, computed on first use."""
-        return f"{self.individual}:{print_concept(self.concept)}@{self.context}"
+        if self._text is None:
+            _set(self, "_text", f"{self.individual}:{print_concept(self.concept)}@{self.context}")
+        return self._text
+
+    def at(self, context: str) -> "ConceptAssertion":
+        """The same assertion at *context*."""
+        return ConceptAssertion(self.individual, self.concept, context)
 
 
-@dataclass(frozen=True)
-class RoleAssertion:
-    subject: str
-    target: str
-    role: str
-    context: str
+class RoleAssertion(Node):
+    __slots__ = ("subject", "target", "role", "context", "_text")
 
-    @cached_property
+    @property
     def text(self) -> str:
         """Canonical rendering ``(a,b):r@U``, computed on first use."""
-        return f"({self.subject},{self.target}):{self.role}@{self.context}"
+        if self._text is None:
+            _set(self, "_text", f"({self.subject},{self.target}):{self.role}@{self.context}")
+        return self._text
+
+    def at(self, context: str) -> "RoleAssertion":
+        """The same assertion at *context*."""
+        return RoleAssertion(self.subject, self.target, self.role, context)
 
 
 Assertion = Union[ConceptAssertion, RoleAssertion]
 
 
-@dataclass(frozen=True)
-class KnowledgeState:
+class KnowledgeState(Record):
     """The pair a program run transforms: fixed inclusions, current assertions."""
 
-    tbox: TBox
-    abox: frozenset[Assertion]
+    __slots__ = ("tbox", "abox", "_lines")
 
     def with_abox(self, abox: Iterable[Assertion]) -> "KnowledgeState":
-        return replace(self, abox=frozenset(abox))
+        return KnowledgeState(self.tbox, frozenset(abox))
 
-    @cached_property
+    @property
     def lines(self) -> tuple[str, ...]:
         """``canonical_abox(self.abox)``, sorted on first use and kept."""
-        return tuple(canonical_abox(self.abox))
+        if self._lines is None:
+            _set(self, "_lines", tuple(canonical_abox(self.abox)))
+        return self._lines
 
     @property
     def digest(self) -> str:
@@ -120,7 +117,7 @@ class KnowledgeState:
             insort(lines, a.text)
         abox = self.abox - removed if removed else self.abox  # each set operation copies
         child = KnowledgeState(self.tbox, abox | added if added else abox)
-        child.__dict__["lines"] = tuple(lines)  # where cached_property keeps it
+        _set(child, "_lines", tuple(lines))
         return child
 
 
@@ -204,7 +201,7 @@ def saturate(abox: Iterable[Assertion], poset: ContextPoset) -> frozenset[Assert
     """
     out: set[Assertion] = set()
     for a in abox:
-        out.update(replace(a, context=v) for v in poset.below(a.context))
+        out.update(a.at(v) for v in poset.below(a.context))
     return frozenset(out)
 
 
@@ -248,9 +245,10 @@ FALSE_GUARD = Falsity()
 
 
 def _holds_saturated(abox: AbstractSet[Assertion], wanted: Assertion, poset: ContextPoset) -> bool:
-    # Membership in saturate(abox) without materializing the closure.
-    v = wanted.context
-    return any(poset.leq(v, u) and replace(wanted, context=u) in abox for u in poset.contexts)
+    # Membership in saturate(abox) without materializing the closure. Facts in
+    # abox are live nodes, so a probe only looks up: making one costs ~4 us.
+    v, head = wanted.context, wanted._values(wanted)[:-1]  # context is the last field
+    return any(poset.leq(v, u) and type(wanted).existing(*head, u) in abox for u in poset.contexts)
 
 
 def guard_sat(

@@ -8,13 +8,13 @@ The concept, guard and program parsers share one nesting limit,
 ``MAX_NESTING``. Each ``!``, ``exists``/``forall``, parenthesis, ``if`` and
 ``while`` opens a level, counted across the three grammars together, and
 the token that would open a level past the limit is a positioned
-ParseError. Parsing, printing, ``nnf``, the tableau and the witness search
-each take at most four Python frames per level, so the limit keeps them
-well inside the default recursion limit of 1,000 frames. Long flat chains
-(``A & B & ...``, ``c1; c2; ...``) open no levels, and the parsers, the
-printers, ``nnf``, the tableau, program evaluation and ``guard_sat`` walk
-them without recursion. Nodes are interned, so comparing or hashing a
-chain costs one step.
+ParseError. Parsing and the tableau each take at most four Python frames
+per level, so the limit keeps them well inside the default recursion
+limit of 1,000 frames; the printers, ``nnf``, program evaluation,
+``guard_sat``, ``extension``, the witness search and ``repr`` take none.
+Long flat chains (``A & B & ...``, ``c1; c2; ...``) open no levels, and
+all of these walk them without recursion. Nodes are interned, so
+comparing or hashing a chain costs one step.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ stops at the first block that holds a witness.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import reduce
 from operator import and_, or_
 from typing import Iterable, Iterator, Mapping
 
@@ -79,12 +79,12 @@ class TBox(Record):
     so derived data (internalized constraints, model enumeration) is stable.
     """
 
-    __slots__ = ("inclusions", "__dict__")  # cached_property keeps its values in __dict__
+    __slots__ = ("inclusions", "_absorbed")
 
     def __init__(self, inclusions: Iterable[tuple[ConceptExpr, ConceptExpr]] = ()):
-        object.__setattr__(self, "inclusions", tuple(dict.fromkeys(inclusions)))
+        super().__init__(tuple(dict.fromkeys(inclusions)))
 
-    @cached_property
+    @property
     def absorbed(self) -> tuple[Mapping[str, tuple[ConceptExpr, ...]], tuple[ConceptExpr, ...]]:
         """The form the tableau reads, computed on first use and kept.
 
@@ -94,14 +94,16 @@ class TBox(Record):
         Not a field, so equality, hashing and the repr ignore it. Readers
         never mutate it.
         """
-        unfold: dict[str, tuple[ConceptExpr, ...]] = {}
-        constraints: dict[ConceptExpr, None] = {}
-        for lhs, rhs in self.inclusions:
-            if isinstance(lhs, Atomic):
-                unfold[lhs.name] = unfold.get(lhs.name, ()) + (nnf(rhs),)
-            else:
-                constraints[nnf(Or(Not(lhs), rhs))] = None
-        return unfold, tuple(constraints)
+        if self._absorbed is None:
+            unfold: dict[str, tuple[ConceptExpr, ...]] = {}
+            constraints: dict[ConceptExpr, None] = {}
+            for lhs, rhs in self.inclusions:
+                if isinstance(lhs, Atomic):
+                    unfold[lhs.name] = unfold.get(lhs.name, ()) + (nnf(rhs),)
+                else:
+                    constraints[nnf(Or(Not(lhs), rhs))] = None
+            object.__setattr__(self, "_absorbed", (unfold, tuple(constraints)))
+        return self._absorbed
 
 
 EMPTY_TBOX = TBox()
@@ -284,30 +286,57 @@ def subsumes(tbox: TBox, c: ConceptExpr, d: ConceptExpr, *, budget: int = DEFAUL
 
 
 def extension(model: FiniteModel, c: ConceptExpr) -> frozenset[int]:
-    """The extension of *c* in *model* under the standard semantics."""
-    if isinstance(c, Top):
-        return model.domain
-    if isinstance(c, Bot):
-        return frozenset()
-    if isinstance(c, Atomic):
-        if c.name not in model.concept_ext:
-            raise UnknownNameError(f"model does not interpret concept {c.name!r}")
-        return model.concept_ext[c.name]
-    if isinstance(c, Not):
-        return model.domain - extension(model, c.child)
-    if isinstance(c, And):
-        return extension(model, c.left) & extension(model, c.right)
-    if isinstance(c, Or):
-        return extension(model, c.left) | extension(model, c.right)
-    if isinstance(c, (Exists, Forall)):
-        if c.role not in model.role_ext:
-            raise UnknownNameError(f"model does not interpret role {c.role!r}")
-        pairs = model.role_ext[c.role]
-        child = extension(model, c.child)
-        if isinstance(c, Exists):
-            return frozenset(x for x in model.domain if any(y in child for (a, y) in pairs if a == x))
-        return frozenset(x for x in model.domain if all(y in child for (a, y) in pairs if a == x))
-    raise TypeError(f"not a concept expression: {c!r}")
+    """The extension of *c* in *model* under the standard semantics.
+
+    Evaluated in post order on an explicit stack (see ``_post_order``), so
+    a long chain costs no Python recursion.
+    """
+    values: list[frozenset[int]] = []
+    for c in _post_order(c, model.role_ext, "model does not interpret role"):
+        if isinstance(c, Top):
+            values.append(model.domain)
+        elif isinstance(c, Bot):
+            values.append(frozenset())
+        elif isinstance(c, Atomic):
+            if c.name not in model.concept_ext:
+                raise UnknownNameError(f"model does not interpret concept {c.name!r}")
+            values.append(model.concept_ext[c.name])
+        elif isinstance(c, Not):
+            values.append(model.domain - values.pop())
+        elif isinstance(c, (And, Or)):
+            right, left = values.pop(), values.pop()
+            values.append(left & right if isinstance(c, And) else left | right)
+        elif isinstance(c, (Exists, Forall)):
+            child, pairs = values.pop(), model.role_ext[c.role]
+            test = any if isinstance(c, Exists) else all
+            values.append(frozenset(x for x in model.domain if test(y in child for (a, y) in pairs if a == x)))
+        else:
+            raise TypeError(f"not a concept expression: {c!r}")
+    return values.pop()
+
+
+def _post_order(c: ConceptExpr, roles: Mapping, unknown_role: str) -> Iterator[ConceptExpr]:
+    """The nodes of *c*, each after its operands, left operand first.
+
+    An evaluator keeps one value per operand on its own stack and pops
+    them when it meets their parent, so no subterm's value outlives its
+    use. A quantifier whose role is not in *roles* raises UnknownNameError
+    (*unknown_role* and the name) before its operand is visited, in the
+    order a recursive evaluator would raise.
+    """
+    pending: list[tuple[ConceptExpr, bool]] = [(c, False)]
+    while pending:
+        c, ready = pending.pop()
+        if not ready:
+            if isinstance(c, (And, Or)):
+                pending += ((c, True), (c.right, False), (c.left, False))
+                continue
+            if isinstance(c, (Exists, Forall)) and c.role not in roles:
+                raise UnknownNameError(f"{unknown_role} {c.role!r}")
+            if isinstance(c, (Not, Exists, Forall)):
+                pending += ((c, True), (c.child, False))
+                continue
+        yield c
 
 
 def satisfies_tbox(model: FiniteModel, tbox: TBox) -> bool:
@@ -429,27 +458,32 @@ class _CodeSpace:
 
     def extension(self, c: ConceptExpr) -> list[int]:
         """Extension of *c* at every code: bit c of entry i says element i+1 is in it."""
-        if isinstance(c, (Top, Bot)):
-            return [self.ones if isinstance(c, Top) else 0] * self.k
-        if isinstance(c, Atomic):
-            if c.name not in self.offsets:
-                raise UnknownNameError(f"signature does not declare concept {c.name!r}")
-            return self.columns[self.offsets[c.name] : self.offsets[c.name] + self.k]
-        if isinstance(c, Not):
-            return [x ^ self.ones for x in self.extension(c.child)]
-        if isinstance(c, And):
-            return [x & y for x, y in zip(self.extension(c.left), self.extension(c.right))]
-        if isinstance(c, Or):
-            return [x | y for x, y in zip(self.extension(c.left), self.extension(c.right))]
-        if isinstance(c, Forall):
-            return self.extension(Not(Exists(c.role, Not(c.child))))
-        if isinstance(c, Exists):
-            if c.role not in self.offsets:
-                raise UnknownNameError(f"signature does not declare role {c.role!r}")
-            child = self.extension(c.child)
-            edges, k = self.columns[self.offsets[c.role] :], self.k
-            return [reduce(or_, (edges[i * k + j] & y for j, y in enumerate(child))) for i in range(k)]
-        raise TypeError(f"not a concept expression: {c!r}")
+        values: list[list[int]] = []
+        ones, k = self.ones, self.k
+        for c in _post_order(c, self.offsets, "signature does not declare role"):
+            if isinstance(c, (Top, Bot)):
+                values.append([ones if isinstance(c, Top) else 0] * k)
+            elif isinstance(c, Atomic):
+                if c.name not in self.offsets:
+                    raise UnknownNameError(f"signature does not declare concept {c.name!r}")
+                values.append(self.columns[self.offsets[c.name] : self.offsets[c.name] + k])
+            elif isinstance(c, Not):
+                values.append([x ^ ones for x in values.pop()])
+            elif isinstance(c, (And, Or)):
+                right, left = values.pop(), values.pop()
+                combine = and_ if isinstance(c, And) else or_
+                values.append(list(map(combine, left, right)))
+            elif isinstance(c, (Exists, Forall)):
+                # forall r.C is !exists r.!C
+                child = values.pop()
+                if isinstance(c, Forall):
+                    child = [y ^ ones for y in child]
+                edges = self.columns[self.offsets[c.role] :]
+                some = [reduce(or_, (edges[i * k + j] & y for j, y in enumerate(child))) for i in range(k)]
+                values.append(some if isinstance(c, Exists) else [x ^ ones for x in some])
+            else:
+                raise TypeError(f"not a concept expression: {c!r}")
+        return values.pop()
 
 
 def find_witness(

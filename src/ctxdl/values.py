@@ -2,14 +2,14 @@
 
 ``Record`` is the base of every frozen value class in the package. A
 subclass lists its fields in ``__slots__``; names that start with ``_``
-are private state, not fields. The base gives it a positional or keyword
-constructor, frozen attributes, structural ``==`` and ``hash``, and the
-``Name(field=value, ...)`` repr. Nothing is generated or compiled when a
-subclass is defined, so defining one costs microseconds, where
-``@dataclass`` spends about a millisecond per class. The generic
-constructor, ``==`` and ``hash`` cost more per call than generated ones,
-so a class used on a hot path writes its own: an ``__init__`` of
-``object.__setattr__`` calls is faster than a generated one.
+are caches, not fields, and start as None. The base gives it a positional
+or keyword constructor, frozen attributes, structural ``==`` and ``hash``,
+and the ``Name(field=value, ...)`` repr, which ignore caches. Nothing is
+generated or compiled when a subclass is defined, so defining one costs
+microseconds, where ``@dataclass`` spends about a millisecond per class.
+The generic constructor, ``==`` and ``hash`` cost more per call than
+generated ones, so a class used on a hot path writes its own ``__init__``
+of ``object.__setattr__`` calls (caches included), which is faster.
 
 ``Node`` is a hash-consed ``Record``: building a node whose class and
 fields equal those of a live node returns that node. The unique table is
@@ -45,6 +45,7 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _caches: tuple[str, ...] = ()  # the private slots, which start as None
     _values = staticmethod(_no_fields)  # the field values: a tuple, or the value of a lone field
 
     def __init_subclass__(cls, **kwargs):
@@ -52,6 +53,7 @@ class Record:
         own = cls.__dict__.get("__slots__", ())
         own = (own,) if isinstance(own, str) else tuple(own)
         cls._fields = cls._fields + tuple(name for name in own if not name.startswith("_"))
+        cls._caches = cls._caches + tuple(n for n in own if n.startswith("_") and not n.startswith("__"))
         cls._values = attrgetter(*cls._fields) if cls._fields else _no_fields
 
     def __init__(self, *values, **named):
@@ -60,6 +62,8 @@ class Record:
             values = _bind(type(self), values, named)
         for name, value in zip(fields, values):
             _set(self, name, value)
+        for name in self._caches:
+            _set(self, name, None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -76,8 +80,24 @@ class Record:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({shown})"
+        # ``Name(field=value, ...)``. Records among the field values wait on
+        # an explicit stack, so a long chain costs no Python recursion.
+        out: list[str] = []
+        pending: list = [self]  # records still to show, and finished text
+        while pending:
+            item = pending.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(f"{type(item).__qualname__}(")
+            parts: list = []
+            for name in item._fields:
+                value = getattr(item, name)
+                parts.append(f", {name}=" if parts else f"{name}=")
+                parts.append(value if type(value).__repr__ is Record.__repr__ else repr(value))
+            parts.append(")")
+            pending.extend(reversed(parts))
+        return "".join(out)
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
@@ -123,21 +143,13 @@ def _forget(entry: _Entry, table=_table, remove=_remove_dead_weakref) -> None:
 class Node(Record):
     """Hash-consed ``Record``: equal fields give the identical node.
 
-    Fields are given by position. The private slots a subclass declares
-    start as None: a place for what the node caches about itself.
+    Fields are given by position; every user of a node shares its caches.
     """
 
     __slots__ = ("_hash", "__weakref__")
     __init__ = object.__init__  # __new__ sets the fields, once
     __eq__ = object.__eq__
     __ne__ = object.__ne__
-    _caches: tuple[str, ...] = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        own = cls.__dict__.get("__slots__", ())
-        own = (own,) if isinstance(own, str) else tuple(own)
-        cls._caches = cls._caches + tuple(n for n in own if n.startswith("_") and not n.startswith("__"))
 
     def __new__(cls, *values):
         # Fields by position only: a ** parameter would cost every call a dict.
@@ -174,3 +186,6 @@ class Node(Record):
         """The live node ``cls(*values)`` if there is one, else None; makes no node."""
         entry = _table.get((cls, *values))
         return None if entry is None else entry()
+
+
+Node._caches = ()  # not _hash, which __new__ sets once and never to None

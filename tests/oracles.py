@@ -15,7 +15,8 @@ per program and guard node, and the whole-space witness search evaluates
 every code of a domain size in one int. The forking tableau copies the
 label at each disjunction and recurses into the left branch, the
 recursive ``nnf`` builds a fresh tree without reading any node's cache,
-and the recursive concept printer recurses once per concept node.
+the recursive concept printer and the recursive model evaluator recurse
+once per concept node, and the recursive repr once per record.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ from ctxdl.reasoner import (
     subsumes,
 )
 from ctxdl.sheaf import ConceptFact, Covering, Presheaf, RoleFact, Section, compatible, render_fact
+from ctxdl.values import Record
 
 
 def derivations(prog: Program, state: KnowledgeState, depth: int, mode="literal", poset=None):
@@ -589,3 +591,43 @@ def recursive_print_concept(c, min_prec=1):
         s = f"{recursive_print_concept(c.left, 1)} | {recursive_print_concept(c.right, 2)}"
         return s if min_prec <= 1 else f"({s})"
     raise TypeError(f"not a concept expression: {c!r}")
+
+
+def recursive_extension(model, c):
+    """One Python call per concept node, mirroring the contract of
+    reasoner.extension(). A long flat chain exceeds Python's recursion
+    limit here.
+    """
+    if isinstance(c, Top):
+        return model.domain
+    if isinstance(c, Bot):
+        return frozenset()
+    if isinstance(c, Atomic):
+        if c.name not in model.concept_ext:
+            raise UnknownNameError(f"model does not interpret concept {c.name!r}")
+        return model.concept_ext[c.name]
+    if isinstance(c, Not):
+        return model.domain - recursive_extension(model, c.child)
+    if isinstance(c, And):
+        return recursive_extension(model, c.left) & recursive_extension(model, c.right)
+    if isinstance(c, Or):
+        return recursive_extension(model, c.left) | recursive_extension(model, c.right)
+    if isinstance(c, (Exists, Forall)):
+        if c.role not in model.role_ext:
+            raise UnknownNameError(f"model does not interpret role {c.role!r}")
+        pairs = model.role_ext[c.role]
+        child = recursive_extension(model, c.child)
+        test = any if isinstance(c, Exists) else all
+        return frozenset(x for x in model.domain if test(y in child for (a, y) in pairs if a == x))
+    raise TypeError(f"not a concept expression: {c!r}")
+
+
+def recursive_repr(value):
+    """One Python call per record, mirroring the contract of
+    values.Record.__repr__(): the dataclass repr. Records inside other
+    containers are shown by their own repr.
+    """
+    if type(value).__repr__ is not Record.__repr__:
+        return repr(value)
+    shown = ", ".join(f"{name}={recursive_repr(getattr(value, name))}" for name in value._fields)
+    return f"{type(value).__qualname__}({shown})"

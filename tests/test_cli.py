@@ -469,7 +469,7 @@ class TestConsoleEntry:
             assert proc.returncode == 0, (label, proc.stderr)
             loaded = set(proc.stderr.split())
             layers = {m.removeprefix("ctxdl.") for m in loaded if m.startswith("ctxdl.")}
-            assert layers | ({"hashlib", "numpy"} & loaded) == TOUR_LOADS[label], label
+            assert layers | ({"dataclasses", "hashlib", "numpy"} & loaded) == TOUR_LOADS[label], label
             assert run_cli(*argv, capsys=capsys) == (0, proc.stdout, ""), label
 
     def test_package_exports_load_on_first_use(self):
@@ -510,7 +510,7 @@ TOUR_LOADS = {
     "glue": _BASE_LAYERS | {"sheaf"},
     "stable": _BASE_LAYERS | {"sheaf"},
     "global_sections": _BASE_LAYERS | {"sheaf"},
-    "stability": _BASE_LAYERS | {"agents", "oracle", "programs", "sheaf"},
+    "stability": _BASE_LAYERS | {"agents", "dataclasses", "oracle", "programs", "sheaf"},  # agents.Agent
 }
 
 PUBLIC_NAMES = frozenset(

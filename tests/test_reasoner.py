@@ -14,7 +14,7 @@ from corpus import (
     random_tbox,
     witness_space,
 )
-from oracles import ForkingTableau, plain_satisfiable, whole_space_witness
+from oracles import ForkingTableau, plain_satisfiable, recursive_extension, whole_space_witness
 from ctxdl.concepts import (
     And,
     Atomic,
@@ -26,6 +26,7 @@ from ctxdl.concepts import (
     Signature,
     TOP,
     nnf,
+    parse_concept,
 )
 from ctxdl.errors import BudgetExceededError, SearchSpaceError, UnknownNameError
 from ctxdl.reasoner import (
@@ -37,6 +38,7 @@ from ctxdl.reasoner import (
     _Tableau,
     check_interpretation,
     enumerate_models,
+    extension,
     find_witness,
     is_satisfiable,
     subsumes,
@@ -284,6 +286,42 @@ class TestCheckInterpretation:
         m = FiniteModel(frozenset({1}), {}, {})
         with pytest.raises(UnknownNameError):
             check_interpretation(m, EMPTY_TBOX, A)
+
+    def test_same_outcome_as_the_recursive_evaluator(self):
+        # C and s are left out of some models, so both sides must raise
+        # the same error for the first undeclared name they meet.
+        rng = random.Random(59)
+        seen = set()
+        for _ in range(400):
+            domain = frozenset(range(1, rng.randint(1, 3) + 1))
+            names = ("A", "B", "C") if rng.random() < 0.7 else ("A", "B")
+            roles = ("r", "s") if rng.random() < 0.7 else ("r",)
+            m = FiniteModel(
+                domain,
+                {n: frozenset(x for x in domain if rng.random() < 0.5) for n in names},
+                {n: frozenset((x, y) for x in domain for y in domain if rng.random() < 0.4) for n in roles},
+            )
+            c = random_concept(rng, 4)
+            outcomes = []
+            for evaluate in (extension, recursive_extension):
+                try:
+                    outcomes.append(evaluate(m, c))
+                except UnknownNameError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (m, c)
+            seen.add(type(outcomes[0]))
+        assert seen == {str, frozenset}
+
+    def test_long_flat_chain(self):
+        # 1,200 conjuncts: a left-nested chain deeper than the recursion limit.
+        sig = Signature(concept_names=("A", "B"))
+        chain = parse_concept(" & ".join(["A", "B"] * 600), sig)
+        m = FiniteModel(frozenset({1, 2}), {"A": frozenset({1}), "B": frozenset({1, 2})}, {})
+        assert check_interpretation(m, TBox([(chain, A)]), chain) == (True, frozenset({1}))
+        with pytest.raises(RecursionError):
+            recursive_extension(m, chain)
+        found = find_witness(sig, TBox([(A, chain)]), chain, 2)
+        assert found == FiniteModel(frozenset({1}), {"A": frozenset({1}), "B": frozenset({1})}, {})
 
 
 class TestEnumerateModels:

@@ -8,6 +8,7 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+import random
 import sys
 import threading
 
@@ -16,10 +17,14 @@ import pytest
 import ctxdl
 from ctxdl import values
 from ctxdl.concepts import And, Atomic, Exists, Not, Or, Top
-from ctxdl.kb import AssertGuard, ConceptAssertion, GuardAnd
+from corpus import SIG, random_abox, random_assertion, random_concept, random_guard, random_program
+from ctxdl.concepts import parse_concept
+from ctxdl.kb import AssertGuard, ConceptAssertion, GuardAnd, KnowledgeState
 from ctxdl.programs import SKIP, Seq
-from ctxdl.sheaf import ConceptFact, Section
+from ctxdl.reasoner import EMPTY_TBOX, FiniteModel, TBox
+from ctxdl.sheaf import ConceptFact, RoleFact, Section
 from ctxdl.values import Node, Record
+from oracles import recursive_repr
 
 
 class Pair(Record):
@@ -27,6 +32,10 @@ class Pair(Record):
 
 
 class Cell(Node):
+    __slots__ = ("value", "_seen")
+
+
+class Memo(Record):
     __slots__ = ("value", "_seen")
 
 
@@ -65,6 +74,40 @@ class TestRecord:
         assert got == repr(Same("U", frozenset({ConceptFact("a", "A")}))).replace(Same.__qualname__, "Section")
         assert got == "Section(context='U', facts=frozenset({ConceptFact(individual='a', concept='A')}))"
         assert repr(Top()) == "Top()"
+
+    def test_private_slots_start_empty_and_are_ignored(self):
+        kept, fresh = Memo(3), Memo(value=3)
+        assert kept._seen is None and Memo._fields == ("value",)
+        object.__setattr__(kept, "_seen", "cached")
+        assert kept == fresh and hash(kept) == hash(fresh) and repr(kept) == repr(fresh) == "Memo(value=3)"
+        assert pickle.loads(pickle.dumps(kept))._seen is None
+
+    def test_repr_of_a_long_chain(self):
+        chain = parse_concept(" & ".join(["A"] * 3000), SIG)
+        atom = "Atomic(name='A')"
+        assert repr(chain) == "And(left=" * 2999 + atom + f", right={atom})" * 2999
+        with pytest.raises(RecursionError):
+            recursive_repr(chain)
+
+    def test_repr_is_the_recursive_repr(self):
+        rng = random.Random(53)
+        contexts = sorted(SIG.context_names)
+        universe = [random_assertion(rng, SIG, contexts) for _ in range(4)]
+        for _ in range(200):
+            c = random_concept(rng, 4)
+            abox = random_abox(rng, SIG, contexts)
+            shown = [
+                c,
+                TBox([(c, random_concept(rng, 2))]),
+                random_guard(rng, 3, universe),
+                random_program(rng, 3, universe),
+                KnowledgeState(EMPTY_TBOX, abox),
+                Section("U", frozenset({ConceptFact("a", "A"), RoleFact("a", "b", "r")})),
+                FiniteModel(frozenset({1}), {"A": frozenset({1})}, {"r": frozenset({(1, 1)})}),
+                (c, [Pair(c, "x'y")], {"k": Memo(None)}),
+            ]
+            for value in shown:
+                assert repr(value) == recursive_repr(value)
 
     def test_pickle_and_copy(self):
         p = Pair(1, frozenset({2}))
@@ -160,11 +203,11 @@ class TestNode:
 
 
 def test_only_the_replace_pinned_classes_are_dataclasses():
-    # Tests and perfbench/update.py call dataclasses.replace on these four.
+    # perfbench/update.py calls dataclasses.replace on an agent to swap its oracle.
     found = set()
     for info in pkgutil.iter_modules(ctxdl.__path__):
         module = importlib.import_module(f"ctxdl.{info.name}")
         for name, obj in vars(module).items():
             if inspect.isclass(obj) and obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj):
                 found.add(f"{info.name}.{name}")
-    assert found == {"kb.ConceptAssertion", "kb.RoleAssertion", "kb.KnowledgeState", "agents.Agent"}
+    assert found == {"agents.Agent"}
