@@ -11,7 +11,9 @@ the token that would open a level past the limit is a positioned
 ParseError. Parsing and the tableau each take at most four Python frames
 per level, so the limit keeps them well inside the default recursion
 limit of 1,000 frames; the printers, ``nnf``, program evaluation,
-``guard_sat``, ``extension``, the witness search and ``repr`` take none.
+``guard_sat``, the finite-model evaluator ``_CodeSpace.extension`` (behind
+``extension``, ``check_interpretation``, ``enumerate_models`` and the
+witness search) and ``repr`` take none.
 Long flat chains (``A & B & ...``, ``c1; c2; ...``) open no levels, and
 all of these walk them without recursion. Nodes are interned, so
 comparing or hashing a chain costs one step.

@@ -29,20 +29,25 @@ return identical results and spend identical budgets, whether they share
 one TBox object or use equal ones.
 
 The brute-force side exists as an independent check on the tableau; it
-shares nothing with it but the concept semantics. ``enumerate_models`` and
-``extension`` evaluate explicit finite interpretations one at a time.
-``find_witness`` evaluates 2^BLOCK_BITS interpretations at once,
-bit-sliced over Python integers (bit c of a block stands for the model
-with code ``block << BLOCK_BITS | c``), block after block in ascending
-order, and returns the first model that ``enumerate_models`` would yield.
-A block's ints are 32 KiB and stay in cache, where a whole 24-bit space
-made every temporary 2 MiB of freshly faulted pages; and a sat search
-stops at the first block that holds a witness.
+shares nothing with it but the concept semantics, which one evaluator,
+``_CodeSpace.extension``, computes in many interpretations at once,
+bit-sliced over Python integers. An explicit ``FiniteModel`` is a space of
+one code: ``extension`` and ``check_interpretation`` evaluate there.
+``enumerate_models`` and ``find_witness`` share one loop over the codes of
+each domain size, 2^BLOCK_BITS at a time (bit c of a block stands for the
+model with code ``block << BLOCK_BITS | c``), block after block in
+ascending order. ``find_witness`` takes the first code that loop yields
+with the concept nonempty, so it returns the first such model that
+``enumerate_models`` would yield. A block's ints are 32 KiB and stay in
+cache, where a whole 24-bit space made every temporary 2 MiB of freshly
+faulted pages; and a sat search stops at the first block that holds a
+witness.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress
 from operator import and_, or_
 from typing import Iterable, Iterator, Mapping
 
@@ -288,40 +293,20 @@ def subsumes(tbox: TBox, c: ConceptExpr, d: ConceptExpr, *, budget: int = DEFAUL
 def extension(model: FiniteModel, c: ConceptExpr) -> frozenset[int]:
     """The extension of *c* in *model* under the standard semantics.
 
-    Evaluated in post order on an explicit stack (see ``_post_order``), so
-    a long chain costs no Python recursion.
+    A model whose extensions leave its domain, or that gives a name both
+    as a concept and as a role, is a ValueError.
     """
-    values: list[frozenset[int]] = []
-    for c in _post_order(c, model.role_ext, "model does not interpret role"):
-        if isinstance(c, Top):
-            values.append(model.domain)
-        elif isinstance(c, Bot):
-            values.append(frozenset())
-        elif isinstance(c, Atomic):
-            if c.name not in model.concept_ext:
-                raise UnknownNameError(f"model does not interpret concept {c.name!r}")
-            values.append(model.concept_ext[c.name])
-        elif isinstance(c, Not):
-            values.append(model.domain - values.pop())
-        elif isinstance(c, (And, Or)):
-            right, left = values.pop(), values.pop()
-            values.append(left & right if isinstance(c, And) else left | right)
-        elif isinstance(c, (Exists, Forall)):
-            child, pairs = values.pop(), model.role_ext[c.role]
-            test = any if isinstance(c, Exists) else all
-            values.append(frozenset(x for x in model.domain if test(y in child for (a, y) in pairs if a == x)))
-        else:
-            raise TypeError(f"not a concept expression: {c!r}")
-    return values.pop()
+    elements, space = _model_space(model)
+    return frozenset(compress(elements, space.extension(c)))
 
 
-def _post_order(c: ConceptExpr, roles: Mapping, unknown_role: str) -> Iterator[ConceptExpr]:
+def _post_order(c: ConceptExpr, roles: Mapping, unknown: str) -> Iterator[ConceptExpr]:
     """The nodes of *c*, each after its operands, left operand first.
 
     An evaluator keeps one value per operand on its own stack and pops
     them when it meets their parent, so no subterm's value outlives its
     use. A quantifier whose role is not in *roles* raises UnknownNameError
-    (*unknown_role* and the name) before its operand is visited, in the
+    (*unknown*, "role" and the name) before its operand is visited, in the
     order a recursive evaluator would raise.
     """
     pending: list[tuple[ConceptExpr, bool]] = [(c, False)]
@@ -332,60 +317,59 @@ def _post_order(c: ConceptExpr, roles: Mapping, unknown_role: str) -> Iterator[C
                 pending += ((c, True), (c.right, False), (c.left, False))
                 continue
             if isinstance(c, (Exists, Forall)) and c.role not in roles:
-                raise UnknownNameError(f"{unknown_role} {c.role!r}")
+                raise UnknownNameError(f"{unknown} role {c.role!r}")
             if isinstance(c, (Not, Exists, Forall)):
                 pending += ((c, True), (c.child, False))
                 continue
         yield c
 
 
-def satisfies_tbox(model: FiniteModel, tbox: TBox) -> bool:
-    """True iff every inclusion of *tbox* holds in *model*."""
-    return all(extension(model, lhs) <= extension(model, rhs) for lhs, rhs in tbox.inclusions)
-
-
 def check_interpretation(
     model: FiniteModel, tbox: TBox, concept: ConceptExpr
 ) -> tuple[bool, frozenset[int]]:
-    """Evaluate *concept* in *model* and check every inclusion of *tbox*."""
-    return satisfies_tbox(model, tbox), extension(model, concept)
+    """Evaluate *concept* in *model* and check the inclusions of *tbox* in
+    order, stopping at the first that fails. A malformed model is a
+    ValueError, as in ``extension``."""
+    elements, space = _model_space(model)
+    holds = all(all(space.extension(Or(Not(lhs), rhs))) for lhs, rhs in tbox.inclusions)
+    return holds, frozenset(compress(elements, space.extension(concept)))
 
 
-def _bit_layout(sig: Signature, k: int) -> tuple[list[str], list[str], dict[str, int], int]:
-    """Fixed bit positions for extensions over the domain {1..k}.
+def _bit_layout(sig: Signature, k: int) -> tuple[dict[str, int], dict[str, int], int]:
+    """Fixed bit positions for extensions over the domain {1..k}: the
+    concept offsets, the role offsets and the bit count.
 
     Concept names (sorted) come first, k bits each; role names (sorted)
     follow, k*k bits each. Concept bit for element i: offset + (i-1).
     Role bit for pair (i, j): offset + (i-1)*k + (j-1).
     """
-    concepts = sorted(sig.concept_names)
-    roles = sorted(sig.role_names)
-    offsets: dict[str, int] = {}
+    concepts: dict[str, int] = {}
+    roles: dict[str, int] = {}
     pos = 0
-    for name in concepts:
-        offsets[name] = pos
+    for name in sorted(sig.concept_names):
+        concepts[name] = pos
         pos += k
-    for name in roles:
-        offsets[name] = pos
+    for name in sorted(sig.role_names):
+        roles[name] = pos
         pos += k * k
-    return concepts, roles, offsets, pos
+    return concepts, roles, pos
 
 
 def _decode_model(code: int, sig: Signature, k: int) -> FiniteModel:
-    concepts, roles, offsets, _ = _bit_layout(sig, k)
+    concepts, roles, _ = _bit_layout(sig, k)
     domain = frozenset(range(1, k + 1))
     concept_ext = {
-        name: frozenset(i for i in range(1, k + 1) if code >> (offsets[name] + i - 1) & 1)
-        for name in concepts
+        name: frozenset(i for i in range(1, k + 1) if code >> (offset + i - 1) & 1)
+        for name, offset in concepts.items()
     }
     role_ext = {
         name: frozenset(
             (i, j)
             for i in range(1, k + 1)
             for j in range(1, k + 1)
-            if code >> (offsets[name] + (i - 1) * k + (j - 1)) & 1
+            if code >> (offset + (i - 1) * k + (j - 1)) & 1
         )
-        for name in roles
+        for name, offset in roles.items()
     }
     return FiniteModel(domain, concept_ext, role_ext)
 
@@ -408,15 +392,8 @@ def enumerate_models(
     of the extension bits ascending (see _bit_layout). Intended for
     desk-scale signatures; the bit guard refuses larger spaces.
     """
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
-    _guard_bits(sig, max_size, max_bits)
-    for k in range(1, max_size + 1):
-        _, _, _, bits = _bit_layout(sig, k)
-        for code in range(1 << bits):
-            model = _decode_model(code, sig, k)
-            if satisfies_tbox(model, tbox):
-                yield model
+    for k, code in _model_codes(sig, tbox, max_size, max_bits):
+        yield _decode_model(code, sig, k)
 
 
 def _low_columns(low_bits: int) -> list[int]:
@@ -437,36 +414,45 @@ def _low_columns(low_bits: int) -> list[int]:
     return columns
 
 
-class _CodeSpace:
-    """One block of interpretations over {1..k}: bit c of an int stands for
-    code ``block << BLOCK_BITS | c``.
+class _CodeSpace(Record):
+    """Interpretations over k elements, one per bit of an int: the one
+    concept evaluator.
 
-    ``columns[j]`` gives code bit j at every code of the block: a periodic
-    pattern for the low bits, shared by every block of the domain size,
-    and ``ones`` or 0 for a high bit, which the block index fixes. A block
-    holds at most 2^BLOCK_BITS codes, so every int the search makes is at
-    most 32 KiB and stays in cache. Over a whole 24-bit space each
-    temporary was 2 MiB of fresh pages: about 40,000 minor page faults for
-    one search that finds no witness, against under 200 in blocks.
+    Fields: concepts and roles (name -> offset into columns), k, ones (the
+    int with every code's bit set), columns and unknown. Bit c of
+    ``columns[concepts[A] + i]`` says element i+1 is in A at code c, and
+    of ``columns[roles[r] + i*k + j]`` that (i+1, j+1) is an r-edge. In a
+    block of the search, bit c stands for code ``block << BLOCK_BITS | c``:
+    the low columns are a periodic pattern shared by every block of the
+    domain size, and a high column is ``ones`` or 0, as the block index
+    fixes. An explicit model is a space of one code (``ones == 1``). A
+    name missing from its map raises UnknownNameError whose message opens
+    with *unknown*.
+
+    A block holds at most 2^BLOCK_BITS codes, so every int the search
+    makes is at most 32 KiB and stays in cache. Over a whole 24-bit space
+    each temporary was 2 MiB of fresh pages: about 40,000 minor page
+    faults for one search that finds no witness, against under 200 in
+    blocks.
     """
 
-    def __init__(self, offsets: Mapping[str, int], k: int, ones: int, columns: list[int]):
-        self.offsets = offsets
-        self.k = k
-        self.ones = ones
-        self.columns = columns
+    __slots__ = ("concepts", "roles", "k", "ones", "columns", "unknown")
 
     def extension(self, c: ConceptExpr) -> list[int]:
-        """Extension of *c* at every code: bit c of entry i says element i+1 is in it."""
+        """Extension of *c* at every code: bit c of entry i says element i+1 is in it.
+
+        Evaluated in post order on an explicit stack (see ``_post_order``),
+        so a long chain costs no Python recursion.
+        """
         values: list[list[int]] = []
         ones, k = self.ones, self.k
-        for c in _post_order(c, self.offsets, "signature does not declare role"):
+        for c in _post_order(c, self.roles, self.unknown):
             if isinstance(c, (Top, Bot)):
                 values.append([ones if isinstance(c, Top) else 0] * k)
             elif isinstance(c, Atomic):
-                if c.name not in self.offsets:
-                    raise UnknownNameError(f"signature does not declare concept {c.name!r}")
-                values.append(self.columns[self.offsets[c.name] : self.offsets[c.name] + k])
+                if c.name not in self.concepts:
+                    raise UnknownNameError(f"{self.unknown} concept {c.name!r}")
+                values.append(self.columns[self.concepts[c.name] : self.concepts[c.name] + k])
             elif isinstance(c, Not):
                 values.append([x ^ ones for x in values.pop()])
             elif isinstance(c, (And, Or)):
@@ -478,12 +464,74 @@ class _CodeSpace:
                 child = values.pop()
                 if isinstance(c, Forall):
                     child = [y ^ ones for y in child]
-                edges = self.columns[self.offsets[c.role] :]
+                edges = self.columns[self.roles[c.role] :]
                 some = [reduce(or_, (edges[i * k + j] & y for j, y in enumerate(child))) for i in range(k)]
                 values.append(some if isinstance(c, Exists) else [x ^ ones for x in some])
             else:
                 raise TypeError(f"not a concept expression: {c!r}")
         return values.pop()
+
+
+def _model_space(model: FiniteModel) -> tuple[list[int], _CodeSpace]:
+    """*model*'s elements in ascending order, and the space of its one code.
+
+    Raises ValueError for an extension that leaves the domain, or a name
+    given both as a concept and as a role.
+    """
+    both = model.concept_ext.keys() & model.role_ext.keys()
+    if both:
+        raise ValueError(f"model interprets {min(both)!r} both as a concept and as a role")
+    elements = sorted(model.domain)
+    pairs = [(x, y) for x in elements for y in elements]
+    columns: list[int] = []
+    concepts: dict[str, int] = {}
+    roles: dict[str, int] = {}
+    for kind, ext, offsets, cells in (
+        ("concept", model.concept_ext, concepts, elements),
+        ("role", model.role_ext, roles, pairs),
+    ):
+        for name, members in ext.items():
+            stray = members.difference(cells)
+            if stray:
+                raise ValueError(f"{kind} {name!r} holds {min(stray)!r}, outside the model's domain")
+            offsets[name] = len(columns)
+            columns += [int(cell in members) for cell in cells]
+    return elements, _CodeSpace(concepts, roles, len(elements), 1, columns, "model does not interpret")
+
+
+def _model_codes(
+    sig: Signature, tbox: TBox, max_size: int, max_bits: int, concept: ConceptExpr | None = None
+) -> Iterator[tuple[int, int]]:
+    """(k, code) of every model of *tbox* over {1..k}, k = 1..max_size, in
+    ascending order; with *concept*, only the models where it is nonempty.
+
+    The codes of each domain size are searched block by block. A block
+    that the inclusions empty is left before the rest are evaluated, and
+    *concept* is evaluated only in a block that some model survives.
+    """
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
+    _guard_bits(sig, max_size, max_bits)
+    for k in range(1, max_size + 1):
+        concepts, roles, bits = _bit_layout(sig, k)
+        low_bits = min(bits, BLOCK_BITS)
+        ones = (1 << (1 << low_bits)) - 1
+        low = _low_columns(low_bits)
+        for block in range(1 << (bits - low_bits)):
+            high = [ones if block >> j & 1 else 0 for j in range(bits - low_bits)]
+            space = _CodeSpace(concepts, roles, k, ones, low + high, "signature does not declare")
+            models = ones
+            for lhs, rhs in tbox.inclusions:
+                models &= reduce(and_, space.extension(Or(Not(lhs), rhs)))
+                if not models:
+                    break
+            else:
+                if concept is not None:
+                    models &= reduce(or_, space.extension(concept))
+                while models:
+                    lowest = models & -models
+                    yield k, block << low_bits | lowest.bit_length() - 1
+                    models ^= lowest
 
 
 def find_witness(
@@ -496,30 +544,9 @@ def find_witness(
 ) -> FiniteModel | None:
     """First model of *tbox* (in enumerate_models order) where *concept* is nonempty.
 
-    Bit-sliced equivalent of filtering enumerate_models by a nonempty
-    extension; returns None when no such model exists up to *max_size*.
-    The codes of each domain size are searched block by block in ascending
-    order, and the search stops at the first block with a witness.
+    Returns None when no such model exists up to *max_size*. The search
+    stops at the first block with a witness.
     """
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
-    _guard_bits(sig, max_size, max_bits)
-    for k in range(1, max_size + 1):
-        _, _, offsets, bits = _bit_layout(sig, k)
-        low_bits = min(bits, BLOCK_BITS)
-        ones = (1 << (1 << low_bits)) - 1
-        low = _low_columns(low_bits)
-        for block in range(1 << (bits - low_bits)):
-            high = [ones if block >> j & 1 else 0 for j in range(bits - low_bits)]
-            space = _CodeSpace(offsets, k, ones, low + high)
-            models = ones
-            for lhs, rhs in tbox.inclusions:
-                models &= reduce(and_, space.extension(Or(Not(lhs), rhs)))
-                if not models:
-                    break
-            else:
-                witness = models & reduce(or_, space.extension(concept))
-                if witness:
-                    code = block << low_bits | (witness & -witness).bit_length() - 1
-                    return _decode_model(code, sig, k)
+    for k, code in _model_codes(sig, tbox, max_size, max_bits, concept):
+        return _decode_model(code, sig, k)
     return None

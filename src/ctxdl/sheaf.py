@@ -373,16 +373,17 @@ def global_sections(
 
     Stability does not depend on the section's facts, so the result is
     all-or-nothing: every subset of the top universe in canonical order, or
-    none. *max_universe* bounds the length of that listing.
+    none. *max_universe* bounds only that listing: an unstable top returns
+    [] whatever the size of its universe.
     """
+    stable, _ = stable_under_refinement(ps, Section(top, frozenset()), coverings)
+    if not stable:
+        return []
     univ = ps.universe(top)
     if len(univ) > max_universe:
         raise SearchSpaceError(
             f"universe of {top!r} has {len(univ)} facts, above the limit of {max_universe}"
         )
-    stable, _ = stable_under_refinement(ps, Section(top, frozenset()), coverings)
-    if not stable:
-        return []
     return [Section(top, facts) for facts in _subsets_in_order(univ)]
 
 

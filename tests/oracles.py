@@ -11,8 +11,10 @@ recurses over the program, copies the fact set on every write and runs
 the tableau for every subsumption guard it tests. The per-code subset
 listing builds each subset from its bit code, the recursive guard
 evaluator recurses once per guard node, the recursive printers recurse once
-per program and guard node, and the whole-space witness search evaluates
-every code of a domain size in one int. The forking tableau copies the
+per program and guard node, the whole-space witness search evaluates
+every code of a domain size in one int, and the per-code model enumerator
+decodes every code into an explicit model and checks each inclusion on it
+with the recursive model evaluator. The forking tableau copies the
 label at each disjunction and recurses into the left branch, the
 recursive ``nnf`` builds a fresh tree without reading any node's cache,
 the recursive concept printer and the recursive model evaluator recurse
@@ -379,7 +381,8 @@ class WholeCodeSpace:
     """
 
     def __init__(self, sig, k):
-        _, _, self.offsets, bits = _bit_layout(sig, k)
+        concepts, roles, bits = _bit_layout(sig, k)
+        self.offsets = {**concepts, **roles}
         self.k = k
         self.ones = (1 << (1 << bits)) - 1
         self.columns = []
@@ -434,6 +437,26 @@ def whole_space_witness(sig, tbox, concept, max_size, *, max_bits=DEFAULT_MAX_BI
             if witness:
                 return _decode_model((witness & -witness).bit_length() - 1, sig, k)
     return None
+
+
+def per_code_models(sig, tbox, max_size, *, max_bits=DEFAULT_MAX_BITS):
+    """Every model of *tbox* over {1..k}, k = 1..max_size, one code at a
+    time in ascending order, mirroring the contract of
+    reasoner.enumerate_models(). Each inclusion is checked on the decoded
+    model with recursive_extension, stopping at the first that fails.
+    """
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
+    _guard_bits(sig, max_size, max_bits)
+    for k in range(1, max_size + 1):
+        _, _, bits = _bit_layout(sig, k)
+        for code in range(1 << bits):
+            model = _decode_model(code, sig, k)
+            if all(
+                recursive_extension(model, lhs) <= recursive_extension(model, rhs)
+                for lhs, rhs in tbox.inclusions
+            ):
+                yield model
 
 
 def recursive_print_program(prog):

@@ -282,6 +282,21 @@ class TestSheafCommands:
         facts = [r["facts"] for r in recs if r["command"] == "section"]
         assert ["scene:Obstacle"] in facts
 
+    def test_global_sections_of_an_unstable_top_of_25_facts(self, capsys, tmp_path):
+        # The limit bounds a listing, and an unstable top lists nothing.
+        names = [f"A{i}" for i in range(25)]
+        kb = tmp_path / "wide.kb"
+        kb.write_text(
+            f"signature\n  concept {', '.join(names)}.\n  individual a.\n"
+            "contexts\n  context Cam, Core.\n  Core <= Cam.\n"
+            "covers\n  cover Cam by Core.\n"
+            f"facts\n  facts Cam : {{ {', '.join('a:' + n for n in names)} }}.\n  facts Core : {{ a:A0 }}.\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli("global-sections", kb, "--top", "Cam", "--format", "records", capsys=capsys)
+        assert code == 0
+        assert records_of(out)[0]["count"] == 0
+
 
 # The command behind each file in tests/golden/*.records.
 GOLDEN_COMMANDS = {

@@ -14,7 +14,7 @@ from corpus import (
     random_tbox,
     witness_space,
 )
-from oracles import ForkingTableau, plain_satisfiable, recursive_extension, whole_space_witness
+from oracles import ForkingTableau, per_code_models, plain_satisfiable, recursive_extension, whole_space_witness
 from ctxdl.concepts import (
     And,
     Atomic,
@@ -287,6 +287,33 @@ class TestCheckInterpretation:
         with pytest.raises(UnknownNameError):
             check_interpretation(m, EMPTY_TBOX, A)
 
+    @pytest.mark.parametrize(
+        "concept_ext, role_ext, message",
+        [
+            ({"A": frozenset({5})}, {}, "'A' holds 5, outside"),
+            ({"A": frozenset()}, {"r": frozenset({(1, 5)})}, r"'r' holds \(1, 5\), outside"),
+            ({"A": frozenset()}, {"A": frozenset()}, "'A' both as a concept and as a role"),
+        ],
+    )
+    def test_extension_outside_the_domain_is_rejected(self, concept_ext, role_ext, message):
+        # Unchecked, A = {5} over {1} would give A and !!A different extensions.
+        m = FiniteModel(frozenset({1}), concept_ext, role_ext)
+        with pytest.raises(ValueError, match=message):
+            extension(m, Not(Not(A)))
+        with pytest.raises(ValueError, match=message):
+            check_interpretation(m, TBox([(A, BOT)]), TOP)
+
+    def test_empty_domain(self):
+        m = FiniteModel(frozenset(), {"A": frozenset()}, {"r": frozenset()})
+        assert check_interpretation(m, TBox([(TOP, A)]), Exists("r", A)) == (True, frozenset())
+
+    def test_stops_at_the_first_failing_inclusion(self):
+        # Z is undeclared, but A <= B already fails, so Z is never reached.
+        m = FiniteModel(frozenset({1}), {"A": frozenset({1}), "B": frozenset()}, {})
+        assert check_interpretation(m, TBox([(A, B), (A, Atomic("Z"))]), A) == (False, frozenset({1}))
+        with pytest.raises(UnknownNameError, match="model does not interpret concept 'Z'"):
+            check_interpretation(m, TBox([(B, A), (A, Atomic("Z"))]), A)
+
     def test_same_outcome_as_the_recursive_evaluator(self):
         # C and s are left out of some models, so both sides must raise
         # the same error for the first undeclared name they meet.
@@ -353,6 +380,65 @@ class TestEnumerateModels:
         second = list(enumerate_models(sig, TBox([(A, B)]), 1))
         assert first == second
 
+    def test_size_zero_raises_when_iterated(self):
+        models = enumerate_models(Signature(concept_names=("A",)), EMPTY_TBOX, 0)
+        with pytest.raises(ValueError, match="max_size must be at least 1"):
+            next(models)
+
+    @pytest.mark.parametrize(
+        "concepts, roles, size, seed, count, kinds",
+        [
+            pytest.param(("A", "B"), ("r",), 2, 61, 60, {"some", "none", "raised"}, id="8-bits"),
+            pytest.param(("A",), ("r", "s"), 2, 61, 30, {"some", "none", "raised"}, id="10-bits"),
+            pytest.param(("A", "B"), ("r", "s"), 2, 61, 10, {"some", "raised"}, id="12-bits"),
+            # Two inclusions that keep 11,528 of the 65,536 codes of size 2.
+            pytest.param(("A", "B", "C", "D"), ("r", "s"), 2, 68, 1, {"some"}, id="16-bits"),
+        ],
+    )
+    def test_same_models_as_the_per_code_reference(self, concepts, roles, size, seed, count, kinds):
+        # Z and q are undeclared: a TBox that reaches them must raise in
+        # both, one that empties every block first in neither.
+        rng = random.Random(seed)
+        sig = Signature(concept_names=concepts, role_names=roles)
+        seen = set()
+        for _ in range(count):
+            t = random_tbox(rng, depth=2, concepts=concepts, roles=roles)
+            if rng.random() < 0.3:
+                rogue = random_concept(rng, 1, concepts=("A", "Z"), roles=(roles[0], "q"))
+                t = TBox([*t.inclusions, (A, rogue)])
+            outcome = listed_models(enumerate_models, sig, t, size, "signature does not declare ")
+            assert outcome == listed_models(per_code_models, sig, t, size, "model does not interpret "), t
+            seen.add("raised" if isinstance(outcome, str) else "none" if not outcome else "some")
+        assert seen == kinds
+
+    @pytest.mark.parametrize(
+        "inclusions, sizes",
+        [
+            # Every element needs an r-successor in A and one outside A, so
+            # the block of domain size 1 is emptied and size 2 is not.
+            pytest.param([(TOP, And(Exists("r", A), Exists("r", Not(A))))], {2}, id="size-1-emptied"),
+            pytest.param([(TOP, Exists("r", BOT))], set(), id="every-block-emptied"),
+            # The first inclusion empties every block, so Z is never reached.
+            pytest.param([(TOP, Exists("r", BOT)), (A, Atomic("Z"))], set(), id="emptied-before-Z"),
+        ],
+    )
+    def test_tboxes_that_empty_whole_blocks(self, inclusions, sizes):
+        sig = Signature(concept_names=("A",), role_names=("r",))
+        t = TBox(inclusions)
+        got = list(enumerate_models(sig, t, 2))
+        assert got == list(per_code_models(sig, t, 2))
+        assert {len(m.domain) for m in got} == sizes
+
+
+def listed_models(models_of, sig, t, size, prefix):
+    """The models *models_of* yields, or the message of the UnknownNameError
+    it raises without *prefix*, which names the evaluator."""
+    try:
+        return list(models_of(sig, t, size, max_bits=16))
+    except UnknownNameError as exc:
+        assert str(exc).startswith(prefix), exc
+        return str(exc).removeprefix(prefix)
+
 
 class TestFindWitness:
     @pytest.mark.parametrize(
@@ -372,13 +458,8 @@ class TestFindWitness:
         for _ in range(40):
             t = random_tbox(rng, depth=2, concepts=concepts, roles=roles)
             c = random_concept(rng, 2, concepts=concepts, roles=roles)
-            streamed = None
-            for m in enumerate_models(sig, t, size, max_bits=16):
-                _, ext = check_interpretation(m, t, c)
-                if ext:
-                    streamed = m
-                    break
-            assert find_witness(sig, t, c, size, max_bits=16) == streamed
+            streamed = (m for m in per_code_models(sig, t, size, max_bits=16) if recursive_extension(m, c))
+            assert find_witness(sig, t, c, size, max_bits=16) == next(streamed, None)
 
     def test_soundness_against_tableau(self):
         rng = random.Random(29)
@@ -393,14 +474,14 @@ class TestFindWitness:
 def code_of(model: FiniteModel, sig: Signature) -> int:
     """The code of *model* in enumerate_models order (decoding inverted)."""
     k = len(model.domain)
-    _, _, offsets, _ = _bit_layout(sig, k)
+    concepts, roles, _ = _bit_layout(sig, k)
     code = 0
     for name, members in model.concept_ext.items():
         for i in members:
-            code |= 1 << offsets[name] + i - 1
+            code |= 1 << concepts[name] + i - 1
     for name, pairs in model.role_ext.items():
         for i, j in pairs:
-            code |= 1 << offsets[name] + (i - 1) * k + j - 1
+            code |= 1 << roles[name] + (i - 1) * k + j - 1
     return code
 
 

@@ -330,6 +330,13 @@ class TestStability:
             global_sections(ps, "U", covs)
         assert stable_under_refinement(ps, Section("U", frozenset(big)), covs) == (True, None)
 
+    def test_unstable_top_needs_no_universe_limit(self):
+        # An unstable top lists no section, however many facts it has.
+        poset = ContextPoset(["U", "V"], [("V", "U")])
+        big = {ConceptFact("a", f"A{i}") for i in range(25)}
+        ps = Presheaf(poset, {"U": big, "V": {ConceptFact("a", "A0")}})
+        assert global_sections(ps, "U", [Covering("U", ["V"])]) == []
+
     def test_agrees_with_brute_force_on_random_chains(self):
         # Every section of the top universe, so an all-or-nothing listing
         # is checked against the oracle rather than assumed.
