@@ -122,6 +122,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "While",
         "evaluate",
         "evaluate_trace",
+        "load_program",
         "parse_guard",
         "parse_program",
         "print_program",

@@ -54,16 +54,10 @@ from typing import Iterable, Union
 
 from ctxdl.concepts import Atomic, Signature
 from ctxdl.contexts import ContextPoset
-from ctxdl.errors import InteractionError, LoadError, OracleError, ParseError
+from ctxdl.errors import InteractionError, LoadError, OracleError, read_text
 from ctxdl.kb import GUARD_MODES, Assertion, ConceptAssertion, KnowledgeState, RoleAssertion
 from ctxdl.oracle import OracleQuery, OracleSpec, load_script, run_session
-from ctxdl.programs import (
-    DEFAULT_FUEL,
-    FuelExhausted,
-    Program,
-    evaluate,
-    parse_program,
-)
+from ctxdl.programs import DEFAULT_FUEL, FuelExhausted, Program, evaluate, load_program
 from ctxdl.sheaf import ConceptFact, Fact, RoleFact, Section, render_fact
 from ctxdl.values import Record
 
@@ -300,11 +294,9 @@ def load_agent(path: Union[str, Path]) -> Agent:
 
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise LoadError(str(path), exc.lineno, f"invalid JSON: {exc.msg}") from exc
-    except OSError as exc:
-        raise LoadError(str(path), None, str(exc)) from exc
+        raise LoadError(str(path), exc.lineno, f"invalid JSON: {exc.msg}", exc.colno) from exc
     if not isinstance(raw, dict):
         raise LoadError(str(path), 1, "agent file must hold a JSON object")
 
@@ -325,16 +317,7 @@ def load_agent(path: Union[str, Path]) -> Agent:
     input_context = str(raw["input_context"])
     if input_context not in sig.context_names:
         raise fail(f"input_context {input_context!r} is not a declared context")
-    program = None
-    if "program" in raw:
-        prog_path = base / str(raw["program"])
-        try:
-            text = prog_path.read_text(encoding="utf-8")
-            program = parse_program(text, sig)
-        except OSError as exc:
-            raise LoadError(str(prog_path), None, str(exc)) from exc
-        except ParseError as exc:
-            raise LoadError(str(prog_path), exc.line, exc.message, exc.col) from exc
+    program = load_program(base / str(raw["program"]), sig) if "program" in raw else None
     oracle = None
     queries: tuple[str, ...] = ()
     if "oracle" in raw:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from ctxdl.concepts import parse_concept, print_concept
@@ -162,14 +161,10 @@ def _cmd_saturate(args, report: _Report) -> None:
 
 
 def _cmd_run(args, report: _Report) -> None:
-    from ctxdl.programs import DEFAULT_FUEL, FuelExhausted, evaluate_trace, parse_program
+    from ctxdl.programs import DEFAULT_FUEL, FuelExhausted, evaluate_trace, load_program
 
     doc, state = _load_doc_state(args)
-    text = Path(args.program).read_text(encoding="utf-8")
-    try:
-        program = parse_program(text, doc.signature)
-    except ParseError as exc:
-        raise LoadError(args.program, exc.line, exc.message, exc.col) from exc
+    program = load_program(args.program, doc.signature)
     fuel = DEFAULT_FUEL if args.fuel is None else args.fuel
     outcome, trace = evaluate_trace(
         program, state, fuel, args.guards, doc.poset, budget=args.budget
@@ -225,9 +220,8 @@ def _cmd_apply_oracle(args, report: _Report) -> None:
         sink = open(args.record, "w", encoding="utf-8")
         spec = record_session(spec, sink)
     try:
-        name = args.oracle or spec.name
         for i, payload in enumerate(args.payload):
-            state, response = oracle_step(state, spec, OracleQuery(name, payload))
+            state, response = oracle_step(state, spec, OracleQuery(spec.name, payload))
             report.add(
                 {
                     "command": "oracle-step",
@@ -429,9 +423,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, kb_positional=True):
-        if kb_positional:
-            p.add_argument("kb", help="knowledge-base document")
+    def common(p):
+        p.add_argument("kb", help="knowledge-base document")
         p.add_argument("--format", choices=("text", "records"), default="text")
 
     p = sub.add_parser("check", help="load and validate a document")
@@ -472,7 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply-oracle", help="apply scripted oracle transitions")
     common(p)
     p.add_argument("--script", help="oracle script (JSONL)")
-    p.add_argument("--oracle", help="oracle name (defaults to the script's)")
     p.add_argument("--payload", action="append", default=[], help="query payload (repeatable)")
     p.add_argument("--state", help="load the fact set from a state dump")
     p.add_argument("--dump", help="write the final state as a state dump")

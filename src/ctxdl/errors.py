@@ -1,12 +1,19 @@
-"""Exception hierarchy shared across the engine.
+"""Exception hierarchy shared across the engine, and the one way files are read.
 
 Errors that originate from a text position (parsing, file loading) carry
 1-based ``line``/``col`` attributes so callers can render ``file:line``
 diagnostics. Resource-limit conditions are distinct exception types, never
 encoded as boolean results.
+
+Every input file (documents, state dumps, programs, oracle scripts, session
+logs, agent files) is decoded by ``read_text``, and a syntax error in one is
+placed in it by ``LoadError.at``, so each kind of file fails the same way:
+``path:line:col: message``.
 """
 
 from __future__ import annotations
+
+from os import PathLike
 
 
 class EngineError(Exception):
@@ -50,6 +57,27 @@ class LoadError(EngineError):
         if line is not None and col is not None:
             where += f":{col}"
         super().__init__(f"{where}: {message}")
+
+    @classmethod
+    def at(cls, path: str, error: ParseError, line: int = 1) -> LoadError:
+        """*error* placed in the file at *path*, keeping its line and column.
+
+        *line* is the file line on which the parsed text starts; a state
+        dump parses each of its lines on its own.
+        """
+        where = None if error.line is None else error.line + line - 1
+        return cls(path, where, error.message, error.col)
+
+
+def read_text(path: str | PathLike[str]) -> str:
+    """The file at *path* decoded as UTF-8; a failure to read is a LoadError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise LoadError(str(path), 1, "file is not valid UTF-8 text") from exc
+    except OSError as exc:
+        raise LoadError(str(path), None, str(exc)) from exc
 
 
 class BudgetExceededError(EngineError):

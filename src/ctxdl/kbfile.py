@@ -21,6 +21,10 @@ is all-or-nothing::
 State dumps are separate files: a header line ``ctxdl-state <sig-digest>``
 followed by one assertion per line in canonical sorted order. The digest
 pins the signature the dump was written under.
+
+Both kinds of file are read by ``errors.read_text`` and every failure is a
+``LoadError`` at ``path:line``; a token error adds its column, counted in
+the file's own line (a state dump line is parsed unstripped).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import TYPE_CHECKING, Iterable, Union
 
 from ctxdl.concepts import ConceptExpr, Signature, parse_concept_stream
 from ctxdl.contexts import ContextPoset, Covering, validate_covering
-from ctxdl.errors import LoadError, ParseError
+from ctxdl.errors import LoadError, ParseError, read_text
 from ctxdl.kb import (
     Assertion,
     KnowledgeState,
@@ -72,13 +76,7 @@ class KBDocument(Record):
 
 def load_kb(path: Union[str, Path]) -> KBDocument:
     """Load and validate a document; any failure raises LoadError."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise LoadError(str(path), 1, "file is not valid UTF-8 text") from exc
-    except OSError as exc:
-        raise LoadError(str(path), None, str(exc)) from exc
-    return loads(text, str(path))
+    return loads(read_text(path), str(path))
 
 
 def loads(text: str, path: str = "<kb>") -> KBDocument:
@@ -87,7 +85,7 @@ def loads(text: str, path: str = "<kb>") -> KBDocument:
         statements = _split_statements(text)
         return _build(statements, path)
     except ParseError as exc:
-        raise LoadError(path, exc.line, exc.message) from exc
+        raise LoadError.at(path, exc) from exc
 
 
 # Each statement is the token slice up to its terminating '.', tagged with
@@ -154,59 +152,56 @@ def _build(statements: list[_Statement], path: str) -> KBDocument:
     contexts: dict[str, None] = {}
     leq_stmts: list[tuple[_Statement, Token, Token]] = []
     cover_stmts: list[tuple[_Statement, str, list[str]]] = []
-    tbox_stmts: list[tuple[_Statement, list[Token]]] = []
-    abox_stmts: list[tuple[_Statement, list[Token]]] = []
-    facts_stmts: list[tuple[_Statement, str, list[Token]]] = []
+    tbox_stmts: list[list[Token]] = []
+    abox_stmts: list[list[Token]] = []
+    facts_stmts: list[tuple[_Statement, Token, list[Token]]] = []
 
-    def err(line: int, msg: str) -> LoadError:
-        return LoadError(path, line, msg)
+    def err(line: int, msg: str, col: int | None = None) -> LoadError:
+        return LoadError(path, line, msg, col)
 
     # Phase 1: collect declarations; defer anything needing the signature.
     for stmt in statements:
         ts = TokenStream(stmt.tokens)
-        try:
-            if stmt.section == "signature":
-                head = ts.expect(IDENT, "'concept', 'role', or 'individual'")
-                bucket = {"concept": concepts, "role": roles, "individual": individuals}.get(
-                    head.text
+        if stmt.section == "signature":
+            head = ts.expect(IDENT, "'concept', 'role', or 'individual'")
+            bucket = {"concept": concepts, "role": roles, "individual": individuals}.get(
+                head.text
+            )
+            if bucket is None:
+                raise ParseError(
+                    f"expected 'concept', 'role', or 'individual', found {head.text!r}",
+                    head.line,
+                    head.col,
                 )
-                if bucket is None:
-                    raise ParseError(
-                        f"expected 'concept', 'role', or 'individual', found {head.text!r}",
-                        head.line,
-                        head.col,
-                    )
+            for name in _name_list(ts):
+                bucket[name] = None
+        elif stmt.section == "contexts":
+            if ts.at_word("context"):
+                ts.next()
                 for name in _name_list(ts):
-                    bucket[name] = None
-            elif stmt.section == "contexts":
-                if ts.at_word("context"):
-                    ts.next()
-                    for name in _name_list(ts):
-                        contexts[name] = None
-                else:
-                    v = ts.expect(IDENT, "a context name")
-                    ts.expect("<=")
-                    u = ts.expect(IDENT, "a context name")
-                    ts.expect_end()
-                    # Name resolution is deferred: declarations may follow.
-                    leq_stmts.append((stmt, v, u))
-            elif stmt.section == "covers":
-                ts.expect_word("cover")
-                target = ts.expect(IDENT, "a context name")
-                ts.expect_word("by")
-                members = _name_list(ts)
-                cover_stmts.append((stmt, target.text, members))
-            elif stmt.section == "tbox":
-                tbox_stmts.append((stmt, stmt.tokens))
-            elif stmt.section == "abox":
-                abox_stmts.append((stmt, stmt.tokens))
-            elif stmt.section == "facts":
-                ts.expect_word("facts")
-                ctx = ts.expect(IDENT, "a context name")
-                ts.expect(":")
-                facts_stmts.append((stmt, ctx.text, stmt.tokens[ts.pos :]))
-        except ParseError as exc:
-            raise err(exc.line if exc.line is not None else stmt.line, exc.message) from exc
+                    contexts[name] = None
+            else:
+                v = ts.expect(IDENT, "a context name")
+                ts.expect("<=")
+                u = ts.expect(IDENT, "a context name")
+                ts.expect_end()
+                # Name resolution is deferred: declarations may follow.
+                leq_stmts.append((stmt, v, u))
+        elif stmt.section == "covers":
+            ts.expect_word("cover")
+            target = ts.expect(IDENT, "a context name")
+            ts.expect_word("by")
+            members = _name_list(ts)
+            cover_stmts.append((stmt, target.text, members))
+        elif stmt.section == "tbox":
+            tbox_stmts.append(stmt.tokens)
+        elif stmt.section == "abox":
+            abox_stmts.append(stmt.tokens)
+        elif stmt.section == "facts":
+            ts.expect_word("facts")
+            ctx = ts.expect(IDENT, "a context name")
+            ts.expect(":")
+            facts_stmts.append((stmt, ctx, stmt.tokens[ts.pos :]))
 
     # Phase 2: build and validate against the signature.
     try:
@@ -217,7 +212,7 @@ def _build(statements: list[_Statement], path: str) -> KBDocument:
     for stmt, v, u in leq_stmts:
         for tok in (v, u):
             if tok.text not in contexts:
-                raise err(tok.line, f"unknown context {tok.text!r}")
+                raise err(tok.line, f"unknown context {tok.text!r}", tok.col)
         declared.append((v.text, u.text))
     try:
         poset = ContextPoset(contexts, declared)
@@ -234,37 +229,27 @@ def _build(statements: list[_Statement], path: str) -> KBDocument:
         coverings.append(cov)
 
     inclusions: list[tuple[ConceptExpr, ConceptExpr]] = []
-    for stmt, tokens in tbox_stmts:
+    for tokens in tbox_stmts:
         ts = TokenStream(tokens)
-        try:
-            lhs = parse_concept_stream(ts, sig)
-            ts.expect("<=")
-            rhs = parse_concept_stream(ts, sig)
-            ts.expect_end()
-        except ParseError as exc:
-            raise err(exc.line or stmt.line, exc.message) from exc
+        lhs = parse_concept_stream(ts, sig)
+        ts.expect("<=")
+        rhs = parse_concept_stream(ts, sig)
+        ts.expect_end()
         inclusions.append((lhs, rhs))
 
     abox: set[Assertion] = set()
-    for stmt, tokens in abox_stmts:
+    for tokens in abox_stmts:
         ts = TokenStream(tokens)
-        try:
-            a = parse_assertion_stream(ts, sig)
-            ts.expect_end()
-        except ParseError as exc:
-            raise err(exc.line or stmt.line, exc.message) from exc
+        a = parse_assertion_stream(ts, sig)
+        ts.expect_end()
         abox.add(a)
 
     universes: dict[str, set[Fact]] = {}
     for stmt, ctx, tokens in facts_stmts:
-        ts = TokenStream(tokens)
-        try:
-            if ctx not in sig.context_names:
-                raise ParseError(f"unknown context {ctx!r}", stmt.line, 1)
-            facts = _fact_set(ts, sig)
-        except ParseError as exc:
-            raise err(exc.line or stmt.line, exc.message) from exc
-        universes.setdefault(ctx, set()).update(facts)
+        if ctx.text not in sig.context_names:
+            raise err(ctx.line, f"unknown context {ctx.text!r}", ctx.col)
+        facts = _fact_set(TokenStream(tokens), sig)
+        universes.setdefault(ctx.text, set()).update(facts)
 
     frozen_universes = {ctx: frozenset(facts) for ctx, facts in universes.items()}
     if facts_stmts:
@@ -329,13 +314,7 @@ def write_state(path: Union[str, Path], sig: Signature, abox: Iterable[Assertion
 
 def load_state(path: Union[str, Path], sig: Signature) -> frozenset[Assertion]:
     """Read a state dump written under the same signature."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise LoadError(str(path), 1, "file is not valid UTF-8 text") from exc
-    except OSError as exc:
-        raise LoadError(str(path), None, str(exc)) from exc
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith(STATE_HEADER + " "):
         raise LoadError(str(path), 1, f"missing '{STATE_HEADER} <digest>' header")
     digest = lines[0][len(STATE_HEADER) + 1 :].strip()
@@ -343,11 +322,10 @@ def load_state(path: Union[str, Path], sig: Signature) -> frozenset[Assertion]:
         raise LoadError(str(path), 1, "state dump was written under a different signature")
     abox: set[Assertion] = set()
     for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        if not line.strip() or line.lstrip().startswith("#"):
             continue
         try:
             abox.add(parse_assertion(line, sig))
         except ParseError as exc:
-            raise LoadError(str(path), lineno, exc.message) from exc
+            raise LoadError.at(str(path), exc, lineno) from exc
     return frozenset(abox)

@@ -21,6 +21,15 @@ rejected unless the header sets ``allow_deletions``. Session logs reuse the
 entry shape plus a ``seq`` number and are append-only; replaying a log gives
 an oracle that verifies each incoming query against the recorded one and
 reproduces the recorded responses byte for byte.
+
+Both formats hold one entry shape, ``ScriptEntry``, and share one reader:
+it decodes the file (``errors.read_text``), parses each nonblank line as a
+JSON object, checks that every entry names the same oracle, and parses the
+match and the response. ``load_script`` adds only the header, and
+``replay_session`` only the ``seq`` check; ``ScriptedOracle`` alone rejects
+deletions it does not allow and duplicate keys. Every failure is a
+``LoadError`` at the file and line of the record, with the column of a
+JSON syntax error.
 """
 
 from __future__ import annotations
@@ -28,14 +37,16 @@ from __future__ import annotations
 import json
 from fnmatch import fnmatchcase
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Iterator, Union
 
 from ctxdl.concepts import Signature
 from ctxdl.errors import (
     LoadError,
+    ParseError,
     ReplayMismatchError,
     ScriptLookupError,
     UnknownOracleError,
+    read_text,
 )
 from ctxdl.kb import (
     Assertion,
@@ -94,31 +105,31 @@ class ScriptedOracle(OracleSpec):
         self.name = name
         self.allow_deletions = allow_deletions
         self._exact: dict[tuple[str, str], OracleResponse] = {}
-        self._patterns: list[ScriptEntry] = []
-        seen_patterns: set[str] = set()
+        self._patterns: dict[str, OracleResponse] = {}  # pattern -> response, in file order
         for entry in entries:
-            if entry.response.deletions and not allow_deletions:
-                raise ValueError(
-                    "script contains deletions but does not set allow_deletions"
-                )
-            if entry.state is not None:
-                key = (entry.state, entry.payload)
-                if key in self._exact:
-                    raise ValueError(f"duplicate script entry for state/payload {key!r}")
-                self._exact[key] = entry.response
-            else:
-                if entry.payload in seen_patterns:
-                    raise ValueError(f"duplicate script entry for payload {entry.payload!r}")
-                seen_patterns.add(entry.payload)
-                self._patterns.append(entry)
+            self.add(entry)
+
+    def add(self, entry: ScriptEntry) -> None:
+        """Append an entry; a deletion not allowed or a repeated key is a ValueError."""
+        if entry.response.deletions and not self.allow_deletions:
+            raise ValueError("script contains deletions but does not set allow_deletions")
+        if entry.state is not None:
+            key = (entry.state, entry.payload)
+            if key in self._exact:
+                raise ValueError(f"duplicate script entry for state/payload {key!r}")
+            self._exact[key] = entry.response
+        else:
+            if entry.payload in self._patterns:
+                raise ValueError(f"duplicate script entry for payload {entry.payload!r}")
+            self._patterns[entry.payload] = entry.response
 
     def respond(self, digest: str, payload: str) -> OracleResponse:
         hit = self._exact.get((digest, payload))
         if hit is not None:
             return hit
-        for entry in self._patterns:
-            if fnmatchcase(payload, entry.payload):
-                return entry.response
+        for pattern, response in self._patterns.items():
+            if fnmatchcase(payload, pattern):
+                return response
         raise ScriptLookupError(
             f"oracle {self.name!r} has no entry for payload {payload!r} in the current state"
         )
@@ -176,14 +187,10 @@ def _log_line(
     )
 
 
-class _LogRecord(Record):
-    __slots__ = ("payload", "state", "response")
-
-
 class ReplayOracle(OracleSpec):
     """Replays a recorded session, verifying each query against the log."""
 
-    def __init__(self, name: str, records: list[_LogRecord]):
+    def __init__(self, name: str, records: list[ScriptEntry]):
         self.name = name
         self._records = records
         self._pos = 0
@@ -211,86 +218,42 @@ def record_session(spec: OracleSpec, sink: IO[str]) -> RecordingOracle:
 
 def replay_session(source: Union[str, Path, IO[str]], sig: Signature) -> ReplayOracle:
     """Build a replaying oracle from a session log (path or open stream)."""
-    path, lines = _read_lines(source)
-    records: list[_LogRecord] = []
+    path, records = _read_records(source)
     name: str | None = None
-    expected_seq = 0
-    for lineno, raw in lines:
-        obj = _parse_json_line(path, lineno, raw)
+    entries: list[ScriptEntry] = []
+    for expected_seq, (lineno, obj) in enumerate(records):
         if "seq" not in obj:
             raise LoadError(path, lineno, "log record is missing its sequence number")
         if obj["seq"] != expected_seq:
             raise LoadError(
                 path, lineno, f"log truncated or reordered: expected seq {expected_seq}, found {obj['seq']}"
             )
-        expected_seq += 1
-        entry_name = obj.get("oracle")
-        if not isinstance(entry_name, str):
-            raise LoadError(path, lineno, "log record is missing the oracle name")
-        if name is None:
-            name = entry_name
-        elif entry_name != name:
-            raise LoadError(path, lineno, f"log names two oracles: {name!r} and {entry_name!r}")
-        match = obj.get("match")
-        payload = match.get("payload") if isinstance(match, dict) else None
-        state = match.get("state") if isinstance(match, dict) else None
-        if not isinstance(payload, str) or not isinstance(state, str):
-            raise LoadError(path, lineno, "log record needs match.payload and match.state")
-        response = _parse_response(obj, sig, path, lineno)
-        records.append(_LogRecord(payload, state, response))
-    if name is None:
-        name = "replay"
-    return ReplayOracle(name, records)
+        name, entry = _read_entry(path, lineno, obj, sig, "log", name)
+        entries.append(entry)
+    return ReplayOracle("replay" if name is None else name, entries)
 
 
 def load_script(source: Union[str, Path, IO[str]], sig: Signature) -> ScriptedOracle:
     """Load a scripted oracle from JSONL text (path or open stream)."""
-    path, lines = _read_lines(source)
-    entries: list[ScriptEntry] = []
-    allow_deletions = False
-    name: str | None = None
-    seen: dict[tuple, int] = {}
-    first = True
-    for lineno, raw in lines:
-        obj = _parse_json_line(path, lineno, raw)
-        if first and "oracle" not in obj:
-            allow_deletions = bool(obj.get("allow_deletions", False))
+    path, records = _read_records(source)
+    spec = ScriptedOracle(None, ())
+    for index, (lineno, obj) in enumerate(records):
+        if index == 0 and "oracle" not in obj:
             unknown = set(obj) - {"allow_deletions", "name"}
             if unknown:
                 raise LoadError(path, lineno, f"unknown header fields {sorted(unknown)}")
+            spec.allow_deletions = bool(obj.get("allow_deletions", False))
             if "name" in obj:
-                name = str(obj["name"])
-            first = False
+                spec.name = str(obj["name"])
             continue
-        first = False
-        entry_name = obj.get("oracle")
-        if not isinstance(entry_name, str):
-            raise LoadError(path, lineno, "script entry is missing the oracle name")
-        if name is None:
-            name = entry_name
-        elif entry_name != name:
-            raise LoadError(path, lineno, f"script names two oracles: {name!r} and {entry_name!r}")
-        match = obj.get("match")
-        if not isinstance(match, dict) or "payload" not in match:
-            raise LoadError(path, lineno, "script entry needs a match.payload field")
-        state = match.get("state")
-        if state is not None and not isinstance(state, str):
-            raise LoadError(path, lineno, "match.state must be a string digest")
-        response = _parse_response(obj, sig, path, lineno)
-        if response.deletions and not allow_deletions:
-            raise LoadError(
-                path, lineno, "entry deletes assertions but the header does not set allow_deletions"
-            )
-        key = (state, str(match["payload"]))
-        if key in seen:
-            raise LoadError(
-                path, lineno, f"duplicate entry for {key!r} (first at line {seen[key]})"
-            )
-        seen[key] = lineno
-        entries.append(ScriptEntry(str(match["payload"]), state, response))
-    if name is None:
+        spec.name, entry = _read_entry(path, lineno, obj, sig, "script", spec.name)
+        try:
+            spec.add(entry)
+        except ValueError as exc:
+            raise LoadError(path, lineno, str(exc)) from exc
+    if spec.name is None:
         raise LoadError(path, 1, "script declares no oracle name")
-    return ScriptedOracle(name, entries, allow_deletions)
+    return spec
 
 
 def oracle_step(
@@ -325,29 +288,56 @@ def run_session(
 # ---------------------------------------------------------------------------
 
 
-def _read_lines(source: Union[str, Path, IO[str]]) -> tuple[str, list[tuple[int, str]]]:
+def _read_records(source: Union[str, Path, IO[str]]) -> tuple[str, Iterator[tuple[int, dict]]]:
+    """The path of *source* and its nonblank lines as (line number, JSON object).
+
+    The lines are parsed as they are iterated, so the first bad line in
+    file order is the one reported.
+    """
     if isinstance(source, (str, Path)):
-        path = str(source)
-        text = Path(source).read_text(encoding="utf-8")
+        path, text = str(source), read_text(source)
     else:
-        path = getattr(source, "name", "<stream>")
-        text = source.read()
-    lines = [
-        (lineno, line)
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
-    ]
-    return path, lines
+        path, text = getattr(source, "name", "<stream>"), source.read()
+    lines = enumerate(text.splitlines(), start=1)
+    return path, ((lineno, _parse_json_line(path, lineno, raw)) for lineno, raw in lines if raw.strip())
 
 
 def _parse_json_line(path: str, lineno: int, raw: str) -> dict:
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise LoadError(path, lineno, f"invalid JSON record: {exc.msg}") from exc
+        raise LoadError(path, lineno, f"invalid JSON record: {exc.msg}", exc.colno) from exc
     if not isinstance(obj, dict):
         raise LoadError(path, lineno, "each record must be a JSON object")
     return obj
+
+
+def _read_entry(
+    path: str, lineno: int, obj: dict, sig: Signature, kind: str, name: str | None
+) -> tuple[str, ScriptEntry]:
+    """The oracle name and the entry of one record of a *kind* ("script" or
+    "log") file; *name* is the oracle the file has named so far, if any.
+
+    A log entry matches one exact state; a script entry may leave it out.
+    """
+    noun = "script entry" if kind == "script" else "log record"
+    oracle = obj.get("oracle")
+    if not isinstance(oracle, str):
+        raise LoadError(path, lineno, f"{noun} is missing the oracle name")
+    if name is not None and oracle != name:
+        raise LoadError(path, lineno, f"{kind} names two oracles: {name!r} and {oracle!r}")
+    match = obj.get("match")
+    if not isinstance(match, dict):
+        match = {}
+    payload, state = match.get("payload"), match.get("state")
+    if kind == "log":
+        if not isinstance(payload, str) or not isinstance(state, str):
+            raise LoadError(path, lineno, "log record needs match.payload and match.state")
+    elif "payload" not in match:
+        raise LoadError(path, lineno, "script entry needs a match.payload field")
+    elif state is not None and not isinstance(state, str):
+        raise LoadError(path, lineno, "match.state must be a string digest")
+    return oracle, ScriptEntry(str(payload), state, _parse_response(obj, sig, path, lineno))
 
 
 def _parse_response(obj: dict, sig: Signature, path: str, lineno: int) -> OracleResponse:
@@ -359,7 +349,7 @@ def _parse_response(obj: dict, sig: Signature, path: str, lineno: int) -> Oracle
         for text in raw:
             try:
                 out.add(parse_assertion(str(text), sig))
-            except Exception as exc:
+            except ParseError as exc:
                 raise LoadError(path, lineno, f"bad assertion {text!r}: {exc}") from exc
         return frozenset(out)
 

@@ -44,6 +44,7 @@ stored, since it aborts the run.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Union
 
 from ctxdl.concepts import (
@@ -54,7 +55,7 @@ from ctxdl.concepts import (
     print_concept_operand,
 )
 from ctxdl.contexts import ContextPoset
-from ctxdl.errors import BudgetExceededError, EvalAborted, ParseError
+from ctxdl.errors import BudgetExceededError, EvalAborted, LoadError, ParseError, read_text
 from ctxdl.kb import (
     Assertion,
     AssertGuard,
@@ -161,6 +162,14 @@ def parse_program(text: str, sig: Signature) -> Program:
     prog = _parse_program(ts, sig)
     ts.expect_end()
     return prog
+
+
+def load_program(path: Union[str, Path], sig: Signature) -> Program:
+    """Read and parse a program file; any failure raises LoadError."""
+    try:
+        return parse_program(read_text(path), sig)
+    except ParseError as exc:
+        raise LoadError.at(str(path), exc) from exc
 
 
 def parse_guard(text: str, sig: Signature) -> Guard:

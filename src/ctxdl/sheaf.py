@@ -93,13 +93,6 @@ def render_fact(f: Fact) -> str:
     return f"({f.subject},{f.target}):{f.role}"
 
 
-def parse_fact(text: str, sig: Signature) -> Fact:
-    ts = TokenStream(tokenize(text))
-    f = parse_fact_stream(ts, sig)
-    ts.expect_end()
-    return f
-
-
 def parse_fact_stream(ts: TokenStream, sig: Signature) -> Fact:
     """Parse ``a:C`` or ``(a,b):r`` where C is an atomic concept name."""
     if ts.peek().kind == "(":

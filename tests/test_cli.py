@@ -456,6 +456,114 @@ class TestExitCodes:
         assert outs[0] == outs[1]
 
 
+# Every file a command reads: the file's name in a copy of samples/, the
+# command line that reads it, and a text with a token error in it followed
+# by the message that error gives after "error: <path>:". The agent files
+# agent-kb.json, agent-program.json and agent-script.json each point one of
+# their references at the broken file. A state text's DIGEST is replaced by
+# the digest of chain.kb's signature.
+INPUT_FILES = {
+    "check": (
+        "bad.kb", ["check", "bad.kb"],
+        "signature\n  concept A.\ntbox\n  A <= Zz.\n", "4:8: unknown concept name 'Zz'",
+    ),
+    "sat": (
+        "bad.kb", ["sat", "bad.kb", "A"],
+        "signature\n  concept A.\n  individual a.\ncontexts\n  context U.\nfacts\n  facts W : { a:A }.\n",
+        "7:9: unknown context 'W'",
+    ),
+    "saturate-state": (
+        "bad.state", ["saturate", "chain.kb", "--state", "bad.state"],
+        "ctxdl-state DIGEST\na:A@U\n  a : Zz @ U\n", "3:7: unknown concept name 'Zz'",
+    ),
+    "run-program": (
+        "bad.p", ["run", "bad.p", "--kb", "chain.kb"],
+        "skip;\n  add a:Zz@U\n", "2:9: unknown concept name 'Zz'",
+    ),
+    "apply-oracle-script": (
+        "bad.jsonl", ["apply-oracle", "chain.kb", "--script", "bad.jsonl", "--payload", "scan-1"],
+        '{"oracle": "probe", "match": oops}\n', "1:30: invalid JSON record: Expecting value",
+    ),
+    "apply-oracle-replay": (
+        "bad.log", ["apply-oracle", "chain.kb", "--replay", "bad.log", "--payload", "scan-1"],
+        '{"add": [], "del": [], "match": {"payload": "scan-1", "state": ""}, "oracle": "probe", "seq": 0}\n'
+        '{"add": [], "seq": 1,, "oracle": "probe"}\n',
+        "2:22: invalid JSON record: Expecting property name enclosed in double quotes",
+    ),
+    "stability-agent": (
+        "bad.json", ["stability", "bad.json"],
+        '{\n  "name": "n",\n  "kb" "sensor.kb"\n}\n', "3:8: invalid JSON: Expecting ':' delimiter",
+    ),
+    "stability-agent-kb": (
+        "bad.kb", ["stability", "agent-kb.json"],
+        "signature\n  concept A.\ntbox\n  A <= Zz.\n", "4:8: unknown concept name 'Zz'",
+    ),
+    "stability-agent-program": (
+        "bad.p", ["stability", "agent-program.json"],
+        "if probe:High@Obs then add scene:Obstacle@Obz else skip fi\n",
+        "1:43: unknown context name 'Obz'",
+    ),
+    "stability-agent-script": (
+        "bad.jsonl", ["stability", "agent-script.json"],
+        '{"oracle": "stream", "match": {"payload": "*"}, "add": [probe:High@Obs]}\n',
+        "1:57: invalid JSON record: Expecting value",
+    ),
+}
+
+
+class TestInputFiles:
+    """Each file a command reads fails the same way: exit 2, path and line."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        shutil.copytree(SAMPLES, tmp_path, dirs_exist_ok=True)
+        agent = json.loads((SAMPLES / "sensor_constant.json").read_text(encoding="utf-8"))
+        broken = {
+            "kb": {"kb": "bad.kb"},
+            "program": {"program": "bad.p"},
+            "script": {"oracle": {**agent["oracle"], "script": "bad.jsonl"}},
+        }
+        for ref, change in broken.items():
+            (tmp_path / f"agent-{ref}.json").write_text(json.dumps({**agent, **change}), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("kind", sorted(INPUT_FILES))
+    def test_missing_file(self, capsys, workdir, kind):
+        name, argv, _, _ = INPUT_FILES[kind]
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {name}: [Errno 2] ")
+
+    @pytest.mark.parametrize("kind", sorted(INPUT_FILES))
+    def test_file_that_is_not_utf8(self, capsys, workdir, kind):
+        name, argv, _, _ = INPUT_FILES[kind]
+        (workdir / name).write_bytes(b"\xff\xfe\x00\x9d\x80\n")
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {name}:1: file is not valid UTF-8 text\n"
+
+    @pytest.mark.parametrize("kind", sorted(INPUT_FILES))
+    def test_token_error_has_line_and_column(self, capsys, workdir, kind):
+        from ctxdl.kb import signature_digest
+        from ctxdl.kbfile import load_kb
+
+        name, argv, text, message = INPUT_FILES[kind]
+        digest = signature_digest(load_kb(workdir / "chain.kb").signature)
+        (workdir / name).write_text(text.replace("DIGEST", digest), encoding="utf-8")
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {name}:{message}\n"
+
+    def test_oracle_flag_is_gone(self, capsys, workdir):
+        code, _, err = run_cli(
+            "apply-oracle", "chain.kb", "--script", "probe_session.jsonl",
+            "--oracle", "probe", "--payload", "scan-1", capsys=capsys,
+        )
+        assert code == 2
+        assert "unrecognized arguments: --oracle probe" in err
+
+
 class TestConsoleEntry:
     def test_subprocess_invocation(self):
         proc = subprocess.run(
@@ -494,7 +602,7 @@ class TestConsoleEntry:
         assert seen["after_import"] == ["ctxdl"]
         assert seen["oracle_step"] is True
         assert seen["unknown"] == "AttributeError"
-        assert len(PUBLIC_NAMES) == 107
+        assert len(PUBLIC_NAMES) == 108
         assert sorted(seen["resolved"]) == sorted(PUBLIC_NAMES)
         assert sorted(seen["star"]) == sorted(PUBLIC_NAMES)
         assert PUBLIC_NAMES <= set(seen["dir"])
@@ -548,7 +656,7 @@ PUBLIC_NAMES = frozenset(
     OracleQuery OracleResponse OracleSpec ScriptedOracle load_script
     oracle_step record_session replay_session run_session
     Add Del EvalOutcome FuelExhausted If Program Seq Skip Terminated While
-    evaluate evaluate_trace parse_guard parse_program print_program
+    evaluate evaluate_trace load_program parse_guard parse_program print_program
     Agent FactPattern LatentStructure Manifested SeedPolicy StabilityReport
     interact load_agent stability_check
     """.split()

@@ -145,6 +145,46 @@ class TestScriptFiles:
             load_script(io.StringIO('{"oracle": oops\n'), SIG)
         assert exc.value.line == 1
 
+    def test_header_name_must_match_the_entries(self):
+        text = '{"name": "hdr"}\n{"oracle": "s", "match": {"payload": "p"}, "add": []}\n'
+        with pytest.raises(LoadError) as exc:
+            load_script(io.StringIO(text), SIG)
+        assert exc.value.line == 2
+        assert "script names two oracles: 'hdr' and 's'" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (
+                ['"match": {"payload": "q"}, "add": []', '"match": {"payload": "p"}, "add": [], "del": ["a:A@U"]'],
+                "script contains deletions but does not set allow_deletions",
+            ),
+            (
+                ['"match": {"payload": "p"}, "add": []', '"match": {"payload": "p"}, "add": ["a:A@U"]'],
+                "duplicate script entry for payload 'p'",
+            ),
+            (
+                ['"match": {"payload": "p", "state": "d"}, "add": []', '"match": {"payload": "p", "state": "d"}'],
+                "duplicate script entry for state/payload ('d', 'p')",
+            ),
+        ],
+    )
+    def test_table_errors_name_the_line_of_the_entry(self, entries, message):
+        # The checks live in ScriptedOracle; the loader adds the entry's line,
+        # and an error on a later line is not reached.
+        lines = ['{"name": "s"}', ""] + ['{"oracle": "s", ' + e + "}" for e in entries] + ["{oops"]
+        with pytest.raises(LoadError) as exc:
+            load_script(io.StringIO("\n".join(lines) + "\n"), SIG)
+        assert str(exc.value) == f"<stream>:4: {message}"
+
+    def test_pattern_entries_answer_in_file_order(self):
+        text = (
+            '{"oracle": "s", "match": {"payload": "read-*"}, "add": ["a:A@U"]}\n'
+            '{"oracle": "s", "match": {"payload": "read-1*"}, "add": ["b:B@V"]}\n'
+        )
+        spec = load_script(io.StringIO(text), SIG)
+        assert spec.respond("", "read-17").additions == {BETA}
+
 
 class TestRecordReplay:
     def session_spec(self):
@@ -208,6 +248,12 @@ class TestRecordReplay:
         with pytest.raises(ReplayMismatchError) as exc:
             oracle_step(EMPTY, replay, OracleQuery("replay", "p0"))
         assert "exhausted" in str(exc.value)
+
+    def test_log_record_needs_a_state(self):
+        text = '{"seq": 0, "oracle": "s", "match": {"payload": "p"}, "add": []}\n'
+        with pytest.raises(LoadError) as exc:
+            replay_session(io.StringIO(text), SIG)
+        assert str(exc.value) == "<stream>:1: log record needs match.payload and match.state"
 
     def test_truncated_log_detected_at_load(self):
         sink = io.StringIO()
