@@ -58,7 +58,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "FiniteModel",
         "TBox",
         "check_interpretation",
-        "enumerate_models",
         "find_witness",
         "is_satisfiable",
         "subsumes",

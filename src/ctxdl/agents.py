@@ -29,11 +29,14 @@ Relative paths are resolved against the file's directory. ``program`` and
 ``oracle`` are each optional; an agent with neither is the identity on its
 injected facts (modulo projection).
 
-Loading rejects, with a positioned ``LoadError``, a projection pattern that
-names an undeclared individual, concept, role or context (``*`` matches any
-name and is always allowed), and a query template with any replacement
-field other than a plain ``{seed}`` or ``{parity}``, or with unbalanced
-braces. A loaded agent's queries therefore always format.
+A projection pattern is a fact of the fact-list grammar (``a:C`` or
+``(a,b):r``) whose slots may be ``*``, then an optional ``@U`` or ``@*``.
+Spaces between tokens are allowed, and every name is checked against the
+signature as it is parsed. Loading rejects, with a ``LoadError`` at the
+agent file, a pattern the parser rejects (``projection pattern '<text>':
+<reason>``) and a query template with any replacement field other than a
+plain ``{seed}`` or ``{parity}``, or with unbalanced braces. A loaded
+agent's queries therefore always format.
 
 Projection looks patterns up rather than scanning for them. A pattern whose
 name slots are all concrete selects at most one fact, so it is decided by
@@ -46,82 +49,67 @@ pattern gives, because every assertion of a run is at a declared context.
 from __future__ import annotations
 
 import json
-import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
 
-from ctxdl.concepts import Atomic, Signature
+from ctxdl.concepts import Atomic, Signature, expect_name
 from ctxdl.contexts import ContextPoset
-from ctxdl.errors import InteractionError, LoadError, OracleError, read_text
+from ctxdl.errors import InteractionError, LoadError, OracleError, ParseError, read_text
 from ctxdl.kb import GUARD_MODES, Assertion, ConceptAssertion, KnowledgeState, RoleAssertion
+from ctxdl.lexer import TokenStream, tokenize
 from ctxdl.oracle import OracleQuery, OracleSpec, load_script, run_session
 from ctxdl.programs import DEFAULT_FUEL, FuelExhausted, Program, evaluate, load_program
-from ctxdl.sheaf import ConceptFact, Fact, RoleFact, Section, render_fact
+from ctxdl.sheaf import ConceptFact, Fact, RoleFact, Section, parse_fact_stream, render_fact
 from ctxdl.values import Record
 
-_CONCEPT_PATTERN = re.compile(
-    r"^(?P<ind>\*|[A-Za-z]\w*):(?P<con>\*|[A-Za-z]\w*)(?:@(?P<ctx>\*|[A-Za-z]\w*))?$"
-)
-_ROLE_PATTERN = re.compile(
-    r"^\((?P<sub>\*|[A-Za-z]\w*),(?P<tgt>\*|[A-Za-z]\w*)\):(?P<role>\*|[A-Za-z]\w*)"
-    r"(?:@(?P<ctx>\*|[A-Za-z]\w*))?$"
-)
-
-
 class FactPattern(Record):
-    """A fact selector; '*' in any slot matches every name.
+    """A fact selector: a fact whose slots may be '*', which matches every
+    name, and the context it is asserted at, or None for any context.
 
     Concept patterns ``a:C[@U]`` match atomic concept assertions; role
-    patterns ``(a,b):r[@U]`` match role assertions. Without ``@U`` the
-    context is unconstrained. *kind* is "concept" or "role", and *fields*
-    holds (ind, con) or (sub, tgt, role).
+    patterns ``(a,b):r[@U]`` match role assertions. ``@*`` and no ``@``
+    both leave the context unconstrained.
     """
 
-    __slots__ = ("kind", "fields", "context")
+    __slots__ = ("fact", "context")
 
     @staticmethod
-    def parse(text: str) -> "FactPattern":
-        text = text.replace(" ", "")
-        m = _ROLE_PATTERN.match(text)
-        if m:
-            return FactPattern(
-                "role", (m.group("sub"), m.group("tgt"), m.group("role")), m.group("ctx")
-            )
-        m = _CONCEPT_PATTERN.match(text)
-        if m:
-            return FactPattern("concept", (m.group("ind"), m.group("con")), m.group("ctx"))
-        raise ValueError(f"bad fact pattern {text!r}")
+    def parse(text: str, sig: Signature) -> "FactPattern":
+        """Parse *text* with the fact grammar, every name declared in *sig*
+        or '*'; a bad pattern is a positioned ParseError."""
+        ts = TokenStream(tokenize(text))
+        fact = parse_fact_stream(ts, sig, _slot)
+        context = None
+        if ts.peek().kind == "@":
+            ts.next()
+            context = _slot(ts, sig.context_names, "context")
+        ts.expect_end()
+        return FactPattern(fact, None if context == "*" else context)
 
-    def named_slots(self) -> tuple[tuple[str, str], ...]:
-        """(kind, name) of every slot, context included, that is not '*'."""
-        kinds = ("individual", "concept") if self.kind == "concept" else ("individual", "individual", "role")
-        slots = (*zip(kinds, self.fields), ("context", self.context))
-        return tuple((kind, name) for kind, name in slots if name not in (None, "*"))
-
-    def at(self, context: str) -> Assertion:
-        """The one assertion a pattern without '*' name slots selects at *context*."""
-        if self.kind == "concept":
-            individual, concept = self.fields
-            return ConceptAssertion(individual, Atomic(concept), context)
-        subject, target, role = self.fields
-        return RoleAssertion(subject, target, role, context)
+    @property
+    def wild(self) -> bool:
+        """Whether a name slot is '*', so that the pattern selects by scanning."""
+        return "*" in self.fact._values(self.fact)
 
     def matches(self, assertion: Assertion) -> bool:
-        if self.context not in (None, "*") and assertion.context != self.context:
+        if self.context not in (None, assertion.context):
             return False
-        if self.kind == "concept":
-            if not isinstance(assertion, ConceptAssertion):
+        if isinstance(self.fact, ConceptFact):
+            if not isinstance(assertion, ConceptAssertion) or not isinstance(assertion.concept, Atomic):
                 return False
-            if not isinstance(assertion.concept, Atomic):
-                return False
-            values = (assertion.individual, assertion.concept.name)
-        else:
-            if not isinstance(assertion, RoleAssertion):
-                return False
-            values = (assertion.subject, assertion.target, assertion.role)
-        return all(want in ("*", got) for want, got in zip(self.fields, values))
+        elif not isinstance(assertion, RoleAssertion):
+            return False
+        got = _fact(assertion)
+        return all(want in ("*", name) for want, name in zip(self.fact._values(self.fact), got._values(got)))
+
+
+def _slot(ts: TokenStream, names: frozenset[str], kind: str) -> str:
+    """A name declared in *names*, or '*'."""
+    if ts.peek().kind == "*":
+        return ts.next().text
+    return expect_name(ts, names, kind)
 
 
 class LatentStructure(Record):
@@ -197,13 +185,12 @@ def _project(
     out: set[Fact] = set()
     scanned = []
     for p in projection:
-        if "*" in p.fields:
+        if p.wild:
             scanned.append(p)
             continue
-        for u in contexts if p.context in (None, "*") else (p.context,):
-            probe = p.at(u)
-            if probe in abox:
-                out.add(_fact(probe))
+        for u in contexts if p.context is None else (p.context,):
+            if _inject(p.fact, u) in abox:
+                out.add(p.fact)
                 break
     if scanned:
         out.update(_fact(a) for a in abox if any(p.matches(a) for p in scanned))
@@ -335,20 +322,12 @@ def load_agent(path: Union[str, Path]) -> Agent:
                 raise fail(f"oracle query template {template!r}: {problem}")
     if not isinstance(raw["projection"], list):
         raise fail("projection must be a list of fact patterns")
-    try:
-        projection = tuple(FactPattern.parse(str(p)) for p in raw["projection"])
-    except ValueError as exc:
-        raise fail(str(exc)) from exc
-    declared = {
-        "individual": sig.individual_names,
-        "concept": sig.concept_names,
-        "role": sig.role_names,
-        "context": sig.context_names,
-    }
-    for text, pattern in zip(raw["projection"], projection):
-        for kind, name in pattern.named_slots():
-            if name not in declared[kind]:
-                raise fail(f"projection pattern {str(text)!r} names an undeclared {kind} {name!r}")
+    projection = []
+    for text in map(str, raw["projection"]):
+        try:
+            projection.append(FactPattern.parse(text, sig))
+        except ParseError as exc:
+            raise fail(f"projection pattern {text!r}: {exc.message}") from exc
     policy_raw = raw.get("seed_policy", {"kind": "constant", "value": 0})
     if not isinstance(policy_raw, dict):
         raise fail("seed_policy must be an object")
@@ -371,7 +350,7 @@ def load_agent(path: Union[str, Path]) -> Agent:
         program=program,
         oracle=oracle,
         queries=queries,
-        projection=projection,
+        projection=tuple(projection),
         fuel=fuel,
         guard_mode=mode,
         seed_policy=SeedPolicy(kind, value),

@@ -18,7 +18,7 @@ import json
 import sys
 from typing import TYPE_CHECKING, Iterable
 
-from ctxdl.concepts import parse_concept, print_concept
+from ctxdl.concepts import expect_name, parse_concept, print_concept
 from ctxdl.contexts import Covering
 from ctxdl.errors import (
     BudgetExceededError,
@@ -32,6 +32,7 @@ from ctxdl.errors import (
 )
 from ctxdl.kb import GUARD_MODES, KnowledgeState, canonical_abox, render_assertion, saturate
 from ctxdl.kbfile import KBDocument, load_kb, load_state, write_state
+from ctxdl.lexer import TokenStream, tokenize
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET, is_satisfiable, subsumes
 
 if TYPE_CHECKING:
@@ -245,13 +246,14 @@ def _cmd_apply_oracle(args, report: _Report) -> None:
 
 
 def _parse_cli_section(text: str, doc: KBDocument, ps: Presheaf) -> Section:
-    from ctxdl.sheaf import parse_fact_list
+    """The family member ``CTX: fact, fact`` given to ``glue --section``."""
+    from ctxdl.sheaf import parse_fact_list_stream
 
-    head, sep, body = text.partition(":")
-    if not sep:
-        raise ValueError(f"section must look like 'CTX: fact, fact', got {text!r}")
-    ctx = head.strip()
-    facts = parse_fact_list(body, doc.signature)
+    ts = TokenStream(tokenize(text))
+    ctx = expect_name(ts, doc.signature.context_names, "context")
+    ts.expect(":", "':' after the section's context")
+    facts = parse_fact_list_stream(ts, doc.signature)
+    ts.expect_end()
     return ps.section(ctx, facts)
 
 

@@ -12,9 +12,11 @@ operators binding tighter than ``&``, which binds tighter than ``|``)::
                   | '(' disjunction ')'
 
 Every name must be declared in the signature before use; undeclared names
-are rejected with a positioned error. Each ``!``, quantifier and
-parenthesis opens a nesting level, and input nested deeper than
-``lexer.MAX_NESTING`` levels is rejected the same way.
+are rejected with a positioned error. ``expect_name`` is that check for
+every parser that reads declared names from a token stream: concepts,
+assertions, facts, projection patterns and ``glue --section``. Each
+``!``, quantifier and parenthesis opens a nesting level, and input nested
+deeper than ``lexer.MAX_NESTING`` levels is rejected the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import re
 
 from ctxdl.errors import ParseError, UnknownNameError
-from ctxdl.lexer import IDENT, Token, TokenStream, tokenize
+from ctxdl.lexer import END, IDENT, TokenStream, tokenize
 from ctxdl.values import Node, Record
 
 _set = object.__setattr__  # writes a field past Record's frozen __setattr__
@@ -130,6 +132,23 @@ class Signature(Record):
                 seen[name] = kind
 
 
+def expect_name(ts: TokenStream, names: frozenset[str], kind: str) -> str:
+    """Read one name declared in *names*; *kind* ("concept", ...) names it
+    in the positioned ParseError or UnknownNameError raised otherwise.
+
+    The one declared-name check of every parser. It runs for every name of
+    every document, so on success it formats no string.
+    """
+    tok = ts.next()
+    if tok.text in names:  # declared names are identifiers, so tok is one
+        return tok.text
+    if tok.kind != IDENT:
+        found = "end of input" if tok.kind == END else repr(tok.text)
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise ParseError(f"expected {article} {kind} name, found {found}", tok.line, tok.col)
+    raise UnknownNameError(f"unknown {kind} name {tok.text!r}", tok.line, tok.col)
+
+
 def parse_concept(text: str, sig: Signature) -> ConceptExpr:
     """Parse *text* into a concept expression over *sig*."""
     ts = TokenStream(tokenize(text))
@@ -187,23 +206,17 @@ def _parse_unary(ts: TokenStream, sig: Signature) -> ConceptExpr:
         return Not(child)
     if tok.kind == IDENT and tok.text in ("exists", "forall"):
         ts.next()
-        role = ts.expect(IDENT, "a role name")
-        if role.text not in sig.role_names:
-            raise UnknownNameError(f"unknown role name {role.text!r}", role.line, role.col)
+        role = expect_name(ts, sig.role_names, "role")
         ts.expect(".")
         ts.descend(tok)
         child = _parse_unary(ts, sig)
         ts.ascend()
-        return Exists(role.text, child) if tok.text == "exists" else Forall(role.text, child)
-    if tok.kind == IDENT:
+        return Exists(role, child) if tok.text == "exists" else Forall(role, child)
+    if tok.kind == IDENT and tok.text in ("top", "bot"):
         ts.next()
-        if tok.text == "top":
-            return TOP
-        if tok.text == "bot":
-            return BOT
-        if tok.text not in sig.concept_names:
-            raise UnknownNameError(f"unknown concept name {tok.text!r}", tok.line, tok.col)
-        return Atomic(tok.text)
+        return TOP if tok.text == "top" else BOT
+    if tok.kind == IDENT:
+        return Atomic(expect_name(ts, sig.concept_names, "concept"))
     if tok.kind == "(":
         ts.next()
         ts.descend(tok)

@@ -8,7 +8,10 @@ encoded as boolean results.
 Every input file (documents, state dumps, programs, oracle scripts, session
 logs, agent files) is decoded by ``read_text``, and a syntax error in one is
 placed in it by ``LoadError.at``, so each kind of file fails the same way:
-``path:line:col: message``.
+``path:line:col: message``. A string inside a JSON file (a projection
+pattern, an assertion of an oracle script) is parsed on its own, so its
+error is ``path:line: <what> '<text>': message``, where the message is
+the parser's without its position inside the string.
 """
 
 from __future__ import annotations

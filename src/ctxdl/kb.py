@@ -31,10 +31,9 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import AbstractSet, Iterable, Union
 
-from ctxdl.concepts import Signature, parse_concept_stream, print_concept
+from ctxdl.concepts import Signature, expect_name, parse_concept_stream, print_concept
 from ctxdl.contexts import ContextPoset
-from ctxdl.errors import UnknownNameError
-from ctxdl.lexer import IDENT, TokenStream, tokenize
+from ctxdl.lexer import TokenStream, tokenize
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET, subsumes
 from ctxdl.values import Node, Record
 
@@ -136,35 +135,19 @@ def parse_assertion(text: str, sig: Signature) -> Assertion:
 def parse_assertion_stream(ts: TokenStream, sig: Signature) -> Assertion:
     if ts.peek().kind == "(":
         ts.next()
-        subject = _individual(ts, sig)
+        subject = expect_name(ts, sig.individual_names, "individual")
         ts.expect(",")
-        target = _individual(ts, sig)
+        target = expect_name(ts, sig.individual_names, "individual")
         ts.expect(")")
         ts.expect(":")
-        role = ts.expect(IDENT, "a role name")
-        if role.text not in sig.role_names:
-            raise UnknownNameError(f"unknown role name {role.text!r}", role.line, role.col)
+        role = expect_name(ts, sig.role_names, "role")
         ts.expect("@")
-        return RoleAssertion(subject, target, role.text, _context(ts, sig))
-    individual = _individual(ts, sig)
+        return RoleAssertion(subject, target, role, expect_name(ts, sig.context_names, "context"))
+    individual = expect_name(ts, sig.individual_names, "individual")
     ts.expect(":")
     concept = parse_concept_stream(ts, sig)
     ts.expect("@")
-    return ConceptAssertion(individual, concept, _context(ts, sig))
-
-
-def _individual(ts: TokenStream, sig: Signature) -> str:
-    tok = ts.expect(IDENT, "an individual name")
-    if tok.text not in sig.individual_names:
-        raise UnknownNameError(f"unknown individual name {tok.text!r}", tok.line, tok.col)
-    return tok.text
-
-
-def _context(ts: TokenStream, sig: Signature) -> str:
-    tok = ts.expect(IDENT, "a context name")
-    if tok.text not in sig.context_names:
-        raise UnknownNameError(f"unknown context name {tok.text!r}", tok.line, tok.col)
-    return tok.text
+    return ConceptAssertion(individual, concept, expect_name(ts, sig.context_names, "context"))
 
 
 def canonical_abox(abox: Iterable[Assertion]) -> list[str]:

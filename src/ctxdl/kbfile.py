@@ -281,16 +281,11 @@ def _name_list(ts: TokenStream) -> list[str]:
     return names
 
 
-def _fact_set(ts: TokenStream, sig: Signature) -> list[Fact]:
-    from ctxdl.sheaf import parse_fact_stream
+def _fact_set(ts: TokenStream, sig: Signature) -> frozenset[Fact]:
+    from ctxdl.sheaf import parse_fact_list_stream
 
     ts.expect("{")
-    facts: list[Fact] = []
-    if ts.peek().kind != "}":
-        facts.append(parse_fact_stream(ts, sig))
-        while ts.peek().kind == ",":
-            ts.next()
-            facts.append(parse_fact_stream(ts, sig))
+    facts = parse_fact_list_stream(ts, sig, "}")
     ts.expect("}")
     ts.expect_end()
     return facts

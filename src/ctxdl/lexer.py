@@ -1,8 +1,11 @@
-"""Tokenizer shared by the concept, guard, program, and KB-file parsers.
+"""Tokenizer shared by the concept, guard, program, KB-file, fact-list and
+projection-pattern parsers.
 
 Identifiers follow ``[A-Za-z][A-Za-z0-9_]*``. Symbols are single characters
 except the two-character ``<=``. ``#`` starts a comment running to end of
-line. Every token carries a 1-based (line, col) position.
+line. Every token carries a 1-based (line, col) position. Only projection
+patterns read ``*``, as a name slot that matches any name; every other
+parser meets it where a name or an operator belongs and rejects it there.
 
 The concept, guard and program parsers share one nesting limit,
 ``MAX_NESTING``. Each ``!``, ``exists``/``forall``, parenthesis, ``if`` and
@@ -12,8 +15,8 @@ ParseError. Parsing and the tableau each take at most four Python frames
 per level, so the limit keeps them well inside the default recursion
 limit of 1,000 frames; the printers, ``nnf``, program evaluation,
 ``guard_sat``, the finite-model evaluator ``_CodeSpace.extension`` (behind
-``extension``, ``check_interpretation``, ``enumerate_models`` and the
-witness search) and ``repr`` take none.
+``extension``, ``check_interpretation`` and the witness search) and
+``repr`` take none.
 Long flat chains (``A & B & ...``, ``c1; c2; ...``) open no levels, and
 all of these walk them without recursion. Nodes are interned, so
 comparing or hashing a chain costs one step.

@@ -350,7 +350,7 @@ def _parse_response(obj: dict, sig: Signature, path: str, lineno: int) -> Oracle
             try:
                 out.add(parse_assertion(str(text), sig))
             except ParseError as exc:
-                raise LoadError(path, lineno, f"bad assertion {text!r}: {exc}") from exc
+                raise LoadError(path, lineno, f"bad assertion {text!r}: {exc.message}") from exc
         return frozenset(out)
 
     additions = parse_list("add")

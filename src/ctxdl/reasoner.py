@@ -33,15 +33,13 @@ shares nothing with it but the concept semantics, which one evaluator,
 ``_CodeSpace.extension``, computes in many interpretations at once,
 bit-sliced over Python integers. An explicit ``FiniteModel`` is a space of
 one code: ``extension`` and ``check_interpretation`` evaluate there.
-``enumerate_models`` and ``find_witness`` share one loop over the codes of
-each domain size, 2^BLOCK_BITS at a time (bit c of a block stands for the
-model with code ``block << BLOCK_BITS | c``), block after block in
-ascending order. ``find_witness`` takes the first code that loop yields
-with the concept nonempty, so it returns the first such model that
-``enumerate_models`` would yield. A block's ints are 32 KiB and stay in
-cache, where a whole 24-bit space made every temporary 2 MiB of freshly
-faulted pages; and a sat search stops at the first block that holds a
-witness.
+``find_witness`` walks the codes of each domain size 2^BLOCK_BITS at a
+time (bit c of a block stands for the model with code
+``block << BLOCK_BITS | c``), block after block in ascending order, and
+returns the lowest code of the first block where the concept is nonempty
+in some model. A block's ints are 32 KiB and stay in cache, where a whole
+24-bit space made every temporary 2 MiB of freshly faulted pages; and a
+sat search stops at the first block that holds a witness.
 """
 
 from __future__ import annotations
@@ -81,7 +79,7 @@ class TBox(Record):
     """A finite list of concept inclusions (lhs <= rhs).
 
     Duplicates collapse under set semantics; first-occurrence order is kept
-    so derived data (internalized constraints, model enumeration) is stable.
+    so derived data (internalized constraints, the witness search) is stable.
     """
 
     __slots__ = ("inclusions", "_absorbed")
@@ -286,7 +284,7 @@ def subsumes(tbox: TBox, c: ConceptExpr, d: ConceptExpr, *, budget: int = DEFAUL
 
 
 # ---------------------------------------------------------------------------
-# Finite models: evaluation, enumeration, witness search
+# Finite models: evaluation and witness search
 # ---------------------------------------------------------------------------
 
 
@@ -381,19 +379,6 @@ def _guard_bits(sig: Signature, max_size: int, max_bits: int) -> None:
             f"enumeration space needs {bits} extension bits for domain size "
             f"{max_size}, above the limit of {max_bits}"
         )
-
-
-def enumerate_models(
-    sig: Signature, tbox: TBox, max_size: int, *, max_bits: int = DEFAULT_MAX_BITS
-) -> Iterator[FiniteModel]:
-    """Yield every model of *tbox* over domains {1..k}, k = 1..max_size.
-
-    Order is deterministic: domain size ascending, then the integer encoding
-    of the extension bits ascending (see _bit_layout). Intended for
-    desk-scale signatures; the bit guard refuses larger spaces.
-    """
-    for k, code in _model_codes(sig, tbox, max_size, max_bits):
-        yield _decode_model(code, sig, k)
 
 
 def _low_columns(low_bits: int) -> list[int]:
@@ -499,15 +484,24 @@ def _model_space(model: FiniteModel) -> tuple[list[int], _CodeSpace]:
     return elements, _CodeSpace(concepts, roles, len(elements), 1, columns, "model does not interpret")
 
 
-def _model_codes(
-    sig: Signature, tbox: TBox, max_size: int, max_bits: int, concept: ConceptExpr | None = None
-) -> Iterator[tuple[int, int]]:
-    """(k, code) of every model of *tbox* over {1..k}, k = 1..max_size, in
-    ascending order; with *concept*, only the models where it is nonempty.
+def find_witness(
+    sig: Signature,
+    tbox: TBox,
+    concept: ConceptExpr,
+    max_size: int,
+    *,
+    max_bits: int = DEFAULT_MAX_BITS,
+) -> FiniteModel | None:
+    """The first model of *tbox* over {1..k}, k = 1..max_size, where
+    *concept* is nonempty, or None when there is none.
 
-    The codes of each domain size are searched block by block. A block
-    that the inclusions empty is left before the rest are evaluated, and
-    *concept* is evaluated only in a block that some model survives.
+    Models are ordered by domain size, then by the integer encoding of
+    their extension bits (see ``_bit_layout``). The codes of each domain
+    size are searched block by block; a block that the inclusions empty is
+    left before the rest are evaluated, *concept* is evaluated only in a
+    block that some model survives, and the search stops at the first
+    block with a witness. Intended for desk-scale signatures; the bit
+    guard refuses larger spaces.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
@@ -526,27 +520,7 @@ def _model_codes(
                 if not models:
                     break
             else:
-                if concept is not None:
-                    models &= reduce(or_, space.extension(concept))
-                while models:
-                    lowest = models & -models
-                    yield k, block << low_bits | lowest.bit_length() - 1
-                    models ^= lowest
-
-
-def find_witness(
-    sig: Signature,
-    tbox: TBox,
-    concept: ConceptExpr,
-    max_size: int,
-    *,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> FiniteModel | None:
-    """First model of *tbox* (in enumerate_models order) where *concept* is nonempty.
-
-    Returns None when no such model exists up to *max_size*. The search
-    stops at the first block with a witness.
-    """
-    for k, code in _model_codes(sig, tbox, max_size, max_bits, concept):
-        return _decode_model(code, sig, k)
+                models &= reduce(or_, space.extension(concept))
+                if models:
+                    return _decode_model(block << low_bits | (models & -models).bit_length() - 1, sig, k)
     return None

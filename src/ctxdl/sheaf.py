@@ -39,16 +39,16 @@ one ``Section`` per subset.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
-from ctxdl.concepts import Signature
+from ctxdl.concepts import Signature, expect_name
 from ctxdl.contexts import ContextPoset, Covering, validate_covering
 from ctxdl.errors import (
     RefinementChainError,
     SearchSpaceError,
     UnknownNameError,
 )
-from ctxdl.lexer import IDENT, TokenStream, tokenize
+from ctxdl.lexer import END, TokenStream, tokenize
 from ctxdl.values import Record
 
 DEFAULT_MAX_UNIVERSE = 20
@@ -93,42 +93,46 @@ def render_fact(f: Fact) -> str:
     return f"({f.subject},{f.target}):{f.role}"
 
 
-def parse_fact_stream(ts: TokenStream, sig: Signature) -> Fact:
-    """Parse ``a:C`` or ``(a,b):r`` where C is an atomic concept name."""
+def parse_fact_stream(
+    ts: TokenStream, sig: Signature, name: Callable[[TokenStream, frozenset[str], str], str] = expect_name
+) -> Fact:
+    """Parse ``a:C`` or ``(a,b):r`` where C is an atomic concept name.
+
+    Each slot is read by ``name(ts, declared_names, kind)``, by default
+    ``concepts.expect_name``; a reader that also accepts ``*`` parses
+    projection patterns.
+    """
     if ts.peek().kind == "(":
         ts.next()
-        subject = _name(ts, sig.individual_names, "individual")
+        subject = name(ts, sig.individual_names, "individual")
         ts.expect(",")
-        target = _name(ts, sig.individual_names, "individual")
+        target = name(ts, sig.individual_names, "individual")
         ts.expect(")")
         ts.expect(":")
-        role = _name(ts, sig.role_names, "role")
-        return RoleFact(subject, target, role)
-    individual = _name(ts, sig.individual_names, "individual")
+        return RoleFact(subject, target, name(ts, sig.role_names, "role"))
+    individual = name(ts, sig.individual_names, "individual")
     ts.expect(":")
-    concept = _name(ts, sig.concept_names, "concept")
-    return ConceptFact(individual, concept)
+    return ConceptFact(individual, name(ts, sig.concept_names, "concept"))
+
+
+def parse_fact_list_stream(ts: TokenStream, sig: Signature, stop: str = END) -> frozenset[Fact]:
+    """Parse comma-separated facts up to the *stop* token, which is left in
+    the stream; none at all when the stream is already at it."""
+    facts: set[Fact] = set()
+    if ts.peek().kind != stop:
+        facts.add(parse_fact_stream(ts, sig))
+        while ts.peek().kind == ",":
+            ts.next()
+            facts.add(parse_fact_stream(ts, sig))
+    return frozenset(facts)
 
 
 def parse_fact_list(text: str, sig: Signature) -> frozenset[Fact]:
     """Parse a comma-separated fact list; the empty string is the empty set."""
     ts = TokenStream(tokenize(text))
-    facts: set[Fact] = set()
-    if ts.at_end():
-        return frozenset()
-    facts.add(parse_fact_stream(ts, sig))
-    while ts.peek().kind == ",":
-        ts.next()
-        facts.add(parse_fact_stream(ts, sig))
+    facts = parse_fact_list_stream(ts, sig)
     ts.expect_end()
-    return frozenset(facts)
-
-
-def _name(ts: TokenStream, declared: frozenset[str], kind: str) -> str:
-    tok = ts.expect(IDENT, f"a {kind} name")
-    if tok.text not in declared:
-        raise UnknownNameError(f"unknown {kind} name {tok.text!r}", tok.line, tok.col)
-    return tok.text
+    return facts
 
 
 class Section(Record):

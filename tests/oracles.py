@@ -18,11 +18,13 @@ with the recursive model evaluator. The forking tableau copies the
 label at each disjunction and recurses into the left branch, the
 recursive ``nnf`` builds a fresh tree without reading any node's cache,
 the recursive concept printer and the recursive model evaluator recurse
-once per concept node, and the recursive repr once per record.
+once per concept node, and the recursive repr once per record. The
+pattern regexes read a projection pattern without the fact parser.
 """
 
 from __future__ import annotations
 
+import re
 from functools import reduce
 from itertools import chain, combinations
 from operator import and_, or_
@@ -261,6 +263,37 @@ def scan_project(abox, projection):
     return frozenset(out)
 
 
+_CONCEPT_PATTERN = re.compile(
+    r"^(?P<ind>\*|[A-Za-z]\w*):(?P<con>\*|[A-Za-z]\w*)(?:@(?P<ctx>\*|[A-Za-z]\w*))?$"
+)
+_ROLE_PATTERN = re.compile(
+    r"^\((?P<sub>\*|[A-Za-z]\w*),(?P<tgt>\*|[A-Za-z]\w*)\):(?P<role>\*|[A-Za-z]\w*)"
+    r"(?:@(?P<ctx>\*|[A-Za-z]\w*))?$"
+)
+
+
+def regex_pattern(text, sig):
+    """(slots, context) of a space-free projection pattern, or None when it
+    is malformed or names an undeclared name, mirroring the contract of
+    agents.FactPattern.parse(). Slots are (individual, concept) or
+    (subject, target, role); a context of '*' is given as None.
+    """
+    m = _ROLE_PATTERN.match(text)
+    if m:
+        slots = (m["sub"], m["tgt"], m["role"])
+        kinds = (sig.individual_names, sig.individual_names, sig.role_names)
+    else:
+        m = _CONCEPT_PATTERN.match(text)
+        if not m:
+            return None
+        slots = (m["ind"], m["con"])
+        kinds = (sig.individual_names, sig.concept_names)
+    for name, declared in ((m["ctx"], sig.context_names), *zip(slots, kinds)):
+        if name not in (None, "*") and name not in declared:
+            return None
+    return slots, None if m["ctx"] == "*" else m["ctx"]
+
+
 def plain_digest(abox):
     """Every assertion rendered afresh, sorted and joined by ';', mirroring
     the contract of kb.abox_digest().
@@ -418,7 +451,7 @@ class WholeCodeSpace:
 
 
 def whole_space_witness(sig, tbox, concept, max_size, *, max_bits=DEFAULT_MAX_BITS):
-    """First model of *tbox* (in enumerate_models order) where *concept* is
+    """First model of *tbox* (in per_code_models order) where *concept* is
     nonempty, with every code of a domain size evaluated in one int,
     mirroring the contract of reasoner.find_witness().
     """
@@ -441,9 +474,9 @@ def whole_space_witness(sig, tbox, concept, max_size, *, max_bits=DEFAULT_MAX_BI
 
 def per_code_models(sig, tbox, max_size, *, max_bits=DEFAULT_MAX_BITS):
     """Every model of *tbox* over {1..k}, k = 1..max_size, one code at a
-    time in ascending order, mirroring the contract of
-    reasoner.enumerate_models(). Each inclusion is checked on the decoded
-    model with recursive_extension, stopping at the first that fails.
+    time in ascending order: the order in which reasoner.find_witness()
+    searches. Each inclusion is checked on the decoded model with
+    recursive_extension, stopping at the first that fails.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")

@@ -21,13 +21,13 @@ from ctxdl.agents import (
 )
 from ctxdl.concepts import Atomic, Not
 from ctxdl.contexts import ContextPoset
-from ctxdl.errors import InteractionError, LoadError
+from ctxdl.errors import InteractionError, LoadError, ParseError
 from ctxdl.kb import ConceptAssertion, KnowledgeState, RoleAssertion
 from ctxdl.oracle import OracleResponse, ScriptEntry, ScriptedOracle
 from ctxdl.programs import parse_program
 from ctxdl.reasoner import EMPTY_TBOX
 from ctxdl.sheaf import ConceptFact, RoleFact
-from oracles import scan_project
+from oracles import regex_pattern, scan_project
 
 POSET = ContextPoset(["U", "V", "W"], [("V", "U"), ("W", "V")])
 EMPTY_STATE = KnowledgeState(EMPTY_TBOX, frozenset())
@@ -45,31 +45,68 @@ def make_agent(program=None, oracle=None, queries=(), projection=("*:*", "(*,*):
         program=parse_program(program, SIG) if program else None,
         oracle=oracle,
         queries=tuple(queries),
-        projection=tuple(FactPattern.parse(p) for p in projection),
+        projection=tuple(FactPattern.parse(p, SIG) for p in projection),
         **kw,
     )
 
 
 class TestFactPattern:
     def test_wildcards(self):
-        p = FactPattern.parse("*:A")
+        p = FactPattern.parse("*:A", SIG)
         assert p.matches(ConceptAssertion("a", Atomic("A"), "U"))
         assert p.matches(ConceptAssertion("b", Atomic("A"), "V"))
         assert not p.matches(ConceptAssertion("a", Atomic("B"), "U"))
 
     def test_context_filter(self):
-        p = FactPattern.parse("a:A@V")
+        p = FactPattern.parse("a:A@V", SIG)
         assert not p.matches(ConceptAssertion("a", Atomic("A"), "U"))
         assert p.matches(ConceptAssertion("a", Atomic("A"), "V"))
 
     def test_role_pattern(self):
-        p = FactPattern.parse("(a,*):r")
+        p = FactPattern.parse("(a,*):r", SIG)
         assert p.matches(RoleAssertion("a", "b", "r", "U"))
         assert not p.matches(RoleAssertion("b", "a", "r", "U"))
 
     def test_bad_pattern(self):
-        with pytest.raises(ValueError):
-            FactPattern.parse("a::b")
+        with pytest.raises(ParseError):
+            FactPattern.parse("a::b", SIG)
+
+    def test_any_context_is_no_context(self):
+        assert FactPattern.parse("a:A@*", SIG) == FactPattern.parse("a:A", SIG)
+        assert FactPattern.parse("a:A@*", SIG).context is None
+
+    def test_same_patterns_as_the_regex_reference(self):
+        # Space-free texts over declared names, undeclared names and '*',
+        # mostly well shaped, some with one character changed.
+        rng = random.Random(20261019)
+        anything = [*sorted(SIG.individual_names | SIG.concept_names | SIG.role_names | SIG.context_names), "Zz", "q1"]
+
+        def slot(declared):
+            return rng.choice([*sorted(declared), "*"] if rng.random() < 0.8 else anything)
+
+        def text():
+            at = rng.choice(["", f"@{slot(SIG.context_names)}"])
+            if rng.random() < 0.5:
+                out = f"{slot(SIG.individual_names)}:{slot(SIG.concept_names)}{at}"
+            else:
+                out = f"({slot(SIG.individual_names)},{slot(SIG.individual_names)}):{slot(SIG.role_names)}{at}"
+            if rng.random() < 0.3:
+                i = rng.randrange(len(out) + 1)
+                out = out[:i] + rng.choice("aA1_:(),@*.$") + out[i + rng.randint(0, 1):]
+            return out
+
+        accepted = 0
+        for _ in range(2000):
+            t = text()
+            want = regex_pattern(t, SIG)
+            try:
+                p = FactPattern.parse(t, SIG)
+            except ParseError:
+                assert want is None, t
+                continue
+            assert (p.fact._values(p.fact), p.context) == want, t
+            accepted += 1
+        assert 200 < accepted < 1800
 
 
 class TestProjection:
@@ -84,8 +121,8 @@ class TestProjection:
         def pattern():
             at = rng.choice(["", "@*", *(f"@{u}" for u in contexts)])
             if rng.random() < 0.5:
-                return FactPattern.parse(f"{slot(inds)}:{slot(concepts)}{at}")
-            return FactPattern.parse(f"({slot(inds)},{slot(inds)}):{slot(roles)}{at}")
+                return FactPattern.parse(f"{slot(inds)}:{slot(concepts)}{at}", SIG)
+            return FactPattern.parse(f"({slot(inds)},{slot(inds)}):{slot(roles)}{at}", SIG)
 
         def assertion():
             if rng.random() < 0.3:  # mostly non-atomic: never selected
@@ -98,19 +135,19 @@ class TestProjection:
             projection = tuple(pattern() for _ in range(rng.randint(1, 3)))
             got = _project(abox, projection, SIG.context_names)
             assert got == scan_project(abox, projection), (sorted(map(repr, abox)), projection)
-            probed = tuple(p for p in projection if "*" not in p.fields)
+            probed = tuple(p for p in projection if not p.wild)
             probed_hits += len(scan_project(abox, probed))
         assert probed_hits > 300  # the lookup path is exercised, not only the scan
 
     def test_non_atomic_assertions_are_never_selected(self):
         abox = frozenset({ConceptAssertion("a", Not(Atomic("C")), "U")})
-        projection = tuple(FactPattern.parse(p) for p in ("a:C", "a:C@U", "*:C", "*:*", "a:*@*"))
+        projection = tuple(FactPattern.parse(p, SIG) for p in ("a:C", "a:C@U", "*:C", "*:*", "a:*@*"))
         assert _project(abox, projection, SIG.context_names) == frozenset()
 
     def test_role_lookup_at_every_context(self):
         abox = frozenset({RoleAssertion("a", "b", "r", "W")})
         for text, want in (("(a,b):r", {LINK}), ("(a,b):r@*", {LINK}), ("(a,b):r@U", set()), ("(b,a):r", set())):
-            assert _project(abox, (FactPattern.parse(text),), SIG.context_names) == want, text
+            assert _project(abox, (FactPattern.parse(text, SIG),), SIG.context_names) == want, text
 
 
 KB_TEXT = """\
@@ -149,7 +186,7 @@ class TestLoadAgent:
         [("a:Zz", "concept"), ("zz:A", "individual"), ("(a,zz):r", "individual"), ("(a,b):q", "role"), ("a:A@Zz", "context")],
     )
     def test_undeclared_projection_names_are_load_errors(self, tmp_path, pattern, kind):
-        with pytest.raises(LoadError, match=f"undeclared {kind}") as info:
+        with pytest.raises(LoadError, match=f"unknown {kind} name") as info:
             load_agent(write_agent(tmp_path, projection=[pattern]))
         assert info.value.line == 1
 

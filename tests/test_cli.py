@@ -323,6 +323,79 @@ print(json.dumps(outs))
 """
 
 
+class TestFactSyntax:
+    """Facts, assertions and projection patterns share one reader and one
+    name check, so each command reports a bad one the same way."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        shutil.copytree(SAMPLES, tmp_path, dirs_exist_ok=True)
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    def write_agent(self, workdir, projection):
+        agent = json.loads((SAMPLES / "sensor_constant.json").read_text(encoding="utf-8"))
+        (workdir / "agent.json").write_text(json.dumps({**agent, "projection": projection}), encoding="utf-8")
+        return "agent.json"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stable", "refine.kb", "--context", "Cam", "--section", "(,b):r"], "1:2: expected an individual name, found ','"),
+            (["stable", "refine.kb", "--context", "Cam", "--section", "*:Obstacle"], "1:1: expected an individual name, found '*'"),
+            (["stability", "sensor_constant.json", "--latent", "(,b):r"], "1:2: expected an individual name, found ','"),
+            (["glue", "sensing.kb", "--target", "Scene", "--section", "Cam", "--section", "Lidar:"],
+             "1:4: expected ':' after the section's context, found end of input"),
+            (["glue", "sensing.kb", "--target", "Scene", "--section", "Zz: scene:Obstacle", "--section", "Lidar:"],
+             "1:1: unknown context name 'Zz'"),
+        ],
+    )
+    def test_bad_fact_arguments(self, capsys, workdir, argv, message):
+        assert run_cli(*argv, capsys=capsys) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "statement, message",
+        [
+            ("facts Obs : { (,b):r }.", "7:16: expected an individual name, found ','"),
+            ("abox *:High @ Obs.", "7:6: expected an individual name, found '*'"),
+        ],
+    )
+    def test_bad_facts_in_a_document(self, capsys, workdir, statement, message):
+        (workdir / "bad.kb").write_text((SAMPLES / "sensor.kb").read_text(encoding="utf-8") + statement + "\n", encoding="utf-8")
+        assert run_cli("check", "bad.kb", capsys=capsys) == (2, "", f"error: bad.kb:{message}\n")
+
+    @pytest.mark.parametrize(
+        "assertion, message",
+        [
+            ("scene:Zz@Obs", "unknown concept name 'Zz'"),
+            ("*:High@Obs", "expected an individual name, found '*'"),
+        ],
+    )
+    def test_bad_oracle_assertion_names_no_inner_position(self, capsys, workdir, assertion, message):
+        record = {"oracle": "stream", "match": {"payload": "*"}, "add": [assertion]}
+        (workdir / "s.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+        got = run_cli("apply-oracle", "sensor.kb", "--script", "s.jsonl", "--payload", "p", capsys=capsys)
+        assert got == (2, "", f"error: s.jsonl:1: bad assertion {assertion!r}: {message}\n")
+
+    def test_spaces_between_pattern_tokens_load(self, capsys, workdir):
+        agent = self.write_agent(workdir, ["scene : Obstacle @ Obs"])
+        assert run_cli("stability", agent, "--runs", "2", capsys=capsys) == (0, "stable over 2 runs: scene:Obstacle\n", "")
+
+    @pytest.mark.parametrize(
+        "pattern, message",
+        [
+            ("sc ene:Obs tacle", "unknown individual name 'sc'"),
+            ("scene:Obs tacle", "unknown concept name 'Obs'"),
+            ("scene:Obstacle Obs", "unexpected trailing input 'Obs'"),
+            ("scene:Obstacle@Obs@Obs", "unexpected trailing input '@'"),
+        ],
+    )
+    def test_bad_projection_patterns(self, capsys, workdir, pattern, message):
+        agent = self.write_agent(workdir, [pattern])
+        got = run_cli("stability", agent, "--runs", "2", capsys=capsys)
+        assert got == (2, "", f"error: {agent}:1: projection pattern {pattern!r}: {message}\n")
+
+
 class TestRecordsGoldens:
     """Byte-identical records over a universe mixing concept and role facts,
     which pin the canonical order of sections and gluing candidates."""
@@ -602,7 +675,7 @@ class TestConsoleEntry:
         assert seen["after_import"] == ["ctxdl"]
         assert seen["oracle_step"] is True
         assert seen["unknown"] == "AttributeError"
-        assert len(PUBLIC_NAMES) == 108
+        assert len(PUBLIC_NAMES) == 107
         assert sorted(seen["resolved"]) == sorted(PUBLIC_NAMES)
         assert sorted(seen["star"]) == sorted(PUBLIC_NAMES)
         assert PUBLIC_NAMES <= set(seen["dir"])
@@ -644,7 +717,7 @@ PUBLIC_NAMES = frozenset(
     And Atomic BOT Bot ConceptExpr Exists Forall Not Or Signature TOP Top nnf
     parse_concept print_concept subconcepts
     ContextPoset Covering validate_covering
-    FiniteModel TBox check_interpretation enumerate_models find_witness
+    FiniteModel TBox check_interpretation find_witness
     is_satisfiable subsumes
     Assertion AssertGuard ConceptAssertion Guard GuardAnd GuardNot
     KnowledgeState RoleAssertion SubsumeGuard abox_digest canonical_abox

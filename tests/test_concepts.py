@@ -22,8 +22,8 @@ from ctxdl.concepts import (
     subconcepts,
 )
 from ctxdl.errors import ParseError, UnknownNameError
-from ctxdl.reasoner import EMPTY_TBOX, enumerate_models, extension
-from oracles import recursive_nnf, recursive_print_concept
+from ctxdl.reasoner import EMPTY_TBOX, extension
+from oracles import per_code_models, recursive_nnf, recursive_print_concept
 
 SIG = Signature(
     concept_names=("A", "B", "C"),
@@ -178,7 +178,7 @@ class TestNnf:
         # preserved model by model, checked by direct evaluation.
         small = Signature(concept_names=("A", "B"), role_names=("r",))
         normal = nnf(c)
-        for model in enumerate_models(small, EMPTY_TBOX, 2, max_bits=16):
+        for model in per_code_models(small, EMPTY_TBOX, 2, max_bits=16):
             assert extension(model, c) == extension(model, normal)
 
 

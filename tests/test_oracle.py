@@ -357,7 +357,7 @@ class TestDerivedDigests:
             program=None,
             oracle=record_session(ListOracle(session), sink),
             queries=tuple(str(i) for i in range(len(session))),
-            projection=(FactPattern.parse("*:*"),),
+            projection=(FactPattern.parse("*:*", SIG),),
         )
         injected = {
             ConceptAssertion(f.individual, Atomic(f.concept), "U")

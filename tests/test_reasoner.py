@@ -37,7 +37,6 @@ from ctxdl.reasoner import (
     TBox,
     _Tableau,
     check_interpretation,
-    enumerate_models,
     extension,
     find_witness,
     is_satisfiable,
@@ -351,95 +350,6 @@ class TestCheckInterpretation:
         assert found == FiniteModel(frozenset({1}), {"A": frozenset({1}), "B": frozenset({1})}, {})
 
 
-class TestEnumerateModels:
-    def test_single_concept_two_models(self):
-        sig = Signature(concept_names=("A",))
-        models = list(enumerate_models(sig, EMPTY_TBOX, 1))
-        assert len(models) == 2
-        assert [sorted(m.concept_ext["A"]) for m in models] == [[], [1]]
-
-    def test_axiom_forces_totality(self):
-        sig = Signature(concept_names=("A",))
-        models = list(enumerate_models(sig, TBox([(TOP, A)]), 1))
-        assert len(models) == 1
-        assert models[0].concept_ext["A"] == {1}
-
-    def test_inclusion_filters_one_of_four(self):
-        sig = Signature(concept_names=("A", "B"))
-        models = list(enumerate_models(sig, TBox([(A, B)]), 1))
-        assert len(models) == 3
-
-    def test_guard_refuses_large_spaces(self):
-        sig = Signature(concept_names=("A", "B", "C"), role_names=("r", "s"))
-        with pytest.raises(SearchSpaceError):
-            list(enumerate_models(sig, EMPTY_TBOX, 3))
-
-    def test_deterministic_order(self):
-        sig = Signature(concept_names=("A", "B"), role_names=("r",))
-        first = list(enumerate_models(sig, TBox([(A, B)]), 1))
-        second = list(enumerate_models(sig, TBox([(A, B)]), 1))
-        assert first == second
-
-    def test_size_zero_raises_when_iterated(self):
-        models = enumerate_models(Signature(concept_names=("A",)), EMPTY_TBOX, 0)
-        with pytest.raises(ValueError, match="max_size must be at least 1"):
-            next(models)
-
-    @pytest.mark.parametrize(
-        "concepts, roles, size, seed, count, kinds",
-        [
-            pytest.param(("A", "B"), ("r",), 2, 61, 60, {"some", "none", "raised"}, id="8-bits"),
-            pytest.param(("A",), ("r", "s"), 2, 61, 30, {"some", "none", "raised"}, id="10-bits"),
-            pytest.param(("A", "B"), ("r", "s"), 2, 61, 10, {"some", "raised"}, id="12-bits"),
-            # Two inclusions that keep 11,528 of the 65,536 codes of size 2.
-            pytest.param(("A", "B", "C", "D"), ("r", "s"), 2, 68, 1, {"some"}, id="16-bits"),
-        ],
-    )
-    def test_same_models_as_the_per_code_reference(self, concepts, roles, size, seed, count, kinds):
-        # Z and q are undeclared: a TBox that reaches them must raise in
-        # both, one that empties every block first in neither.
-        rng = random.Random(seed)
-        sig = Signature(concept_names=concepts, role_names=roles)
-        seen = set()
-        for _ in range(count):
-            t = random_tbox(rng, depth=2, concepts=concepts, roles=roles)
-            if rng.random() < 0.3:
-                rogue = random_concept(rng, 1, concepts=("A", "Z"), roles=(roles[0], "q"))
-                t = TBox([*t.inclusions, (A, rogue)])
-            outcome = listed_models(enumerate_models, sig, t, size, "signature does not declare ")
-            assert outcome == listed_models(per_code_models, sig, t, size, "model does not interpret "), t
-            seen.add("raised" if isinstance(outcome, str) else "none" if not outcome else "some")
-        assert seen == kinds
-
-    @pytest.mark.parametrize(
-        "inclusions, sizes",
-        [
-            # Every element needs an r-successor in A and one outside A, so
-            # the block of domain size 1 is emptied and size 2 is not.
-            pytest.param([(TOP, And(Exists("r", A), Exists("r", Not(A))))], {2}, id="size-1-emptied"),
-            pytest.param([(TOP, Exists("r", BOT))], set(), id="every-block-emptied"),
-            # The first inclusion empties every block, so Z is never reached.
-            pytest.param([(TOP, Exists("r", BOT)), (A, Atomic("Z"))], set(), id="emptied-before-Z"),
-        ],
-    )
-    def test_tboxes_that_empty_whole_blocks(self, inclusions, sizes):
-        sig = Signature(concept_names=("A",), role_names=("r",))
-        t = TBox(inclusions)
-        got = list(enumerate_models(sig, t, 2))
-        assert got == list(per_code_models(sig, t, 2))
-        assert {len(m.domain) for m in got} == sizes
-
-
-def listed_models(models_of, sig, t, size, prefix):
-    """The models *models_of* yields, or the message of the UnknownNameError
-    it raises without *prefix*, which names the evaluator."""
-    try:
-        return list(models_of(sig, t, size, max_bits=16))
-    except UnknownNameError as exc:
-        assert str(exc).startswith(prefix), exc
-        return str(exc).removeprefix(prefix)
-
-
 class TestFindWitness:
     @pytest.mark.parametrize(
         "concepts, roles, size",
@@ -461,6 +371,15 @@ class TestFindWitness:
             streamed = (m for m in per_code_models(sig, t, size, max_bits=16) if recursive_extension(m, c))
             assert find_witness(sig, t, c, size, max_bits=16) == next(streamed, None)
 
+    def test_guard_refuses_large_spaces(self):
+        sig = Signature(concept_names=("A", "B", "C"), role_names=("r", "s"))
+        with pytest.raises(SearchSpaceError):
+            find_witness(sig, EMPTY_TBOX, A, 3)
+
+    def test_size_zero_raises(self):
+        with pytest.raises(ValueError, match="max_size must be at least 1"):
+            find_witness(Signature(concept_names=("A",)), EMPTY_TBOX, A, 0)
+
     def test_soundness_against_tableau(self):
         rng = random.Random(29)
         sig = Signature(concept_names=("A", "B"), role_names=("r",))
@@ -472,7 +391,7 @@ class TestFindWitness:
 
 
 def code_of(model: FiniteModel, sig: Signature) -> int:
-    """The code of *model* in enumerate_models order (decoding inverted)."""
+    """The code of *model* in find_witness order (decoding inverted)."""
     k = len(model.domain)
     concepts, roles, _ = _bit_layout(sig, k)
     code = 0
