@@ -36,7 +36,9 @@ signature as it is parsed. Loading rejects, with a ``LoadError`` at the
 agent file, a pattern the parser rejects (``projection pattern '<text>':
 <reason>``) and a query template with any replacement field other than a
 plain ``{seed}`` or ``{parity}``, or with unbalanced braces. A loaded
-agent's queries therefore always format.
+agent's queries therefore always format. A bad field value is reported at
+the line and column where the value starts (``errors.read_json``); a
+missing field, at line 1.
 
 Projection looks patterns up rather than scanning for them. A pattern whose
 name slots are all concrete selects at most one fact, so it is decided by
@@ -48,7 +50,6 @@ pattern gives, because every assertion of a run is at a declared context.
 
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,7 +57,7 @@ from typing import Iterable, Union
 
 from ctxdl.concepts import Atomic, Signature, expect_name
 from ctxdl.contexts import ContextPoset
-from ctxdl.errors import InteractionError, LoadError, OracleError, ParseError, read_text
+from ctxdl.errors import InteractionError, LoadError, OracleError, ParseError, read_json
 from ctxdl.kb import GUARD_MODES, Assertion, ConceptAssertion, KnowledgeState, RoleAssertion
 from ctxdl.lexer import TokenStream, tokenize
 from ctxdl.oracle import OracleQuery, OracleSpec, load_script, run_session
@@ -280,19 +281,19 @@ def load_agent(path: Union[str, Path]) -> Agent:
     from ctxdl.kbfile import load_kb  # local import: kbfile imports nothing from here
 
     path = Path(path)
-    try:
-        raw = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise LoadError(str(path), exc.lineno, f"invalid JSON: {exc.msg}", exc.colno) from exc
+    raw, places = read_json(path)
+
+    def fail(msg: str, *where: str | int) -> LoadError:
+        """A LoadError at the value the keys *where* lead to, or at line 1."""
+        line, col = places.get(where, (1, None)) if where else (1, None)
+        return LoadError(str(path), line, msg, col)
+
     if not isinstance(raw, dict):
-        raise LoadError(str(path), 1, "agent file must hold a JSON object")
+        raise fail("agent file must hold a JSON object")
 
-    def fail(msg: str) -> LoadError:
-        return LoadError(str(path), 1, msg)
-
-    def integer(value: object, field: str) -> int:
+    def integer(value: object, field: str, *where: str) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise fail(f"{field} must be an integer")
+            raise fail(f"{field} must be an integer", *where)
         return value
 
     for key in ("name", "kb", "input_context", "projection"):
@@ -303,44 +304,45 @@ def load_agent(path: Union[str, Path]) -> Agent:
     sig = doc.signature
     input_context = str(raw["input_context"])
     if input_context not in sig.context_names:
-        raise fail(f"input_context {input_context!r} is not a declared context")
+        raise fail(f"input_context {input_context!r} is not a declared context", "input_context")
     program = load_program(base / str(raw["program"]), sig) if "program" in raw else None
     oracle = None
     queries: tuple[str, ...] = ()
     if "oracle" in raw:
         spec = raw["oracle"]
         if not isinstance(spec, dict) or "script" not in spec:
-            raise fail("oracle section needs a 'script' path")
+            raise fail("oracle section needs a 'script' path", "oracle")
         oracle = load_script(base / str(spec["script"]), sig)
         qs = spec.get("queries", [])
         if not isinstance(qs, list):
-            raise fail("oracle queries must be a list of payload templates")
+            raise fail("oracle queries must be a list of payload templates", "oracle", "queries")
         queries = tuple(str(q) for q in qs)
-        for template in queries:
+        for i, template in enumerate(queries):
             problem = _template_problem(template)
             if problem is not None:
-                raise fail(f"oracle query template {template!r}: {problem}")
+                raise fail(f"oracle query template {template!r}: {problem}", "oracle", "queries", i)
     if not isinstance(raw["projection"], list):
-        raise fail("projection must be a list of fact patterns")
+        raise fail("projection must be a list of fact patterns", "projection")
     projection = []
-    for text in map(str, raw["projection"]):
+    for i, text in enumerate(map(str, raw["projection"])):
         try:
             projection.append(FactPattern.parse(text, sig))
         except ParseError as exc:
-            raise fail(f"projection pattern {text!r}: {exc.message}") from exc
+            raise fail(f"projection pattern {text!r}: {exc.message}", "projection", i) from exc
     policy_raw = raw.get("seed_policy", {"kind": "constant", "value": 0})
     if not isinstance(policy_raw, dict):
-        raise fail("seed_policy must be an object")
+        raise fail("seed_policy must be an object", "seed_policy")
     kind = str(policy_raw.get("kind", "constant"))
     if kind not in ("constant", "sequence"):
-        raise fail(f"unknown seed policy kind {kind!r}")
-    value = integer(policy_raw.get("value", policy_raw.get("start", 0)), "seed_policy value")
+        raise fail(f"unknown seed policy kind {kind!r}", "seed_policy", "kind")
+    value_key = "value" if "value" in policy_raw else "start"
+    value = integer(policy_raw.get(value_key, 0), "seed_policy value", "seed_policy", value_key)
     mode = str(raw.get("guards", "literal"))
     if mode not in GUARD_MODES:
-        raise fail(f"unknown guard mode {mode!r}")
-    fuel = integer(raw.get("fuel", DEFAULT_FUEL), "fuel")
+        raise fail(f"unknown guard mode {mode!r}", "guards")
+    fuel = integer(raw.get("fuel", DEFAULT_FUEL), "fuel", "fuel")
     if fuel < 1:
-        raise fail("fuel must be at least 1")
+        raise fail("fuel must be at least 1", "fuel")
     return Agent(
         name=str(raw["name"]),
         signature=sig,

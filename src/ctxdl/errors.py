@@ -11,7 +11,9 @@ placed in it by ``LoadError.at``, so each kind of file fails the same way:
 ``path:line:col: message``. A string inside a JSON file (a projection
 pattern, an assertion of an oracle script) is parsed on its own, so its
 error is ``path:line: <what> '<text>': message``, where the message is
-the parser's without its position inside the string.
+the parser's without its position inside the string. An agent file is
+read by ``read_json``, which keeps where each field's value starts, so an
+error in a field's value is placed at ``path:line:col`` of that value.
 """
 
 from __future__ import annotations
@@ -81,6 +83,55 @@ def read_text(path: str | PathLike[str]) -> str:
         raise LoadError(str(path), 1, "file is not valid UTF-8 text") from exc
     except OSError as exc:
         raise LoadError(str(path), None, str(exc)) from exc
+
+
+def read_json(path: str | PathLike[str]) -> tuple[object, dict[tuple, tuple[int, int]]]:
+    """The JSON value in the file at *path*, and where its parts are.
+
+    The second result maps the path of each value nested at most three
+    levels deep (a tuple of object keys and list indexes, ``()`` for the
+    whole value) to the 1-based (line, col) at which the value starts, so
+    that an error in a field can name its place; three levels reach an
+    agent file's query templates. A syntax error is a LoadError at its
+    line and column.
+    """
+    import json  # local imports: only agent files are read this way
+    from json.decoder import WHITESPACE, scanstring
+
+    text = read_text(path)
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise LoadError(str(path), exc.lineno, f"invalid JSON: {exc.msg}", exc.colno) from exc
+    # The text is valid JSON, so the walk below meets no syntax error.
+    # Deeper values are skipped whole by the decoder's own scanner.
+    skip = json.JSONDecoder().scan_once
+    offsets: dict[tuple, int] = {}
+
+    def walk(pos: int, where: tuple, depth: int) -> int:
+        """Record the value at *pos* and the values in it; return its end."""
+        pos = WHITESPACE.match(text, pos).end()
+        offsets[where] = pos
+        opener = text[pos]
+        if depth == 0 or opener not in "[{":
+            return skip(text, pos)[1]
+        pos = WHITESPACE.match(text, pos + 1).end()
+        index = 0
+        while text[pos] not in "]}":
+            if opener == "{":
+                key, pos = scanstring(text, pos + 1)
+                pos = WHITESPACE.match(text, pos).end() + 1  # past the ':'
+            else:
+                key, index = index, index + 1
+            pos = WHITESPACE.match(text, walk(pos, (*where, key), depth - 1)).end()
+            if text[pos] == ",":
+                pos = WHITESPACE.match(text, pos + 1).end()
+        return pos + 1
+
+    walk(0, (), 3)
+    return value, {
+        where: (text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)) for where, pos in offsets.items()
+    }
 
 
 class BudgetExceededError(EngineError):

@@ -9,13 +9,16 @@ are one object. Each renders its text once, on first use, and keeps it
 in a private slot, so a digest of a fact set whose assertions were
 rendered before is a sort and join of stored strings.
 
-A knowledge state keeps its canonical lines the same way: one sort, the
-first time they are needed. ``KnowledgeState.updated`` derives the next
-state's lines from the current ones by bisection, so a run of small
-updates pays for its changes, not for the whole fact set. The lines and
-the digest read off them are exactly what ``canonical_abox`` and
-``abox_digest`` give for the state's fact set; the digest format is
-unchanged.
+A knowledge state keeps its digest the same way: one sort and join, the
+first time it is needed. ``KnowledgeState.updated`` splices the next
+state's digest from the kept string: it finds the place of each changed
+line by bisection over the string and joins the untouched stretches with
+the added lines once, so a run of small updates pays for its changes, not
+for the whole fact set. The kept digest is exactly what ``abox_digest``
+gives for the state's fact set, and ``lines`` what ``canonical_abox``
+gives; the digest format is unchanged. A line that holds a ``;`` would
+make the kept string ambiguous; only names built in the library can, and
+a state with such a line sorts its fact set whenever it is asked.
 
 Guard satisfaction has two modes. ``literal`` checks raw membership of the
 asserted fact in the current fact set. ``saturated`` additionally accepts a
@@ -28,13 +31,12 @@ scan of the fact set.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from typing import AbstractSet, Iterable, Union
 
 from ctxdl.concepts import Signature, expect_name, parse_concept_stream, print_concept
 from ctxdl.contexts import ContextPoset
 from ctxdl.lexer import TokenStream, tokenize
-from ctxdl.reasoner import DEFAULT_NODE_BUDGET, subsumes
+from ctxdl.reasoner import DEFAULT_NODE_BUDGET, TBox, subsumes
 from ctxdl.values import Node, Record
 
 GUARD_MODES = ("literal", "saturated")
@@ -78,46 +80,93 @@ Assertion = Union[ConceptAssertion, RoleAssertion]
 class KnowledgeState(Record):
     """The pair a program run transforms: fixed inclusions, current assertions."""
 
-    __slots__ = ("tbox", "abox", "_lines")
+    __slots__ = ("tbox", "abox", "_digest")
+
+    def __init__(self, tbox: TBox, abox: frozenset[Assertion]):
+        _set(self, "tbox", tbox)
+        _set(self, "abox", abox)
+        _set(self, "_digest", None)
 
     def with_abox(self, abox: Iterable[Assertion]) -> "KnowledgeState":
         return KnowledgeState(self.tbox, frozenset(abox))
 
     @property
     def lines(self) -> tuple[str, ...]:
-        """``canonical_abox(self.abox)``, sorted on first use and kept."""
-        if self._lines is None:
-            _set(self, "_lines", tuple(canonical_abox(self.abox)))
-        return self._lines
+        """``canonical_abox(self.abox)``, the digest's lines."""
+        return tuple(canonical_abox(self.abox))
 
     @property
     def digest(self) -> str:
-        """``abox_digest(self.abox)``, joined from the kept lines."""
-        return ";".join(self.lines)
+        """``abox_digest(self.abox)``, joined on first use and kept unless a
+        line holds a ';', which would make the kept string ambiguous."""
+        if self._digest is None:
+            digest = abox_digest(self.abox)
+            if digest.count(";") < max(len(self.abox), 1):
+                _set(self, "_digest", digest)
+            return digest
+        return self._digest
 
     def updated(
         self, additions: Iterable[Assertion], deletions: Iterable[Assertion] = ()
     ) -> "KnowledgeState":
         """The state whose fact set is ``(abox | additions) - deletions``.
 
-        Its lines come from this state's: the text of each deletion that was
-        present is removed and the text of each addition that was absent is
-        inserted, by bisection, with no sort and no render of the rest.
+        Its digest comes from this state's: each removed line is found by
+        bisection over the kept string, and so is the place of each added
+        one; one join of the untouched stretches and the added lines builds
+        the child's digest, with no sort and no render of the rest. A line
+        or a change holding a ';' (only names built in the library can)
+        leaves the child to sort its fact set when asked.
         """
         deletions = frozenset(deletions)
         removed = deletions & self.abox
         added = frozenset(additions) - deletions - self.abox
         if not removed and not added:
             return self
-        lines = list(self.lines)
-        for a in removed:
-            del lines[bisect_left(lines, a.text)]
-        for a in added:
-            insort(lines, a.text)
         abox = self.abox - removed if removed else self.abox  # each set operation copies
         child = KnowledgeState(self.tbox, abox | added if added else abox)
-        _set(child, "_lines", tuple(lines))
+        self.digest  # kept unless a line holds a ';'
+        gone, new = [a.text for a in removed], [a.text for a in added]
+        if self._digest is not None and not any(";" in text for text in gone + new):
+            _set(child, "_digest", _splice(self._digest, gone, new))
         return child
+
+
+def _line_start(digest: str, text: str) -> int:
+    """The offset of the line *text* in *digest*, or of the line it would
+    precede if absent (``len(digest) + 1`` past the last line); *digest* is
+    sorted lines joined by ';', none of which holds a ';'."""
+    lo, hi = 0, len(digest) + 1 if digest else 0  # lines before lo sort below text, from hi on not
+    while lo < hi:
+        mid = (lo + hi) // 2
+        start = digest.rfind(";", lo, mid) + 1 or lo
+        end = digest.find(";", start)
+        if end < 0:
+            end = len(digest)
+        if digest[start:end] < text:
+            lo = end + 1
+        else:
+            hi = start
+    return lo
+
+
+def _splice(digest: str, gone: list[str], new: list[str]) -> str:
+    """*digest* without the lines *gone* and with the lines *new*, each put
+    in place by ``_line_start``; one join builds the result."""
+    edits = [(_line_start(digest, text), 1, text) for text in gone]
+    edits += [(_line_start(digest, text), 0, text) for text in new]
+    pieces, pos = [], 0
+    for offset, removing, text in sorted(edits):  # at one offset: insertions, in order, then the removal
+        if offset > pos:
+            pieces.append(digest[pos : offset - 1])  # untouched lines, without the ';' after them
+        if removing:
+            pos = offset + len(text) + 1
+        else:
+            pieces.append(text)
+            pos = offset
+    if pos < len(digest):
+        pieces.append(digest[pos:])
+    return ";".join(pieces)
 
 
 def render_assertion(a: Assertion) -> str:

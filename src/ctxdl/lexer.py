@@ -28,6 +28,8 @@ from ctxdl.errors import ParseError
 from ctxdl.values import Record
 
 _SYMBOLS = frozenset("(){}.,:;@&|!*")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_WORD_CHARS = _LETTERS | frozenset("0123456789_")
 
 END = "end"
 IDENT = "ident"
@@ -67,11 +69,11 @@ def tokenize(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isalpha():
+        if ch in _LETTERS:
             start = i
             startcol = col
             i += 1
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            while i < n and text[i] in _WORD_CHARS:
                 i += 1
             word = text[start:i]
             col += len(word)

@@ -3,10 +3,12 @@
 An oracle maps (state digest, query payload) to a response of assertion
 additions and deletions. The digest is the canonical sorted one-line
 rendering of the fact set (see kb.abox_digest), so scripts can key on exact
-states; entries may instead match on the payload alone, with ``*`` globbing.
-A step reads the digest from the lines its state keeps and derives the next
-state's lines from them (``KnowledgeState.updated``), so a session sorts its
-fact set once, not once per query; the digest format is unchanged.
+states; entries may instead match on the payload alone, with ``fnmatch``
+globbing. A lookup tries the exact entries of the payload first, then the
+payload patterns in file order. A step reads the digest its state keeps
+and splices the next state's digest from it (``KnowledgeState.updated``),
+so a session sorts its fact set once, not once per query; the digest
+format is unchanged.
 
 Script files are line-delimited JSON. An optional first header record sets
 flags; every other record is one table entry::
@@ -35,7 +37,8 @@ JSON syntax error.
 from __future__ import annotations
 
 import json
-from fnmatch import fnmatchcase
+import re
+from fnmatch import translate
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
@@ -98,14 +101,19 @@ class ScriptedOracle(OracleSpec):
 
     Lookup prefers an exact (state, payload) entry, then the first
     payload-pattern entry in file order, so the behavior is a function of
-    the key even when patterns overlap.
+    the key even when patterns overlap. Exact entries are indexed by
+    payload, so a payload with none never hashes the digest. The patterns
+    are answered by one regex, the alternation of their ``fnmatch``
+    translations in file order, each inside a group of its own; it is
+    compiled on the first lookup after a pattern is added.
     """
 
     def __init__(self, name: str, entries: Iterable[ScriptEntry], allow_deletions: bool = False):
         self.name = name
         self.allow_deletions = allow_deletions
-        self._exact: dict[tuple[str, str], OracleResponse] = {}
+        self._exact: dict[str, dict[str, OracleResponse]] = {}  # payload -> state -> response
         self._patterns: dict[str, OracleResponse] = {}  # pattern -> response, in file order
+        self._matcher: tuple[re.Pattern, dict[str, OracleResponse]] | None = None
         for entry in entries:
             self.add(entry)
 
@@ -114,25 +122,43 @@ class ScriptedOracle(OracleSpec):
         if entry.response.deletions and not self.allow_deletions:
             raise ValueError("script contains deletions but does not set allow_deletions")
         if entry.state is not None:
-            key = (entry.state, entry.payload)
-            if key in self._exact:
-                raise ValueError(f"duplicate script entry for state/payload {key!r}")
-            self._exact[key] = entry.response
+            by_state = self._exact.setdefault(entry.payload, {})
+            if entry.state in by_state:
+                raise ValueError(f"duplicate script entry for state/payload {(entry.state, entry.payload)!r}")
+            by_state[entry.state] = entry.response
         else:
             if entry.payload in self._patterns:
                 raise ValueError(f"duplicate script entry for payload {entry.payload!r}")
             self._patterns[entry.payload] = entry.response
+            self._matcher = None
 
     def respond(self, digest: str, payload: str) -> OracleResponse:
-        hit = self._exact.get((digest, payload))
+        by_state = self._exact.get(payload)
+        if by_state is not None and digest in by_state:
+            return by_state[digest]
+        if self._matcher is None:
+            self._matcher = _compile_patterns(self._patterns)
+        pattern, responses = self._matcher
+        hit = pattern.match(payload)
         if hit is not None:
-            return hit
-        for pattern, response in self._patterns.items():
-            if fnmatchcase(payload, pattern):
-                return response
+            return responses[hit.lastgroup]
         raise ScriptLookupError(
             f"oracle {self.name!r} has no entry for payload {payload!r} in the current state"
         )
+
+
+def _compile_patterns(patterns: dict[str, OracleResponse]) -> tuple[re.Pattern, dict[str, OracleResponse]]:
+    """One regex for *patterns* and the response of each of its groups.
+
+    Alternative i is ``(?P<_i>...)`` around the ``fnmatch`` translation of
+    the i-th pattern, which ends in ``\\Z``: its group closes only when the
+    whole payload matched, and it is the last group to close, so
+    ``lastgroup`` names it. A translation's own groups (named ``g0``, ...
+    on Python 3.10) cannot take that name.
+    """
+    names = [f"_{i}" for i in range(len(patterns))]
+    regex = "|".join(f"(?P<{name}>{translate(p)})" for name, p in zip(names, patterns))
+    return re.compile(regex or "(?!)"), dict(zip(names, patterns.values()))
 
 
 class RecordingOracle(OracleSpec):

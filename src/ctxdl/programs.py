@@ -35,6 +35,8 @@ stack, so a long ``;`` chain costs no Python recursion; the printers keep
 their pending nodes on one too, so a long ``;`` or ``|`` chain prints.
 Guard evaluation cost is not fuel: the reasoner has its own node budget, and
 a guard that exhausts it aborts the run with the partial trace attached.
+Only ``evaluate_trace`` builds a trace while it runs; ``evaluate`` builds
+one only for a run that aborts, by running it again.
 The inclusions are fixed for a run, so each run keeps the verdict of every
 subsumption atom it has decided and answers a repeated one from that memo:
 a ``while A <= B do ... od`` loop runs the tableau once, not once per
@@ -368,7 +370,8 @@ def _guard_parts(g: Guard) -> list:
 
 
 class _Runner:
-    """One evaluation: the inclusions, a working fact set and the trace.
+    """One evaluation: the inclusions, a working fact set and, when asked
+    for, the trace.
 
     ``Add`` and ``Del`` write the working set in place, so a write costs its
     one assertion, not a copy of the fact set. Guards read the runner itself
@@ -376,17 +379,20 @@ class _Runner:
     ``verdicts`` memo of the subsumption atoms decided so far.
     """
 
-    def __init__(self, state: KnowledgeState, mode: str, poset: ContextPoset | None, budget: int):
+    def __init__(
+        self, state: KnowledgeState, mode: str, poset: ContextPoset | None, budget: int, tracing: bool
+    ):
         self.tbox = state.tbox
         self.abox = set(state.abox)
         self.verdicts: dict[SubsumeGuard, bool] = {}
         self.mode = mode
         self.poset = poset
         self.budget = budget
-        self.trace: list[TraceEntry] = []
+        self.trace: list[TraceEntry] | None = [] if tracing else None
 
-    def _record(self, rule: str, guard: bool | None, added=frozenset(), removed=frozenset()):
-        self.trace.append(TraceEntry(rule, guard, added, removed))
+    def _record(self, rule: str, guard: bool | None, added: tuple = (), removed: tuple = ()):
+        if self.trace is not None:
+            self.trace.append(TraceEntry(rule, guard, frozenset(added), frozenset(removed)))
 
     def exec(self, prog: Program, fuel: int) -> tuple[int, bool]:
         """Run *prog* on the working set; returns (fuel left, completed). A
@@ -411,12 +417,12 @@ class _Runner:
                     self._record("add", None)
                 else:
                     self.abox.add(beta)
-                    self._record("add", None, added=frozenset({beta}))
+                    self._record("add", None, added=(beta,))
             elif isinstance(prog, Del):
                 beta = prog.assertion
                 if beta in self.abox:
                     self.abox.remove(beta)
-                    self._record("del", None, removed=frozenset({beta}))
+                    self._record("del", None, removed=(beta,))
                 else:
                     self._record("del", None)
             elif isinstance(prog, Seq):
@@ -445,18 +451,27 @@ def _run(
     mode: str,
     poset: ContextPoset | None,
     budget: int,
+    tracing: bool,
 ) -> tuple[EvalOutcome, tuple[TraceEntry, ...]]:
+    """The outcome and, if *tracing*, the trace (else an empty one).
+
+    A run without a trace that aborts is run again with one: the run is
+    deterministic, so it aborts at the same rule application, and
+    ``EvalAborted`` always carries the partial trace.
+    """
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
-    runner = _Runner(state, mode, poset, budget)
+    runner = _Runner(state, mode, poset, budget, tracing)
     try:
         left, done = runner.exec(prog, fuel)
     except BudgetExceededError as exc:
+        if not tracing:
+            return _run(prog, state, fuel, mode, poset, budget, True)
         raise EvalAborted(exc, tuple(runner.trace)) from exc
     final = KnowledgeState(state.tbox, frozenset(runner.abox))
     steps = fuel - left
     outcome: EvalOutcome = Terminated(final, steps) if done else FuelExhausted(final, steps)
-    return outcome, tuple(runner.trace)
+    return outcome, tuple(runner.trace or ())
 
 
 def evaluate(
@@ -473,7 +488,7 @@ def evaluate(
     FuelExhausted is a normal outcome, not an error. The inclusions of the
     state are never touched; only the fact set changes.
     """
-    outcome, _ = _run(prog, state, fuel, mode, poset, budget)
+    outcome, _ = _run(prog, state, fuel, mode, poset, budget, False)
     return outcome
 
 
@@ -487,4 +502,4 @@ def evaluate_trace(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[EvalOutcome, tuple[TraceEntry, ...]]:
     """Like evaluate, also returning the executed-rule trace in order."""
-    return _run(prog, state, fuel, mode, poset, budget)
+    return _run(prog, state, fuel, mode, poset, budget, True)

@@ -21,7 +21,7 @@ from ctxdl.agents import (
 )
 from ctxdl.concepts import Atomic, Not
 from ctxdl.contexts import ContextPoset
-from ctxdl.errors import InteractionError, LoadError, ParseError
+from ctxdl.errors import InteractionError, LoadError, ParseError, read_json
 from ctxdl.kb import ConceptAssertion, KnowledgeState, RoleAssertion
 from ctxdl.oracle import OracleResponse, ScriptEntry, ScriptedOracle
 from ctxdl.programs import parse_program
@@ -168,6 +168,42 @@ def write_agent(tmp_path, **fields):
     path = tmp_path / "agent.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     return path
+
+
+class TestReadJson:
+    def test_places_of_values_up_to_three_levels(self, tmp_path):
+        text = (
+            '{"a" :\t1,\r\n "b": [ "x\\"y]", {"c": [true, null]} ],\n'
+            '"k\\u00e9\\"": {"d": {"e": {"f": 2}}}, "a": -2.5e3}'
+        )
+        path = tmp_path / "f.json"
+        path.write_text(text, encoding="utf-8", newline="")
+        value, places = read_json(path)
+        assert value == json.loads(text)
+
+        def at(needle, start=0):
+            pos = text.index(needle, start)
+            return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+        assert places == {
+            (): (1, 1),
+            ("a",): at("-2.5e3"),  # a repeated key keeps its last value, as json does
+            ("b",): at("["),
+            ("b", 0): at('"x'),
+            ("b", 1): at('{"c"'),
+            ("b", 1, "c"): at("[true"),
+            ("k\u00e9\"",): at('{"d"'),
+            ("k\u00e9\"", "d"): at('{"e"'),
+            ("k\u00e9\"", "d", "e"): at('{"f"'),
+        }
+
+    def test_syntax_error_is_placed(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{\n  "a": [1,, 2]\n}', encoding="utf-8")
+        with pytest.raises(LoadError) as info:
+            read_json(path)
+        assert (info.value.line, info.value.col) == (2, 11)
+        assert info.value.message.startswith("invalid JSON: Expecting value")
 
 
 class TestLoadAgent:

@@ -392,8 +392,9 @@ class TestFactSyntax:
     )
     def test_bad_projection_patterns(self, capsys, workdir, pattern, message):
         agent = self.write_agent(workdir, [pattern])
+        col = (workdir / agent).read_text(encoding="utf-8").index(json.dumps(pattern)) + 1
         got = run_cli("stability", agent, "--runs", "2", capsys=capsys)
-        assert got == (2, "", f"error: {agent}:1: projection pattern {pattern!r}: {message}\n")
+        assert got == (2, "", f"error: {agent}:1:{col}: projection pattern {pattern!r}: {message}\n")
 
 
 class TestRecordsGoldens:
@@ -490,6 +491,16 @@ class TestExitCodes:
         code, _, err = run_cli("sat", SAMPLES / "chain.kb", "Zz", capsys=capsys)
         assert code == 2
         assert "unknown concept name" in err
+
+    @pytest.mark.parametrize(
+        "concept, message",
+        [("Ä", "1:1: unexpected character 'Ä'"), ("é & A", "1:1: unexpected character 'é'"),
+         ("A²", "1:2: unexpected character '²'"), ("A & Bé", "1:6: unexpected character 'é'")],
+    )
+    def test_identifiers_are_ascii(self, capsys, concept, message):
+        # The grammar's identifiers are [A-Za-z][A-Za-z0-9_]*, as Signature enforces.
+        got = run_cli("sat", SAMPLES / "chain.kb", concept, capsys=capsys)
+        assert got == (2, "", f"error: {message}\n")
 
     def test_reasoner_budget_is_a_runtime_error(self, capsys):
         code, _, err = run_cli(
@@ -627,6 +638,44 @@ class TestInputFiles:
         code, out, err = run_cli(*argv, capsys=capsys)
         assert (code, out) == (2, "")
         assert err == f"error: {name}:{message}\n"
+
+    @pytest.mark.parametrize(
+        "field, value, needle, message",
+        [
+            ("input_context", "Nowhere", '"Nowhere"', "input_context 'Nowhere' is not a declared context"),
+            ("projection", "scene:Obstacle", '"scene:Obstacle"', "projection must be a list of fact patterns"),
+            ("projection", ["scene:Obstacle", "scene:Obstacel"], '"scene:Obstacel"',
+             "projection pattern 'scene:Obstacel': unknown concept name 'Obstacel'"),
+            ("fuel", 0, "0", "fuel must be at least 1"),
+            ("fuel", "lots", '"lots"', "fuel must be an integer"),
+            ("guards", "fuzzy", '"fuzzy"', "unknown guard mode 'fuzzy'"),
+            ("seed_policy", [1], "[", "seed_policy must be an object"),
+            ("seed_policy", {"kind": "random"}, '"random"', "unknown seed policy kind 'random'"),
+            ("seed_policy", {"kind": "sequence", "start": "one"}, '"one"', "seed_policy value must be an integer"),
+            ("oracle", {"queries": []}, "{", "oracle section needs a 'script' path"),
+            ("oracle", {"script": "stream_constant.jsonl", "queries": "read-{seed}"}, '"read-{seed}"',
+             "oracle queries must be a list of payload templates"),
+            ("oracle", {"script": "stream_constant.jsonl", "queries": ["read-{seed}", "read-{sead}"]},
+             '"read-{sead}"', "oracle query template 'read-{sead}': field {sead} is not a plain {seed} or {parity}"),
+        ],
+    )
+    def test_agent_field_error_names_the_place_of_its_value(self, capsys, workdir, field, value, needle, message):
+        agent = json.loads((SAMPLES / "sensor_constant.json").read_text(encoding="utf-8"))
+        text = json.dumps({**agent, field: value}, indent=2)
+        (workdir / "bad.json").write_text(text, encoding="utf-8")
+        pos = text.index(needle, text.index(f'"{field}": '))
+        line, col = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+        assert line > 1
+        code, out, err = run_cli("stability", "bad.json", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad.json:{line}:{col}: {message}\n"
+
+    def test_missing_agent_field_is_at_line_1(self, capsys, workdir):
+        agent = json.loads((SAMPLES / "sensor_constant.json").read_text(encoding="utf-8"))
+        del agent["projection"]
+        (workdir / "bad.json").write_text(json.dumps(agent, indent=2), encoding="utf-8")
+        code, out, err = run_cli("stability", "bad.json", capsys=capsys)
+        assert (code, out, err) == (2, "", "error: bad.json:1: missing required field 'projection'\n")
 
     def test_oracle_flag_is_gone(self, capsys, workdir):
         code, _, err = run_cli(

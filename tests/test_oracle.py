@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from fnmatch import fnmatchcase
 
 import pytest
 from hypothesis import example, given, settings
@@ -373,6 +374,76 @@ class TestDerivedDigests:
             assert [r["match"]["state"] for r in records] == want
             sink.seek(0)
             sink.truncate()
+
+
+    # Edge lines: one a prefix of another, and names built in the library
+    # with a ';', which no parser accepts and which leave a digest ambiguous.
+    C_AT_U = ConceptAssertion("a", Atomic("C"), "U")
+    C_AT_U2 = ConceptAssertion("a", Atomic("C"), "U2")
+    SPLIT_NAME = ConceptAssertion("a;b", Atomic("A"), "U")
+    SPLIT_ROLE = RoleAssertion("a", "b", "r;s", "V")
+    EDGE_POOL = (*POOL, C_AT_U, C_AT_U2, SPLIT_NAME, SPLIT_ROLE)
+    SORTED_POOL = tuple(sorted(POOL, key=lambda a: a.text))
+    edge_sets = st.frozensets(st.sampled_from(EDGE_POOL))
+
+    @given(edge_sets, st.lists(st.tuples(edge_sets, edge_sets), max_size=6))
+    @example(frozenset(), [])  # the empty state
+    @example(frozenset(), [(frozenset({BETA, LINK}), frozenset())])
+    @example(frozenset({BETA}), [(frozenset(), frozenset({BETA}))])  # the only line
+    @example(frozenset(SORTED_POOL), [(frozenset(), frozenset({SORTED_POOL[0]}))])  # the first
+    @example(frozenset(SORTED_POOL), [(frozenset(), frozenset({SORTED_POOL[-1]}))])  # the last
+    @example(frozenset({C_AT_U2}), [(frozenset({C_AT_U}), frozenset()), (frozenset(), frozenset({C_AT_U}))])
+    @example(frozenset({C_AT_U}), [(frozenset({C_AT_U2}), frozenset()), (frozenset(), frozenset({C_AT_U}))])
+    @example(frozenset(POOL[::2]), [(frozenset(POOL[1::2]), frozenset(POOL[::2]))])  # many at once
+    @example(frozenset({SPLIT_NAME}), [(frozenset({BETA}), frozenset()), (frozenset(), frozenset({SPLIT_NAME}))])
+    @example(frozenset({BETA}), [(frozenset({SPLIT_ROLE}), frozenset()), (frozenset({GAMMA}), frozenset({SPLIT_ROLE}))])
+    @settings(max_examples=300, deadline=None)
+    def test_updated_digests_equal_abox_digest(self, base, changes):
+        state, want = KnowledgeState(EMPTY_TBOX, base), base
+        for additions, deletions in changes:
+            state = state.updated(additions, deletions)
+            want = (want | additions) - deletions
+            assert state.abox == want
+            assert state._digest in (None, abox_digest(want))  # spliced, or left for a sort
+            assert state.digest == abox_digest(want) == plain_digest(want)
+            # Kept exactly when no line holds a ';'.
+            assert (state._digest is None) == any(";" in a.text for a in want)
+            assert state.lines == tuple(canonical_abox(want))
+
+
+# Globs over the characters fnmatch treats specially, and payloads over the
+# characters they can match.
+GLOBS = st.text(st.sampled_from("*?[]!-.\\ab"), max_size=6)
+PAYLOADS = st.lists(st.text(st.sampled_from("ab.-\\[]!*?"), max_size=6), min_size=1, max_size=6)
+
+
+class TestPatternLookup:
+    """The compiled alternation answers what the first matching pattern in
+    file order answers under ``fnmatchcase``."""
+
+    @given(st.lists(GLOBS, unique=True, max_size=8), st.lists(GLOBS, unique=True, max_size=4), PAYLOADS)
+    @example(["a*", "*b", "*"], ["a"], ["ab", "a", "b", ""])
+    @example(["*a*b", "[!a]*", "[a-]?"], ["[", "\\*"], ["ba", "-a", "[", "\\b", "aab"])
+    @settings(max_examples=500, deadline=None)
+    def test_first_match_in_file_order(self, patterns, later, payloads):
+        table = [(p, OracleResponse(frozenset())) for p in patterns]
+        spec = ScriptedOracle("probe", [ScriptEntry(p, None, r) for p, r in table])
+
+        def check():
+            for payload in payloads:
+                want = next((r for p, r in table if fnmatchcase(payload, p)), None)
+                try:
+                    got = spec.respond("", payload)
+                except ScriptLookupError:
+                    got = None
+                assert got is want, (payload, table)
+
+        check()
+        for p in later:  # added after the first lookup built the regex
+            if p not in patterns:
+                table.append((p, OracleResponse(frozenset())))
+                spec.add(ScriptEntry(p, None, table[-1][1]))
+        check()
 
 
 # Any text, and text drawn from the digest alphabet plus characters JSON

@@ -351,6 +351,9 @@ class TestAgainstReferenceEvaluator:
             want = run(reference_evaluate_trace, prog, start, fuel, mode, poset, budget=budget)
             got = run(evaluate_trace, prog, start, fuel, mode, poset, budget=budget)
             assert got == want
+            # evaluate keeps no trace, except the partial one of an abort.
+            untraced = run(evaluate, prog, start, fuel, mode, poset, budget=budget)
+            assert untraced == (want if want[0] == "aborted" else want[0])
             assert start.abox is abox and abox == snapshot
             seen.add(got[0] if isinstance(got[0], str) else type(got[0]).__name__)
         assert seen == {"Terminated", "FuelExhausted", "aborted"}
