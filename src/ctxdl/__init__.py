@@ -76,11 +76,9 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "canonical_abox",
         "guard_sat",
         "parse_assertion",
-        "render_assertion",
         "saturate",
     ),
     "sheaf": (
-        "ConceptFact",
         "Conflict",
         "Fact",
         "Glued",
@@ -88,7 +86,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "Incompatible",
         "NonUnique",
         "Presheaf",
-        "RoleFact",
         "Section",
         "compatible",
         "global_sections",

@@ -1,10 +1,12 @@
 """Agents: interpretation procedures over latent fact sets, and stability.
 
-An agent turns a latent structure (a bag of context-free facts) into a
-manifested fact set by: injecting the latent facts as assertions at its
-input context, optionally running an oracle session (payload templates may
-mention ``{seed}`` and ``{parity}``), optionally running a program, and
-finally projecting the resulting fact set through a list of fact patterns.
+A fact is an assertion at no context (see ``ctxdl.kb``). An agent turns a
+latent structure (a bag of facts) into a manifested fact set by: asserting
+the latent facts at its input context (``f.at(U)``), optionally running an
+oracle session (payload templates may mention ``{seed}`` and
+``{parity}``), optionally running a program, and finally projecting the
+resulting assertions through a list of fact patterns, each selected
+assertion manifesting as its fact (``a.at(None)``).
 The empty manifested set is a first-class outcome: it encodes that the
 latent structure carries no information for this agent.
 
@@ -30,7 +32,8 @@ Relative paths are resolved against the file's directory. ``program`` and
 injected facts (modulo projection).
 
 A projection pattern is a fact of the fact-list grammar (``a:C`` or
-``(a,b):r``) whose slots may be ``*``, then an optional ``@U`` or ``@*``.
+``(a,b):r``) whose slots may be ``*`` (the concept slot then holds
+``Atomic("*")``), then an optional ``@U`` or ``@*``.
 Spaces between tokens are allowed, and every name is checked against the
 signature as it is parsed. Loading rejects, with a ``LoadError`` at the
 agent file, a pattern the parser rejects (``projection pattern '<text>':
@@ -58,12 +61,15 @@ from typing import Iterable, Union
 from ctxdl.concepts import Atomic, Signature, expect_name
 from ctxdl.contexts import ContextPoset
 from ctxdl.errors import InteractionError, LoadError, OracleError, ParseError, read_json
-from ctxdl.kb import GUARD_MODES, Assertion, ConceptAssertion, KnowledgeState, RoleAssertion
+from ctxdl.kb import GUARD_MODES, Assertion, ConceptAssertion, KnowledgeState, parse_fact_stream
 from ctxdl.lexer import TokenStream, tokenize
 from ctxdl.oracle import OracleQuery, OracleSpec, load_script, run_session
 from ctxdl.programs import DEFAULT_FUEL, FuelExhausted, Program, evaluate, load_program
-from ctxdl.sheaf import ConceptFact, Fact, RoleFact, Section, parse_fact_stream, render_fact
+from ctxdl.sheaf import Fact, Section
 from ctxdl.values import Record
+
+_WILD = ("*", Atomic("*"))  # what a '*' name slot and a '*' concept slot hold
+
 
 class FactPattern(Record):
     """A fact selector: a fact whose slots may be '*', which matches every
@@ -92,18 +98,15 @@ class FactPattern(Record):
     @property
     def wild(self) -> bool:
         """Whether a name slot is '*', so that the pattern selects by scanning."""
-        return "*" in self.fact._values(self.fact)
+        return any(want in _WILD for want in self.fact._values(self.fact))
 
     def matches(self, assertion: Assertion) -> bool:
-        if self.context not in (None, assertion.context):
+        if type(assertion) is not type(self.fact) or self.context not in (None, assertion.context):
             return False
-        if isinstance(self.fact, ConceptFact):
-            if not isinstance(assertion, ConceptAssertion) or not isinstance(assertion.concept, Atomic):
-                return False
-        elif not isinstance(assertion, RoleAssertion):
+        if isinstance(assertion, ConceptAssertion) and not isinstance(assertion.concept, Atomic):
             return False
-        got = _fact(assertion)
-        return all(want in ("*", name) for want, name in zip(self.fact._values(self.fact), got._values(got)))
+        wanted, got = self.fact._values(self.fact)[:-1], assertion._values(assertion)[:-1]  # context aside
+        return all(want in (*_WILD, field) for want, field in zip(wanted, got))
 
 
 def _slot(ts: TokenStream, names: frozenset[str], kind: str) -> str:
@@ -130,7 +133,7 @@ class Manifested(Record):
     __slots__ = ("facts",)
 
     def render(self) -> list[str]:
-        return sorted(render_fact(f) for f in self.facts)
+        return sorted(f.text for f in self.facts)
 
 
 class SeedPolicy(Record):
@@ -167,18 +170,6 @@ class Agent:
     seed_policy: SeedPolicy = SeedPolicy("constant", 0)
 
 
-def _inject(fact: Fact, context: str) -> Assertion:
-    if isinstance(fact, ConceptFact):
-        return ConceptAssertion(fact.individual, Atomic(fact.concept), context)
-    return RoleAssertion(fact.subject, fact.target, fact.role, context)
-
-
-def _fact(a: Assertion) -> Fact:
-    if isinstance(a, ConceptAssertion):
-        return ConceptFact(a.individual, a.concept.name)
-    return RoleFact(a.subject, a.target, a.role)
-
-
 def _project(
     abox: frozenset[Assertion], projection: tuple[FactPattern, ...], contexts: Iterable[str]
 ) -> frozenset[Fact]:
@@ -190,17 +181,17 @@ def _project(
             scanned.append(p)
             continue
         for u in contexts if p.context is None else (p.context,):
-            if _inject(p.fact, u) in abox:
+            if p.fact.at(u) in abox:
                 out.add(p.fact)
                 break
     if scanned:
-        out.update(_fact(a) for a in abox if any(p.matches(a) for p in scanned))
+        out.update(a.at(None) for a in abox if any(p.matches(a) for p in scanned))
     return frozenset(out)
 
 
 def interact(agent: Agent, latent: LatentStructure, seed: int = 0) -> Manifested:
     """One interpretation run; a function of (agent, latent, seed)."""
-    state = agent.base_state.updated(_inject(f, agent.input_context) for f in latent.payload)
+    state = agent.base_state.updated(f.at(agent.input_context) for f in latent.payload)
     if agent.oracle is not None:
         queries = [
             OracleQuery(agent.oracle.name, template.format(seed=seed, parity=seed % 2))

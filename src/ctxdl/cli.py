@@ -30,7 +30,7 @@ from ctxdl.errors import (
     RefinementChainError,
     SearchSpaceError,
 )
-from ctxdl.kb import GUARD_MODES, KnowledgeState, canonical_abox, render_assertion, saturate
+from ctxdl.kb import GUARD_MODES, KnowledgeState, canonical_abox, parse_fact_list, parse_fact_list_stream, saturate
 from ctxdl.kbfile import KBDocument, load_kb, load_state, write_state
 from ctxdl.lexer import TokenStream, tokenize
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET, is_satisfiable, subsumes
@@ -74,9 +74,7 @@ class _Report:
 
 
 def _facts_json(facts) -> list[str]:
-    from ctxdl.sheaf import render_fact
-
-    return sorted(render_fact(f) for f in facts)
+    return sorted(f.text for f in facts)
 
 
 def _section_json(section: Section) -> dict:
@@ -194,13 +192,13 @@ def _cmd_run(args, report: _Report) -> None:
                     "index": i,
                     "rule": entry.rule,
                     "guard": entry.guard,
-                    "added": sorted(render_assertion(a) for a in entry.added),
-                    "removed": sorted(render_assertion(a) for a in entry.removed),
+                    "added": sorted(a.text for a in entry.added),
+                    "removed": sorted(a.text for a in entry.removed),
                 },
                 f"  [{i}] {entry.rule}"
                 + (f" guard={str(entry.guard).lower()}" if entry.guard is not None else "")
-                + "".join(f" +{render_assertion(a)}" for a in sorted(entry.added, key=render_assertion))
-                + "".join(f" -{render_assertion(a)}" for a in sorted(entry.removed, key=render_assertion)),
+                + "".join(f" +{text}" for text in sorted(a.text for a in entry.added))
+                + "".join(f" -{text}" for text in sorted(a.text for a in entry.removed)),
             )
     if args.dump:
         write_state(args.dump, doc.signature, outcome.state.abox)
@@ -228,8 +226,8 @@ def _cmd_apply_oracle(args, report: _Report) -> None:
                     "command": "oracle-step",
                     "seq": i,
                     "payload": payload,
-                    "added": sorted(render_assertion(a) for a in response.additions),
-                    "removed": sorted(render_assertion(a) for a in response.deletions),
+                    "added": sorted(a.text for a in response.additions),
+                    "removed": sorted(a.text for a in response.deletions),
                 },
                 f"[{i}] {payload}: +{len(response.additions)} -{len(response.deletions)}",
             )
@@ -247,8 +245,6 @@ def _cmd_apply_oracle(args, report: _Report) -> None:
 
 def _parse_cli_section(text: str, doc: KBDocument, ps: Presheaf) -> Section:
     """The family member ``CTX: fact, fact`` given to ``glue --section``."""
-    from ctxdl.sheaf import parse_fact_list_stream
-
     ts = TokenStream(tokenize(text))
     ctx = expect_name(ts, doc.signature.context_names, "context")
     ts.expect(":", "':' after the section's context")
@@ -326,7 +322,7 @@ def _cmd_glue(args, report: _Report) -> None:
 
 
 def _cmd_stable(args, report: _Report) -> None:
-    from ctxdl.sheaf import chain_from, parse_fact_list, stable_under_refinement
+    from ctxdl.sheaf import chain_from, stable_under_refinement
 
     doc = load_kb(args.kb)
     ps = doc.presheaf()
@@ -377,7 +373,6 @@ def _cmd_global_sections(args, report: _Report) -> None:
 
 def _cmd_stability(args, report: _Report) -> None:
     from ctxdl.agents import LatentStructure, load_agent, stability_check
-    from ctxdl.sheaf import parse_fact_list
 
     agent = load_agent(args.agent)
     payload = (

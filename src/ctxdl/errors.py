@@ -14,6 +14,12 @@ error is ``path:line: <what> '<text>': message``, where the message is
 the parser's without its position inside the string. An agent file is
 read by ``read_json``, which keeps where each field's value starts, so an
 error in a field's value is placed at ``path:line:col`` of that value.
+
+JSON text past one of the decoder's limits, a value nested deeper than it
+recurses or an integer with more digits than ``int`` converts (4,300 by
+default), is a ``LoadError`` too, worded by ``json_limit``. The decoder
+says nowhere where the value is, so the error names the agent file, or
+the line of an oracle script or session log, and no column.
 """
 
 from __future__ import annotations
@@ -93,17 +99,14 @@ def read_json(path: str | PathLike[str]) -> tuple[object, dict[tuple, tuple[int,
     whole value) to the 1-based (line, col) at which the value starts, so
     that an error in a field can name its place; three levels reach an
     agent file's query templates. A syntax error is a LoadError at its
-    line and column.
+    line and column; a value nested too deeply for the decoder, or an
+    integer with more digits than it converts, is a LoadError at the file.
     """
     import json  # local imports: only agent files are read this way
     from json.decoder import WHITESPACE, scanstring
 
     text = read_text(path)
-    try:
-        value = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LoadError(str(path), exc.lineno, f"invalid JSON: {exc.msg}", exc.colno) from exc
-    # The text is valid JSON, so the walk below meets no syntax error.
+    # The walk below runs on valid JSON, so it meets no syntax error.
     # Deeper values are skipped whole by the decoder's own scanner.
     skip = json.JSONDecoder().scan_once
     offsets: dict[tuple, int] = {}
@@ -128,10 +131,23 @@ def read_json(path: str | PathLike[str]) -> tuple[object, dict[tuple, tuple[int,
                 pos = WHITESPACE.match(text, pos + 1).end()
         return pos + 1
 
-    walk(0, (), 3)
+    try:
+        value = json.loads(text)
+        walk(0, (), 3)
+    except json.JSONDecodeError as exc:
+        raise LoadError(str(path), exc.lineno, f"invalid JSON: {exc.msg}", exc.colno) from exc
+    except (RecursionError, ValueError) as exc:
+        raise LoadError(str(path), None, f"invalid JSON: {json_limit(exc)}") from exc
     return value, {
         where: (text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)) for where, pos in offsets.items()
     }
+
+
+def json_limit(exc: RecursionError | ValueError) -> str:
+    """What a JSON decoder limit that *exc* reports says about the text:
+    nesting deeper than the decoder recurses, or an integer with more
+    digits than ``int`` converts (4,300 by default)."""
+    return "nested too deeply" if isinstance(exc, RecursionError) else "integer has too many digits"
 
 
 class BudgetExceededError(EngineError):

@@ -9,6 +9,13 @@ are one object. Each renders its text once, on first use, and keeps it
 in a private slot, so a digest of a fact set whose assertions were
 rendered before is a sort and join of stored strings.
 
+A fact is an assertion at no context: ``a:C`` (C a concept name) or
+``(a,b):r``, with context None and a text without ``@``. The presheaf
+universes, sections, latent structures and manifested sets hold facts;
+``f.at(U)`` is the fact asserted at U, and ``a.at(None)`` the fact an
+assertion asserts. One reader parses the ``a:C`` / ``(a,b):r`` head of
+both; an assertion's concept is any expression and ``@ U`` follows it.
+
 A knowledge state keeps its digest the same way: one sort and join, the
 first time it is needed. ``KnowledgeState.updated`` splices the next
 state's digest from the kept string: it finds the place of each changed
@@ -31,11 +38,11 @@ scan of the fact set.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Union
+from typing import AbstractSet, Callable, Iterable, Union
 
-from ctxdl.concepts import Signature, expect_name, parse_concept_stream, print_concept
+from ctxdl.concepts import Atomic, Signature, expect_name, parse_concept_stream, print_concept
 from ctxdl.contexts import ContextPoset
-from ctxdl.lexer import TokenStream, tokenize
+from ctxdl.lexer import END, TokenStream, tokenize
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET, TBox, subsumes
 from ctxdl.values import Node, Record
 
@@ -49,13 +56,14 @@ class ConceptAssertion(Node):
 
     @property
     def text(self) -> str:
-        """Canonical rendering ``a:C@U``, computed on first use."""
+        """Canonical rendering ``a:C@U``, or ``a:C`` for a fact, computed on first use."""
         if self._text is None:
-            _set(self, "_text", f"{self.individual}:{print_concept(self.concept)}@{self.context}")
+            text = f"{self.individual}:{print_concept(self.concept)}"
+            _set(self, "_text", text if self.context is None else f"{text}@{self.context}")
         return self._text
 
-    def at(self, context: str) -> "ConceptAssertion":
-        """The same assertion at *context*."""
+    def at(self, context: str | None) -> "ConceptAssertion":
+        """The same assertion at *context*; at None, its fact."""
         return ConceptAssertion(self.individual, self.concept, context)
 
 
@@ -64,13 +72,14 @@ class RoleAssertion(Node):
 
     @property
     def text(self) -> str:
-        """Canonical rendering ``(a,b):r@U``, computed on first use."""
+        """Canonical rendering ``(a,b):r@U``, or ``(a,b):r`` for a fact, computed on first use."""
         if self._text is None:
-            _set(self, "_text", f"({self.subject},{self.target}):{self.role}@{self.context}")
+            text = f"({self.subject},{self.target}):{self.role}"
+            _set(self, "_text", text if self.context is None else f"{text}@{self.context}")
         return self._text
 
-    def at(self, context: str) -> "RoleAssertion":
-        """The same assertion at *context*."""
+    def at(self, context: str | None) -> "RoleAssertion":
+        """The same assertion at *context*; at None, its fact."""
         return RoleAssertion(self.subject, self.target, self.role, context)
 
 
@@ -169,8 +178,26 @@ def _splice(digest: str, gone: list[str], new: list[str]) -> str:
     return ";".join(pieces)
 
 
-def render_assertion(a: Assertion) -> str:
-    return a.text
+NameReader = Callable[[TokenStream, frozenset[str], str], str]
+
+
+def _parse_head(ts: TokenStream, sig: Signature, name: NameReader, expression: bool) -> tuple[type, tuple]:
+    """The class and the fields, all but the context, of the head ``a:C`` or
+    ``(a,b):r``. C is any concept expression if *expression*, else a name;
+    every name is read by ``name(ts, declared_names, kind)``."""
+    if ts.peek().kind == "(":
+        ts.next()
+        subject = name(ts, sig.individual_names, "individual")
+        ts.expect(",")
+        target = name(ts, sig.individual_names, "individual")
+        ts.expect(")")
+        ts.expect(":")
+        return RoleAssertion, (subject, target, name(ts, sig.role_names, "role"))
+    individual = name(ts, sig.individual_names, "individual")
+    ts.expect(":")
+    if expression:
+        return ConceptAssertion, (individual, parse_concept_stream(ts, sig))
+    return ConceptAssertion, (individual, Atomic(name(ts, sig.concept_names, "concept")))
 
 
 def parse_assertion(text: str, sig: Signature) -> Assertion:
@@ -182,21 +209,41 @@ def parse_assertion(text: str, sig: Signature) -> Assertion:
 
 
 def parse_assertion_stream(ts: TokenStream, sig: Signature) -> Assertion:
-    if ts.peek().kind == "(":
-        ts.next()
-        subject = expect_name(ts, sig.individual_names, "individual")
-        ts.expect(",")
-        target = expect_name(ts, sig.individual_names, "individual")
-        ts.expect(")")
-        ts.expect(":")
-        role = expect_name(ts, sig.role_names, "role")
-        ts.expect("@")
-        return RoleAssertion(subject, target, role, expect_name(ts, sig.context_names, "context"))
-    individual = expect_name(ts, sig.individual_names, "individual")
-    ts.expect(":")
-    concept = parse_concept_stream(ts, sig)
+    """The head with any concept expression, then ``@ U``."""
+    cls, head = _parse_head(ts, sig, expect_name, True)
     ts.expect("@")
-    return ConceptAssertion(individual, concept, expect_name(ts, sig.context_names, "context"))
+    return cls(*head, expect_name(ts, sig.context_names, "context"))
+
+
+def parse_fact_stream(ts: TokenStream, sig: Signature, name: NameReader = expect_name) -> Assertion:
+    """Parse the fact ``a:C`` or ``(a,b):r``, C a concept name: the head at context None.
+
+    Each slot is read by ``name(ts, declared_names, kind)``, by default
+    ``concepts.expect_name``; a reader that also accepts ``*`` parses
+    projection patterns.
+    """
+    cls, head = _parse_head(ts, sig, name, False)
+    return cls(*head, None)
+
+
+def parse_fact_list_stream(ts: TokenStream, sig: Signature, stop: str = END) -> frozenset[Assertion]:
+    """Parse comma-separated facts up to the *stop* token, which is left in
+    the stream; none at all when the stream is already at it."""
+    facts: set[Assertion] = set()
+    if ts.peek().kind != stop:
+        facts.add(parse_fact_stream(ts, sig))
+        while ts.peek().kind == ",":
+            ts.next()
+            facts.add(parse_fact_stream(ts, sig))
+    return frozenset(facts)
+
+
+def parse_fact_list(text: str, sig: Signature) -> frozenset[Assertion]:
+    """Parse a comma-separated fact list; the empty string is the empty set."""
+    ts = TokenStream(tokenize(text))
+    facts = parse_fact_list_stream(ts, sig)
+    ts.expect_end()
+    return facts
 
 
 def canonical_abox(abox: Iterable[Assertion]) -> list[str]:

@@ -41,6 +41,7 @@ from ctxdl.kb import (
     canonical_abox,
     parse_assertion,
     parse_assertion_stream,
+    parse_fact_list_stream,
     signature_digest,
 )
 from ctxdl.lexer import END, IDENT, Token, TokenStream, tokenize
@@ -48,7 +49,7 @@ from ctxdl.reasoner import TBox
 from ctxdl.values import Record
 
 if TYPE_CHECKING:
-    from ctxdl.sheaf import Fact, Presheaf
+    from ctxdl.sheaf import Presheaf
 
 SECTIONS = ("signature", "contexts", "covers", "tbox", "abox", "facts")
 
@@ -244,7 +245,7 @@ def _build(statements: list[_Statement], path: str) -> KBDocument:
         ts.expect_end()
         abox.add(a)
 
-    universes: dict[str, set[Fact]] = {}
+    universes: dict[str, set[Assertion]] = {}
     for stmt, ctx, tokens in facts_stmts:
         if ctx.text not in sig.context_names:
             raise err(ctx.line, f"unknown context {ctx.text!r}", ctx.col)
@@ -281,9 +282,7 @@ def _name_list(ts: TokenStream) -> list[str]:
     return names
 
 
-def _fact_set(ts: TokenStream, sig: Signature) -> frozenset[Fact]:
-    from ctxdl.sheaf import parse_fact_list_stream
-
+def _fact_set(ts: TokenStream, sig: Signature) -> frozenset[Assertion]:
     ts.expect("{")
     facts = parse_fact_list_stream(ts, sig, "}")
     ts.expect("}")

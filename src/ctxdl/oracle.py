@@ -49,14 +49,10 @@ from ctxdl.errors import (
     ReplayMismatchError,
     ScriptLookupError,
     UnknownOracleError,
+    json_limit,
     read_text,
 )
-from ctxdl.kb import (
-    Assertion,
-    KnowledgeState,
-    parse_assertion,
-    render_assertion,
-)
+from ctxdl.kb import Assertion, KnowledgeState, parse_assertion
 from ctxdl.values import Record
 
 _set = object.__setattr__  # writes a field past Record's frozen __setattr__
@@ -178,8 +174,8 @@ class RecordingOracle(OracleSpec):
                 self.name,
                 payload,
                 digest,
-                sorted(render_assertion(a) for a in response.additions),
-                sorted(render_assertion(a) for a in response.deletions),
+                sorted(a.text for a in response.additions),
+                sorted(a.text for a in response.deletions),
             )
         )
         self._seq += 1
@@ -333,6 +329,8 @@ def _parse_json_line(path: str, lineno: int, raw: str) -> dict:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise LoadError(path, lineno, f"invalid JSON record: {exc.msg}", exc.colno) from exc
+    except (RecursionError, ValueError) as exc:
+        raise LoadError(path, lineno, f"invalid JSON record: {json_limit(exc)}") from exc
     if not isinstance(obj, dict):
         raise LoadError(path, lineno, "each record must be a JSON object")
     return obj

@@ -72,7 +72,6 @@ from ctxdl.kb import (
     Truth,
     guard_sat,
     parse_assertion_stream,
-    render_assertion,
 )
 from ctxdl.lexer import IDENT, TokenStream, tokenize
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET
@@ -324,9 +323,9 @@ def _program_parts(prog: Program) -> list:
     if isinstance(prog, Skip):
         return ["skip"]
     if isinstance(prog, Add):
-        return [f"add {render_assertion(prog.assertion)}"]
+        return [f"add {prog.assertion.text}"]
     if isinstance(prog, Del):
-        return [f"del {render_assertion(prog.assertion)}"]
+        return [f"del {prog.assertion.text}"]
     if isinstance(prog, Seq):
         return [(prog.first, _program_parts), "; ", (prog.second, _program_parts)]
     if isinstance(prog, If):
@@ -346,7 +345,7 @@ def _guard_parts(g: Guard) -> list:
     if isinstance(g, Falsity):
         return ["false"]
     if isinstance(g, AssertGuard):
-        return [render_assertion(g.assertion)]
+        return [g.assertion.text]
     if isinstance(g, SubsumeGuard):
         lhs = print_concept_operand(g.lhs)
         if isinstance(g.lhs, ConceptNot):

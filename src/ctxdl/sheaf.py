@@ -1,7 +1,10 @@
 """Local fact sections over the context poset: restriction, gluing, stability.
 
-Each context carries a finite universe of context-free facts (the facts
-expressible there); a section over a context is a subset of its universe.
+A fact is an assertion at no context (``kb.ConceptAssertion`` or
+``kb.RoleAssertion`` with context None, written ``a:C`` or ``(a,b):r``):
+a section carries the context, so its facts do not. Each context carries
+a finite universe of facts (the facts expressible there); a section over
+a context is a subset of its universe.
 Restricting a section to a subcontext intersects it with the subcontext's
 universe. For that to compose along chains (restricting U->V->W must equal
 restricting U->W), the universes have to interpolate: whenever W <= V <= U,
@@ -32,23 +35,23 @@ exactly when the member universes jointly cover the target universe,
 whatever its facts are.
 
 Global sections and gluing candidates are listed in one canonical order:
-with the facts sorted by their rendering, subset number ``code`` holds fact
+with the facts sorted by their text, subset number ``code`` holds fact
 i exactly when bit i of ``code`` is set. Listing costs one set union and
 one ``Section`` per subset.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Union
+from operator import attrgetter
+from typing import Iterable, Mapping, Union
 
-from ctxdl.concepts import Signature, expect_name
 from ctxdl.contexts import ContextPoset, Covering, validate_covering
 from ctxdl.errors import (
     RefinementChainError,
     SearchSpaceError,
     UnknownNameError,
 )
-from ctxdl.lexer import END, TokenStream, tokenize
+from ctxdl.kb import Assertion, parse_fact_list  # parse_fact_list: perfbench/ reads it from here
 from ctxdl.values import Record
 
 DEFAULT_MAX_UNIVERSE = 20
@@ -56,83 +59,7 @@ DEFAULT_MAX_UNIVERSE = 20
 _set = object.__setattr__  # writes a field past Record's frozen __setattr__
 
 
-# Facts meet in set operations on every sheaf path, so they spell out the
-# equality and hash that Record would compute generically, at half the cost.
-
-
-class ConceptFact(Record):
-    __slots__ = ("individual", "concept")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.individual == other.individual and self.concept == other.concept
-
-    def __hash__(self):
-        return hash((self.individual, self.concept))
-
-
-class RoleFact(Record):
-    __slots__ = ("subject", "target", "role")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.subject == other.subject and self.target == other.target and self.role == other.role
-
-    def __hash__(self):
-        return hash((self.subject, self.target, self.role))
-
-
-Fact = Union[ConceptFact, RoleFact]
-
-
-def render_fact(f: Fact) -> str:
-    if isinstance(f, ConceptFact):
-        return f"{f.individual}:{f.concept}"
-    return f"({f.subject},{f.target}):{f.role}"
-
-
-def parse_fact_stream(
-    ts: TokenStream, sig: Signature, name: Callable[[TokenStream, frozenset[str], str], str] = expect_name
-) -> Fact:
-    """Parse ``a:C`` or ``(a,b):r`` where C is an atomic concept name.
-
-    Each slot is read by ``name(ts, declared_names, kind)``, by default
-    ``concepts.expect_name``; a reader that also accepts ``*`` parses
-    projection patterns.
-    """
-    if ts.peek().kind == "(":
-        ts.next()
-        subject = name(ts, sig.individual_names, "individual")
-        ts.expect(",")
-        target = name(ts, sig.individual_names, "individual")
-        ts.expect(")")
-        ts.expect(":")
-        return RoleFact(subject, target, name(ts, sig.role_names, "role"))
-    individual = name(ts, sig.individual_names, "individual")
-    ts.expect(":")
-    return ConceptFact(individual, name(ts, sig.concept_names, "concept"))
-
-
-def parse_fact_list_stream(ts: TokenStream, sig: Signature, stop: str = END) -> frozenset[Fact]:
-    """Parse comma-separated facts up to the *stop* token, which is left in
-    the stream; none at all when the stream is already at it."""
-    facts: set[Fact] = set()
-    if ts.peek().kind != stop:
-        facts.add(parse_fact_stream(ts, sig))
-        while ts.peek().kind == ",":
-            ts.next()
-            facts.add(parse_fact_stream(ts, sig))
-    return frozenset(facts)
-
-
-def parse_fact_list(text: str, sig: Signature) -> frozenset[Fact]:
-    """Parse a comma-separated fact list; the empty string is the empty set."""
-    ts = TokenStream(tokenize(text))
-    facts = parse_fact_list_stream(ts, sig)
-    ts.expect_end()
-    return facts
+Fact = Assertion  # a fact is an assertion at context None (see the module docstring)
 
 
 class Section(Record):
@@ -166,7 +93,7 @@ class Presheaf:
                 for w in sorted(self.poset.below(v) - {v}):
                     stranded = (self.universe(u) & self.universe(w)) - self.universe(v)
                     if stranded:
-                        fact = min(render_fact(f) for f in stranded)
+                        fact = min(f.text for f in stranded)
                         raise ValueError(
                             f"universes are not a presheaf: {fact} is expressible at "
                             f"{u!r} and at {w!r} but not at {v!r} in between"
@@ -299,7 +226,7 @@ def _subsets_in_order(facts: Iterable[Fact]) -> list[frozenset[Fact]]:
     doubling: after fact i the list holds codes 0 to 2^(i+1) - 1 at their
     own index, and each subset costs one set union."""
     out = [frozenset()]
-    for f in sorted(facts, key=render_fact):
+    for f in sorted(facts, key=attrgetter("text")):
         single = frozenset((f,))
         out += [s | single for s in out]
     return out
@@ -314,7 +241,7 @@ def _check_covering(ps: Presheaf, cov: Covering) -> None:
 def _check_section(ps: Presheaf, s: Section) -> None:
     stray = s.facts - ps.universe(s.context)
     if stray:
-        names = ", ".join(sorted(render_fact(f) for f in stray))
+        names = ", ".join(sorted(f.text for f in stray))
         raise ValueError(f"section at {s.context!r} leaves its universe: {names}")
 
 

@@ -34,7 +34,7 @@ from ctxdl.kb import (
 )
 from ctxdl.programs import Add, Del, If, Program, Seq, SKIP, While
 from ctxdl.reasoner import DEFAULT_MAX_BITS, TBox
-from ctxdl.sheaf import ConceptFact, Presheaf, RoleFact, Section
+from ctxdl.sheaf import Presheaf, Section
 
 SIG = Signature(
     concept_names=("A", "B", "C"),
@@ -128,6 +128,16 @@ def random_poset(rng: random.Random, size: int) -> ContextPoset:
             if rng.random() < 0.4:
                 edges.append((names[i], names[j]))  # lower index below higher
     return ContextPoset(names, edges)
+
+
+def concept_fact(individual: str, concept: str) -> ConceptAssertion:
+    """The fact ``individual:concept``: a concept assertion at no context."""
+    return ConceptAssertion(individual, Atomic(concept), None)
+
+
+def role_fact(subject: str, target: str, role: str) -> RoleAssertion:
+    """The fact ``(subject,target):role``: a role assertion at no context."""
+    return RoleAssertion(subject, target, role, None)
 
 
 def random_assertion(rng: random.Random, sig: Signature, contexts: list[str]):
@@ -256,10 +266,10 @@ def random_presheaf(rng: random.Random, max_contexts=5, max_facts=12):
     size = rng.randint(2, max_contexts)
     poset = random_poset(rng, size)
     names = sorted(poset.contexts)
-    pool = [ConceptFact("a", "A"), ConceptFact("a", "B"), ConceptFact("b", "A"),
-            ConceptFact("b", "C"), RoleFact("a", "b", "r"), RoleFact("b", "a", "r"),
-            ConceptFact("a", "C"), RoleFact("a", "a", "s"), ConceptFact("b", "B"),
-            RoleFact("b", "b", "s"), RoleFact("a", "b", "s"), RoleFact("b", "a", "s")]
+    pool = [concept_fact("a", "A"), concept_fact("a", "B"), concept_fact("b", "A"),
+            concept_fact("b", "C"), role_fact("a", "b", "r"), role_fact("b", "a", "r"),
+            concept_fact("a", "C"), role_fact("a", "a", "s"), concept_fact("b", "B"),
+            role_fact("b", "b", "s"), role_fact("a", "b", "s"), role_fact("b", "a", "s")]
     pool = pool[:max_facts]
     universes = {
         ctx: set(f for f in pool if rng.random() < 0.5) for ctx in names

@@ -51,11 +51,11 @@ from ctxdl.kb import (
     GuardAnd,
     GuardNot,
     KnowledgeState,
+    RoleAssertion,
     SubsumeGuard,
     Truth,
     _holds_saturated,
     guard_sat,
-    render_assertion,
 )
 from ctxdl.programs import (
     Add,
@@ -79,7 +79,7 @@ from ctxdl.reasoner import (
     _Tableau,
     subsumes,
 )
-from ctxdl.sheaf import ConceptFact, Covering, Presheaf, RoleFact, Section, compatible, render_fact
+from ctxdl.sheaf import Covering, Presheaf, Section, compatible
 from ctxdl.values import Record
 
 
@@ -154,7 +154,7 @@ def per_code_subsets(facts):
     each built from its code, mirroring the contract of
     sheaf._subsets_in_order().
     """
-    ordered = sorted(facts, key=render_fact)
+    ordered = sorted(facts, key=plain_fact_text)
     out = []
     for code in range(1 << len(ordered)):
         out.append(frozenset(f for i, f in enumerate(ordered) if code >> i & 1))
@@ -257,9 +257,9 @@ def scan_project(abox, projection):
     for a in abox:
         if any(p.matches(a) for p in projection):
             if isinstance(a, ConceptAssertion):
-                out.add(ConceptFact(a.individual, a.concept.name))
+                out.add(ConceptAssertion(a.individual, a.concept, None))
             else:
-                out.add(RoleFact(a.subject, a.target, a.role))
+                out.add(RoleAssertion(a.subject, a.target, a.role, None))
     return frozenset(out)
 
 
@@ -273,10 +273,11 @@ _ROLE_PATTERN = re.compile(
 
 
 def regex_pattern(text, sig):
-    """(slots, context) of a space-free projection pattern, or None when it
+    """(fact, context) of a space-free projection pattern, or None when it
     is malformed or names an undeclared name, mirroring the contract of
-    agents.FactPattern.parse(). Slots are (individual, concept) or
-    (subject, target, role); a context of '*' is given as None.
+    agents.FactPattern.parse(). The fact is ``(a,b):r`` or ``a:C`` with
+    ``Atomic(C)`` as its concept, each slot a name or '*', at context None;
+    a context of '*' is given as None.
     """
     m = _ROLE_PATTERN.match(text)
     if m:
@@ -291,7 +292,11 @@ def regex_pattern(text, sig):
     for name, declared in ((m["ctx"], sig.context_names), *zip(slots, kinds)):
         if name not in (None, "*") and name not in declared:
             return None
-    return slots, None if m["ctx"] == "*" else m["ctx"]
+    if len(slots) == 3:
+        fact = RoleAssertion(*slots, None)
+    else:
+        fact = ConceptAssertion(slots[0], Atomic(slots[1]), None)
+    return fact, None if m["ctx"] == "*" else m["ctx"]
 
 
 def plain_digest(abox):
@@ -305,6 +310,16 @@ def plain_digest(abox):
         return f"({a.subject},{a.target}):{a.role}@{a.context}"
 
     return ";".join(sorted(render(a) for a in abox))
+
+
+def plain_fact_text(f):
+    """A fact (an assertion at context None) rendered afresh, ``a:C`` or
+    ``(a,b):r``, mirroring the contract of the text of a fact.
+    """
+    assert f.context is None, f
+    if isinstance(f, ConceptAssertion):
+        return f"{f.individual}:{print_concept(f.concept)}"
+    return f"({f.subject},{f.target}):{f.role}"
 
 
 def reference_evaluate_trace(prog, state, fuel, mode="literal", poset=None, *, budget=DEFAULT_NODE_BUDGET):
@@ -500,9 +515,9 @@ def recursive_print_program(prog):
     if isinstance(prog, Skip):
         return "skip"
     if isinstance(prog, Add):
-        return f"add {render_assertion(prog.assertion)}"
+        return f"add {prog.assertion.text}"
     if isinstance(prog, Del):
-        return f"del {render_assertion(prog.assertion)}"
+        return f"del {prog.assertion.text}"
     if isinstance(prog, Seq):
         return f"{recursive_print_program(prog.first)}; {recursive_print_program(prog.second)}"
     if isinstance(prog, If):
@@ -525,7 +540,7 @@ def recursive_print_guard(g):
     if isinstance(g, Falsity):
         return "false"
     if isinstance(g, AssertGuard):
-        return render_assertion(g.assertion)
+        return g.assertion.text
     if isinstance(g, SubsumeGuard):
         lhs = print_concept_operand(g.lhs)
         if isinstance(g.lhs, Not):

@@ -25,7 +25,6 @@ from ctxdl.kb import (
     KnowledgeState,
     TRUE_GUARD,
     canonical_abox,
-    render_assertion,
     saturate,
 )
 from ctxdl.oracle import (
@@ -168,11 +167,11 @@ def test_criterion_4_saturation_monotonicity():
             abox = random_abox(rng, SIG, sorted(poset.contexts))
             closed = saturate(abox, poset)
             assert saturate(closed, poset) == closed
-            rendered = {render_assertion(a) for a in closed}
+            rendered = {a.text for a in closed}
             for a in abox:
                 for v in poset.contexts:
                     if poset.leq(v, a.context):
-                        want = render_assertion(a).replace("@" + a.context, "@" + v)
+                        want = a.text.replace("@" + a.context, "@" + v)
                         assert want in rendered
 
 
@@ -235,7 +234,7 @@ def test_criterion_7_distributed_sensing_fixture():
             ["global-sections", str(SAMPLES / "sensing.kb"), "--top", "Scene",
              "--format", "records"]
         )
-        assert out == (GOLDEN / "global_sections_sensing.records").read_text()
+        assert out == (GOLDEN / "global_sections_sensing.records").read_text(encoding="utf-8")
         section_facts = [r["facts"] for r in recs if r["command"] == "section"]
         assert ["scene:Obstacle"] in section_facts
 
@@ -243,7 +242,7 @@ def test_criterion_7_distributed_sensing_fixture():
             ["stability", str(SAMPLES / "sensor_constant.json"), "--runs", "4",
              "--format", "records"]
         )
-        assert out == (GOLDEN / "stability_constant.records").read_text()
+        assert out == (GOLDEN / "stability_constant.records").read_text(encoding="utf-8")
         assert recs[0]["stable"] is True
         assert recs[0]["outcome"] == ["scene:Obstacle"]
 
@@ -251,7 +250,7 @@ def test_criterion_7_distributed_sensing_fixture():
             ["stability", str(SAMPLES / "sensor_alternating.json"), "--runs", "4",
              "--format", "records"]
         )
-        assert out == (GOLDEN / "stability_alternating.records").read_text()
+        assert out == (GOLDEN / "stability_alternating.records").read_text(encoding="utf-8")
         assert recs[0]["stable"] is False
         assert [o["count"] for o in recs[0]["outcomes"]] == [2, 2]
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from corpus import SIG, random_assertion, random_concept
+from corpus import SIG, concept_fact, role_fact, random_assertion, random_concept
 from ctxdl.agents import (
     Agent,
     FactPattern,
@@ -26,13 +26,12 @@ from ctxdl.kb import ConceptAssertion, KnowledgeState, RoleAssertion
 from ctxdl.oracle import OracleResponse, ScriptEntry, ScriptedOracle
 from ctxdl.programs import parse_program
 from ctxdl.reasoner import EMPTY_TBOX
-from ctxdl.sheaf import ConceptFact, RoleFact
 from oracles import regex_pattern, scan_project
 
 POSET = ContextPoset(["U", "V", "W"], [("V", "U"), ("W", "V")])
 EMPTY_STATE = KnowledgeState(EMPTY_TBOX, frozenset())
-SEEN = ConceptFact("a", "A")
-LINK = RoleFact("a", "b", "r")
+SEEN = concept_fact("a", "A")
+LINK = role_fact("a", "b", "r")
 
 
 def make_agent(program=None, oracle=None, queries=(), projection=("*:*", "(*,*):*"), **kw):
@@ -104,7 +103,7 @@ class TestFactPattern:
             except ParseError:
                 assert want is None, t
                 continue
-            assert (p.fact._values(p.fact), p.context) == want, t
+            assert (p.fact, p.context) == want, t
             accepted += 1
         assert 200 < accepted < 1800
 
@@ -265,7 +264,7 @@ class TestInteract:
         empty = interact(agent, LatentStructure("x", frozenset({LINK})))
         assert empty.facts == frozenset()
         full = interact(agent, LatentStructure("x", frozenset({SEEN})))
-        assert full.facts == {ConceptFact("b", "B")}
+        assert full.facts == {concept_fact("b", "B")}
 
     def test_oracle_payload_templates_receive_seed_and_parity(self):
         spec = ScriptedOracle(

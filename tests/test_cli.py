@@ -39,7 +39,7 @@ def run_child(code: str, *argv, cwd=None, stdin=None, hashseed=None) -> subproce
         env["PYTHONHASHSEED"] = str(hashseed)
     return subprocess.run(
         [sys.executable, "-c", code, *map(str, argv)],
-        cwd=cwd, input=stdin, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, input=stdin, env=env, capture_output=True, text=True, encoding="utf-8", timeout=120,
     )
 
 
@@ -148,7 +148,7 @@ class TestRun:
         argv = ["run", str(prog), "--kb", str(SAMPLES / "chain.kb"), "--format", "records"]
         proc = subprocess.run(
             [sys.executable, "-m", "ctxdl.cli", *argv, *(["--trace"] if trace else [])],
-            capture_output=True, text=True,
+            capture_output=True, text=True, encoding="utf-8",
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         recs = records_of(proc.stdout)
@@ -691,7 +691,7 @@ class TestConsoleEntry:
         proc = subprocess.run(
             [sys.executable, "-m", "ctxdl.cli", "check", str(SAMPLES / "sensing.kb")],
             capture_output=True,
-            text=True,
+            text=True, encoding="utf-8",
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("ok:")
@@ -724,7 +724,7 @@ class TestConsoleEntry:
         assert seen["after_import"] == ["ctxdl"]
         assert seen["oracle_step"] is True
         assert seen["unknown"] == "AttributeError"
-        assert len(PUBLIC_NAMES) == 107
+        assert len(PUBLIC_NAMES) == 104
         assert sorted(seen["resolved"]) == sorted(PUBLIC_NAMES)
         assert sorted(seen["star"]) == sorted(PUBLIC_NAMES)
         assert PUBLIC_NAMES <= set(seen["dir"])
@@ -770,9 +770,9 @@ PUBLIC_NAMES = frozenset(
     is_satisfiable subsumes
     Assertion AssertGuard ConceptAssertion Guard GuardAnd GuardNot
     KnowledgeState RoleAssertion SubsumeGuard abox_digest canonical_abox
-    guard_sat parse_assertion render_assertion saturate
-    ConceptFact Conflict Fact Glued GluingResult Incompatible NonUnique
-    Presheaf RoleFact Section compatible global_sections glue restrict
+    guard_sat parse_assertion saturate
+    Conflict Fact Glued GluingResult Incompatible NonUnique
+    Presheaf Section compatible global_sections glue restrict
     stable_under_refinement
     KBDocument load_kb load_state loads write_state
     OracleQuery OracleResponse OracleSpec ScriptedOracle load_script
@@ -852,7 +852,7 @@ class TestNestingLimit:
             program.write_text(text, encoding="utf-8")
             argv = ["run", str(program), "--kb", str(kb)]
         proc = subprocess.run(
-            [sys.executable, "-m", "ctxdl.cli", *argv], capture_output=True, text=True
+            [sys.executable, "-m", "ctxdl.cli", *argv], capture_output=True, text=True, encoding="utf-8"
         )
         assert "Traceback" not in proc.stderr
         if extra:
@@ -875,7 +875,7 @@ class TestFlatChains:
         concept = " & ".join([f"(A{i} | B{i})" for i in range(1, n + 1)] + ["exists r.C", "forall r.!C"])
         proc = subprocess.run(
             [sys.executable, "-m", "ctxdl.cli", "sat", str(kb), concept, "--format", "records"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, encoding="utf-8", timeout=120,
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert records_of(proc.stdout) == [{"command": "sat", "concept": concept, "satisfiable": False}]

@@ -6,11 +6,13 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctxdl.kb
 import oracles
 from corpus import SIG, random_abox, random_assertion, random_concept, random_guard, random_poset, random_tbox
-from ctxdl.concepts import And, Atomic, Not
+from ctxdl.concepts import RESERVED_WORDS, And, Atomic, Not, Signature
 from ctxdl.contexts import ContextPoset
 from ctxdl.errors import BudgetExceededError, ParseError, UnknownNameError
 from ctxdl.kb import (
@@ -27,12 +29,12 @@ from ctxdl.kb import (
     canonical_abox,
     guard_sat,
     parse_assertion,
-    render_assertion,
+    parse_fact_list,
     saturate,
 )
 from ctxdl.reasoner import EMPTY_TBOX, TBox
 from ctxdl.programs import parse_guard
-from oracles import plain_digest, recursive_guard_sat
+from oracles import plain_digest, plain_fact_text, recursive_guard_sat
 
 A = Atomic("A")
 B = Atomic("B")
@@ -47,12 +49,12 @@ class TestAssertionSyntax:
     def test_concept_assertion_round_trip(self):
         a = parse_assertion("a : A & B @ U", SIG)
         assert a == ConceptAssertion("a", And(A, B), "U")
-        assert parse_assertion(render_assertion(a), SIG) == a
+        assert parse_assertion(a.text, SIG) == a
 
     def test_role_assertion_round_trip(self):
         a = parse_assertion("(a, b) : r @ V", SIG)
         assert a == RoleAssertion("a", "b", "r", "V")
-        assert render_assertion(a) == "(a,b):r@V"
+        assert a.text == "(a,b):r@V"
 
     def test_undeclared_names_rejected(self):
         for text in ("c : A @ U", "a : Zz @ U", "a : A @ X", "(a, b) : q @ U"):
@@ -68,6 +70,46 @@ class TestAssertionSyntax:
         lines = canonical_abox(abox)
         assert lines == sorted(lines)
         assert abox_digest(abox) == ";".join(lines)
+
+
+NAME = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,4}", fullmatch=True).filter(lambda n: n not in RESERVED_WORDS)
+
+
+@st.composite
+def declared_fact(draw):
+    """A signature of drawn names, one of its facts, and one of its contexts."""
+    names = draw(st.lists(NAME, min_size=4, max_size=10, unique=True))
+    cuts = sorted(draw(st.lists(st.integers(1, len(names) - 1), min_size=3, max_size=3, unique=True)))
+    concepts, roles, individuals, contexts = (names[i:j] for i, j in zip([0, *cuts], [*cuts, len(names)]))
+    a, b = draw(st.sampled_from(individuals)), draw(st.sampled_from(individuals))
+    if draw(st.booleans()):
+        fact = ConceptAssertion(a, Atomic(draw(st.sampled_from(concepts))), None)
+    else:
+        fact = RoleAssertion(a, b, draw(st.sampled_from(roles)), None)
+    return Signature(concepts, roles, individuals, contexts), fact, draw(st.sampled_from(contexts))
+
+
+class TestFactGrammar:
+    """A fact is an assertion at no context, and the two grammars agree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(declared_fact())
+    def test_a_fact_at_a_context_is_the_assertion(self, case):
+        sig, fact, u = case
+        assert fact.text == plain_fact_text(fact)
+        (parsed,) = parse_fact_list(fact.text, sig)
+        assert parsed is fact
+        assert parse_assertion(fact.text + "@" + u, sig) is parsed.at(u)
+        assert fact.at(u).at(None) is fact
+        assert fact.at(u).text == fact.text + "@" + u == plain_digest({fact.at(u)})
+
+    def test_a_fact_has_no_context_in_its_text(self):
+        (fact,) = parse_fact_list("(a, b) : r", SIG)
+        assert fact is RoleAssertion("a", "b", "r", None) and fact.text == "(a,b):r"
+        with pytest.raises(ParseError):
+            parse_fact_list("a:A@U", SIG)
+        with pytest.raises(ParseError):
+            parse_fact_list("a:A & B", SIG)
 
 
 class TestRenderingCache:
@@ -92,12 +134,12 @@ class TestRenderingCache:
             (RoleAssertion("a", "b", "r", "U"), RoleAssertion("a", "b", "r", "V")),
         )
         for a, want in pairs:
-            before = render_assertion(a)
+            before = a.text
             moved = a.at("V")
             assert moved is want and moved is not a
-            assert render_assertion(moved) == plain_digest({moved})
-            assert render_assertion(moved).endswith("@V")
-            assert render_assertion(a) == before
+            assert moved.text == plain_digest({moved})
+            assert moved.text.endswith("@V")
+            assert a.text == before
             assert a.at("U") is a
 
     def test_equal_assertions_are_one_object_with_one_text(self):
@@ -108,10 +150,10 @@ class TestRenderingCache:
         ):
             first = make()
             assert first._text is None
-            unrendered_repr, text = repr(first), render_assertion(first)
+            unrendered_repr, text = repr(first), first.text
             second = make()
             assert second is first and second._text is text
-            assert render_assertion(second) is text
+            assert second.text is text
             assert repr(second) == unrendered_repr and "_text" not in type(first)._fields
 
     def test_kept_state_lines_are_not_a_field(self):
@@ -169,8 +211,7 @@ class TestSaturate:
                     if poset.leq(v, a.context):
                         assert any(
                             type(b) is type(a)
-                            and render_assertion(b)
-                            == render_assertion(a).replace("@" + a.context, "@" + v)
+                            and b.text == a.text.replace("@" + a.context, "@" + v)
                             for b in closed
                         )
 
@@ -238,7 +279,7 @@ class TestGuardSat:
             abox = random_abox(rng, SIG, contexts)
             closed = KnowledgeState(EMPTY_TBOX, saturate(abox, poset))
             raw = KnowledgeState(EMPTY_TBOX, abox)
-            probes = sorted(abox, key=render_assertion)[:3] + [ca("a", "A", contexts[0])]
+            probes = sorted(abox, key=lambda a: a.text)[:3] + [ca("a", "A", contexts[0])]
             for a in probes:
                 for ctx in contexts:
                     probe = AssertGuard(a.at(ctx))

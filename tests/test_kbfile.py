@@ -14,7 +14,7 @@ from ctxdl.concepts import Atomic
 from ctxdl.errors import LoadError
 from ctxdl.kb import ConceptAssertion, RoleAssertion
 from ctxdl.kbfile import dump_state, load_kb, load_state, loads, write_state
-from ctxdl.sheaf import ConceptFact
+from corpus import concept_fact
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
@@ -27,8 +27,8 @@ class TestLoad:
         assert doc.poset.leq("Core", "Scene")
         assert len(doc.coverings) == 1
         assert doc.universes["Cam"] == {
-            ConceptFact("scene", "Obstacle"),
-            ConceptFact("cam1", "Glare"),
+            concept_fact("scene", "Obstacle"),
+            concept_fact("cam1", "Glare"),
         }
 
     def test_chain_fixture_loads(self):
@@ -67,7 +67,7 @@ class TestLoad:
         facts U : { a:A }.
         """
         doc = loads(text)
-        assert doc.universes["U"] == {ConceptFact("a", "A")}
+        assert doc.universes["U"] == {concept_fact("a", "A")}
 
     def test_role_assertions_and_complex_concepts(self):
         text = """
@@ -213,7 +213,7 @@ class TestDeterministicDiagnostics:
                 input=json.dumps([CYCLE_DOC, STRANDED_DOC]),
                 env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path},
                 capture_output=True,
-                text=True,
+                text=True, encoding="utf-8",
                 check=True,
             )
             seen.add(tuple(json.loads(proc.stdout)))

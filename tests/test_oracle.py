@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import SIG
+from corpus import SIG, concept_fact, role_fact
 from ctxdl.agents import Agent, FactPattern, LatentStructure, interact
 from ctxdl.concepts import And, Atomic, Exists, Not
 from ctxdl.contexts import ContextPoset
@@ -34,7 +34,6 @@ from ctxdl.oracle import (
     run_session,
 )
 from ctxdl.reasoner import EMPTY_TBOX, TBox
-from ctxdl.sheaf import ConceptFact, RoleFact
 from oracles import plain_digest
 
 BETA = ConceptAssertion("a", Atomic("A"), "U")
@@ -288,7 +287,7 @@ POOL = (
     LINK,
     RoleAssertion("b", "a", "s", "W"),
 )
-LATENT = (ConceptFact("a", "A"), ConceptFact("b", "C"), RoleFact("a", "b", "r"))
+LATENT = (concept_fact("a", "A"), concept_fact("b", "C"), role_fact("a", "b", "r"))
 fact_sets = st.frozensets(st.sampled_from(POOL))
 responses = st.lists(
     st.tuples(fact_sets, fact_sets).map(lambda ad: OracleResponse(ad[0] - ad[1], ad[1])),
@@ -361,8 +360,8 @@ class TestDerivedDigests:
             projection=(FactPattern.parse("*:*", SIG),),
         )
         injected = {
-            ConceptAssertion(f.individual, Atomic(f.concept), "U")
-            if isinstance(f, ConceptFact)
+            ConceptAssertion(f.individual, f.concept, "U")
+            if isinstance(f, ConceptAssertion)
             else RoleAssertion(f.subject, f.target, f.role, "U")
             for f in latent
         }

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import random
 import re
@@ -168,6 +169,11 @@ BAD_AGENTS = [
     ),
 ]
 
+# Values the JSON decoder refuses: nesting deeper than it recurses, and an
+# integer with more digits than ``int`` converts. Each is the fuel of an
+# agent file and the additions of an oracle-script line.
+JSON_PAST_LIMITS = [("nested-too-deeply", "[" * 100_000 + "]" * 100_000), ("integer-too-long", "9" * 5_000)]
+
 # Session logs for ``apply-oracle --replay``; each is broken on its last line.
 GOOD_LOG_LINE = '{"seq": 0, "oracle": "s", "match": {"payload": "p", "state": "d"}, "add": []}\n'
 BAD_LOGS = [
@@ -247,6 +253,15 @@ def build_corpus(root: Path) -> list[tuple[list[str], bool]]:
         path = agent_dir / f"{name}-{count}.json"
         path.write_text(text.replace("base.kb", str(base)), encoding="utf-8")
         cases.append((["stability", str(path), "--runs", "2"], True))
+    # Past the JSON decoder's limits, which name the file but no line.
+    for name, value in JSON_PAST_LIMITS:
+        path = agent_dir / f"{name}.json"
+        fields = f'"name": "n", "kb": {json.dumps(str(base))}, "input_context": "U", "projection": []'
+        path.write_text(f'{{{fields}, "fuel": {value}}}', encoding="utf-8")
+        cases.append((["stability", str(path), "--runs", "2"], False))
+        path = script_dir / f"{name}.jsonl"
+        path.write_text(f'{{"oracle": "s", "match": {{"payload": "p"}}, "add": {value}}}\n', encoding="utf-8")
+        cases.append((["apply-oracle", str(base), "--script", str(path), "--payload", "p"], True))
 
     log_dir = root / "logs"
     log_dir.mkdir()

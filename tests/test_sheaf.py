@@ -6,17 +6,15 @@ import random
 
 import pytest
 
-from corpus import random_chain, random_family, random_presheaf
+from corpus import concept_fact, random_chain, random_family, random_presheaf, role_fact
 from oracles import brute_force_glue, brute_force_stable, per_code_subsets, powerset
 from ctxdl.contexts import ContextPoset, Covering
 from ctxdl.errors import RefinementChainError, SearchSpaceError
 from ctxdl.sheaf import (
-    ConceptFact,
     Glued,
     Incompatible,
     NonUnique,
     Presheaf,
-    RoleFact,
     Section,
     chain_from,
     compatible,
@@ -27,10 +25,10 @@ from ctxdl.sheaf import (
     _subsets_in_order,
 )
 
-F1 = ConceptFact("a", "A")
-F2 = ConceptFact("b", "B")
-F3 = RoleFact("a", "b", "r")
-G = ConceptFact("a", "C")
+F1 = concept_fact("a", "A")
+F2 = concept_fact("b", "B")
+F3 = role_fact("a", "b", "r")
+G = concept_fact("a", "C")
 
 
 def simple_presheaf():
@@ -204,8 +202,8 @@ class TestGlue:
         # target universe. Universe validation happens before name checks
         # against a signature here; the presheaf layer does not consult one.
         poset = ContextPoset(["U", "V"], [("V", "U")])
-        big = {ConceptFact("a", f"A{i}") for i in range(25)}
-        seen = {ConceptFact("a", f"A{i}") for i in range(20)}
+        big = {concept_fact("a", f"A{i}") for i in range(25)}
+        seen = {concept_fact("a", f"A{i}") for i in range(20)}
         ps = Presheaf(poset, {"U": big, "V": seen})
         with pytest.raises(SearchSpaceError, match="5 facts free"):
             glue(ps, [Section("V", frozenset())], Covering("U", ["V"]), max_universe=4)
@@ -214,7 +212,7 @@ class TestGlue:
 
     def test_a_forced_family_glues_past_the_limit(self):
         poset = ContextPoset(["U"])
-        big = frozenset(ConceptFact("a", f"A{i}") for i in range(25))
+        big = frozenset(concept_fact("a", f"A{i}") for i in range(25))
         ps = Presheaf(poset, {"U": big})
         some = frozenset(list(big)[:7])
         for facts in (frozenset(), some, big):
@@ -323,7 +321,7 @@ class TestStability:
     def test_verdict_needs_no_universe_limit(self):
         # A stage target of 25 facts is beyond any listing, not a verdict.
         poset = ContextPoset(["U", "V"], [("V", "U")])
-        big = {ConceptFact("a", f"A{i}") for i in range(25)}
+        big = {concept_fact("a", f"A{i}") for i in range(25)}
         ps = Presheaf(poset, {"U": big, "V": big})
         covs = [Covering("U", ["V"])]
         with pytest.raises(SearchSpaceError):
@@ -333,8 +331,8 @@ class TestStability:
     def test_unstable_top_needs_no_universe_limit(self):
         # An unstable top lists no section, however many facts it has.
         poset = ContextPoset(["U", "V"], [("V", "U")])
-        big = {ConceptFact("a", f"A{i}") for i in range(25)}
-        ps = Presheaf(poset, {"U": big, "V": {ConceptFact("a", "A0")}})
+        big = {concept_fact("a", f"A{i}") for i in range(25)}
+        ps = Presheaf(poset, {"U": big, "V": {concept_fact("a", "A0")}})
         assert global_sections(ps, "U", [Covering("U", ["V"])]) == []
 
     def test_agrees_with_brute_force_on_random_chains(self):
@@ -393,8 +391,8 @@ class TestGlobalSections:
 def mixed_universe(rng: random.Random, size: int) -> list:
     """*size* distinct concept and role facts in a shuffled order. A role
     fact renders as '(a,b):r', which sorts before every concept fact."""
-    pool = [ConceptFact(i, c) for i in ("a", "b", "c1", "Z") for c in ("A", "B", "Cx")]
-    pool += [RoleFact(i, j, r) for i in ("a", "b") for j in ("a", "c1") for r in ("r", "s")]
+    pool = [concept_fact(i, c) for i in ("a", "b", "c1", "Z") for c in ("A", "B", "Cx")]
+    pool += [role_fact(i, j, r) for i in ("a", "b") for j in ("a", "c1") for r in ("r", "s")]
     return rng.sample(pool, size)
 
 

@@ -18,12 +18,12 @@ import pytest
 import ctxdl
 from ctxdl import values
 from ctxdl.concepts import And, Atomic, Exists, Not, Or, Top
-from corpus import SIG, random_abox, random_assertion, random_concept, random_guard, random_program
+from corpus import SIG, concept_fact, role_fact, random_abox, random_assertion, random_concept, random_guard, random_program
 from ctxdl.concepts import parse_concept
 from ctxdl.kb import AssertGuard, ConceptAssertion, GuardAnd, KnowledgeState
 from ctxdl.programs import SKIP, Seq
 from ctxdl.reasoner import EMPTY_TBOX, FiniteModel, TBox
-from ctxdl.sheaf import ConceptFact, RoleFact, Section
+from ctxdl.sheaf import Section
 from ctxdl.values import Node, Record
 from oracles import recursive_repr
 
@@ -71,9 +71,12 @@ class TestRecord:
             context: str
             facts: frozenset
 
-        got = repr(Section("U", frozenset({ConceptFact("a", "A")})))
-        assert got == repr(Same("U", frozenset({ConceptFact("a", "A")}))).replace(Same.__qualname__, "Section")
-        assert got == "Section(context='U', facts=frozenset({ConceptFact(individual='a', concept='A')}))"
+        got = repr(Section("U", frozenset({concept_fact("a", "A")})))
+        assert got == repr(Same("U", frozenset({concept_fact("a", "A")}))).replace(Same.__qualname__, "Section")
+        assert got == (
+            "Section(context='U', facts=frozenset({"
+            "ConceptAssertion(individual='a', concept=Atomic(name='A'), context=None)}))"
+        )
         assert repr(Top()) == "Top()"
 
     def test_private_slots_start_empty_and_are_ignored(self):
@@ -103,7 +106,7 @@ class TestRecord:
                 random_guard(rng, 3, universe),
                 random_program(rng, 3, universe),
                 KnowledgeState(EMPTY_TBOX, abox),
-                Section("U", frozenset({ConceptFact("a", "A"), RoleFact("a", "b", "r")})),
+                Section("U", frozenset({concept_fact("a", "A"), role_fact("a", "b", "r")})),
                 FiniteModel(frozenset({1}), {"A": frozenset({1})}, {"r": frozenset({(1, 1)})}),
                 (c, [Pair(c, "x'y")], {"k": Memo(None)}),
             ]
