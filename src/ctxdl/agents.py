@@ -61,7 +61,7 @@ from typing import Iterable, Union
 from ctxdl.concepts import Atomic, Signature, expect_name
 from ctxdl.contexts import ContextPoset
 from ctxdl.errors import InteractionError, LoadError, OracleError, ParseError, read_json
-from ctxdl.kb import GUARD_MODES, Assertion, ConceptAssertion, KnowledgeState, parse_fact_stream
+from ctxdl.kb import GUARD_MODES, Assertion, ConceptAssertion, KnowledgeState, canonical_abox, parse_fact_stream
 from ctxdl.lexer import TokenStream, tokenize
 from ctxdl.oracle import OracleQuery, OracleSpec, load_script, run_session
 from ctxdl.programs import DEFAULT_FUEL, FuelExhausted, Program, evaluate, load_program
@@ -133,7 +133,7 @@ class Manifested(Record):
     __slots__ = ("facts",)
 
     def render(self) -> list[str]:
-        return sorted(f.text for f in self.facts)
+        return canonical_abox(self.facts)
 
 
 class SeedPolicy(Record):

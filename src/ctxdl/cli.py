@@ -73,12 +73,22 @@ class _Report:
                 out.write(line + "\n")
 
 
-def _facts_json(facts) -> list[str]:
-    return sorted(f.text for f in facts)
+def _joined(texts: list[str], empty: str = "(empty)") -> str:
+    return ", ".join(texts) or empty
 
 
 def _section_json(section: Section) -> dict:
-    return {"context": section.context, "facts": _facts_json(section.facts)}
+    return {"context": section.context, "facts": canonical_abox(section.facts)}
+
+
+def _report_final(report: _Report, args, sig, abox, record: dict, head: tuple = ()) -> None:
+    """Report the final fact set *abox* of a run: *record* gets it as its
+    ``assertions``, the text lists it after *head*, one line each, or
+    ``(empty)``; ``--dump`` writes it as a state dump."""
+    lines = canonical_abox(abox)
+    report.add({**record, "assertions": lines}, [*head, *(lines or ["(empty)"])])
+    if args.dump:
+        write_state(args.dump, sig, abox)
 
 
 def _load_doc_state(args) -> tuple[KBDocument, "KnowledgeState"]:
@@ -145,18 +155,8 @@ def _cmd_subsumes(args, report: _Report) -> None:
 def _cmd_saturate(args, report: _Report) -> None:
     doc, state = _load_doc_state(args)
     closed = saturate(state.abox, doc.poset)
-    lines = canonical_abox(closed)
-    report.add(
-        {
-            "command": "saturate",
-            "size_before": len(state.abox),
-            "size_after": len(closed),
-            "assertions": lines,
-        },
-        lines or ["(empty)"],
-    )
-    if args.dump:
-        write_state(args.dump, doc.signature, closed)
+    record = {"command": "saturate", "size_before": len(state.abox), "size_after": len(closed)}
+    _report_final(report, args, doc.signature, closed, record)
 
 
 def _cmd_run(args, report: _Report) -> None:
@@ -168,40 +168,28 @@ def _cmd_run(args, report: _Report) -> None:
     outcome, trace = evaluate_trace(
         program, state, fuel, args.guards, doc.poset, budget=args.budget
     )
-    kind = "fuel-exhausted" if isinstance(outcome, FuelExhausted) else "terminated"
-    lines = canonical_abox(outcome.state.abox)
-    report.add(
-        {
-            "command": "run",
-            "outcome": kind,
-            "steps": outcome.steps,
-            "assertions": lines,
-        },
-        [
-            f"{kind} after {outcome.steps} steps"
-            if kind == "fuel-exhausted"
-            else f"terminated in {outcome.steps} steps",
-            *(lines or ["(empty)"]),
-        ],
-    )
+    exhausted = isinstance(outcome, FuelExhausted)
+    kind = "fuel-exhausted" if exhausted else "terminated"
+    head = f"{kind} {'after' if exhausted else 'in'} {outcome.steps} steps"
+    record = {"command": "run", "outcome": kind, "steps": outcome.steps}
+    _report_final(report, args, doc.signature, outcome.state.abox, record, (head,))
     if args.trace:
         for i, entry in enumerate(trace):
+            added, removed = canonical_abox(entry.added), canonical_abox(entry.removed)
             report.add(
                 {
                     "command": "trace",
                     "index": i,
                     "rule": entry.rule,
                     "guard": entry.guard,
-                    "added": sorted(a.text for a in entry.added),
-                    "removed": sorted(a.text for a in entry.removed),
+                    "added": added,
+                    "removed": removed,
                 },
                 f"  [{i}] {entry.rule}"
                 + (f" guard={str(entry.guard).lower()}" if entry.guard is not None else "")
-                + "".join(f" +{text}" for text in sorted(a.text for a in entry.added))
-                + "".join(f" -{text}" for text in sorted(a.text for a in entry.removed)),
+                + "".join(f" +{text}" for text in added)
+                + "".join(f" -{text}" for text in removed),
             )
-    if args.dump:
-        write_state(args.dump, doc.signature, outcome.state.abox)
 
 
 def _cmd_apply_oracle(args, report: _Report) -> None:
@@ -226,21 +214,15 @@ def _cmd_apply_oracle(args, report: _Report) -> None:
                     "command": "oracle-step",
                     "seq": i,
                     "payload": payload,
-                    "added": sorted(a.text for a in response.additions),
-                    "removed": sorted(a.text for a in response.deletions),
+                    "added": canonical_abox(response.additions),
+                    "removed": canonical_abox(response.deletions),
                 },
                 f"[{i}] {payload}: +{len(response.additions)} -{len(response.deletions)}",
             )
     finally:
         if sink is not None:
             sink.close()
-    lines = canonical_abox(state.abox)
-    report.add(
-        {"command": "oracle-final", "assertions": lines},
-        lines or ["(empty)"],
-    )
-    if args.dump:
-        write_state(args.dump, doc.signature, state.abox)
+    _report_final(report, args, doc.signature, state.abox, {"command": "oracle-final"})
 
 
 def _parse_cli_section(text: str, doc: KBDocument, ps: Presheaf) -> Section:
@@ -284,8 +266,7 @@ def _cmd_glue(args, report: _Report) -> None:
                 "verdict": "glued",
                 "section": _section_json(glue_result.section),
             },
-            f"glued: {args.target}: "
-            + (", ".join(_facts_json(glue_result.section.facts)) or "(empty)"),
+            f"glued: {args.target}: " + _joined(canonical_abox(glue_result.section.facts)),
         )
     elif isinstance(glue_result, Incompatible):
         conflicts = [
@@ -293,7 +274,7 @@ def _cmd_glue(args, report: _Report) -> None:
                 "left": c.left,
                 "right": c.right,
                 "overlap": c.overlap,
-                "facts": _facts_json(c.facts),
+                "facts": canonical_abox(c.facts),
             }
             for c in glue_result.conflicts
         ]
@@ -314,10 +295,7 @@ def _cmd_glue(args, report: _Report) -> None:
                 "candidates": [_section_json(s) for s in glue_result.candidates],
             },
             [f"non-unique: {len(glue_result.candidates)} candidate sections"]
-            + [
-                "  " + (", ".join(_facts_json(s.facts)) or "(empty)")
-                for s in glue_result.candidates
-            ],
+            + ["  " + _joined(canonical_abox(s.facts)) for s in glue_result.candidates],
         )
 
 
@@ -332,7 +310,7 @@ def _cmd_stable(args, report: _Report) -> None:
     record = {
         "command": "stable",
         "context": args.context,
-        "facts": _facts_json(section.facts),
+        "facts": canonical_abox(section.facts),
         "stable": verdict,
         "coverings_checked": len(chain),
         "failing_cover": None
@@ -365,10 +343,8 @@ def _cmd_global_sections(args, report: _Report) -> None:
         f"{len(sections)} stable global sections over {args.top}",
     )
     for i, section in enumerate(sections):
-        report.add(
-            {"command": "section", "index": i, "facts": _facts_json(section.facts)},
-            f"  [{i}] " + (", ".join(_facts_json(section.facts)) or "(empty)"),
-        )
+        facts = canonical_abox(section.facts)
+        report.add({"command": "section", "index": i, "facts": facts}, f"  [{i}] " + _joined(facts))
 
 
 def _cmd_stability(args, report: _Report) -> None:
@@ -381,7 +357,12 @@ def _cmd_stability(args, report: _Report) -> None:
     latent = LatentStructure(args.latent_name, payload)
     seeds = None
     if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",")]
+        seeds = []
+        for item in args.seeds.split(","):
+            try:
+                seeds.append(int(item))
+            except ValueError:
+                raise ValueError(f"--seeds: {item!r} is not an integer") from None
     result = stability_check(agent, latent, args.runs, seeds)
     record = {
         "command": "stability",
@@ -393,17 +374,13 @@ def _cmd_stability(args, report: _Report) -> None:
     }
     if result.stable:
         record["outcome"] = result.outcome.render()
-        text = [
-            f"stable over {result.runs} runs: "
-            + (", ".join(result.outcome.render()) or "(nothing manifested)")
-        ]
+        text = f"stable over {result.runs} runs: " + _joined(result.outcome.render(), "(nothing manifested)")
     else:
         record["outcomes"] = [
             {"facts": m.render(), "count": n} for m, n in result.outcomes
         ]
         text = [f"unstable over {result.runs} runs:"] + [
-            f"  x{n}: " + (", ".join(m.render()) or "(nothing manifested)")
-            for m, n in result.outcomes
+            f"  x{n}: " + _joined(m.render(), "(nothing manifested)") for m, n in result.outcomes
         ]
     report.add(record, text)
 
@@ -411,6 +388,17 @@ def _cmd_stability(args, report: _Report) -> None:
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
+
+
+def _limit(text: str) -> int:
+    """An integer of 0 or more: the argument type of every limit flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a limit is 0 or more, not {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -431,14 +419,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sat", help="concept satisfiability against the document's inclusions")
     common(p)
     p.add_argument("concept")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_limit, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(fn=_cmd_sat)
 
     p = sub.add_parser("subsumes", help="does the first concept entail the second?")
     common(p)
     p.add_argument("lhs")
     p.add_argument("rhs")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_limit, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(fn=_cmd_subsumes)
 
     p = sub.add_parser("saturate", help="close the fact set downward over the context order")
@@ -453,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "records"), default="text")
     p.add_argument("--fuel", type=int)
     p.add_argument("--guards", choices=GUARD_MODES, default="literal")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_limit, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--state", help="load the fact set from a state dump")
     p.add_argument("--dump", help="write the final state as a state dump")
     p.add_argument("--trace", action="store_true", help="report each executed rule")
@@ -479,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="family member as 'CTX: fact, fact' (repeatable)",
     )
-    p.add_argument("--max-universe", type=int)
+    p.add_argument("--max-universe", type=_limit)
     p.set_defaults(fn=_cmd_glue)
 
     p = sub.add_parser("stable", help="check a section against the declared refinements")
@@ -491,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("global-sections", help="enumerate refinement-stable sections")
     common(p)
     p.add_argument("--top", required=True)
-    p.add_argument("--max-universe", type=int)
+    p.add_argument("--max-universe", type=_limit)
     p.set_defaults(fn=_cmd_global_sections)
 
     p = sub.add_parser("stability", help="repeated agent interaction, exact-match verdict")

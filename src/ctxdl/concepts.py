@@ -21,15 +21,11 @@ deeper than ``lexer.MAX_NESTING`` levels is rejected the same way.
 
 from __future__ import annotations
 
-import re
-
 from ctxdl.errors import ParseError, UnknownNameError
-from ctxdl.lexer import END, IDENT, TokenStream, tokenize
-from ctxdl.values import Node, Record
+from ctxdl.lexer import IDENT, TokenStream, is_identifier, tokenize
+from ctxdl.values import Node, Record, render
 
 _set = object.__setattr__  # writes a field past Record's frozen __setattr__
-
-IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 # Words with a fixed meaning in the concept/guard/program grammars or the
 # document format; they can never be declared as names of any kind.
@@ -121,7 +117,7 @@ class Signature(Record):
         seen: dict[str, str] = {}
         for kind, names in kinds:
             for name in names:
-                if not IDENT_RE.match(name):
+                if not is_identifier(name):
                     raise ValueError(f"invalid {kind} name {name!r}")
                 if name in RESERVED_WORDS:
                     raise ValueError(f"{kind} name {name!r} is a reserved word")
@@ -143,9 +139,8 @@ def expect_name(ts: TokenStream, names: frozenset[str], kind: str) -> str:
     if tok.text in names:  # declared names are identifiers, so tok is one
         return tok.text
     if tok.kind != IDENT:
-        found = "end of input" if tok.kind == END else repr(tok.text)
         article = "an" if kind[0] in "aeiou" else "a"
-        raise ParseError(f"expected {article} {kind} name, found {found}", tok.line, tok.col)
+        raise ParseError(f"expected {article} {kind} name, found {tok.found}", tok.line, tok.col)
     raise UnknownNameError(f"unknown {kind} name {tok.text!r}", tok.line, tok.col)
 
 
@@ -177,7 +172,7 @@ def parse_concept_operand(ts: TokenStream, sig: Signature) -> ConceptExpr:
 
 def print_concept_operand(c: ConceptExpr) -> str:
     """Render *c* for a unary-level position: '&'/'|' spines get parentheses."""
-    return _fmt(c, _PREC_UNARY)
+    return render(c, _parts_unary)
 
 
 def _parse_or(ts: TokenStream, sig: Signature) -> ConceptExpr:
@@ -224,8 +219,7 @@ def _parse_unary(ts: TokenStream, sig: Signature) -> ConceptExpr:
         ts.expect(")")
         ts.ascend()
         return expr
-    found = "end of input" if tok.kind == "end" else f"{tok.text!r}"
-    raise ParseError(f"expected a concept expression, found {found}", tok.line, tok.col)
+    raise ParseError(f"expected a concept expression, found {tok.found}", tok.line, tok.col)
 
 
 # Printing precedence levels: higher binds tighter.
@@ -234,34 +228,13 @@ _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4
 
 def print_concept(c: ConceptExpr) -> str:
     """Render *c* so that parsing the result rebuilds the same tree."""
-    return _fmt(c, _PREC_OR)
+    return c.name if isinstance(c, Atomic) else render(c, _parts_or)
 
 
-def _fmt(c: ConceptExpr, min_prec: int) -> str:
-    """The text of *c* where an operand must bind at least *min_prec*.
-
-    Pending pieces wait on an explicit stack, so a long ``&`` or ``|``
-    chain costs no Python recursion.
-    """
-    if isinstance(c, Atomic):
-        return c.name
-    out: list[str] = []
-    stack: list = [(c, min_prec)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        node, need = item
-        prec, parts = _fmt_parts(node)
-        if prec < need:
-            parts = ["(", *parts, ")"]
-        stack.extend(reversed(parts))
-    return "".join(out)
-
-
-def _fmt_parts(c: ConceptExpr) -> tuple[int, list]:
-    """The precedence of *c* and its text: strings and (operand, min_prec) pairs."""
+def _concept_parts(c: ConceptExpr) -> tuple[int, list]:
+    """The precedence of *c* and its text for ``values.render``: strings
+    and (operand, parts) pairs, the parts function of the precedence the
+    operand must bind at."""
     if isinstance(c, Top):
         return _PREC_ATOM, ["top"]
     if isinstance(c, Bot):
@@ -269,16 +242,30 @@ def _fmt_parts(c: ConceptExpr) -> tuple[int, list]:
     if isinstance(c, Atomic):
         return _PREC_ATOM, [c.name]
     if isinstance(c, Not):
-        return _PREC_UNARY, ["!", (c.child, _PREC_UNARY)]
+        return _PREC_UNARY, ["!", (c.child, _parts_unary)]
     if isinstance(c, (Exists, Forall)):
         word = "exists" if isinstance(c, Exists) else "forall"
-        return _PREC_UNARY, [f"{word} {c.role}.", (c.child, _PREC_UNARY)]
+        return _PREC_UNARY, [f"{word} {c.role}.", (c.child, _parts_unary)]
     if isinstance(c, And):
         # Right operand printed one level tighter to preserve associativity.
-        return _PREC_AND, [(c.left, _PREC_AND), " & ", (c.right, _PREC_UNARY)]
+        return _PREC_AND, [(c.left, _parts_and), " & ", (c.right, _parts_unary)]
     if isinstance(c, Or):
-        return _PREC_OR, [(c.left, _PREC_OR), " | ", (c.right, _PREC_AND)]
+        return _PREC_OR, [(c.left, _parts_or), " | ", (c.right, _parts_and)]
     raise TypeError(f"not a concept expression: {c!r}")
+
+
+def _binding(need: int):
+    """The parts function of an operand that must bind at least *need*:
+    a looser one gets parentheses."""
+
+    def parts(c: ConceptExpr) -> list:
+        prec, text = _concept_parts(c)
+        return text if prec >= need else ["(", *text, ")"]
+
+    return parts
+
+
+_parts_or, _parts_and, _parts_unary = _binding(_PREC_OR), _binding(_PREC_AND), _binding(_PREC_UNARY)
 
 
 # What a node's _nnf holds when the node is its own NNF: a reference to

@@ -2,8 +2,9 @@
 
 Errors that originate from a text position (parsing, file loading) carry
 1-based ``line``/``col`` attributes so callers can render ``file:line``
-diagnostics. Resource-limit conditions are distinct exception types, never
-encoded as boolean results.
+diagnostics; ``placed`` writes the place into the message of both kinds.
+Resource-limit conditions are distinct exception types, never encoded as
+boolean results.
 
 Every input file (documents, state dumps, programs, oracle scripts, session
 logs, agent files) is decoded by ``read_text``, and a syntax error in one is
@@ -27,6 +28,17 @@ from __future__ import annotations
 from os import PathLike
 
 
+def placed(message: str, *where: str | int | None) -> str:
+    """*message* after its place ``path:line:col: ``: the parts of *where*
+    up to the first unknown (None) one, joined by ':'."""
+    known = []
+    for part in where:
+        if part is None:
+            break
+        known.append(str(part))
+    return f"{':'.join(known)}: {message}" if known else message
+
+
 class EngineError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -38,14 +50,7 @@ class ParseError(EngineError):
         self.message = message
         self.line = line
         self.col = col
-        super().__init__(self._format())
-
-    def _format(self) -> str:
-        if self.line is not None and self.col is not None:
-            return f"{self.line}:{self.col}: {self.message}"
-        if self.line is not None:
-            return f"{self.line}: {self.message}"
-        return self.message
+        super().__init__(placed(message, line, col))
 
 
 class UnknownNameError(ParseError):
@@ -64,10 +69,7 @@ class LoadError(EngineError):
         self.line = line
         self.col = col
         self.message = message
-        where = path if line is None else f"{path}:{line}"
-        if line is not None and col is not None:
-            where += f":{col}"
-        super().__init__(f"{where}: {message}")
+        super().__init__(placed(message, path, line, col))
 
     @classmethod
     def at(cls, path: str, error: ParseError, line: int = 1) -> LoadError:

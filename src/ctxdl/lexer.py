@@ -1,11 +1,15 @@
 """Tokenizer shared by the concept, guard, program, KB-file, fact-list and
 projection-pattern parsers.
 
-Identifiers follow ``[A-Za-z][A-Za-z0-9_]*``. Symbols are single characters
-except the two-character ``<=``. ``#`` starts a comment running to end of
-line. Every token carries a 1-based (line, col) position. Only projection
-patterns read ``*``, as a name slot that matches any name; every other
-parser meets it where a name or an operator belongs and rejects it there.
+Identifiers follow ``[A-Za-z][A-Za-z0-9_]*``, written once as the
+character sets below; ``is_identifier`` checks a declared name against
+them, so a name is valid exactly when it lexes as one identifier.
+Symbols are single characters except the two-character ``<=``. ``#``
+starts a comment running to end of line. Every token carries a 1-based
+(line, col) position. Only projection patterns read ``*``, as a name slot
+that matches any name; every other parser meets it where a name or an
+operator belongs and rejects it there. A syntax error names the token it
+met by ``Token.found``.
 
 The concept, guard and program parsers share one nesting limit,
 ``MAX_NESTING``. Each ``!``, ``exists``/``forall``, parenthesis, ``if`` and
@@ -13,10 +17,11 @@ The concept, guard and program parsers share one nesting limit,
 the token that would open a level past the limit is a positioned
 ParseError. Parsing and the tableau each take at most four Python frames
 per level, so the limit keeps them well inside the default recursion
-limit of 1,000 frames; the printers, ``nnf``, program evaluation,
-``guard_sat``, the finite-model evaluator ``_CodeSpace.extension`` (behind
-``extension``, ``check_interpretation`` and the witness search) and
-``repr`` take none.
+limit of 1,000 frames; ``values.render`` (behind the concept, guard and
+program printers and ``repr``), ``nnf``, program evaluation,
+``guard_sat`` and the finite-model evaluator ``_CodeSpace.extension``
+(behind ``extension``, ``check_interpretation`` and the witness search)
+take none.
 Long flat chains (``A & B & ...``, ``c1; c2; ...``) open no levels, and
 all of these walk them without recursion. Nodes are interned, so
 comparing or hashing a chain costs one step.
@@ -47,6 +52,16 @@ class Token(Record):
         _set(self, "text", text)
         _set(self, "line", line)
         _set(self, "col", col)
+
+    @property
+    def found(self) -> str:
+        """The token as a syntax error names it: ``end of input`` or its quoted text."""
+        return "end of input" if self.kind == END else repr(self.text)
+
+
+def is_identifier(text: str) -> bool:
+    """Whether *text* is one whole identifier token; names are checked with it."""
+    return text[:1] in _LETTERS and _WORD_CHARS.issuperset(text)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -117,16 +132,13 @@ class TokenStream:
     def expect(self, kind: str, what: str | None = None) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            wanted = what or f"'{kind}'"
-            found = "end of input" if tok.kind == END else f"{tok.text!r}"
-            raise ParseError(f"expected {wanted}, found {found}", tok.line, tok.col)
+            raise ParseError(f"expected {what or repr(kind)}, found {tok.found}", tok.line, tok.col)
         return self.next()
 
     def expect_word(self, word: str) -> Token:
         tok = self.peek()
         if tok.kind != IDENT or tok.text != word:
-            found = "end of input" if tok.kind == END else f"{tok.text!r}"
-            raise ParseError(f"expected '{word}', found {found}", tok.line, tok.col)
+            raise ParseError(f"expected '{word}', found {tok.found}", tok.line, tok.col)
         return self.next()
 
     def at_word(self, word: str) -> bool:

@@ -52,7 +52,7 @@ from ctxdl.errors import (
     json_limit,
     read_text,
 )
-from ctxdl.kb import Assertion, KnowledgeState, parse_assertion
+from ctxdl.kb import Assertion, KnowledgeState, canonical_abox, parse_assertion
 from ctxdl.values import Record
 
 _set = object.__setattr__  # writes a field past Record's frozen __setattr__
@@ -174,8 +174,8 @@ class RecordingOracle(OracleSpec):
                 self.name,
                 payload,
                 digest,
-                sorted(a.text for a in response.additions),
-                sorted(a.text for a in response.deletions),
+                canonical_abox(response.additions),
+                canonical_abox(response.deletions),
             )
         )
         self._seq += 1
@@ -264,9 +264,12 @@ def load_script(source: Union[str, Path, IO[str]], sig: Signature) -> ScriptedOr
             unknown = set(obj) - {"allow_deletions", "name"}
             if unknown:
                 raise LoadError(path, lineno, f"unknown header fields {sorted(unknown)}")
-            spec.allow_deletions = bool(obj.get("allow_deletions", False))
-            if "name" in obj:
-                spec.name = str(obj["name"])
+            spec.allow_deletions = obj.get("allow_deletions", False)
+            if not isinstance(spec.allow_deletions, bool):
+                raise LoadError(path, lineno, "header field 'allow_deletions' must be true or false")
+            spec.name = obj.get("name")
+            if "name" in obj and not isinstance(spec.name, str):
+                raise LoadError(path, lineno, "header field 'name' must be a string")
             continue
         spec.name, entry = _read_entry(path, lineno, obj, sig, "script", spec.name)
         try:
@@ -359,9 +362,11 @@ def _read_entry(
             raise LoadError(path, lineno, "log record needs match.payload and match.state")
     elif "payload" not in match:
         raise LoadError(path, lineno, "script entry needs a match.payload field")
+    elif not isinstance(payload, str):
+        raise LoadError(path, lineno, "match.payload must be a string pattern")
     elif state is not None and not isinstance(state, str):
         raise LoadError(path, lineno, "match.state must be a string digest")
-    return oracle, ScriptEntry(str(payload), state, _parse_response(obj, sig, path, lineno))
+    return oracle, ScriptEntry(payload, state, _parse_response(obj, sig, path, lineno))
 
 
 def _parse_response(obj: dict, sig: Signature, path: str, lineno: int) -> OracleResponse:

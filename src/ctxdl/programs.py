@@ -31,8 +31,8 @@ non-terminating loops surface as a FuelExhausted outcome instead of hanging.
 An evaluation copies the input fact set once into a working set that its
 ``add`` and ``del`` commands mutate in place, and freezes the final state
 once; the caller's state is never changed. Commands wait on an explicit
-stack, so a long ``;`` chain costs no Python recursion; the printers keep
-their pending nodes on one too, so a long ``;`` or ``|`` chain prints.
+stack, so a long ``;`` chain costs no Python recursion; the printers walk
+with ``values.render``, so a long ``;`` or ``|`` chain prints.
 Guard evaluation cost is not fuel: the reasoner has its own node budget, and
 a guard that exhausts it aborts the run with the partial trace attached.
 Only ``evaluate_trace`` builds a trace while it runs; ``evaluate`` builds
@@ -75,7 +75,7 @@ from ctxdl.kb import (
 )
 from ctxdl.lexer import IDENT, TokenStream, tokenize
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET
-from ctxdl.values import Node, Record
+from ctxdl.values import Node, Record, render
 
 DEFAULT_FUEL = 10_000
 
@@ -214,8 +214,7 @@ def _parse_command(ts: TokenStream, sig: Signature) -> Program:
         ts.expect_word("od")
         ts.ascend()
         return While(guard, body)
-    found = "end of input" if ts.at_end() else f"{tok.text!r}"
-    raise ParseError(f"expected a command, found {found}", tok.line, tok.col)
+    raise ParseError(f"expected a command, found {tok.found}", tok.line, tok.col)
 
 
 def _parse_guard(ts: TokenStream, sig: Signature) -> Guard:
@@ -274,8 +273,7 @@ def _parse_gatom(ts: TokenStream, sig: Signature) -> Guard:
         ts.expect(")")
         ts.ascend()
         return guard
-    found = "end of input" if tok.kind == "end" else f"{tok.text!r}"
-    raise ParseError(f"expected a guard, found {found}", tok.line, tok.col)
+    raise ParseError(f"expected a guard, found {tok.found}", tok.line, tok.col)
 
 
 def _parse_subsume(ts: TokenStream, sig: Signature) -> Guard:
@@ -295,28 +293,12 @@ def _parse_subsume(ts: TokenStream, sig: Signature) -> Guard:
 def print_program(prog: Program) -> str:
     """Render a program; parsing the result rebuilds the same tree for any
     parser-produced tree (sequencing prints flat and re-parses left-nested)."""
-    return _print(prog, _program_parts)
+    return render(prog, _program_parts)
 
 
 def print_guard(g: Guard) -> str:
     """Render a guard so that parsing the result rebuilds the same tree."""
-    return _print(g, _guard_parts)
-
-
-def _print(root, parts) -> str:
-    """Join the text of *root*. ``parts(node)`` lists a node's text as
-    strings and ``(child, parts)`` pairs; the pairs wait on an explicit
-    stack, so a long ``;`` or ``|`` chain costs no Python recursion."""
-    out: list[str] = []
-    stack: list = [(root, parts)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        else:
-            node, node_parts = item
-            stack.extend(reversed(node_parts(node)))
-    return "".join(out)
+    return render(g, _guard_parts)
 
 
 def _program_parts(prog: Program) -> list:

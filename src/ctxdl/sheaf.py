@@ -51,7 +51,7 @@ from ctxdl.errors import (
     SearchSpaceError,
     UnknownNameError,
 )
-from ctxdl.kb import Assertion, parse_fact_list  # parse_fact_list: perfbench/ reads it from here
+from ctxdl.kb import Assertion, canonical_abox, parse_fact_list  # parse_fact_list: perfbench/ reads it from here
 from ctxdl.values import Record
 
 DEFAULT_MAX_UNIVERSE = 20
@@ -241,7 +241,7 @@ def _check_covering(ps: Presheaf, cov: Covering) -> None:
 def _check_section(ps: Presheaf, s: Section) -> None:
     stray = s.facts - ps.universe(s.context)
     if stray:
-        names = ", ".join(sorted(f.text for f in stray))
+        names = ", ".join(canonical_abox(stray))
         raise ValueError(f"section at {s.context!r} leaves its universe: {names}")
 
 

@@ -11,6 +11,11 @@ The generic constructor, ``==`` and ``hash`` cost more per call than
 generated ones, so a class used on a hot path writes its own ``__init__``
 of ``object.__setattr__`` calls (caches included), which is faster.
 
+``render`` is the one walk that turns a tree into text: the repr here,
+and the printers of concepts, guards and programs. Each node lists its
+text as strings and (child, parts) pairs, which wait on an explicit
+stack, so a long chain costs no Python recursion.
+
 ``Node`` is a hash-consed ``Record``: building a node whose class and
 fields equal those of a live node returns that node. The unique table is
 keyed on the class and the fields, whose nodes are themselves unique, and
@@ -80,27 +85,40 @@ class Record:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        # ``Name(field=value, ...)``. Records among the field values wait on
-        # an explicit stack, so a long chain costs no Python recursion.
-        out: list[str] = []
-        pending: list = [self]  # records still to show, and finished text
-        while pending:
-            item = pending.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            out.append(f"{type(item).__qualname__}(")
-            parts: list = []
-            for name in item._fields:
-                value = getattr(item, name)
-                parts.append(f", {name}=" if parts else f"{name}=")
-                parts.append(value if type(value).__repr__ is Record.__repr__ else repr(value))
-            parts.append(")")
-            pending.extend(reversed(parts))
-        return "".join(out)
+        return render(self, _repr_parts)
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+def render(root, parts) -> str:
+    """Join the text of *root*, the one tree-to-text walk of the package.
+
+    ``parts(node)`` lists a node's text as strings and ``(child, parts)``
+    pairs; the pairs wait on an explicit stack, so a long chain costs no
+    Python recursion.
+    """
+    out: list[str] = []
+    stack: list = [(root, parts)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            node, node_parts = item
+            stack.extend(reversed(node_parts(node)))
+    return "".join(out)
+
+
+def _repr_parts(record: Record) -> list:
+    """``Name(field=value, ...)``, with each record among the values as a pair."""
+    parts: list = [f"{type(record).__qualname__}("]
+    for i, name in enumerate(record._fields):
+        value = getattr(record, name)
+        parts.append(f", {name}=" if i else f"{name}=")
+        parts.append((value, _repr_parts) if type(value).__repr__ is Record.__repr__ else repr(value))
+    parts.append(")")
+    return parts
 
 
 def _bind(cls: type, values: tuple, named: dict) -> tuple:

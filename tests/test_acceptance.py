@@ -299,3 +299,12 @@ def test_criterion_9_cli_robustness(tmp_path, capsys):
             assert "Traceback" not in captured.err
             if expect_position:
                 assert re.search(r":\d+", captured.err), (argv, captured.err)
+
+
+def test_readme_library_use_block(capsys, monkeypatch):
+    """README's "Library use" block runs as written and prints what it says."""
+    readme = (SAMPLES.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(SAMPLES.parent)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "('a:A@U', 'a:C@U')\n"

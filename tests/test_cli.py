@@ -525,6 +525,32 @@ class TestExitCodes:
         got, _, err = run_cli(*argv, capsys=capsys)
         assert (got, message in err) == (code, True)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sat", "chain.kb", "A", "--budget", "-5"], "--budget: a limit is 0 or more, not -5"),
+            (["subsumes", "chain.kb", "A", "C", "--budget", "-1"], "--budget: a limit is 0 or more, not -1"),
+            (["run", "loop.p", "--kb", "empty.kb", "--budget", "-1"], "--budget: a limit is 0 or more, not -1"),
+            (["global-sections", "sensing.kb", "--top", "Scene", "--max-universe", "-1"],
+             "--max-universe: a limit is 0 or more, not -1"),
+            (["glue", "sensing.kb", "--target", "Scene", "--section", "Cam:", "--max-universe", "-2"],
+             "--max-universe: a limit is 0 or more, not -2"),
+            (["sat", "chain.kb", "A", "--budget", "x"], "--budget: invalid int value: 'x'"),
+        ],
+    )
+    def test_bad_limits_are_bad_input(self, capsys, monkeypatch, argv, message):
+        # A limit below 0 is refused before any work, like any bad flag value.
+        monkeypatch.chdir(SAMPLES)
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f": error: argument {message}\n")
+
+    def test_bad_seed_is_named(self, capsys):
+        got = run_cli(
+            "stability", SAMPLES / "sensor_constant.json", "--runs", "2", "--seeds", "1,x", capsys=capsys
+        )
+        assert got == (2, "", "error: --seeds: 'x' is not an integer\n")
+
     def test_bad_flags_exit_two(self, capsys):
         assert main(["sat"]) == 2
         capsys.readouterr()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxdl.concepts import (
+    RESERVED_WORDS,
     And,
     Atomic,
     BOT,
@@ -22,6 +23,7 @@ from ctxdl.concepts import (
     subconcepts,
 )
 from ctxdl.errors import ParseError, UnknownNameError
+from ctxdl.lexer import IDENT, tokenize
 from ctxdl.reasoner import EMPTY_TBOX, extension
 from oracles import per_code_models, recursive_nnf, recursive_print_concept
 
@@ -135,6 +137,38 @@ class TestSignature:
     def test_bad_identifier_rejected(self):
         with pytest.raises(ValueError):
             Signature(concept_names=("9lives",))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from(sorted(RESERVED_WORDS)),
+            st.text("aZq09_ Ä²é#:-*\n", max_size=5),
+        )
+    )
+    def test_a_name_is_one_identifier_token(self, name):
+        # The lexer is the one definition of an identifier: a name is
+        # declarable exactly when it lexes as one whole IDENT token and
+        # is not a reserved word.
+        try:
+            tokens = [(t.kind, t.text) for t in tokenize(name)[:-1]]  # END aside
+        except ParseError:
+            tokens = None
+        try:
+            Signature(individual_names=(name,))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (tokens == [(IDENT, name)] and name not in RESERVED_WORDS)
+
+    def test_every_grammar_word_is_reserved(self):
+        from ctxdl.kbfile import SECTIONS
+        from ctxdl.programs import _COMMAND_WORDS
+
+        words = {
+            *SECTIONS, *_COMMAND_WORDS, "then", "else", "fi", "do", "od", "true", "false",
+            "exists", "forall", "top", "bot", "concept", "role", "individual", "context", "cover", "by",
+        }
+        assert words - RESERVED_WORDS == set()
 
 
 class TestNnf:

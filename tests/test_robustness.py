@@ -89,6 +89,12 @@ BAD_SCRIPTS = [
     ("not-an-object", "[1, 2]\n"),
     ("missing-oracle-name", '{"match": {"payload": "p"}, "add": []}\n'),
     ("missing-payload", '{"oracle": "s", "match": {}, "add": []}\n'),
+    ("null-payload", '{"oracle": "s", "match": {"payload": null}, "add": ["a:A@U"]}\n'),
+    (
+        "deletions-flag-not-a-boolean",
+        '{"allow_deletions": "false"}\n{"oracle": "s", "match": {"payload": "p"}, "add": [], "del": ["a:A@U"]}\n',
+    ),
+    ("name-not-a-string", '{"name": 5}\n{"oracle": "5", "match": {"payload": "p"}, "add": []}\n'),
     ("bad-assertion", '{"oracle": "s", "match": {"payload": "p"}, "add": ["zz@@"]}\n'),
     ("undeclared-name", '{"oracle": "s", "match": {"payload": "p"}, "add": ["zz:A@U"]}\n'),
     (
