@@ -10,6 +10,12 @@ assertion manifesting as its fact (``a.at(None)``).
 The empty manifested set is a first-class outcome: it encodes that the
 latent structure carries no information for this agent.
 
+A run copies the agent's base fact set once, into a ``kb.WorkingState``:
+the injection, every oracle step (``oracle.ask``) and the program's
+writes (``programs.execute``) change it in place, and the projection
+reads it. Its digest is spliced from the one the base state keeps, so a
+run costs its changes, not its state.
+
 Stability is exact: k independent runs (fresh state each run) under a seed
 policy are Stable iff every run manifests the identical fact set.
 
@@ -56,15 +62,17 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from typing import AbstractSet, Iterable, Union
 
 from ctxdl.concepts import Atomic, Signature, expect_name
 from ctxdl.contexts import ContextPoset
 from ctxdl.errors import InteractionError, LoadError, OracleError, ParseError, read_json
-from ctxdl.kb import GUARD_MODES, Assertion, ConceptAssertion, KnowledgeState, canonical_abox, parse_fact_stream
+from ctxdl.kb import (
+    GUARD_MODES, Assertion, ConceptAssertion, KnowledgeState, WorkingState, canonical_abox, parse_fact_stream
+)
 from ctxdl.lexer import TokenStream, tokenize
-from ctxdl.oracle import OracleQuery, OracleSpec, load_script, run_session
-from ctxdl.programs import DEFAULT_FUEL, FuelExhausted, Program, evaluate, load_program
+from ctxdl.oracle import OracleQuery, OracleSpec, ask, load_script
+from ctxdl.programs import DEFAULT_FUEL, Program, execute, load_program
 from ctxdl.sheaf import Fact, Section
 from ctxdl.values import Record
 
@@ -171,7 +179,7 @@ class Agent:
 
 
 def _project(
-    abox: frozenset[Assertion], projection: tuple[FactPattern, ...], contexts: Iterable[str]
+    abox: AbstractSet[Assertion], projection: tuple[FactPattern, ...], contexts: Iterable[str]
 ) -> frozenset[Fact]:
     """The facts the patterns select; every assertion must be at one of *contexts*."""
     out: set[Fact] = set()
@@ -191,24 +199,24 @@ def _project(
 
 def interact(agent: Agent, latent: LatentStructure, seed: int = 0) -> Manifested:
     """One interpretation run; a function of (agent, latent, seed)."""
-    state = agent.base_state.updated(f.at(agent.input_context) for f in latent.payload)
+    work = WorkingState(agent.base_state)
+    work.apply(f.at(agent.input_context) for f in latent.payload)
     if agent.oracle is not None:
         queries = [
             OracleQuery(agent.oracle.name, template.format(seed=seed, parity=seed % 2))
             for template in agent.queries
         ]
         try:
-            state, _ = run_session(state, agent.oracle, queries)
+            ask(work, agent.oracle, queries)
         except OracleError as exc:
             raise InteractionError(f"oracle failure: {exc}") from exc
     if agent.program is not None:
-        outcome = evaluate(agent.program, state, agent.fuel, agent.guard_mode, agent.poset)
-        if isinstance(outcome, FuelExhausted):
+        steps, done, _ = execute(agent.program, work, agent.fuel, agent.guard_mode, agent.poset)
+        if not done:
             raise InteractionError(
-                f"agent program exhausted its fuel of {agent.fuel} after {outcome.steps} steps"
+                f"agent program exhausted its fuel of {agent.fuel} after {steps} steps"
             )
-        state = outcome.state
-    return Manifested(_project(state.abox, agent.projection, agent.signature.context_names))
+    return Manifested(_project(work.abox, agent.projection, agent.signature.context_names))
 
 
 class StabilityReport(Record):

@@ -3,8 +3,9 @@
 The order is declared as pairs ``(v, u)`` meaning "v is a subcontext of u"
 and closed reflexively and transitively at construction. The poset is stored
 as its down-sets, one per context: ``below(u)`` holds every subcontext of u,
-u included, and every order query reads that map. Cycles between distinct
-names violate antisymmetry and are rejected at load time.
+u included, and every order query reads that map, except ``above(v)``,
+which reads the up-sets derived from it once. Cycles between distinct names
+violate antisymmetry and are rejected at load time.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ class ContextPoset:
             self._check_declared(v, u)
         self._below = self._close(declared)
         self._check_antisymmetry()
+        self._above = {v: frozenset(u for u, down in self._below.items() if v in down) for v in self._contexts}
 
     def _close(self, declared: list[tuple[str, str]]) -> dict[str, frozenset[str]]:
         below: dict[str, set[str]] = {u: {u} for u in self._contexts}
@@ -73,6 +75,11 @@ class ContextPoset:
         """Every subcontext of *u*, *u* included."""
         self._check_declared(u)
         return self._below[u]
+
+    def above(self, v: str) -> frozenset[str]:
+        """Every supercontext of *v*, *v* included."""
+        self._check_declared(v)
+        return self._above[v]
 
     def leq(self, v: str, u: str) -> bool:
         """True iff *v* is a subcontext of *u* (reflexive, transitive)."""

@@ -17,15 +17,24 @@ assertion asserts. One reader parses the ``a:C`` / ``(a,b):r`` head of
 both; an assertion's concept is any expression and ``@ U`` follows it.
 
 A knowledge state keeps its digest the same way: one sort and join, the
-first time it is needed. ``KnowledgeState.updated`` splices the next
-state's digest from the kept string: it finds the place of each changed
-line by bisection over the string and joins the untouched stretches with
-the added lines once, so a run of small updates pays for its changes, not
-for the whole fact set. The kept digest is exactly what ``abox_digest``
-gives for the state's fact set, and ``lines`` what ``canonical_abox``
-gives; the digest format is unchanged. A line that holds a ``;`` would
-make the kept string ambiguous; only names built in the library can, and
-a state with such a line sorts its fact set whenever it is asked.
+first time it is needed. A change splices the next digest from the kept
+string: it finds the place of each changed line by bisection over the
+string and joins the untouched stretches with the added lines once, so a
+run of small updates pays for its changes, not for the whole fact set.
+The kept digest is exactly what ``abox_digest`` gives for the fact set,
+and ``lines`` what ``canonical_abox`` gives; the digest format is
+unchanged. A line that holds a ``;`` would make the kept string
+ambiguous; only names built in the library can, and a state with such a
+line sorts its fact set whenever it is asked.
+
+``KnowledgeState.updated`` builds a new frozen state for each change. A
+run that uses each of its intermediate states once (an agent's
+interaction, an oracle session, a program evaluation) changes one
+``WorkingState`` in place instead: it copies the fact set of the state it
+starts from once, into a ``set``, and keeps its digest. ``apply`` changes
+the set as ``updated`` does and splices the digest with the same code; a
+program's one-assertion writes drop the digest, which a program never
+reads. ``freeze`` gives the ``KnowledgeState`` at the end.
 
 Guard satisfaction has two modes. ``literal`` checks raw membership of the
 asserted fact in the current fact set. ``saturated`` additionally accepts a
@@ -108,37 +117,116 @@ class KnowledgeState(Record):
     def digest(self) -> str:
         """``abox_digest(self.abox)``, joined on first use and kept unless a
         line holds a ';', which would make the kept string ambiguous."""
-        if self._digest is None:
-            digest = abox_digest(self.abox)
-            if digest.count(";") < max(len(self.abox), 1):
-                _set(self, "_digest", digest)
-            return digest
-        return self._digest
+        return _kept_digest(self)
 
     def updated(
         self, additions: Iterable[Assertion], deletions: Iterable[Assertion] = ()
     ) -> "KnowledgeState":
         """The state whose fact set is ``(abox | additions) - deletions``.
 
-        Its digest comes from this state's: each removed line is found by
-        bisection over the kept string, and so is the place of each added
-        one; one join of the untouched stretches and the added lines builds
-        the child's digest, with no sort and no render of the rest. A line
-        or a change holding a ';' (only names built in the library can)
-        leaves the child to sort its fact set when asked.
+        Its digest is spliced from this state's (``_spliced``), with no sort
+        and no render of the rest.
         """
-        deletions = frozenset(deletions)
-        removed = deletions & self.abox
-        added = frozenset(additions) - deletions - self.abox
+        removed, added = _change(self.abox, additions, deletions)
         if not removed and not added:
             return self
         abox = self.abox - removed if removed else self.abox  # each set operation copies
         child = KnowledgeState(self.tbox, abox | added if added else abox)
         self.digest  # kept unless a line holds a ';'
-        gone, new = [a.text for a in removed], [a.text for a in added]
-        if self._digest is not None and not any(";" in text for text in gone + new):
-            _set(child, "_digest", _splice(self._digest, gone, new))
+        _set(child, "_digest", _spliced(self._digest, removed, added))
         return child
+
+
+class WorkingState:
+    """A fact set that one run changes in place: the inclusions, a ``set``
+    of assertions and the kept digest.
+
+    It is made from a ``KnowledgeState`` with one copy of the fact set, and
+    reads that state's digest, which the state then keeps, so every run
+    made from one state splices from one sorted string. ``apply`` changes
+    the set as ``KnowledgeState.updated`` does and splices the kept digest
+    the same way; ``add`` and ``discard`` write one assertion and drop the
+    kept digest, which the next ``digest`` sorts again. ``freeze`` gives
+    the ``KnowledgeState`` of the set, with the digest kept so far.
+    """
+
+    __slots__ = ("tbox", "abox", "_digest")
+
+    def __init__(self, state: KnowledgeState):
+        state.digest  # kept unless a line holds a ';'
+        self.tbox = state.tbox
+        self.abox = set(state.abox)
+        self._digest = state._digest
+
+    @property
+    def digest(self) -> str:
+        """``abox_digest(self.abox)``, kept as ``KnowledgeState.digest`` is."""
+        return _kept_digest(self)
+
+    def apply(self, additions: Iterable[Assertion], deletions: Iterable[Assertion] = ()) -> None:
+        """Make the fact set ``(abox | additions) - deletions``."""
+        removed, added = _change(self.abox, additions, deletions)
+        if removed or added:
+            self.abox -= removed
+            self.abox |= added
+            self._digest = _spliced(self._digest, removed, added)
+
+    def add(self, assertion: Assertion) -> bool:
+        """Add one assertion; whether it was absent."""
+        if assertion in self.abox:
+            return False
+        self.abox.add(assertion)
+        self._digest = None
+        return True
+
+    def discard(self, assertion: Assertion) -> bool:
+        """Remove one assertion; whether it was present."""
+        if assertion not in self.abox:
+            return False
+        self.abox.remove(assertion)
+        self._digest = None
+        return True
+
+    def freeze(self) -> KnowledgeState:
+        """The state of the fact set as it is now, with the digest kept so far."""
+        state = KnowledgeState(self.tbox, frozenset(self.abox))
+        _set(state, "_digest", self._digest)
+        return state
+
+
+def _kept_digest(state: Union[KnowledgeState, WorkingState]) -> str:
+    """``abox_digest(state.abox)``, kept in ``state._digest`` unless a line
+    holds a ';' (the string then holds as many ';' as lines, or more)."""
+    if state._digest is None:
+        digest = abox_digest(state.abox)
+        if digest.count(";") < max(len(state.abox), 1):
+            _set(state, "_digest", digest)
+        return digest
+    return state._digest
+
+
+def _change(
+    abox: AbstractSet[Assertion], additions: Iterable[Assertion], deletions: Iterable[Assertion]
+) -> tuple[frozenset[Assertion], frozenset[Assertion]]:
+    """The assertions that ``(abox | additions) - deletions`` removes from
+    *abox* and those it adds."""
+    deletions = frozenset(deletions)
+    return deletions & abox, frozenset(additions) - deletions - abox
+
+
+def _spliced(digest: str | None, removed: Iterable[Assertion], added: Iterable[Assertion]) -> str | None:
+    """The kept *digest* after the change: each removed line is found by
+    bisection over the string, and so is the place of each added one; one
+    join of the untouched stretches and the added lines builds the result.
+    None when *digest* is, or when a changed line holds a ';' (only names
+    built in the library can): its holder sorts its fact set when asked.
+    """
+    if digest is None:
+        return None
+    gone, new = [a.text for a in removed], [a.text for a in added]
+    if any(";" in text for text in gone + new):
+        return None
+    return _splice(digest, gone, new)
 
 
 def _line_start(digest: str, text: str) -> int:
@@ -326,8 +414,8 @@ FALSE_GUARD = Falsity()
 def _holds_saturated(abox: AbstractSet[Assertion], wanted: Assertion, poset: ContextPoset) -> bool:
     # Membership in saturate(abox) without materializing the closure. Facts in
     # abox are live nodes, so a probe only looks up: making one costs ~4 us.
-    v, head = wanted.context, wanted._values(wanted)[:-1]  # context is the last field
-    return any(poset.leq(v, u) and type(wanted).existing(*head, u) in abox for u in poset.contexts)
+    head = wanted._values(wanted)[:-1]  # context is the last field
+    return any(type(wanted).existing(*head, u) in abox for u in poset.above(wanted.context))
 
 
 def guard_sat(

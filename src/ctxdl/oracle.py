@@ -6,9 +6,11 @@ rendering of the fact set (see kb.abox_digest), so scripts can key on exact
 states; entries may instead match on the payload alone, with ``fnmatch``
 globbing. A lookup tries the exact entries of the payload first, then the
 payload patterns in file order. A step reads the digest its state keeps
-and splices the next state's digest from it (``KnowledgeState.updated``),
-so a session sorts its fact set once, not once per query; the digest
-format is unchanged.
+and splices the next state's digest from it, so a session sorts its fact
+set once, not once per query; the digest format is unchanged.
+``oracle_step`` makes the next state with ``KnowledgeState.updated``;
+``run_session`` runs its queries with ``ask`` on one ``WorkingState``,
+copying the fact set twice per session (in and out), not once per query.
 
 Script files are line-delimited JSON. An optional first header record sets
 flags; every other record is one table entry::
@@ -52,7 +54,7 @@ from ctxdl.errors import (
     json_limit,
     read_text,
 )
-from ctxdl.kb import Assertion, KnowledgeState, canonical_abox, parse_assertion
+from ctxdl.kb import Assertion, KnowledgeState, WorkingState, canonical_abox, parse_assertion
 from ctxdl.values import Record
 
 _set = object.__setattr__  # writes a field past Record's frozen __setattr__
@@ -183,7 +185,7 @@ class RecordingOracle(OracleSpec):
 
 
 # The ASCII characters json.dumps escapes: the controls, quote, backslash and DEL.
-_JSON_ESCAPED = bytes(range(0x20)) + b'"\\\x7f'
+_JSON_ESCAPED = tuple(map(chr, range(0x20))) + ('"', "\\", "\x7f")
 
 
 def _log_line(
@@ -195,10 +197,12 @@ def _log_line(
     The state digest is most of the line. It is built from declared names
     and the renderer's ASCII symbols, so it is written verbatim whenever
     JSON would leave it unchanged; only other digests go through the
-    encoder's escaping. (Deleting the escaped bytes and comparing lengths
-    is several times faster than ``str.isprintable`` or the encoder.)
+    encoder's escaping. An ASCII string is left unchanged exactly when it
+    holds none of the 35 escaped characters; a substring test for each
+    scans the string with ``memchr`` and builds nothing, in about a third
+    of the time that deleting the escaped bytes from its encoding takes.
     """
-    if state.isascii() and len(state.encode().translate(None, _JSON_ESCAPED)) == len(state):
+    if state.isascii() and not any(map(state.__contains__, _JSON_ESCAPED)):
         state_json = f'"{state}"'
     else:
         state_json = json.dumps(state)
@@ -289,11 +293,7 @@ def oracle_step(
     The inclusions are never touched. Raises UnknownOracleError when the
     query names a different oracle than *spec* serves.
     """
-    if query.oracle != spec.name:
-        raise UnknownOracleError(
-            f"unknown oracle {query.oracle!r}: this session serves {spec.name!r}"
-        )
-    response = spec.respond(state.digest, query.payload)
+    response = _respond(spec, state.digest, query)
     return state.updated(response.additions, response.deletions), response
 
 
@@ -301,11 +301,27 @@ def run_session(
     state: KnowledgeState, spec: OracleSpec, queries: Iterable[OracleQuery]
 ) -> tuple[KnowledgeState, list[OracleResponse]]:
     """Apply a sequence of queries in order, returning the final state."""
+    work = WorkingState(state)
+    responses = ask(work, spec, queries)
+    return work.freeze(), responses
+
+
+def ask(work: WorkingState, spec: OracleSpec, queries: Iterable[OracleQuery]) -> list[OracleResponse]:
+    """Apply a sequence of queries in order to *work*, in place."""
     responses = []
     for query in queries:
-        state, response = oracle_step(state, spec, query)
+        response = _respond(spec, work.digest, query)
+        work.apply(response.additions, response.deletions)
         responses.append(response)
-    return state, responses
+    return responses
+
+
+def _respond(spec: OracleSpec, digest: str, query: OracleQuery) -> OracleResponse:
+    if query.oracle != spec.name:
+        raise UnknownOracleError(
+            f"unknown oracle {query.oracle!r}: this session serves {spec.name!r}"
+        )
+    return spec.respond(digest, query.payload)
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,18 @@ than ``lexer.MAX_NESTING`` levels is a positioned ParseError.
 Evaluation is the standard big-step relation over knowledge states. One
 fuel unit is spent per rule application, each loop unfolding included, so
 non-terminating loops surface as a FuelExhausted outcome instead of hanging.
-An evaluation copies the input fact set once into a working set that its
-``add`` and ``del`` commands mutate in place, and freezes the final state
-once; the caller's state is never changed. Commands wait on an explicit
-stack, so a long ``;`` chain costs no Python recursion; the printers walk
-with ``values.render``, so a long ``;`` or ``|`` chain prints.
+``execute`` runs a program on a ``kb.WorkingState``, whose fact set its
+``add`` and ``del`` commands change in place; an evaluation makes one from
+the input state, with one copy of the fact set, and freezes the final
+state once, so the caller's state is never changed. Commands wait on an
+explicit stack, so a long ``;`` chain costs no Python recursion; the
+printers walk with ``values.render``, so a long ``;`` or ``|`` chain
+prints.
 Guard evaluation cost is not fuel: the reasoner has its own node budget, and
 a guard that exhausts it aborts the run with the partial trace attached.
 Only ``evaluate_trace`` builds a trace while it runs; ``evaluate`` builds
-one only for a run that aborts, by running it again.
+one only for a run that aborts, by taking back its writes and running it
+again.
 The inclusions are fixed for a run, so each run keeps the verdict of every
 subsumption atom it has decided and answers a repeated one from that memo:
 a ``while A <= B do ... od`` loop runs the tableau once, not once per
@@ -70,6 +73,7 @@ from ctxdl.kb import (
     SubsumeGuard,
     TRUE_GUARD,
     Truth,
+    WorkingState,
     guard_sat,
     parse_assertion_stream,
 )
@@ -351,20 +355,21 @@ def _guard_parts(g: Guard) -> list:
 
 
 class _Runner:
-    """One evaluation: the inclusions, a working fact set and, when asked
-    for, the trace.
+    """One evaluation on a working state: the inclusions, the working fact
+    set, the writes made so far and, when asked for, the trace.
 
-    ``Add`` and ``Del`` write the working set in place, so a write costs its
-    one assertion, not a copy of the fact set. Guards read the runner itself
-    through ``guard_sat``, which looks only at ``tbox``, ``abox`` and the
+    ``Add`` and ``Del`` write the working state in place, so a write costs
+    its one assertion, not a copy of the fact set; the writes are kept so
+    that ``undo`` can take them back. Guards read the runner itself through
+    ``guard_sat``, which looks only at ``tbox``, ``abox`` and the
     ``verdicts`` memo of the subsumption atoms decided so far.
     """
 
-    def __init__(
-        self, state: KnowledgeState, mode: str, poset: ContextPoset | None, budget: int, tracing: bool
-    ):
-        self.tbox = state.tbox
-        self.abox = set(state.abox)
+    def __init__(self, work: WorkingState, mode: str, poset: ContextPoset | None, budget: int, tracing: bool):
+        self.work = work
+        self.tbox = work.tbox
+        self.abox = work.abox
+        self.written: list[Assertion] = []
         self.verdicts: dict[SubsumeGuard, bool] = {}
         self.mode = mode
         self.poset = poset
@@ -374,6 +379,11 @@ class _Runner:
     def _record(self, rule: str, guard: bool | None, added: tuple = (), removed: tuple = ()):
         if self.trace is not None:
             self.trace.append(TraceEntry(rule, guard, frozenset(added), frozenset(removed)))
+
+    def undo(self) -> None:
+        """Take back every write, last first: each flipped its assertion in or out."""
+        for beta in reversed(self.written):
+            self.work.add(beta) or self.work.discard(beta)
 
     def exec(self, prog: Program, fuel: int) -> tuple[int, bool]:
         """Run *prog* on the working set; returns (fuel left, completed). A
@@ -394,15 +404,15 @@ class _Runner:
                 self._record("skip", None)
             elif isinstance(prog, Add):
                 beta = prog.assertion
-                if beta in self.abox:
-                    self._record("add", None)
-                else:
-                    self.abox.add(beta)
+                if self.work.add(beta):
+                    self.written.append(beta)
                     self._record("add", None, added=(beta,))
+                else:
+                    self._record("add", None)
             elif isinstance(prog, Del):
                 beta = prog.assertion
-                if beta in self.abox:
-                    self.abox.remove(beta)
+                if self.work.discard(beta):
+                    self.written.append(beta)
                     self._record("del", None, removed=(beta,))
                 else:
                     self._record("del", None)
@@ -425,6 +435,37 @@ class _Runner:
         return fuel, True
 
 
+def execute(
+    prog: Program,
+    work: WorkingState,
+    fuel: int,
+    mode: str = "literal",
+    poset: ContextPoset | None = None,
+    *,
+    budget: int = DEFAULT_NODE_BUDGET,
+    tracing: bool = False,
+) -> tuple[int, bool, tuple[TraceEntry, ...]]:
+    """Run *prog* on *work* in place: the steps spent, whether the run
+    completed before the fuel ran out, and, if *tracing*, the trace (else
+    an empty one).
+
+    A run without a trace that aborts takes back its writes and runs again
+    with one: the run is deterministic, so it aborts at the same rule
+    application, and ``EvalAborted`` always carries the partial trace.
+    """
+    if fuel < 1:
+        raise ValueError("fuel must be at least 1")
+    runner = _Runner(work, mode, poset, budget, tracing)
+    try:
+        left, done = runner.exec(prog, fuel)
+    except BudgetExceededError as exc:
+        if not tracing:
+            runner.undo()
+            return execute(prog, work, fuel, mode, poset, budget=budget, tracing=True)
+        raise EvalAborted(exc, tuple(runner.trace)) from exc
+    return fuel - left, done, tuple(runner.trace or ())
+
+
 def _run(
     prog: Program,
     state: KnowledgeState,
@@ -434,25 +475,11 @@ def _run(
     budget: int,
     tracing: bool,
 ) -> tuple[EvalOutcome, tuple[TraceEntry, ...]]:
-    """The outcome and, if *tracing*, the trace (else an empty one).
-
-    A run without a trace that aborts is run again with one: the run is
-    deterministic, so it aborts at the same rule application, and
-    ``EvalAborted`` always carries the partial trace.
-    """
-    if fuel < 1:
-        raise ValueError("fuel must be at least 1")
-    runner = _Runner(state, mode, poset, budget, tracing)
-    try:
-        left, done = runner.exec(prog, fuel)
-    except BudgetExceededError as exc:
-        if not tracing:
-            return _run(prog, state, fuel, mode, poset, budget, True)
-        raise EvalAborted(exc, tuple(runner.trace)) from exc
-    final = KnowledgeState(state.tbox, frozenset(runner.abox))
-    steps = fuel - left
-    outcome: EvalOutcome = Terminated(final, steps) if done else FuelExhausted(final, steps)
-    return outcome, tuple(runner.trace or ())
+    """``execute`` on a working state made from *state*, then frozen."""
+    work = WorkingState(state)
+    steps, done, trace = execute(prog, work, fuel, mode, poset, budget=budget, tracing=tracing)
+    final = work.freeze()
+    return (Terminated(final, steps) if done else FuelExhausted(final, steps)), trace
 
 
 def evaluate(

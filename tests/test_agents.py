@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import io
 import json
 import random
 
 import pytest
 
-from corpus import SIG, concept_fact, role_fact, random_assertion, random_concept
+import ctxdl.agents
+from corpus import (
+    SIG,
+    assertion_universe,
+    concept_fact,
+    random_abox,
+    random_assertion,
+    random_concept,
+    random_program,
+    role_fact,
+)
 from ctxdl.agents import (
     Agent,
     FactPattern,
@@ -19,13 +32,13 @@ from ctxdl.agents import (
     load_agent,
     stability_check,
 )
-from ctxdl.concepts import Atomic, Not
+from ctxdl.concepts import And, Atomic, Not
 from ctxdl.contexts import ContextPoset
-from ctxdl.errors import InteractionError, LoadError, ParseError, read_json
-from ctxdl.kb import ConceptAssertion, KnowledgeState, RoleAssertion
-from ctxdl.oracle import OracleResponse, ScriptEntry, ScriptedOracle
-from ctxdl.programs import parse_program
-from ctxdl.reasoner import EMPTY_TBOX
+from ctxdl.errors import EvalAborted, InteractionError, LoadError, OracleError, ParseError, read_json
+from ctxdl.kb import GUARD_MODES, ConceptAssertion, KnowledgeState, RoleAssertion, SubsumeGuard
+from ctxdl.oracle import OracleQuery, OracleResponse, ScriptEntry, ScriptedOracle, oracle_step, record_session
+from ctxdl.programs import FuelExhausted, evaluate, execute, parse_program
+from ctxdl.reasoner import DEFAULT_NODE_BUDGET, EMPTY_TBOX, TBox
 from oracles import regex_pattern, scan_project
 
 POSET = ContextPoset(["U", "V", "W"], [("V", "U"), ("W", "V")])
@@ -284,6 +297,115 @@ class TestInteract:
         agent = make_agent(program="while true do skip od", fuel=50)
         with pytest.raises(InteractionError):
             interact(agent, LatentStructure("x", frozenset()))
+
+
+class TestAgainstReferencePipeline:
+    """``interact`` runs on one working state; the reference builds a frozen
+    state at every stage: ``base.updated``, then ``oracle_step`` per query,
+    then ``evaluate``, then ``scan_project``. Both record their sessions."""
+
+    TBOX = TBox([(Atomic("A"), And(Atomic("B"), Atomic("C")))])
+    SUBSUMPTIONS = (SubsumeGuard(Atomic("A"), Atomic("B")), SubsumeGuard(Atomic("B"), Atomic("A")))
+    # Built in the library: a ';' in a name, which drops the kept digest.
+    SPLIT = ConceptAssertion("a;b", Atomic("A"), "V")
+    TEMPLATES = ("warm", "scan-{parity}", "probe", "tail-{seed}")
+    PATTERNS = ("*:*", "(*,*):*", "a:A", "b:*@U", "(a,b):r", "*:B@V", "a:C@W")
+
+    @staticmethod
+    def reference(agent, latent, seed, budget):
+        state = agent.base_state.updated(f.at(agent.input_context) for f in latent.payload)
+        if agent.oracle is not None:
+            for template in agent.queries:
+                query = OracleQuery(agent.oracle.name, template.format(seed=seed, parity=seed % 2))
+                try:
+                    state, _ = oracle_step(state, agent.oracle, query)
+                except OracleError as exc:
+                    raise InteractionError(f"oracle failure: {exc}") from exc
+        if agent.program is not None:
+            outcome = evaluate(agent.program, state, agent.fuel, agent.guard_mode, agent.poset, budget=budget)
+            if isinstance(outcome, FuelExhausted):
+                raise InteractionError(
+                    f"agent program exhausted its fuel of {agent.fuel} after {outcome.steps} steps"
+                )
+            state = outcome.state
+        return Manifested(scan_project(state.abox, agent.projection))
+
+    def script(self, rng, agent, latent, seeds):
+        """Payload patterns, and exact-state entries keyed on digests the
+        reference reaches and on digests it never reaches."""
+        contexts = sorted(SIG.context_names)
+
+        def respond():
+            added = {random_assertion(rng, SIG, contexts) for _ in range(rng.randint(0, 2))}
+            deleted = {random_assertion(rng, SIG, contexts) for _ in range(rng.randint(0, 2))}
+            return OracleResponse(frozenset(added - deleted), frozenset(deleted))
+
+        spec = ScriptedOracle("feed", [], allow_deletions=True)
+        for pattern in ("w*", "scan-*", "tail-1*", "t*", "probe"):
+            if rng.random() < 0.6:
+                spec.add(ScriptEntry(pattern, None, respond()))
+        for seed in seeds:
+            state = agent.base_state.updated(f.at(agent.input_context) for f in latent.payload)
+            for template in self.TEMPLATES:
+                payload = template.format(seed=seed, parity=seed % 2)
+                missed = state.updated({random_assertion(rng, SIG, contexts)}).digest
+                for digest in [state.digest] * (rng.random() < 0.7) + [missed] * (rng.random() < 0.5):
+                    try:
+                        spec.add(ScriptEntry(payload, digest, respond()))
+                    except ValueError:  # an earlier seed keyed it already
+                        pass
+                try:
+                    state, _ = oracle_step(state, spec, OracleQuery("feed", payload))
+                except OracleError:
+                    break
+        return spec
+
+    def test_same_manifested_logs_and_errors_on_random_agents(self, monkeypatch):
+        rng = random.Random(20261019)
+        contexts = sorted(SIG.context_names)
+        universe = assertion_universe() + [ConceptAssertion("a", Atomic("C"), "W"), RoleAssertion("a", "b", "r", "U")]
+        seen = set()
+        for i in range(250):
+            base = random_abox(rng, SIG, contexts, 8) | ({self.SPLIT} if rng.random() < 0.3 else set())
+            latent = LatentStructure.of("x", {random_assertion(rng, SIG, contexts).at(None) for _ in range(3)})
+            seeds = (0, 1, 12)
+            agent = Agent(
+                name="probe",
+                signature=SIG,
+                poset=POSET,
+                base_state=KnowledgeState(self.TBOX, base),
+                input_context=rng.choice(contexts),
+                program=random_program(rng, rng.randint(1, 10), universe, self.SUBSUMPTIONS)
+                if rng.random() < 0.8
+                else None,
+                oracle=None,
+                queries=self.TEMPLATES,
+                projection=tuple(FactPattern.parse(p, SIG) for p in rng.sample(self.PATTERNS, 2)),
+                fuel=rng.randint(1, 30),
+                guard_mode=rng.choice(GUARD_MODES),
+            )
+            if rng.random() < 0.8:
+                agent = dataclasses.replace(agent, oracle=self.script(rng, agent, latent, seeds))
+            budget = rng.choice([1, 3, DEFAULT_NODE_BUDGET])
+            monkeypatch.setattr(ctxdl.agents, "execute", functools.partial(execute, budget=budget))
+            for seed in seeds:
+                outcomes, logs = [], []
+                for run in (lambda a, s: interact(a, latent, s), lambda a, s: self.reference(a, latent, s, budget)):
+                    sink = io.StringIO()
+                    recorded = agent
+                    if agent.oracle is not None:
+                        recorded = dataclasses.replace(agent, oracle=record_session(agent.oracle, sink))
+                    try:
+                        outcomes.append(("manifested", run(recorded, seed)))
+                    except InteractionError as exc:
+                        outcomes.append(("oracle" if "oracle failure" in str(exc) else "fuel", str(exc)))
+                    except EvalAborted as exc:
+                        outcomes.append(("aborted", str(exc), exc.trace))
+                    logs.append(sink.getvalue())
+                assert outcomes[0] == outcomes[1], (i, seed)
+                assert logs[0] == logs[1], (i, seed)
+                seen.add(outcomes[0][0])
+        assert seen == {"manifested", "oracle", "fuel", "aborted"}
 
 
 class TestStabilityCheck:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import random_poset
 from ctxdl.contexts import ContextPoset, Covering, validate_covering
 from ctxdl.errors import UnknownNameError
 
@@ -52,6 +55,8 @@ class TestOrder:
             chain().leq("U", "X")
         with pytest.raises(UnknownNameError):
             chain().below("X")
+        with pytest.raises(UnknownNameError):
+            chain().above("X")
 
     def test_cycle_rejected_at_load(self):
         with pytest.raises(ValueError) as exc:
@@ -61,6 +66,13 @@ class TestOrder:
     def test_long_cycle_rejected(self):
         with pytest.raises(ValueError):
             ContextPoset(["U", "V", "W"], [("U", "V"), ("V", "W"), ("W", "U")])
+
+    def test_up_sets_are_the_supercontexts_on_random_posets(self):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            p = random_poset(rng, rng.randint(1, 8))
+            for v in p.contexts:
+                assert p.above(v) == {u for u in p.contexts if p.leq(v, u)}
 
     def test_closure_is_idempotent(self):
         p = chain()

@@ -20,7 +20,7 @@ from ctxdl.errors import (
     ScriptLookupError,
     UnknownOracleError,
 )
-from ctxdl.kb import ConceptAssertion, KnowledgeState, RoleAssertion, abox_digest, canonical_abox
+from ctxdl.kb import ConceptAssertion, KnowledgeState, RoleAssertion, WorkingState, abox_digest, canonical_abox
 from ctxdl.oracle import (
     OracleQuery,
     OracleResponse,
@@ -408,6 +408,41 @@ class TestDerivedDigests:
             # Kept exactly when no line holds a ';'.
             assert (state._digest is None) == any(";" in a.text for a in want)
             assert state.lines == tuple(canonical_abox(want))
+
+    # Names built in the library with non-ASCII letters, one also with a ';'.
+    ACCENTED = ConceptAssertion("é", Atomic("A"), "U")
+    ACCENTED_SPLIT = RoleAssertion("a;é", "b", "r", "W")
+    WORK_POOL = (*EDGE_POOL, ACCENTED, ACCENTED_SPLIT)
+    work_sets = st.frozensets(st.sampled_from(WORK_POOL))
+    writes = st.one_of(
+        st.tuples(st.just("apply"), work_sets, work_sets),
+        st.tuples(st.sampled_from(("add", "discard")), st.sampled_from(WORK_POOL)),
+    )
+
+    @given(work_sets, st.lists(writes, max_size=8))
+    @example(frozenset(), [("apply", frozenset({ACCENTED}), frozenset())])
+    @example(frozenset({SPLIT_NAME}), [("discard", SPLIT_NAME), ("apply", frozenset({BETA}), frozenset())])
+    @example(frozenset({BETA}), [("add", GAMMA), ("apply", frozenset({C_AT_U}), frozenset({BETA}))])
+    @settings(max_examples=300, deadline=None)
+    def test_working_state_digests_equal_abox_digest(self, base, writes):
+        source = KnowledgeState(EMPTY_TBOX, base)
+        work, want = WorkingState(source), set(base)
+        for write in writes:
+            if write[0] == "apply":
+                _, additions, deletions = write
+                work.apply(additions, deletions)
+                want = (want | additions) - deletions
+            else:
+                _, a = write
+                assert getattr(work, write[0])(a) == ((a not in want) if write[0] == "add" else (a in want))
+                want = want | {a} if write[0] == "add" else want - {a}
+            assert work.abox == want
+            assert work._digest in (None, abox_digest(want))  # spliced, dropped, or left for a sort
+            frozen = work.freeze()
+            assert frozen == KnowledgeState(EMPTY_TBOX, frozenset(want))
+            assert frozen._digest in (None, abox_digest(want))
+            assert work.digest == abox_digest(want) == plain_digest(want)
+            assert source.abox is base
 
 
 # Globs over the characters fnmatch treats specially, and payloads over the

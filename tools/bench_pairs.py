@@ -1,0 +1,86 @@
+"""Run one benchmark workload in two checkouts, in alternating pairs.
+
+Usage::
+
+    python tools/bench_pairs.py PARENT CHANGE --workload update --pairs 10 \\
+        --seed 1 --seconds 30 [--trace 0]
+
+PARENT and CHANGE are checkouts of the repository. Pair i runs
+``perfbench/run.py`` once in each, the parent first when i is even and the
+change first when it is odd, so that a drift of the machine does not land
+on one side only. Only the last line of each run's output is read: the
+JSON object with ``correct`` and ``metrics``. For each metric the tool
+prints the median of each side, its [min-max] range, and the number of
+pairs the change read better, by the ``better`` direction that the
+change's ``BENCHMARK.json`` gives; ties count for neither side. Standard
+library only; it edits no file of either checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, args: argparse.Namespace) -> dict:
+    """The last output line of one benchmark run in *checkout*, parsed."""
+    command = [
+        sys.executable, "perfbench/run.py", "--workload", args.workload,
+        "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace),
+    ]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"error: {' '.join(command)} in {checkout} exited {done.returncode}:\n{done.stderr}")
+    return json.loads(lines[-1])
+
+
+def shown(value: float) -> str:
+    return f"{value:,.0f}" if abs(value) >= 1000 else f"{value:.4g}"
+
+
+def summary(values: list[float]) -> str:
+    return f"{shown(statistics.median(values))} [{shown(min(values))}-{shown(max(values))}]"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args()
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["per_layer" if args.trace else "end_to_end"]}
+
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(getattr(args, side), args))
+        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+
+    print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s runs, trace {args.trace}")
+    for side, results in runs.items():
+        correct = sum(r["correct"] for r in results)
+        failed = sum(r["failed"] for r in results)
+        print(f"{side}: {correct}/{len(results)} runs correct, {failed} failed ops")
+    print("metric: parent median [min-max] -> change median [min-max], pairs the change read better")
+    for name, direction in better.items():
+        parent = [r["metrics"][name]["value"] for r in runs["parent"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        sign = 1 if direction == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        print(f"{name}: {summary(parent)} -> {summary(change)}, {wins}/{args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
