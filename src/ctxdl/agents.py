@@ -188,8 +188,9 @@ def _project(
         if p.wild:
             scanned.append(p)
             continue
+        cls, head = type(p.fact), p.fact._values(p.fact)[:-1]  # context aside
         for u in contexts if p.context is None else (p.context,):
-            if p.fact.at(u) in abox:
+            if cls.existing(*head, u) in abox:  # an absent fact makes no node
                 out.add(p.fact)
                 break
     if scanned:

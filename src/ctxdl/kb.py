@@ -17,24 +17,31 @@ assertion asserts. One reader parses the ``a:C`` / ``(a,b):r`` head of
 both; an assertion's concept is any expression and ``@ U`` follows it.
 
 A knowledge state keeps its digest the same way: one sort and join, the
-first time it is needed. A change splices the next digest from the kept
-string: it finds the place of each changed line by bisection over the
-string and joins the untouched stretches with the added lines once, so a
-run of small updates pays for its changes, not for the whole fact set.
-The kept digest is exactly what ``abox_digest`` gives for the fact set,
-and ``lines`` what ``canonical_abox`` gives; the digest format is
-unchanged. A line that holds a ``;`` would make the kept string
-ambiguous; only names built in the library can, and a state with such a
-line sorts its fact set whenever it is asked.
+first time it is needed. A state made by a change keeps a base, the state
+whose digest it splices from, and the assertions touched since. When its
+digest is read, each touched line that the base holds and the state does
+not is removed, each one the state holds and the base does not is added,
+and each is placed by ``bisect.bisect_left`` over the base's line index:
+its sorted lines as a tuple and their offsets, built once, on the base's
+first splice. One join of the untouched stretches, sliced by offset, and
+the added lines builds the result, so a run of small updates pays for its
+changes, not for the whole fact set. The kept digest is exactly what
+``abox_digest`` gives for the fact set, and ``lines`` what
+``canonical_abox`` gives; the digest format is unchanged. A line that
+holds a ``;`` would make the kept string ambiguous; only names built in
+the library can, and a state with such a line sorts its fact set
+whenever it is asked. A digest that JSON writes unchanged is a
+``Digest``, a ``str`` subclass: the sort checks the whole string once,
+the splice only the lines it adds, and a session log writes it verbatim.
 
-``KnowledgeState.updated`` builds a new frozen state for each change. A
-run that uses each of its intermediate states once (an agent's
-interaction, an oracle session, a program evaluation) changes one
-``WorkingState`` in place instead: it copies the fact set of the state it
-starts from once, into a ``set``, and keeps its digest. ``apply`` changes
-the set as ``updated`` does and splices the digest with the same code; a
-program's one-assertion writes drop the digest, which a program never
-reads. ``freeze`` gives the ``KnowledgeState`` at the end.
+``KnowledgeState.updated`` builds a new frozen state for each change and
+splices its digest at once. A run that uses each of its intermediate
+states once (an agent's interaction, an oracle session, a program
+evaluation) changes one ``WorkingState`` in place instead: it copies the
+fact set of the state it starts from once, into a ``set``, and notes each
+assertion it writes, so ``apply``, ``add`` and ``discard`` each cost a set
+update; the digest is spliced, by the same code, only when it is read.
+``freeze`` gives the ``KnowledgeState`` at the end.
 
 Guard satisfaction has two modes. ``literal`` checks raw membership of the
 asserted fact in the current fact set. ``saturated`` additionally accepts a
@@ -47,6 +54,8 @@ scan of the fact set.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from typing import AbstractSet, Callable, Iterable, Union
 
 from ctxdl.concepts import Atomic, Signature, expect_name, parse_concept_stream, print_concept
@@ -95,15 +104,38 @@ class RoleAssertion(Node):
 Assertion = Union[ConceptAssertion, RoleAssertion]
 
 
+class Digest(str):
+    """A digest that JSON writes unchanged: ASCII, with none of the 35
+    characters JSON escapes (the controls, DEL, ``"`` and ``\\``).
+
+    The type marks the text the way markupsafe's ``Markup`` marks text that
+    needs no escaping: a session log writes a ``Digest`` as it is, without
+    scanning it again. A sorted digest is checked once, when it is sorted,
+    and a spliced one by its added lines only.
+    """
+
+    __slots__ = ()
+
+
+def _json_plain(text: str) -> bool:
+    """Whether ``json.dumps(text)`` is *text* in quotes; for ASCII text,
+    ``isprintable`` rules out exactly the controls and DEL."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+
 class KnowledgeState(Record):
     """The pair a program run transforms: fixed inclusions, current assertions."""
 
-    __slots__ = ("tbox", "abox", "_digest")
+    __slots__ = ("tbox", "abox", "_digest", "_index", "_base", "_touched")
 
     def __init__(self, tbox: TBox, abox: frozenset[Assertion]):
         _set(self, "tbox", tbox)
         _set(self, "abox", abox)
         _set(self, "_digest", None)
+        _set(self, "_index", None)  # the kept digest's lines and offsets (_line_index)
+        _set(self, "_base", None)  # the state the digest is spliced from, if not sorted
+        _set(self, "_touched", frozenset())  # the assertions changed since _base
 
     def with_abox(self, abox: Iterable[Assertion]) -> "KnowledgeState":
         return KnowledgeState(self.tbox, frozenset(abox))
@@ -115,8 +147,8 @@ class KnowledgeState(Record):
 
     @property
     def digest(self) -> str:
-        """``abox_digest(self.abox)``, joined on first use and kept unless a
-        line holds a ';', which would make the kept string ambiguous."""
+        """``abox_digest(self.abox)``, sorted or spliced on first use and kept
+        unless a line holds a ';', which would make the kept string ambiguous."""
         return _kept_digest(self)
 
     def updated(
@@ -124,43 +156,49 @@ class KnowledgeState(Record):
     ) -> "KnowledgeState":
         """The state whose fact set is ``(abox | additions) - deletions``.
 
-        Its digest is spliced from this state's (``_spliced``), with no sort
-        and no render of the rest.
+        Its digest is spliced from the one its base keeps (``_spliced``):
+        this state's base, or this state when it has none, so a chain of
+        updates splices from one indexed string, with no sort and no render
+        of the rest.
         """
         removed, added = _change(self.abox, additions, deletions)
         if not removed and not added:
             return self
         abox = self.abox - removed if removed else self.abox  # each set operation copies
         child = KnowledgeState(self.tbox, abox | added if added else abox)
-        self.digest  # kept unless a line holds a ';'
-        _set(child, "_digest", _spliced(self._digest, removed, added))
+        _set(child, "_base", self if self._base is None else self._base)
+        _set(child, "_touched", self._touched | removed | added)
+        child.digest  # spliced now, so the child carries its digest
         return child
 
 
 class WorkingState:
     """A fact set that one run changes in place: the inclusions, a ``set``
-    of assertions and the kept digest.
+    of assertions, the state it started from and the assertions written
+    since.
 
-    It is made from a ``KnowledgeState`` with one copy of the fact set, and
-    reads that state's digest, which the state then keeps, so every run
-    made from one state splices from one sorted string. ``apply`` changes
-    the set as ``KnowledgeState.updated`` does and splices the kept digest
-    the same way; ``add`` and ``discard`` write one assertion and drop the
-    kept digest, which the next ``digest`` sorts again. ``freeze`` gives
-    the ``KnowledgeState`` of the set, with the digest kept so far.
+    It is made from a ``KnowledgeState`` with one copy of the fact set and
+    splices from that state's base (the state itself when it has none), so
+    every run made from one state splices from one sorted string. ``apply``,
+    ``add`` and ``discard`` change the set, note the written assertions and
+    drop the digest read last; ``digest`` splices the next one when it is
+    read. ``freeze`` gives the ``KnowledgeState`` of the set, which splices
+    from the same base.
     """
 
-    __slots__ = ("tbox", "abox", "_digest")
+    __slots__ = ("tbox", "abox", "_base", "_touched", "_digest")
 
     def __init__(self, state: KnowledgeState):
-        state.digest  # kept unless a line holds a ';'
         self.tbox = state.tbox
         self.abox = set(state.abox)
+        self._base = state if state._base is None else state._base
+        self._touched = set(state._touched)
         self._digest = state._digest
 
     @property
     def digest(self) -> str:
-        """``abox_digest(self.abox)``, kept as ``KnowledgeState.digest`` is."""
+        """``abox_digest(self.abox)``, kept until the next write as
+        ``KnowledgeState.digest`` is."""
         return _kept_digest(self)
 
     def apply(self, additions: Iterable[Assertion], deletions: Iterable[Assertion] = ()) -> None:
@@ -169,13 +207,15 @@ class WorkingState:
         if removed or added:
             self.abox -= removed
             self.abox |= added
-            self._digest = _spliced(self._digest, removed, added)
+            self._touched |= removed | added
+            self._digest = None
 
     def add(self, assertion: Assertion) -> bool:
         """Add one assertion; whether it was absent."""
         if assertion in self.abox:
             return False
         self.abox.add(assertion)
+        self._touched.add(assertion)
         self._digest = None
         return True
 
@@ -184,6 +224,7 @@ class WorkingState:
         if assertion not in self.abox:
             return False
         self.abox.remove(assertion)
+        self._touched.add(assertion)
         self._digest = None
         return True
 
@@ -191,17 +232,36 @@ class WorkingState:
         """The state of the fact set as it is now, with the digest kept so far."""
         state = KnowledgeState(self.tbox, frozenset(self.abox))
         _set(state, "_digest", self._digest)
+        _set(state, "_base", self._base)
+        _set(state, "_touched", frozenset(self._touched))
         return state
 
 
 def _kept_digest(state: Union[KnowledgeState, WorkingState]) -> str:
-    """``abox_digest(state.abox)``, kept in ``state._digest`` unless a line
-    holds a ';' (the string then holds as many ';' as lines, or more)."""
+    """``abox_digest(state.abox)``: spliced from the state's base, else
+    sorted, and kept in ``state._digest`` unless a line holds a ';' (a
+    sorted string then holds as many ';' as lines, or more).
+
+    A splice costs a bisection and two lookups per touched assertion, a
+    new base a copy of the fact set and, at its first splice, its index.
+    So the state makes its own fact set its base once the touched
+    assertions outnumber the square root of the fact set, which bounds a
+    long session's cost per digest by that root, not by its length.
+    """
     if state._digest is None:
-        digest = abox_digest(state.abox)
-        if digest.count(";") < max(len(state.abox), 1):
-            _set(state, "_digest", digest)
-        return digest
+        digest = _spliced(state)  # none of its lines holds a ';'
+        if digest is None:
+            digest = abox_digest(state.abox)
+            if digest.count(";") >= max(len(state.abox), 1):
+                return digest
+            if _json_plain(digest):
+                digest = Digest(digest)
+        _set(state, "_digest", digest)
+        if len(state._touched) ** 2 > len(state.abox):
+            base = KnowledgeState(state.tbox, frozenset(state.abox))
+            _set(base, "_digest", digest)
+            _set(state, "_base", base)
+            _set(state, "_touched", type(state._touched)())
     return state._digest
 
 
@@ -214,56 +274,56 @@ def _change(
     return deletions & abox, frozenset(additions) - deletions - abox
 
 
-def _spliced(digest: str | None, removed: Iterable[Assertion], added: Iterable[Assertion]) -> str | None:
-    """The kept *digest* after the change: each removed line is found by
-    bisection over the string, and so is the place of each added one; one
-    join of the untouched stretches and the added lines builds the result.
-    None when *digest* is, or when a changed line holds a ';' (only names
-    built in the library can): its holder sorts its fact set when asked.
+def _line_index(digest: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The lines of a kept *digest*, in order, and the length of the lines
+    before each, then of all: line i starts at ``ahead[i] + i``, after i
+    ';'. The empty digest has no line."""
+    lines = tuple(digest.split(";")) if digest else ()
+    return lines, tuple(accumulate(map(len, lines), initial=0))
+
+
+def _spliced(state: Union[KnowledgeState, WorkingState]) -> str | None:
+    """The digest of *state*, spliced from the one its base keeps.
+
+    The touched assertions that the base holds and the state does not are
+    removed, those the state holds and the base does not are added. Each
+    is placed by ``bisect_left`` over the base's lines; one join of the
+    untouched stretches, sliced at their offsets, and the added lines
+    builds the result. It is a ``Digest`` when the base's is and each added
+    line is plain for JSON. None when the state has no base, the base keeps
+    no digest, or an added line holds a ';' (only names built in the
+    library can): the state then sorts its fact set when asked.
     """
-    if digest is None:
+    base = state._base
+    if base is None:
         return None
-    gone, new = [a.text for a in removed], [a.text for a in added]
-    if any(";" in text for text in gone + new):
+    digest = base.digest  # sorted on the base's first use
+    if base._digest is None:  # not kept: a line holds a ';'
         return None
-    return _splice(digest, gone, new)
-
-
-def _line_start(digest: str, text: str) -> int:
-    """The offset of the line *text* in *digest*, or of the line it would
-    precede if absent (``len(digest) + 1`` past the last line); *digest* is
-    sorted lines joined by ';', none of which holds a ';'."""
-    lo, hi = 0, len(digest) + 1 if digest else 0  # lines before lo sort below text, from hi on not
-    while lo < hi:
-        mid = (lo + hi) // 2
-        start = digest.rfind(";", lo, mid) + 1 or lo
-        end = digest.find(";", start)
-        if end < 0:
-            end = len(digest)
-        if digest[start:end] < text:
-            lo = end + 1
-        else:
-            hi = start
-    return lo
-
-
-def _splice(digest: str, gone: list[str], new: list[str]) -> str:
-    """*digest* without the lines *gone* and with the lines *new*, each put
-    in place by ``_line_start``; one join builds the result."""
-    edits = [(_line_start(digest, text), 1, text) for text in gone]
-    edits += [(_line_start(digest, text), 0, text) for text in new]
-    pieces, pos = [], 0
-    for offset, removing, text in sorted(edits):  # at one offset: insertions, in order, then the removal
-        if offset > pos:
-            pieces.append(digest[pos : offset - 1])  # untouched lines, without the ';' after them
-        if removing:
-            pos = offset + len(text) + 1
-        else:
+    touched, before, abox = state._touched, base.abox, state.abox  # set algebra reuses the stored hashes
+    gone = [a.text for a in (touched - abox) & before]
+    new = [a.text for a in (touched & abox) - before]
+    if not gone and not new:
+        return digest
+    added = "".join(new)
+    if ";" in added:
+        return None
+    if base._index is None:
+        _set(base, "_index", _line_index(digest))
+    lines, ahead = base._index
+    edits = [(bisect_left(lines, text), 1, text) for text in gone]
+    edits += [(bisect_left(lines, text), 0, text) for text in new]
+    pieces, pos = [], 0  # lines from pos on are not yet copied
+    for i, removing, text in sorted(edits):  # at one line: insertions, in order, then its removal
+        if i > pos:
+            pieces.append(digest[ahead[pos] + pos : ahead[i] + i - 1])  # untouched lines, without the ';' after them
+        if not removing:
             pieces.append(text)
-            pos = offset
-    if pos < len(digest):
-        pieces.append(digest[pos:])
-    return ";".join(pieces)
+        pos = i + removing
+    if pos < len(lines):
+        pieces.append(digest[ahead[pos] + pos :])
+    spliced = ";".join(pieces)
+    return Digest(spliced) if isinstance(digest, Digest) and _json_plain(added) else spliced
 
 
 NameReader = Callable[[TokenStream, frozenset[str], str], str]

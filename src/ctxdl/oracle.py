@@ -5,12 +5,14 @@ additions and deletions. The digest is the canonical sorted one-line
 rendering of the fact set (see kb.abox_digest), so scripts can key on exact
 states; entries may instead match on the payload alone, with ``fnmatch``
 globbing. A lookup tries the exact entries of the payload first, then the
-payload patterns in file order. A step reads the digest its state keeps
-and splices the next state's digest from it, so a session sorts its fact
-set once, not once per query; the digest format is unchanged.
-``oracle_step`` makes the next state with ``KnowledgeState.updated``;
-``run_session`` runs its queries with ``ask`` on one ``WorkingState``,
-copying the fact set twice per session (in and out), not once per query.
+payload patterns in file order. A step reads the digest its state keeps,
+and the next state's digest is spliced from its base's (see ``ctxdl.kb``),
+so a session sorts its fact set once, not once per query; the digest
+format is unchanged. ``oracle_step`` makes the next state with
+``KnowledgeState.updated``, which copies the fact set and splices the
+digest at once; ``run_session`` runs its queries with ``ask`` on one
+``WorkingState``, which copies the fact set once on the way in and once
+on the way out, and splices a digest only when a query reads it.
 
 Script files are line-delimited JSON. An optional first header record sets
 flags; every other record is one table entry::
@@ -41,6 +43,7 @@ from __future__ import annotations
 import json
 import re
 from fnmatch import translate
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
@@ -54,7 +57,7 @@ from ctxdl.errors import (
     json_limit,
     read_text,
 )
-from ctxdl.kb import Assertion, KnowledgeState, WorkingState, canonical_abox, parse_assertion
+from ctxdl.kb import Assertion, Digest, KnowledgeState, WorkingState, canonical_abox, parse_assertion
 from ctxdl.values import Record
 
 _set = object.__setattr__  # writes a field past Record's frozen __setattr__
@@ -184,33 +187,28 @@ class RecordingOracle(OracleSpec):
         return response
 
 
-# The ASCII characters json.dumps escapes: the controls, quote, backslash and DEL.
-_JSON_ESCAPED = tuple(map(chr, range(0x20))) + ('"', "\\", "\x7f")
-
-
 def _log_line(
     seq: int, oracle: str, payload: str, state: str, additions: list[str], deletions: list[str]
 ) -> str:
     """One session record, byte for byte ``json.dumps(record, sort_keys=True)``
     plus a newline, with the keys written in sorted order.
 
-    The state digest is most of the line. It is built from declared names
-    and the renderer's ASCII symbols, so it is written verbatim whenever
-    JSON would leave it unchanged; only other digests go through the
-    encoder's escaping. An ASCII string is left unchanged exactly when it
-    holds none of the 35 escaped characters; a substring test for each
-    scans the string with ``memchr`` and builds nothing, in about a third
-    of the time that deleting the escaped bytes from its encoding takes.
+    The state digest is most of the line. A ``kb.Digest`` is one that JSON
+    leaves unchanged, so it is written as it is, with no scan; any other
+    string, and each short field, goes through the encoder that
+    ``json.dumps`` calls for a ``str``.
     """
-    if state.isascii() and not any(map(state.__contains__, _JSON_ESCAPED)):
-        state_json = f'"{state}"'
-    else:
-        state_json = json.dumps(state)
+    state_json = f'"{state}"' if isinstance(state, Digest) else _json_str(state)
     return (
-        f'{{"add": {json.dumps(additions)}, "del": {json.dumps(deletions)}, '
-        f'"match": {{"payload": {json.dumps(payload)}, "state": {state_json}}}, '
-        f'"oracle": {json.dumps(oracle)}, "seq": {seq}}}\n'
+        f'{{"add": {_json_list(additions)}, "del": {_json_list(deletions)}, '
+        f'"match": {{"payload": {_json_str(payload)}, "state": {state_json}}}, '
+        f'"oracle": {_json_str(oracle)}, "seq": {seq}}}\n'
     )
+
+
+def _json_list(texts: list[str]) -> str:
+    """``json.dumps(texts)`` for a list of strings."""
+    return f"[{', '.join(map(_json_str, texts))}]"
 
 
 class ReplayOracle(OracleSpec):

@@ -377,8 +377,7 @@ class _Runner:
         self.trace: list[TraceEntry] | None = [] if tracing else None
 
     def _record(self, rule: str, guard: bool | None, added: tuple = (), removed: tuple = ()):
-        if self.trace is not None:
-            self.trace.append(TraceEntry(rule, guard, frozenset(added), frozenset(removed)))
+        self.trace.append(TraceEntry(rule, guard, frozenset(added), frozenset(removed)))
 
     def undo(self) -> None:
         """Take back every write, last first: each flipped its assertion in or out."""
@@ -392,8 +391,11 @@ class _Runner:
         Pending commands wait on an explicit stack, so nesting depth costs
         no Python recursion. Fuel is checked before every rule application
         and spent in the order of the big-step derivation: a ``Seq`` pays
-        before its first part runs, a loop pays for each guard test.
+        before its first part runs, a loop pays for each guard test. Whether
+        a trace is kept is looked up once, so a run without one makes no
+        call to ``_record``.
         """
+        tracing = self.trace is not None
         pending = [prog]
         while pending:
             if fuel == 0:
@@ -401,35 +403,37 @@ class _Runner:
             prog = pending.pop()
             fuel -= 1
             if isinstance(prog, Skip):
-                self._record("skip", None)
+                if tracing:
+                    self._record("skip", None)
             elif isinstance(prog, Add):
                 beta = prog.assertion
-                if self.work.add(beta):
+                written = self.work.add(beta)
+                if written:
                     self.written.append(beta)
-                    self._record("add", None, added=(beta,))
-                else:
-                    self._record("add", None)
+                if tracing:
+                    self._record("add", None, added=(beta,) if written else ())
             elif isinstance(prog, Del):
                 beta = prog.assertion
-                if self.work.discard(beta):
+                written = self.work.discard(beta)
+                if written:
                     self.written.append(beta)
-                    self._record("del", None, removed=(beta,))
-                else:
-                    self._record("del", None)
+                if tracing:
+                    self._record("del", None, removed=(beta,) if written else ())
             elif isinstance(prog, Seq):
                 pending.append(prog.second)
                 pending.append(prog.first)
             elif isinstance(prog, If):
                 taken = guard_sat(self, prog.guard, self.mode, self.poset, budget=self.budget)
-                self._record("if-true" if taken else "if-false", taken)
+                if tracing:
+                    self._record("if-true" if taken else "if-false", taken)
                 pending.append(prog.then_branch if taken else prog.else_branch)
             elif isinstance(prog, While):
-                if guard_sat(self, prog.guard, self.mode, self.poset, budget=self.budget):
-                    self._record("while-true", True)
+                taken = guard_sat(self, prog.guard, self.mode, self.poset, budget=self.budget)
+                if tracing:
+                    self._record("while-true" if taken else "while-false", taken)
+                if taken:
                     pending.append(prog)  # test the guard again after the body
                     pending.append(prog.body)
-                else:
-                    self._record("while-false", False)
             else:
                 raise TypeError(f"not a program: {prog!r}")
         return fuel, True

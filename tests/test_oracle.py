@@ -20,7 +20,11 @@ from ctxdl.errors import (
     ScriptLookupError,
     UnknownOracleError,
 )
-from ctxdl.kb import ConceptAssertion, KnowledgeState, RoleAssertion, WorkingState, abox_digest, canonical_abox
+from ctxdl import kb
+from ctxdl.kb import (
+    ConceptAssertion, Digest, KnowledgeState, RoleAssertion, WorkingState, abox_digest, canonical_abox
+)
+from ctxdl.kbfile import loads
 from ctxdl.oracle import (
     OracleQuery,
     OracleResponse,
@@ -33,6 +37,7 @@ from ctxdl.oracle import (
     replay_session,
     run_session,
 )
+from ctxdl.programs import execute, parse_program
 from ctxdl.reasoner import EMPTY_TBOX, TBox
 from oracles import plain_digest
 
@@ -445,6 +450,71 @@ class TestDerivedDigests:
             assert source.abox is base
 
 
+    # Names built in the library with each kind of character that JSON
+    # escapes: a quote, a backslash, a control character and DEL.
+    ESCAPED_POOL = (
+        ConceptAssertion('q"', Atomic("A"), "U"),
+        RoleAssertion("a", "b\\", "r", "V"),
+        ConceptAssertion("c\n", Atomic("B"), "W"),
+        ConceptAssertion("d\x7f", Atomic("C"), "U"),
+    )
+    MARK_POOL = (*WORK_POOL, *ESCAPED_POOL)
+    mark_sets = st.frozensets(st.sampled_from(MARK_POOL))
+    mark_writes = st.one_of(
+        st.tuples(st.just("apply"), mark_sets, mark_sets),
+        st.tuples(st.sampled_from(("add", "discard")), st.sampled_from(MARK_POOL)),
+    )
+
+    @given(mark_sets, st.lists(st.tuples(mark_writes, st.booleans()), max_size=16))
+    @example(frozenset(POOL), [(("add", a), True) for a in ESCAPED_POOL])
+    @example(frozenset(ESCAPED_POOL), [(("discard", a), False) for a in ESCAPED_POOL] + [(("add", BETA), True)])
+    @example(frozenset(), [(("add", a), i % 2 == 0) for i, a in enumerate(MARK_POOL)])  # many touched
+    @settings(max_examples=300, deadline=None)
+    def test_touched_digests_equal_abox_digest_and_marks_hold(self, base, steps):
+        """Writes fold into the digest when it is read: every digest handed
+        out is ``abox_digest``, and a marked one is what JSON writes."""
+        source = KnowledgeState(EMPTY_TBOX, base)
+        work, chain, want = WorkingState(source), source, set(base)
+        for write, read in steps:
+            if write[0] == "apply":
+                _, additions, deletions = write
+                work.apply(additions, deletions)
+                chain = chain.updated(additions, deletions)
+                want = (want | additions) - deletions
+            else:
+                _, a = write
+                getattr(work, write[0])(a)
+                chain = chain.updated({a}) if write[0] == "add" else chain.updated((), {a})
+                want = want | {a} if write[0] == "add" else want - {a}
+            assert work.abox == want == chain.abox
+            if read:
+                frozen = work.freeze()
+                for digest in (work.digest, chain.digest, frozen.digest, WorkingState(frozen).digest):
+                    assert digest == abox_digest(want) == plain_digest(want)
+                    if isinstance(digest, Digest):
+                        assert json.dumps(digest) == '"' + digest + '"'
+        assert work.digest == abox_digest(want)
+        assert source.abox is base
+
+    def test_a_loaded_state_has_a_marked_digest(self):
+        doc = loads("signature\n  concept A.\n  individual a, b.\ncontexts\n  context U.\nabox\n  a : A @ U.\n  b : A @ U.\n")
+        digest = doc.state().digest
+        assert isinstance(digest, Digest) and digest == "a:A@U;b:A@U"
+        assert json.dumps(digest) == '"' + digest + '"'
+
+    def test_program_writes_keep_the_digest_spliced(self, monkeypatch):
+        """Reading the digest after a program's writes sorts nothing."""
+        state = KnowledgeState(EMPTY_TBOX, frozenset(POOL))
+        state.digest  # sorted once, and kept
+        sorts = []
+        monkeypatch.setattr(kb, "abox_digest", lambda abox: sorts.append(abox) or abox_digest(abox))
+        work = WorkingState(state)
+        prog = parse_program("add a:C@U; del b:B@V; add (a,a):s@W; del a:A@U", SIG)
+        assert execute(prog, work, 100)[:2] == (7, True)
+        assert work.digest == plain_digest(work.abox) and isinstance(work.digest, Digest)
+        assert sorts == []
+
+
 # Globs over the characters fnmatch treats specially, and payloads over the
 # characters they can match.
 GLOBS = st.text(st.sampled_from("*?[]!-.\\ab"), max_size=6)
@@ -495,12 +565,13 @@ class TestLogLines:
     @given(
         name=TEXTS,
         payload=TEXTS,
-        digest=TEXTS | fact_sets.map(abox_digest),
+        digest=TEXTS | fact_sets.map(abox_digest) | fact_sets.map(lambda abox: KnowledgeState(EMPTY_TBOX, abox).digest),
         response=st.tuples(fact_sets, fact_sets).map(lambda ad: OracleResponse(ad[0] - ad[1], ad[1])),
     )
     @example(name="probe", payload="p", digest='a:A@U;b:"B"@V', response=OracleResponse(frozenset({BETA})))
     @example(name="é", payload='"', digest="a:A@U\\;\x7f", response=OracleResponse(frozenset()))
     @example(name="probe", payload="\x00", digest="a:A@U;\x1f", response=OracleResponse(frozenset()))
+    @example(name="probe", payload="p", digest=Digest("a:A@U;b:B@V"), response=OracleResponse(frozenset({GAMMA})))
     @settings(max_examples=300, deadline=None)
     def test_lines_equal_sorted_json_dumps(self, name, payload, digest, response):
         sink = io.StringIO()

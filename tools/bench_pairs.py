@@ -10,10 +10,14 @@ PARENT and CHANGE are checkouts of the repository. Pair i runs
 change first when it is odd, so that a drift of the machine does not land
 on one side only. Only the last line of each run's output is read: the
 JSON object with ``correct`` and ``metrics``. For each metric the tool
-prints the median of each side, its [min-max] range, and the number of
-pairs the change read better, by the ``better`` direction that the
-change's ``BENCHMARK.json`` gives; ties count for neither side. Standard
-library only; it edits no file of either checkout.
+prints each side's median, quartiles {q1-q3} and [min-max] range, and the
+number of pairs the change read better, by the ``better`` direction that
+the change's ``BENCHMARK.json`` gives; ties count for neither side.
+
+It then says whether the change meets the claim rule for a gain: it read
+better in at least nine tenths of the pairs, and its median is better than
+the parent's by more than the parent's interquartile spread (q3 - q1).
+Standard library only; it edits no file of either checkout.
 """
 
 from __future__ import annotations
@@ -43,8 +47,28 @@ def shown(value: float) -> str:
     return f"{value:,.0f}" if abs(value) >= 1000 else f"{value:.4g}"
 
 
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """The first and third quartiles; a single run is both."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
 def summary(values: list[float]) -> str:
-    return f"{shown(statistics.median(values))} [{shown(min(values))}-{shown(max(values))}]"
+    q1, q3 = quartiles(values)
+    return (
+        f"{shown(statistics.median(values))} {{{shown(q1)}-{shown(q3)}}} "
+        f"[{shown(min(values))}-{shown(max(values))}]"
+    )
+
+
+def claim_met(parent: list[float], change: list[float], sign: int, wins: int) -> bool:
+    """At least 9 of 10 pairs won, and a median gap in the better direction
+    larger than the parent's interquartile spread."""
+    q1, q3 = quartiles(parent)
+    gap = sign * (statistics.median(change) - statistics.median(parent))
+    return 10 * wins >= 9 * len(parent) and gap > q3 - q1
 
 
 def main() -> int:
@@ -72,13 +96,17 @@ def main() -> int:
         correct = sum(r["correct"] for r in results)
         failed = sum(r["failed"] for r in results)
         print(f"{side}: {correct}/{len(results)} runs correct, {failed} failed ops")
-    print("metric: parent median [min-max] -> change median [min-max], pairs the change read better")
+    print(
+        "metric: parent median {q1-q3} [min-max] -> change median {q1-q3} [min-max], "
+        "pairs the change read better, claim rule"
+    )
     for name, direction in better.items():
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
         sign = 1 if direction == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        print(f"{name}: {summary(parent)} -> {summary(change)}, {wins}/{args.pairs}")
+        verdict = "met" if claim_met(parent, change, sign, wins) else "not met"
+        print(f"{name}: {summary(parent)} -> {summary(change)}, {wins}/{args.pairs}, {verdict}")
     return 0
 
 
