@@ -58,10 +58,11 @@ from bisect import bisect_left
 from itertools import accumulate
 from typing import AbstractSet, Callable, Iterable, Union
 
-from ctxdl.concepts import Atomic, Signature, expect_name, parse_concept_stream, print_concept
+from ctxdl.concepts import And, Atomic, Not, Signature, expect_name, parse_concept_stream, print_concept
 from ctxdl.contexts import ContextPoset
+from ctxdl.errors import BudgetExceededError
 from ctxdl.lexer import END, TokenStream, tokenize
-from ctxdl.reasoner import DEFAULT_NODE_BUDGET, TBox, subsumes
+from ctxdl.reasoner import DEFAULT_NODE_BUDGET, TBox, decide
 from ctxdl.values import Node, Record
 
 GUARD_MODES = ("literal", "saturated")
@@ -492,10 +493,13 @@ def guard_sat(
     set of assertions: program evaluation passes its working fact set.
     Assertion atoms test membership (literal mode) or saturated membership
     (saturated mode, which requires the context poset). Subsumption atoms
-    consult the reasoner and may raise BudgetExceededError. When *state*
-    also has a ``verdicts`` dict, as a program run does, a subsumption atom
-    is decided once and then answered from it: the inclusions never change
-    within a run, so the verdict cannot either.
+    consult the reasoner and may raise BudgetExceededError. The inclusions
+    are immutable, so a TBox decides each atom once: its ``_guards`` keeps
+    the verdict and the tableau units spent (``reasoner.decide``), and every
+    later test of the atom over that TBox, in any run, replay or state,
+    gives the verdict at a budget of at least those units and, below them,
+    the BudgetExceededError that a fresh tableau would raise. A decision
+    that exhausts its budget is not kept.
 
     Negations and conjunctions wait on an explicit stack, so a long guard
     (``a | b`` is ``!(!a & !b)``, left-nested) costs no Python recursion.
@@ -507,32 +511,36 @@ def guard_sat(
         raise ValueError(f"unknown guard mode {mode!r}")
     if mode == "saturated" and poset is None:
         raise ValueError("saturated guard mode requires a context poset")
-    if isinstance(guard, Truth):
-        return True
-    if isinstance(guard, Falsity):
-        return False
-    if isinstance(guard, AssertGuard):
-        if mode == "literal":
-            return guard.assertion in state.abox
-        return _holds_saturated(state.abox, guard.assertion, poset)
-    if isinstance(guard, SubsumeGuard):
-        verdicts = getattr(state, "verdicts", {})
-        if guard not in verdicts:
-            verdicts[guard] = subsumes(state.tbox, guard.lhs, guard.rhs, budget=budget)
-        return verdicts[guard]
-    if not isinstance(guard, (GuardNot, GuardAnd)):
-        raise TypeError(f"not a guard: {guard!r}")
     pending: list[GuardNot | GuardAnd] = []
     while True:
-        while isinstance(guard, (GuardNot, GuardAnd)):
+        kind = type(guard)  # the most frequent kinds first
+        if kind is AssertGuard:
+            if mode == "literal":
+                value = guard.assertion in state.abox
+            else:
+                value = _holds_saturated(state.abox, guard.assertion, poset)
+        elif kind is GuardAnd or kind is GuardNot:
             pending.append(guard)
-            guard = guard.child if isinstance(guard, GuardNot) else guard.left
-        # An atom: this call answers it above and never reaches the stack.
-        value = guard_sat(state, guard, mode, poset, budget=budget)
+            guard = guard.left if kind is GuardAnd else guard.child
+            continue
+        elif kind is SubsumeGuard:
+            known = state.tbox._guards.get(guard)
+            if known is None:  # an exhausted budget raises here, so it is never kept
+                sat, spent = decide(state.tbox, And(guard.lhs, Not(guard.rhs)), budget)
+                known = state.tbox._guards[guard] = (not sat, spent)
+            if known[1] > budget:
+                raise BudgetExceededError(budget)
+            value = known[0]
+        elif kind is Truth:
+            value = True
+        elif kind is Falsity:
+            value = False
+        else:
+            raise TypeError(f"not a guard: {guard!r}")
         # Hand the value up to the innermost compound that needs more work.
         while pending:
             node = pending.pop()
-            if isinstance(node, GuardNot):
+            if type(node) is GuardNot:
                 value = not value
             elif value:
                 guard = node.right  # the conjunction is now its right side

@@ -42,8 +42,10 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from fnmatch import translate
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
@@ -61,6 +63,7 @@ from ctxdl.kb import Assertion, Digest, KnowledgeState, WorkingState, canonical_
 from ctxdl.values import Record
 
 _set = object.__setattr__  # writes a field past Record's frozen __setattr__
+_state = itemgetter(0)  # of a (state, response) pair
 
 
 class OracleQuery(Record):
@@ -103,16 +106,20 @@ class ScriptedOracle(OracleSpec):
     Lookup prefers an exact (state, payload) entry, then the first
     payload-pattern entry in file order, so the behavior is a function of
     the key even when patterns overlap. Exact entries are indexed by
-    payload, so a payload with none never hashes the digest. The patterns
-    are answered by one regex, the alternation of their ``fnmatch``
-    translations in file order, each inside a group of its own; it is
-    compiled on the first lookup after a pattern is added.
+    payload, each payload's sorted by state, and a lookup bisects them with
+    the digest: a few string comparisons, which stop at the first
+    differing character, and no hash of the digest, which a state splices
+    afresh for each query and which would cost a pass over the whole
+    string. The patterns are answered by one regex, the
+    alternation of their ``fnmatch`` translations in file order, each
+    inside a group of its own; it is compiled on the first lookup after a
+    pattern is added.
     """
 
     def __init__(self, name: str, entries: Iterable[ScriptEntry], allow_deletions: bool = False):
         self.name = name
         self.allow_deletions = allow_deletions
-        self._exact: dict[str, dict[str, OracleResponse]] = {}  # payload -> state -> response
+        self._exact: dict[str, list[tuple[str, OracleResponse]]] = {}  # payload -> (state, response), by state
         self._patterns: dict[str, OracleResponse] = {}  # pattern -> response, in file order
         self._matcher: tuple[re.Pattern, dict[str, OracleResponse]] | None = None
         for entry in entries:
@@ -123,10 +130,11 @@ class ScriptedOracle(OracleSpec):
         if entry.response.deletions and not self.allow_deletions:
             raise ValueError("script contains deletions but does not set allow_deletions")
         if entry.state is not None:
-            by_state = self._exact.setdefault(entry.payload, {})
-            if entry.state in by_state:
+            keyed = self._exact.setdefault(entry.payload, [])
+            i = bisect_left(keyed, entry.state, key=_state)
+            if i < len(keyed) and keyed[i][0] == entry.state:
                 raise ValueError(f"duplicate script entry for state/payload {(entry.state, entry.payload)!r}")
-            by_state[entry.state] = entry.response
+            keyed.insert(i, (entry.state, entry.response))
         else:
             if entry.payload in self._patterns:
                 raise ValueError(f"duplicate script entry for payload {entry.payload!r}")
@@ -134,9 +142,11 @@ class ScriptedOracle(OracleSpec):
             self._matcher = None
 
     def respond(self, digest: str, payload: str) -> OracleResponse:
-        by_state = self._exact.get(payload)
-        if by_state is not None and digest in by_state:
-            return by_state[digest]
+        keyed = self._exact.get(payload)
+        if keyed is not None:
+            i = bisect_left(keyed, digest, key=_state)
+            if i < len(keyed) and keyed[i][0] == digest:
+                return keyed[i][1]
         if self._matcher is None:
             self._matcher = _compile_patterns(self._patterns)
         pattern, responses = self._matcher

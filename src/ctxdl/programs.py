@@ -40,11 +40,12 @@ a guard that exhausts it aborts the run with the partial trace attached.
 Only ``evaluate_trace`` builds a trace while it runs; ``evaluate`` builds
 one only for a run that aborts, by taking back its writes and running it
 again.
-The inclusions are fixed for a run, so each run keeps the verdict of every
-subsumption atom it has decided and answers a repeated one from that memo:
-a ``while A <= B do ... od`` loop runs the tableau once, not once per
-unfolding. A hit spends no budget units. An exhausted budget is never
-stored, since it aborts the run.
+The inclusions never change, so a TBox keeps the verdict of every
+subsumption atom decided over it (see ``kb.guard_sat``): a
+``while A <= B do ... od`` loop runs the tableau once, not once per
+unfolding, and the runs, replays and states that share the TBox run it
+no more. A kept verdict answers at any budget its decision fitted in and
+raises below it, as the tableau would, so budgets stay exact.
 """
 
 from __future__ import annotations
@@ -361,8 +362,8 @@ class _Runner:
     ``Add`` and ``Del`` write the working state in place, so a write costs
     its one assertion, not a copy of the fact set; the writes are kept so
     that ``undo`` can take them back. Guards read the runner itself through
-    ``guard_sat``, which looks only at ``tbox``, ``abox`` and the
-    ``verdicts`` memo of the subsumption atoms decided so far.
+    ``guard_sat``, which looks only at ``tbox`` and ``abox``; the verdicts
+    of subsumption atoms are kept on the TBox, not on the run.
     """
 
     def __init__(self, work: WorkingState, mode: str, poset: ContextPoset | None, budget: int, tracing: bool):
@@ -370,7 +371,6 @@ class _Runner:
         self.tbox = work.tbox
         self.abox = work.abox
         self.written: list[Assertion] = []
-        self.verdicts: dict[SubsumeGuard, bool] = {}
         self.mode = mode
         self.poset = poset
         self.budget = budget
@@ -393,7 +393,8 @@ class _Runner:
         and spent in the order of the big-step derivation: a ``Seq`` pays
         before its first part runs, a loop pays for each guard test. Whether
         a trace is kept is looked up once, so a run without one makes no
-        call to ``_record``.
+        call to ``_record``. Each command's rule is picked by its exact
+        type, the most frequent kinds first.
         """
         tracing = self.trace is not None
         pending = [prog]
@@ -402,38 +403,39 @@ class _Runner:
                 return 0, False
             prog = pending.pop()
             fuel -= 1
-            if isinstance(prog, Skip):
-                if tracing:
-                    self._record("skip", None)
-            elif isinstance(prog, Add):
+            kind = type(prog)
+            if kind is Seq:
+                pending.append(prog.second)
+                pending.append(prog.first)
+            elif kind is Add:
                 beta = prog.assertion
                 written = self.work.add(beta)
                 if written:
                     self.written.append(beta)
                 if tracing:
                     self._record("add", None, added=(beta,) if written else ())
-            elif isinstance(prog, Del):
+            elif kind is Del:
                 beta = prog.assertion
                 written = self.work.discard(beta)
                 if written:
                     self.written.append(beta)
                 if tracing:
                     self._record("del", None, removed=(beta,) if written else ())
-            elif isinstance(prog, Seq):
-                pending.append(prog.second)
-                pending.append(prog.first)
-            elif isinstance(prog, If):
+            elif kind is If:
                 taken = guard_sat(self, prog.guard, self.mode, self.poset, budget=self.budget)
                 if tracing:
                     self._record("if-true" if taken else "if-false", taken)
                 pending.append(prog.then_branch if taken else prog.else_branch)
-            elif isinstance(prog, While):
+            elif kind is While:
                 taken = guard_sat(self, prog.guard, self.mode, self.poset, budget=self.budget)
                 if tracing:
                     self._record("while-true" if taken else "while-false", taken)
                 if taken:
                     pending.append(prog)  # test the guard again after the body
                     pending.append(prog.body)
+            elif kind is Skip:
+                if tracing:
+                    self._record("skip", None)
             else:
                 raise TypeError(f"not a program: {prog!r}")
         return fuel, True

@@ -19,7 +19,9 @@ label at each disjunction and recurses into the left branch, the
 recursive ``nnf`` builds a fresh tree without reading any node's cache,
 the recursive concept printer and the recursive model evaluator recurse
 once per concept node, and the recursive repr once per record. The
-pattern regexes read a projection pattern without the fact parser.
+pattern regexes read a projection pattern without the fact parser. Type
+elimination decides satisfiability over models of every size, by
+pruning bit-sliced sets of atom valuations.
 """
 
 from __future__ import annotations
@@ -324,10 +326,10 @@ def plain_fact_text(f):
 
 def reference_evaluate_trace(prog, state, fuel, mode="literal", poset=None, *, budget=DEFAULT_NODE_BUDGET):
     """Recursive evaluation that builds a new state on every write and
-    keeps no verdict memo (guard_sat gets a plain KnowledgeState),
-    mirroring the contract of programs.evaluate_trace(): the same outcome,
-    steps, final state and trace, and EvalAborted with the partial trace
-    when a guard exhausts *budget*. Deep ``Seq`` chains exceed Python's
+    keeps no verdict (guards go to ``recursive_guard_sat``), mirroring the
+    contract of programs.evaluate_trace(): the same outcome, steps, final
+    state and trace, and EvalAborted with the partial trace when a guard
+    exhausts *budget*. Deep ``Seq`` chains exceed Python's
     recursion limit here.
     """
     if fuel < 1:
@@ -338,7 +340,7 @@ def reference_evaluate_trace(prog, state, fuel, mode="literal", poset=None, *, b
         trace.append(TraceEntry(rule, guard, frozenset(added), frozenset(removed)))
 
     def holds(state, guard):
-        return guard_sat(state, guard, mode, poset, budget=budget)
+        return recursive_guard_sat(state, guard, mode, poset, budget=budget)
 
     def run(prog, state, fuel):
         # (state, fuel left, completed); not completed means the fuel hit
@@ -389,10 +391,12 @@ def reference_evaluate_trace(prog, state, fuel, mode="literal", poset=None, *, b
 
 
 def recursive_guard_sat(state, guard, mode="literal", poset=None, *, budget=DEFAULT_NODE_BUDGET):
-    """One Python call per guard node, mirroring the contract of
-    kb.guard_sat(): the same verdicts, the same subsumption atoms decided
-    in the same order, and BudgetExceededError at the same atom. A long
-    ``|`` chain exceeds Python's recursion limit here.
+    """One Python call per guard node and one ``subsumes`` call per
+    subsumption atom tested, mirroring the contract of kb.guard_sat(): the
+    same verdicts, and BudgetExceededError at the same atom. On a TBox that
+    has decided none of them, guard_sat decides the atoms this asks, in
+    this order, each at its first test. A long ``|`` chain exceeds Python's
+    recursion limit here.
     """
     if mode not in GUARD_MODES:
         raise ValueError(f"unknown guard mode {mode!r}")
@@ -407,10 +411,7 @@ def recursive_guard_sat(state, guard, mode="literal", poset=None, *, budget=DEFA
             return guard.assertion in state.abox
         return _holds_saturated(state.abox, guard.assertion, poset)
     if isinstance(guard, SubsumeGuard):
-        verdicts = getattr(state, "verdicts", {})
-        if guard not in verdicts:
-            verdicts[guard] = subsumes(state.tbox, guard.lhs, guard.rhs, budget=budget)
-        return verdicts[guard]
+        return subsumes(state.tbox, guard.lhs, guard.rhs, budget=budget)
     if isinstance(guard, GuardNot):
         return not recursive_guard_sat(state, guard.child, mode, poset, budget=budget)
     if isinstance(guard, GuardAnd):
@@ -418,6 +419,84 @@ def recursive_guard_sat(state, guard, mode="literal", poset=None, *, budget=DEFA
             state, guard.right, mode, poset, budget=budget
         )
     raise TypeError(f"not a guard: {guard!r}")
+
+
+def type_elimination_satisfiable(tbox, concept, *, max_atoms=16):
+    """Pratt's type elimination (1979), mirroring the verdict of
+    is_satisfiable() with no budget: whether *concept* has an instance in
+    some model of *tbox*, of any size. None when the closure has more than
+    *max_atoms* atoms.
+
+    The atoms are the concept names and one ``exists r.C`` per existential
+    of the closure, with ``forall r.C`` read as ``!exists r.!C``; a type
+    gives each atom a value, and every concept is a Boolean function of
+    them. The sets of types are bit-sliced: bit t of an int stands for the
+    type whose atom j is bit j of t. Starting from the types that satisfy
+    every inclusion, a type dies when one of its true existentials
+    ``exists r.C`` has no live witness: a type in C that is in no D with
+    ``exists r.D`` false in it. When nothing more dies, the live types,
+    each an element with an r-edge to every witness it allows, form a
+    model, and every element of any model has a live type.
+    """
+    atoms: dict = {}  # a concept name, or (role, filler) for exists role.filler -> its bit
+
+    def atom(c):
+        if isinstance(c, Atomic):
+            return c.name
+        return (c.role, c.child if isinstance(c, Exists) else Not(c.child))
+
+    inclusions = [Or(Not(lhs), rhs) for lhs, rhs in tbox.inclusions]
+    pending = [concept, *inclusions]
+    while pending:
+        c = pending.pop()
+        if isinstance(c, (Atomic, Exists, Forall)) and atom(c) not in atoms:
+            atoms[atom(c)] = len(atoms)
+            if not isinstance(c, Atomic):
+                pending.append(atom(c)[1])
+        elif isinstance(c, Not):
+            pending.append(c.child)
+        elif isinstance(c, (And, Or)):
+            pending += (c.left, c.right)
+    if len(atoms) > max_atoms:
+        return None
+    ones = (1 << (1 << len(atoms))) - 1
+    # Bit t of column j is bit j of t: blocks of 2^(j+1) types, the upper half set.
+    column = [ones // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j)) for j in range(len(atoms))]
+
+    def value(c):
+        if isinstance(c, (Top, Bot)):
+            return ones if isinstance(c, Top) else 0
+        if isinstance(c, (Atomic, Exists)):
+            return column[atoms[atom(c)]]
+        if isinstance(c, Forall):
+            return ones ^ column[atoms[atom(c)]]
+        if isinstance(c, Not):
+            return ones ^ value(c.child)
+        return (and_ if isinstance(c, And) else or_)(value(c.left), value(c.right))
+
+    successors: dict = {}  # role -> (column, filler's value) of each of its existentials
+    for key, j in atoms.items():
+        if not isinstance(key, str):
+            successors.setdefault(key[0], []).append((column[j], value(key[1])))
+    alive = reduce(and_, map(value, inclusions), ones)
+    while True:
+        before = alive
+        for existentials in successors.values():
+            # Split the live types by the existentials of this role they
+            # make true: (those types, the witnesses they allow, the fillers they need).
+            groups = [(alive, alive, [])]
+            for col, filler in existentials:
+                groups = [
+                    group
+                    for types, allowed, needed in groups
+                    for group in ((types & col, allowed, needed + [filler]), (types & ~col, allowed & ~filler, needed))
+                    if group[0]
+                ]
+            for types, allowed, needed in groups:
+                if not all(allowed & filler for filler in needed):
+                    alive &= ~types
+        if alive == before:
+            return bool(alive & value(concept))
 
 
 class WholeCodeSpace:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
-from types import SimpleNamespace
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,10 +36,11 @@ from ctxdl.kb import (
     parse_fact_list,
     saturate,
 )
-from ctxdl.reasoner import EMPTY_TBOX, TBox
+from ctxdl.reasoner import DEFAULT_NODE_BUDGET, EMPTY_TBOX, TBox, decide
 from ctxdl.programs import parse_guard
 from oracles import plain_digest, plain_fact_text, recursive_guard_sat
 
+ROOT = Path(__file__).resolve().parent.parent
 A = Atomic("A")
 B = Atomic("B")
 POSET = ContextPoset(["U", "V", "W"], [("V", "U"), ("W", "V")])
@@ -288,6 +293,34 @@ class TestGuardSat:
                     assert lit == sat
 
 
+def budget_sweep() -> list:
+    """Decide 40 random atoms at the exact budget B they need, after a
+    test at B - 1 that runs out and keeps nothing, then test each at every
+    budget b in 1..B+1: each outcome, kept or not, must be the one a fresh
+    equal TBox gives. Returns (B, the outcome at each b) per atom, an
+    outcome being the verdict or "budget"."""
+
+    def outcome(tbox, atom, budget):
+        try:
+            return guard_sat(KnowledgeState(tbox, frozenset()), atom, budget=budget)
+        except BudgetExceededError:
+            return "budget"
+
+    rng = random.Random(61)
+    sweep = []
+    for _ in range(40):
+        tbox = random_tbox(rng)
+        atom = SubsumeGuard(random_concept(rng, 3), random_concept(rng, 3))
+        _, need = decide(tbox, And(atom.lhs, Not(atom.rhs)), DEFAULT_NODE_BUDGET)
+        assert outcome(tbox, atom, need - 1) == "budget" and atom not in tbox._guards
+        assert outcome(tbox, atom, need) != "budget" and atom in tbox._guards
+        got = [outcome(tbox, atom, b) for b in range(1, need + 2)]
+        assert got == [outcome(TBox(tbox.inclusions), atom, b) for b in range(1, need + 2)]
+        assert got == ["budget"] * (need - 1) + got[-2:] and got[-1] == got[-2]
+        sweep.append((need, got))
+    return sweep
+
+
 class TestGuardStack:
     """guard_sat evaluates compound guards on an explicit stack; the
     recursive evaluator in tests/oracles.py is the reference."""
@@ -304,15 +337,22 @@ class TestGuardStack:
         return verdict, list(log)
 
     def test_agrees_with_the_recursive_evaluator(self, monkeypatch):
-        log = []
+        # On a TBox that has decided nothing, guard_sat decides the atoms
+        # the reference asks, in its order, each once; testing the guard
+        # again decides none, but the one that ran out of budget.
+        asked, decided = [], []
 
-        def logged(tbox, lhs, rhs, *, budget):
-            log.append((lhs, rhs))
+        def asking(tbox, lhs, rhs, *, budget):
+            asked.append((lhs, rhs))
             return subsumes(tbox, lhs, rhs, budget=budget)
 
-        subsumes = ctxdl.kb.subsumes
-        monkeypatch.setattr(ctxdl.kb, "subsumes", logged)
-        monkeypatch.setattr(oracles, "subsumes", logged)
+        def deciding(tbox, concept, budget):
+            decided.append((concept.left, concept.right.child))  # And(lhs, Not(rhs))
+            return decide(tbox, concept, budget)
+
+        subsumes, decide = oracles.subsumes, ctxdl.kb.decide
+        monkeypatch.setattr(oracles, "subsumes", asking)
+        monkeypatch.setattr(ctxdl.kb, "decide", deciding)
         rng = random.Random(53)
         universe = [ca("a", "A", "U"), ca("b", "B", "V"), RoleAssertion("a", "b", "r", "W")]
         seen = {True: 0, False: 0, "budget": 0}
@@ -325,24 +365,57 @@ class TestGuardStack:
             mode = rng.choice(["literal", "saturated"])
             budget = rng.choice([1, 3, 10, 60])
             state = KnowledgeState(tbox, random_abox(rng, SIG, ["U", "V", "W"]))
-            want = self.outcome(recursive_guard_sat, state, guard, mode, POSET, budget, log)
-            got = self.outcome(guard_sat, state, guard, mode, POSET, budget, log)
-            assert got == want
-            seen[want[0]] += 1
+            verdict, order = self.outcome(recursive_guard_sat, state, guard, mode, POSET, budget, asked)
+            got = self.outcome(guard_sat, state, guard, mode, POSET, budget, decided)
+            assert got == (verdict, list(dict.fromkeys(order)))
+            again = self.outcome(guard_sat, state, guard, mode, POSET, budget, decided)
+            assert again == (verdict, order[-1:] if verdict == "budget" else [])
+            seen[verdict] += 1
         assert min(seen.values()) >= 20, seen
 
-    def test_memo_fills_in_the_recursive_order(self):
+    def test_memo_fills_in_the_recursive_order(self, monkeypatch):
+        asked = []
+
+        def asking(tbox, lhs, rhs, *, budget):
+            asked.append(SubsumeGuard(lhs, rhs))
+            return subsumes(tbox, lhs, rhs, budget=budget)
+
+        subsumes = oracles.subsumes
+        monkeypatch.setattr(oracles, "subsumes", asking)
         rng = random.Random(59)
         for _ in range(100):
             tbox = random_tbox(rng)
             atoms = [SubsumeGuard(random_concept(rng, 2), random_concept(rng, 2)) for _ in range(4)]
             guard = random_guard(rng, 6, [ca("a", "A", "U")], atoms)
-            runs = []
-            for sat in (recursive_guard_sat, guard_sat):
-                # Shaped like a program run: inclusions, facts and a memo.
-                state = SimpleNamespace(tbox=tbox, abox={ca("a", "A", "U")}, verdicts={})
-                runs.append((sat(state, guard), list(state.verdicts.items())))
-            assert runs[0] == runs[1]
+            state = KnowledgeState(tbox, frozenset({ca("a", "A", "U")}))
+            del asked[:]
+            want = recursive_guard_sat(state, guard)
+            assert tbox._guards == {}  # the reference keeps nothing
+            assert guard_sat(state, guard) == want
+            kept = dict(tbox._guards)
+            assert list(kept) == list(dict.fromkeys(asked))
+            for g, (verdict, spent) in kept.items():
+                sat, units = decide(tbox, And(g.lhs, Not(g.rhs)), DEFAULT_NODE_BUDGET)
+                assert (verdict, spent) == (not sat, units)
+            # Another state over the same TBox decides nothing again.
+            other = KnowledgeState(tbox, frozenset())
+            assert guard_sat(other, guard) == recursive_guard_sat(other, guard)
+            assert tbox._guards == kept
+
+    def test_kept_verdicts_honour_every_budget(self):
+        # budget_sweep checks each budget against a fresh equal TBox.
+        assert len(budget_sweep()) == 40
+
+    def test_budget_sweep_is_the_same_under_every_hash_seed(self):
+        path = os.pathsep.join(p for p in (str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")) if p)
+        want = json.loads(json.dumps(budget_sweep()))
+        for seed in ("0", "1", "random"):
+            proc = subprocess.run(
+                [sys.executable, "-c", "import json, test_kb; print(json.dumps(test_kb.budget_sweep()))"],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                capture_output=True, text=True, encoding="utf-8", check=True, timeout=120,
+            )
+            assert json.loads(proc.stdout) == want, f"PYTHONHASHSEED={seed}"
 
     @pytest.mark.parametrize("n", [700, 3000])
     def test_long_disjunction_and_conjunction_chains(self, n):

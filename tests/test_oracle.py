@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 from fnmatch import fnmatchcase
 
 import pytest
@@ -112,6 +113,80 @@ class TestOracleStep:
     def test_response_add_del_must_be_disjoint(self):
         with pytest.raises(ValueError):
             OracleResponse(frozenset({BETA}), frozenset({BETA}))
+
+
+class Unhashable(str):
+    """A digest that fails any lookup that hashes it."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        raise AssertionError("the exact-state lookup hashed the digest")
+
+
+def answer(name: str) -> OracleResponse:
+    return OracleResponse(frozenset({ConceptAssertion(name, Atomic("A"), "U")}))
+
+
+class TestExactLookup:
+    """An exact-state entry is found by comparing the digest with the states
+    keyed for its payload, never by hashing it; a miss goes on to the
+    payload patterns, then to ScriptLookupError."""
+
+    LONG = ";".join(f"i{n}:A@U" for n in range(1000))
+    STATES = {  # state -> the individual its response adds
+        "": "e",
+        "a:A@U": "a",
+        "b:A@U": "b",  # the same length as the one above
+        "a:A@U;b:B@V": "ab",
+        LONG: "long",
+        LONG[:-1] + "V": "longv",  # differs from LONG in its last character only
+    }
+
+    def spec(self, *patterns):
+        entries = [ScriptEntry("p", state, answer(name)) for state, name in self.STATES.items()]
+        entries += [ScriptEntry(pattern, None, answer(f"pat{k}")) for k, pattern in enumerate(patterns)]
+        return ScriptedOracle("probe", entries)
+
+    def test_a_digest_that_cannot_be_hashed_finds_its_entry(self):
+        spec = self.spec("p*")
+        for state, name in self.STATES.items():
+            assert spec.respond(Unhashable(state), "p") == answer(name)
+        assert spec.respond(Unhashable("c:A@U"), "p") == answer("pat0")
+
+    def test_one_payload_with_several_states_of_one_length(self):
+        spec = self.spec()
+        for state, name in self.STATES.items():
+            assert spec.respond(state, "p") == answer(name)
+            assert spec.respond(Digest(state), "p") == answer(name)
+        for near_miss in ("c:A@U", "a:A@V", self.LONG[:-1] + "W", self.LONG + ";"):
+            with pytest.raises(ScriptLookupError):
+                spec.respond(near_miss, "p")
+        with pytest.raises(ValueError, match="duplicate"):
+            spec.add(ScriptEntry("p", "".join(["b:A", "@U"]), answer("again")))  # equal, not identical
+        spec.add(ScriptEntry("p", "c:A@U", answer("c")))  # same length, new state
+        assert spec.respond("c:A@U", "p") == answer("c") and spec.respond("b:A@U", "p") == answer("b")
+
+    def test_a_thousand_states_of_one_length_in_file_order(self):
+        states = [f"i{k:04d}:A@U" for k in range(0, 2000, 2)]
+        random.Random(7).shuffle(states)
+        spec = ScriptedOracle("probe", [ScriptEntry("p", state, answer(state[:5])) for state in states])
+        for state in states:
+            assert spec.respond(Unhashable(state), "p") == answer(state[:5])
+            with pytest.raises(ScriptLookupError):
+                spec.respond(f"i{int(state[1:5]) + 1:04d}:A@U", "p")  # odd: keyed for no entry
+        with pytest.raises(ValueError, match="duplicate"):
+            spec.add(ScriptEntry("p", states[500], answer("again")))
+
+    def test_a_miss_falls_through_to_the_patterns_in_file_order(self):
+        spec = self.spec("q", "p*", "*")
+        assert spec.respond("a:A@U", "p") == answer("a")
+        assert spec.respond("c:A@U", "p") == answer("pat1")  # a state not keyed for p
+        assert spec.respond("a:A@U", "px") == answer("pat1")  # a payload with no exact entry
+        assert spec.respond("a:A@U", "q") == answer("pat0")
+        assert spec.respond("a:A@U", "r") == answer("pat2")
+        with pytest.raises(ScriptLookupError):
+            self.spec("q").respond("c:A@U", "p")
 
 
 class TestScriptFiles:

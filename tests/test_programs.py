@@ -366,35 +366,40 @@ class TestAgainstReferenceEvaluator:
 
 
 class TestSubsumptionMemo:
-    """A run decides each subsumption atom once; later tests of the same
-    atom are answered from the run's memo and change no outcome."""
+    """A TBox decides each subsumption atom once: every later test of the
+    atom over that TBox, in this run or any other, is answered from what
+    it kept and changes no outcome, trace or budget."""
 
-    TBOX = TBox([(A, And(B, Atomic("C")))])
+    INCLUSIONS = [(A, And(B, Atomic("C")))]
 
     @pytest.fixture
     def tableau_runs(self, monkeypatch):
+        # The atoms guard_sat decides with the tableau, in order.
         calls = []
+        decide = ctxdl.kb.decide
 
-        def counted(*args, **kwargs):
-            calls.append(args[1:3])
-            return subsumes(*args, **kwargs)
+        def counted(tbox, concept, budget):
+            calls.append((concept.left, concept.right.child))  # And(lhs, Not(rhs))
+            return decide(tbox, concept, budget)
 
-        monkeypatch.setattr(ctxdl.kb, "subsumes", counted)
+        monkeypatch.setattr(ctxdl.kb, "decide", counted)
         return calls
 
     @pytest.mark.parametrize("unfoldings", [1, 5, 60])
     def test_loop_guard_runs_the_tableau_once_per_evaluation(self, tableau_runs, unfoldings):
+        # Once in the first evaluation over a TBox, and in no later one.
         prog = parse_program("while A <= B do add a:A@U; del a:A@U od", SIG)
-        start = KnowledgeState(self.TBOX, frozenset({GAMMA}))
+        start = KnowledgeState(TBox(self.INCLUSIONS), frozenset({GAMMA}))
         fuel = 4 * unfoldings  # per unfolding: the guard test, the body's Seq, add and del
         want = reference_evaluate_trace(prog, start, fuel)
-        assert len(tableau_runs) == unfoldings
-        tableau_runs.clear()
-        for _ in range(2):  # a second run keeps no memo from the first
-            got = evaluate_trace(prog, start, fuel)
-            assert got == want
+        assert tableau_runs == []  # the reference keeps no verdict and goes around guard_sat
+        for _ in range(3):
+            assert evaluate_trace(prog, start, fuel) == want
+            assert evaluate(prog, start, fuel) == want[0]
             assert tableau_runs == [(A, B)]
-            tableau_runs.clear()
+        fresh = KnowledgeState(TBox(self.INCLUSIONS), start.abox)  # equal, but it has decided nothing
+        assert evaluate_trace(prog, fresh, fuel) == want
+        assert tableau_runs == [(A, B), (A, B)]
         outcome, trace = want
         assert isinstance(outcome, FuelExhausted) and outcome.state == start
         assert [e.rule for e in trace].count("while-true") == unfoldings
@@ -405,14 +410,21 @@ class TestSubsumptionMemo:
             "if A <= B & !(B <= A) then add a:A@U else skip fi",
             SIG,
         )
-        outcome, trace = evaluate_trace(prog, KnowledgeState(self.TBOX, frozenset()))
+        tbox = TBox(self.INCLUSIONS)
+        outcome, trace = evaluate_trace(prog, KnowledgeState(tbox, frozenset()))
         assert tableau_runs == [(A, B), (B, A)]
         assert [e.guard for e in trace if e.guard is not None] == [True, False, True]
         assert outcome.state.abox == {BETA}
+        # Another state and a bare guard test over the same TBox decide nothing.
+        assert evaluate(prog, KnowledgeState(tbox, frozenset({GAMMA}))).state.abox == {BETA, GAMMA}
+        assert ctxdl.kb.guard_sat(outcome.state, parse_guard("B <= A | A <= B", SIG)) is True
+        assert tableau_runs == [(A, B), (B, A)]
 
     def test_an_exhausted_guard_aborts_with_the_reference_trace(self, tableau_runs):
-        # The cheap atom is decided once and repeated from the memo; the
-        # costly one runs out of budget on its first test, as without memo.
+        # The cheap atom is decided once and answered from the TBox after;
+        # the costly one runs out of budget at each test, and is kept only
+        # once a run affords it, after which a test at the small budget
+        # still aborts, now without the tableau.
         cheap, costly = "B <= A", "(A & exists r.A) <= B"
         budget = next(b for b in range(1, 50) if self._affords(cheap, b))
         assert not self._affords(costly, budget)
@@ -421,21 +433,33 @@ class TestSubsumptionMemo:
             f"if {costly} then skip else skip fi",
             SIG,
         )
-        start = KnowledgeState(self.TBOX, frozenset())
+        start = KnowledgeState(TBox(self.INCLUSIONS), frozenset())
         with pytest.raises(EvalAborted) as want:
             reference_evaluate_trace(prog, start, 100, budget=budget)
-        tableau_runs.clear()
-        with pytest.raises(EvalAborted) as got:
-            evaluate_trace(prog, start, 100, budget=budget)
+        assert [e.rule for e in want.value.trace] == ["add", "if-false", "skip", "if-false", "del"]
+        costly_atom = parse_guard(costly, SIG)
+        runs = [
+            [(B, A), (costly_atom.lhs, B)],  # a fresh TBox
+            [(costly_atom.lhs, B)],  # the cheap atom is kept, the exhausted one is not
+            [],  # after a run that afforded the costly atom
+        ]
+        for i, expected in enumerate(runs):
+            if i == 2:
+                evaluate(prog, start, 100)
+            tableau_runs.clear()
+            with pytest.raises(EvalAborted) as got:
+                evaluate_trace(prog, start, 100, budget=budget)
+            assert got.value.trace == want.value.trace
+            assert got.value.cause.budget == budget
+            assert tableau_runs == expected
+        with pytest.raises(EvalAborted) as got:  # no trace: undone and run again with one
+            evaluate(prog, start, 100, budget=budget)
         assert got.value.trace == want.value.trace
-        assert [e.rule for e in got.value.trace] == ["add", "if-false", "skip", "if-false", "del"]
-        assert got.value.cause.budget == budget
-        assert len(tableau_runs) == 2
 
     def _affords(self, guard, budget):
         g = parse_guard(guard, SIG)
         try:
-            subsumes(self.TBOX, g.lhs, g.rhs, budget=budget)
+            subsumes(TBox(self.INCLUSIONS), g.lhs, g.rhs, budget=budget)
         except BudgetExceededError:
             return False
         return True

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,14 @@ from corpus import (
     random_tbox,
     witness_space,
 )
-from oracles import ForkingTableau, per_code_models, plain_satisfiable, recursive_extension, whole_space_witness
+from oracles import (
+    ForkingTableau,
+    per_code_models,
+    plain_satisfiable,
+    recursive_extension,
+    type_elimination_satisfiable,
+    whole_space_witness,
+)
 from ctxdl.concepts import (
     And,
     Atomic,
@@ -177,6 +185,52 @@ class TestAgainstPlainTableau:
                 assert find_witness(sig, t, c, k) is not None, (t, c)
         assert compared >= 1_990
         assert 2 * atomic >= inclusions
+
+
+class TestAgainstTypeElimination:
+    """Type elimination decides satisfiability over models of every size,
+    so the unsat verdicts it confirms are checked beyond the models of at
+    most three elements that find_witness reaches."""
+
+    def agree(self, instances) -> Counter:
+        verdicts = Counter()
+        for t, c in instances:
+            got = is_satisfiable(t, c)
+            assert type_elimination_satisfiable(t, c) is got, (t, c)
+            verdicts[got] += 1
+        return verdicts
+
+    def test_on_the_plain_tableau_corpus(self):
+        rng = random.Random(31)
+        names = {"concepts": ("A", "B", "C"), "roles": ("r",)}
+        instances = [
+            (random_absorbable_tbox(rng, max_inclusions=3, depth=2, **names), random_conjunction(rng, 3, **names))
+            for _ in range(2_000)
+        ]
+        verdicts = self.agree(instances)
+        assert min(verdicts.values()) >= 800, verdicts
+
+    def test_on_the_criterion_2_corpus(self):
+        rng = random.Random(20260809)
+        instances = [(random_tbox(rng, max_inclusions=2, depth=3), random_concept(rng, 3)) for _ in range(500)]
+        verdicts = self.agree(instances)
+        assert verdicts[False] >= 50, verdicts
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_chains_longer_than_the_witness_search(self, n):
+        # Disjoint names A0..An with Ai <= exists r.A(i+1): A0 needs n + 1
+        # elements, beyond find_witness's three once n >= 3. Emptying An
+        # makes A0 unsat, which elimination finds only after n rounds.
+        chain = [Atomic(f"A{i}") for i in range(n + 1)]
+        inclusions = [(a, Exists("r", b)) for a, b in zip(chain, chain[1:])]
+        inclusions += [(a, Not(b)) for i, a in enumerate(chain) for b in chain[i + 1 :]]
+        assert self.agree([(TBox(inclusions), chain[0]), (TBox(inclusions + [(chain[-1], BOT)]), chain[0])]) == {
+            True: 1,
+            False: 1,
+        }
+        if n == 3:  # 21 extension bits at three elements, inside the search's limit
+            sig = Signature(concept_names=[a.name for a in chain], role_names=("r",))
+            assert find_witness(sig, TBox(inclusions), chain[0], 3) is None
 
 
 class TestCompiledTBox:
