@@ -36,12 +36,14 @@ whatever its facts are.
 
 Global sections and gluing candidates are listed in one canonical order:
 with the facts sorted by their text, subset number ``code`` holds fact
-i exactly when bit i of ``code`` is set. Listing costs one set union and
-one ``Section`` per subset.
+i exactly when bit i of ``code`` is set. Listing costs one set union per
+subset; the ``Section`` records are filled column by column
+(``values.records``), with no Python call per subset.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import attrgetter
 from typing import Iterable, Mapping, Union
 
@@ -52,7 +54,7 @@ from ctxdl.errors import (
     UnknownNameError,
 )
 from ctxdl.kb import Assertion, canonical_abox, parse_fact_list  # parse_fact_list: perfbench/ reads it from here
-from ctxdl.values import Record
+from ctxdl.values import Record, records
 
 DEFAULT_MAX_UNIVERSE = 20
 
@@ -207,18 +209,17 @@ def glue(
     if obstructions:
         return Incompatible(tuple(obstructions))
     free = target_univ - forced_in - forced_out
+    base = frozenset(forced_in)
     if not free:
-        return Glued(Section(cov.target, frozenset(forced_in)))
+        return Glued(Section(cov.target, base))
     if len(free) > max_universe:
         raise SearchSpaceError(
             f"gluing over {cov.target!r} leaves {len(free)} facts free, so "
             f"2^{len(free)} candidates, above the listing limit of {max_universe}"
         )
-    candidates = tuple(
-        Section(cov.target, frozenset(forced_in) | extra)
-        for extra in _subsets_in_order(free)
-    )
-    return NonUnique(candidates)
+    extras = _subsets_in_order(free)
+    candidates = records(Section, len(extras), repeat(cov.target), map(base.__or__, extras))
+    return NonUnique(tuple(candidates))
 
 
 def _subsets_in_order(facts: Iterable[Fact]) -> list[frozenset[Fact]]:
@@ -308,7 +309,8 @@ def global_sections(
         raise SearchSpaceError(
             f"universe of {top!r} has {len(univ)} facts, above the limit of {max_universe}"
         )
-    return [Section(top, facts) for facts in _subsets_in_order(univ)]
+    subsets = _subsets_in_order(univ)
+    return records(Section, len(subsets), repeat(top), subsets)
 
 
 def chain_from(poset_coverings: list[Covering], top: str) -> list[Covering]:

@@ -10,6 +10,8 @@ microseconds, where ``@dataclass`` spends about a millisecond per class.
 The generic constructor, ``==`` and ``hash`` cost more per call than
 generated ones, so a class used on a hot path writes its own ``__init__``
 of ``object.__setattr__`` calls (caches included), which is faster.
+A listing of many records of one class is built by ``records``, which
+fills each slot column by column and makes no Python call per record.
 
 ``render`` is the one walk that turns a tree into text: the repr here,
 and the printers of concepts, guards and programs. Each node lists its
@@ -30,7 +32,8 @@ Patel-Schneider (J. Logic Comput. 1999) and of FaCT++.
 
 from __future__ import annotations
 
-from itertools import count
+from collections import deque
+from itertools import count, repeat
 from operator import attrgetter
 from weakref import ref
 
@@ -207,3 +210,28 @@ class Node(Record):
 
 
 Node._caches = ()  # not _hash, which __new__ sets once and never to None
+
+
+def records(cls: type, count: int, *columns) -> list:
+    """*count* records of *cls*; record i takes value i of each column, one
+    column per field in field order, and its caches start as None.
+
+    Each record equals ``cls(*values)``, but no ``__init__`` runs, so one
+    that does more than set the fields and caches is skipped: the objects
+    come from ``object.__new__`` and each slot's descriptor fills one
+    column in a loop that stays in C. A ``Node`` class raises TypeError,
+    since a node must come from its unique table. A column shorter than
+    *count* raises ValueError.
+    """
+    if issubclass(cls, Node):
+        raise TypeError(f"{cls.__name__} is a Node: build it through its unique table")
+    if len(columns) != len(cls._fields):
+        raise TypeError(f"{cls.__name__} takes {len(cls._fields)} columns but {len(columns)} were given")
+    out = list(map(object.__new__, repeat(cls, count)))
+    for name, column in zip(cls._fields, columns):
+        deque(map(getattr(cls, name).__set__, out, column), maxlen=0)
+        if out and not hasattr(out[-1], name):
+            raise ValueError(f"column {name!r} has fewer than {count} values")
+    for name in cls._caches:
+        deque(map(getattr(cls, name).__set__, out, repeat(None)), maxlen=0)
+    return out

@@ -418,6 +418,8 @@ class TestCanonicalOrder:
             ps = Presheaf(poset, {"U": facts, "V": facts[:split], "W": facts[split:]})
             got = global_sections(ps, "U", [Covering("U", ["V", "W"])])
             assert got == [Section("U", s) for s in per_code_subsets(facts)]
+            assert all(type(s) is Section for s in got)
+            assert len(set(map(id, got))) == len(got)
 
     def test_glue_candidates_list_in_per_code_order(self):
         rng = random.Random(113)
@@ -432,6 +434,8 @@ class TestCanonicalOrder:
             assert got == NonUnique(
                 tuple(Section("U", forced | extra) for extra in per_code_subsets(free))
             )
+            assert all(type(s) is Section for s in got.candidates)
+            assert len(set(map(id, got.candidates))) == len(got.candidates)
 
     def test_glue_candidates_on_random_presheaves(self):
         rng = random.Random(127)
@@ -447,5 +451,7 @@ class TestCanonicalOrder:
             assert got.candidates == tuple(
                 Section(cov.target, forced | extra) for extra in per_code_subsets(free)
             )
+            assert all(type(s) is Section for s in got.candidates)
+            assert len(set(map(id, got.candidates))) == len(got.candidates)
             listed += 1
         assert listed >= 25

@@ -24,7 +24,7 @@ from ctxdl.kb import AssertGuard, ConceptAssertion, GuardAnd, KnowledgeState
 from ctxdl.programs import SKIP, Seq
 from ctxdl.reasoner import EMPTY_TBOX, FiniteModel, TBox
 from ctxdl.sheaf import Section
-from ctxdl.values import Node, Record
+from ctxdl.values import Node, Record, records
 from oracles import recursive_repr
 
 
@@ -117,6 +117,38 @@ class TestRecord:
         p = Pair(1, frozenset({2}))
         assert pickle.loads(pickle.dumps(p)) == p
         assert copy.deepcopy(p) == p and copy.copy(p) == p
+
+
+class TestRecords:
+    def test_records_equal_constructor_built_ones(self):
+        values = [None, 0, "x'y", frozenset({concept_fact("a", "A")}), Pair(1, 2)]
+        built = records(Memo, len(values), values)
+        assert [type(m) for m in built] == [Memo] * len(values)
+        for got, value in zip(built, values):
+            want = Memo(value)
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+            assert pickle.loads(pickle.dumps(got)) == want
+        pairs = records(Pair, 3, "abc", range(3))
+        assert pairs == [Pair("a", 0), Pair("b", 1), Pair("c", 2)]
+
+    def test_caches_start_empty(self):
+        assert [m._seen for m in records(Memo, 4, range(4))] == [None] * 4
+
+    def test_count_zero_gives_no_records(self):
+        assert records(Memo, 0, []) == []
+        assert records(Pair, 0, iter(()), iter(())) == []
+
+    def test_node_classes_are_refused(self):
+        marker = object()
+        with pytest.raises(TypeError):
+            records(Cell, 1, [marker])
+        assert Cell.existing(marker) is None
+
+    def test_columns_must_match_the_fields_and_the_count(self):
+        with pytest.raises(TypeError):
+            records(Pair, 1, [1])
+        with pytest.raises(ValueError):
+            records(Pair, 3, [1, 2, 3], [1, 2])
 
 
 class TestNode:
