@@ -30,7 +30,9 @@ from ctxdl.errors import (
     RefinementChainError,
     SearchSpaceError,
 )
-from ctxdl.kb import GUARD_MODES, KnowledgeState, canonical_abox, parse_fact_list, parse_fact_list_stream, saturate
+from ctxdl.kb import (
+    GUARD_MODES, KnowledgeState, WorkingState, canonical_abox, parse_fact_list, parse_fact_list_stream, saturate
+)
 from ctxdl.kbfile import KBDocument, load_kb, load_state, write_state
 from ctxdl.lexer import TokenStream, tokenize
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET, is_satisfiable, subsumes
@@ -193,7 +195,7 @@ def _cmd_run(args, report: _Report) -> None:
 
 
 def _cmd_apply_oracle(args, report: _Report) -> None:
-    from ctxdl.oracle import OracleQuery, load_script, oracle_step, record_session, replay_session
+    from ctxdl.oracle import OracleQuery, ask, load_script, record_session, replay_session
 
     doc, state = _load_doc_state(args)
     if args.replay:
@@ -206,9 +208,10 @@ def _cmd_apply_oracle(args, report: _Report) -> None:
     if args.record:
         sink = open(args.record, "w", encoding="utf-8")
         spec = record_session(spec, sink)
+    work = WorkingState(state)
     try:
         for i, payload in enumerate(args.payload):
-            state, response = oracle_step(state, spec, OracleQuery(spec.name, payload))
+            (response,) = ask(work, spec, (OracleQuery(spec.name, payload),))
             report.add(
                 {
                     "command": "oracle-step",
@@ -222,7 +225,7 @@ def _cmd_apply_oracle(args, report: _Report) -> None:
     finally:
         if sink is not None:
             sink.close()
-    _report_final(report, args, doc.signature, state.abox, {"command": "oracle-final"})
+    _report_final(report, args, doc.signature, work.abox, {"command": "oracle-final"})
 
 
 def _parse_cli_section(text: str, doc: KBDocument, ps: Presheaf) -> Section:

@@ -34,14 +34,14 @@ whenever it is asked. A digest that JSON writes unchanged is a
 ``Digest``, a ``str`` subclass: the sort checks the whole string once,
 the splice only the lines it adds, and a session log writes it verbatim.
 
-``KnowledgeState.updated`` builds a new frozen state for each change and
-splices its digest at once. A run that uses each of its intermediate
-states once (an agent's interaction, an oracle session, a program
-evaluation) changes one ``WorkingState`` in place instead: it copies the
-fact set of the state it starts from once, into a ``set``, and notes each
-assertion it writes, so ``apply``, ``add`` and ``discard`` each cost a set
-update; the digest is spliced, by the same code, only when it is read.
-``freeze`` gives the ``KnowledgeState`` at the end.
+A ``KnowledgeState`` is never changed. Every change goes through a
+``WorkingState``, which a run (an agent's interaction, an oracle session,
+a program evaluation) changes in place: it copies the fact set of the
+state it starts from once, into a ``set``, and notes each assertion it
+writes, so ``apply``, ``add`` and ``discard`` each cost a set update; the
+digest is spliced only when it is read. ``freeze`` gives the
+``KnowledgeState`` at the end, which splices from the same base, so a
+chain of runs splices from one indexed string.
 
 Guard satisfaction has two modes. ``literal`` checks raw membership of the
 asserted fact in the current fact set. ``saturated`` additionally accepts a
@@ -152,26 +152,6 @@ class KnowledgeState(Record):
         unless a line holds a ';', which would make the kept string ambiguous."""
         return _kept_digest(self)
 
-    def updated(
-        self, additions: Iterable[Assertion], deletions: Iterable[Assertion] = ()
-    ) -> "KnowledgeState":
-        """The state whose fact set is ``(abox | additions) - deletions``.
-
-        Its digest is spliced from the one its base keeps (``_spliced``):
-        this state's base, or this state when it has none, so a chain of
-        updates splices from one indexed string, with no sort and no render
-        of the rest.
-        """
-        removed, added = _change(self.abox, additions, deletions)
-        if not removed and not added:
-            return self
-        abox = self.abox - removed if removed else self.abox  # each set operation copies
-        child = KnowledgeState(self.tbox, abox | added if added else abox)
-        _set(child, "_base", self if self._base is None else self._base)
-        _set(child, "_touched", self._touched | removed | added)
-        child.digest  # spliced now, so the child carries its digest
-        return child
-
 
 class WorkingState:
     """A fact set that one run changes in place: the inclusions, a ``set``
@@ -204,7 +184,8 @@ class WorkingState:
 
     def apply(self, additions: Iterable[Assertion], deletions: Iterable[Assertion] = ()) -> None:
         """Make the fact set ``(abox | additions) - deletions``."""
-        removed, added = _change(self.abox, additions, deletions)
+        deletions = frozenset(deletions)
+        removed, added = deletions & self.abox, frozenset(additions) - deletions - self.abox
         if removed or added:
             self.abox -= removed
             self.abox |= added
@@ -264,15 +245,6 @@ def _kept_digest(state: Union[KnowledgeState, WorkingState]) -> str:
             _set(state, "_base", base)
             _set(state, "_touched", type(state._touched)())
     return state._digest
-
-
-def _change(
-    abox: AbstractSet[Assertion], additions: Iterable[Assertion], deletions: Iterable[Assertion]
-) -> tuple[frozenset[Assertion], frozenset[Assertion]]:
-    """The assertions that ``(abox | additions) - deletions`` removes from
-    *abox* and those it adds."""
-    deletions = frozenset(deletions)
-    return deletions & abox, frozenset(additions) - deletions - abox
 
 
 def _line_index(digest: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
@@ -480,7 +452,7 @@ def _holds_saturated(abox: AbstractSet[Assertion], wanted: Assertion, poset: Con
 
 
 def guard_sat(
-    state: KnowledgeState,
+    state: Union[KnowledgeState, WorkingState],
     guard: Guard,
     mode: str = "literal",
     poset: ContextPoset | None = None,
@@ -490,7 +462,7 @@ def guard_sat(
     """Decide whether *state* satisfies *guard*.
 
     *state* is read through its ``tbox`` and its ``abox``, which may be any
-    set of assertions: program evaluation passes its working fact set.
+    set of assertions: program evaluation passes its ``WorkingState``.
     Assertion atoms test membership (literal mode) or saturated membership
     (saturated mode, which requires the context poset). Subsumption atoms
     consult the reasoner and may raise BudgetExceededError. The inclusions

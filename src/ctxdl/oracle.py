@@ -8,11 +8,12 @@ globbing. A lookup tries the exact entries of the payload first, then the
 payload patterns in file order. A step reads the digest its state keeps,
 and the next state's digest is spliced from its base's (see ``ctxdl.kb``),
 so a session sorts its fact set once, not once per query; the digest
-format is unchanged. ``oracle_step`` makes the next state with
-``KnowledgeState.updated``, which copies the fact set and splices the
-digest at once; ``run_session`` runs its queries with ``ask`` on one
-``WorkingState``, which copies the fact set once on the way in and once
-on the way out, and splices a digest only when a query reads it.
+format is unchanged. ``ask`` runs queries on one ``WorkingState`` in
+place and splices a digest only when a query reads it. ``run_session``
+makes that working state from a ``KnowledgeState`` and freezes it at the
+end, so it copies the fact set once on the way in and once on the way
+out. ``oracle_step`` is ``run_session`` of one query; nothing in the
+library calls it.
 
 Script files are line-delimited JSON. An optional first header record sets
 flags; every other record is one table entry::
@@ -296,13 +297,14 @@ def load_script(source: Union[str, Path, IO[str]], sig: Signature) -> ScriptedOr
 def oracle_step(
     state: KnowledgeState, spec: OracleSpec, query: OracleQuery
 ) -> tuple[KnowledgeState, OracleResponse]:
-    """Apply one externally justified transition to the fact set.
+    """``run_session`` of the one *query*: the next state and the response.
 
-    The inclusions are never touched. Raises UnknownOracleError when the
-    query names a different oracle than *spec* serves.
+    Nothing in the library calls it: a run of several queries asks one
+    working state (``ask``) rather than copy the fact set per query. The
+    benchmark's tracer (``perfbench/tracing.py``) wraps it by name.
     """
-    response = _respond(spec, state.digest, query)
-    return state.updated(response.additions, response.deletions), response
+    state, (response,) = run_session(state, spec, (query,))
+    return state, response
 
 
 def run_session(
@@ -315,21 +317,21 @@ def run_session(
 
 
 def ask(work: WorkingState, spec: OracleSpec, queries: Iterable[OracleQuery]) -> list[OracleResponse]:
-    """Apply a sequence of queries in order to *work*, in place."""
+    """Apply a sequence of queries in order to *work*, in place.
+
+    The inclusions are never touched. Raises UnknownOracleError when a
+    query names a different oracle than *spec* serves.
+    """
     responses = []
     for query in queries:
-        response = _respond(spec, work.digest, query)
+        if query.oracle != spec.name:
+            raise UnknownOracleError(
+                f"unknown oracle {query.oracle!r}: this session serves {spec.name!r}"
+            )
+        response = spec.respond(work.digest, query.payload)
         work.apply(response.additions, response.deletions)
         responses.append(response)
     return responses
-
-
-def _respond(spec: OracleSpec, digest: str, query: OracleQuery) -> OracleResponse:
-    if query.oracle != spec.name:
-        raise UnknownOracleError(
-            f"unknown oracle {query.oracle!r}: this session serves {spec.name!r}"
-        )
-    return spec.respond(digest, query.payload)
 
 
 # ---------------------------------------------------------------------------

@@ -361,15 +361,12 @@ class _Runner:
 
     ``Add`` and ``Del`` write the working state in place, so a write costs
     its one assertion, not a copy of the fact set; the writes are kept so
-    that ``undo`` can take them back. Guards read the runner itself through
-    ``guard_sat``, which looks only at ``tbox`` and ``abox``; the verdicts
-    of subsumption atoms are kept on the TBox, not on the run.
+    that ``undo`` can take them back. The verdicts of subsumption atoms are
+    kept on the TBox, not on the run.
     """
 
     def __init__(self, work: WorkingState, mode: str, poset: ContextPoset | None, budget: int, tracing: bool):
         self.work = work
-        self.tbox = work.tbox
-        self.abox = work.abox
         self.written: list[Assertion] = []
         self.mode = mode
         self.poset = poset
@@ -422,12 +419,12 @@ class _Runner:
                 if tracing:
                     self._record("del", None, removed=(beta,) if written else ())
             elif kind is If:
-                taken = guard_sat(self, prog.guard, self.mode, self.poset, budget=self.budget)
+                taken = guard_sat(self.work, prog.guard, self.mode, self.poset, budget=self.budget)
                 if tracing:
                     self._record("if-true" if taken else "if-false", taken)
                 pending.append(prog.then_branch if taken else prog.else_branch)
             elif kind is While:
-                taken = guard_sat(self, prog.guard, self.mode, self.poset, budget=self.budget)
+                taken = guard_sat(self.work, prog.guard, self.mode, self.poset, budget=self.budget)
                 if tracing:
                     self._record("while-true" if taken else "while-false", taken)
                 if taken:

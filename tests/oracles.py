@@ -6,22 +6,24 @@ gluing oracle tries all 2^n candidate subsets literally, the stability
 oracle re-glues every refinement stage with it, the plain tableau
 internalizes every inclusion and backtracks chronologically, the scan
 projection matches every assertion against every pattern, the plain
-digest renders every assertion afresh, and the reference evaluator
-recurses over the program, copies the fact set on every write and runs
-the tableau for every subsumption guard it tests. The per-code subset
-listing builds each subset from its bit code, the recursive guard
-evaluator recurses once per guard node, the recursive printers recurse once
-per program and guard node, the whole-space witness search evaluates
-every code of a domain size in one int, and the per-code model enumerator
-decodes every code into an explicit model and checks each inclusion on it
-with the recursive model evaluator. The forking tableau copies the
-label at each disjunction and recurses into the left branch, the
-recursive ``nnf`` builds a fresh tree without reading any node's cache,
-the recursive concept printer and the recursive model evaluator recurse
-once per concept node, and the recursive repr once per record. The
-pattern regexes read a projection pattern without the fact parser. Type
-elimination decides satisfiability over models of every size, by
-pruning bit-sliced sets of atom valuations.
+digest renders every assertion afresh, the plain session answers each
+query from the plain digest and rebuilds the fact set as a plain set,
+and the reference evaluator recurses over the program, copies the fact
+set on every write and runs the tableau for every subsumption guard it
+tests. The per-code subset listing builds each subset from its bit code,
+the recursive guard evaluator recurses once per guard node, the
+recursive printers recurse once per program and guard node, the
+whole-space witness search evaluates every code of a domain size in one
+int, and the per-code model enumerator decodes every code into an
+explicit model and checks each inclusion on it with the recursive model
+evaluator. The forking tableau copies the label at each disjunction and
+recurses into the left branch, the recursive ``nnf`` builds a fresh tree
+without reading any node's cache, the recursive concept printer and the
+recursive model evaluator recurse once per concept node, and the
+recursive repr once per record. The pattern regexes read a projection
+pattern without the fact parser. Type elimination decides satisfiability
+over models of every size, by pruning bit-sliced sets of atom
+valuations.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from ctxdl.concepts import (
     print_concept,
     print_concept_operand,
 )
-from ctxdl.errors import BudgetExceededError, EvalAborted, RefinementChainError, UnknownNameError
+from ctxdl.errors import BudgetExceededError, EvalAborted, RefinementChainError, UnknownNameError, UnknownOracleError
 from ctxdl.kb import (
     GUARD_MODES,
     AssertGuard,
@@ -322,6 +324,21 @@ def plain_fact_text(f):
     if isinstance(f, ConceptAssertion):
         return f"{f.individual}:{print_concept(f.concept)}"
     return f"({f.subject},{f.target}):{f.role}"
+
+
+def plain_session(state, spec, queries):
+    """Each query answered from ``plain_digest`` of a plain set, which is
+    rebuilt as ``(abox | additions) - deletions``, mirroring the contract
+    of oracle.run_session(): the final state and the responses.
+    """
+    abox, responses = set(state.abox), []
+    for query in queries:
+        if query.oracle != spec.name:
+            raise UnknownOracleError(f"unknown oracle {query.oracle!r}: this session serves {spec.name!r}")
+        response = spec.respond(plain_digest(abox), query.payload)
+        abox = (abox | response.additions) - response.deletions
+        responses.append(response)
+    return KnowledgeState(state.tbox, frozenset(abox)), responses
 
 
 def reference_evaluate_trace(prog, state, fuel, mode="literal", poset=None, *, budget=DEFAULT_NODE_BUDGET):

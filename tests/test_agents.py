@@ -36,10 +36,10 @@ from ctxdl.concepts import And, Atomic, Not
 from ctxdl.contexts import ContextPoset
 from ctxdl.errors import EvalAborted, InteractionError, LoadError, OracleError, ParseError, read_json
 from ctxdl.kb import GUARD_MODES, ConceptAssertion, KnowledgeState, RoleAssertion, SubsumeGuard
-from ctxdl.oracle import OracleQuery, OracleResponse, ScriptEntry, ScriptedOracle, oracle_step, record_session
-from ctxdl.programs import FuelExhausted, evaluate, execute, parse_program
+from ctxdl.oracle import OracleQuery, OracleResponse, ScriptEntry, ScriptedOracle, record_session
+from ctxdl.programs import FuelExhausted, execute, parse_program
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET, EMPTY_TBOX, TBox
-from oracles import regex_pattern, scan_project
+from oracles import plain_digest, plain_session, reference_evaluate_trace, regex_pattern, scan_project
 
 POSET = ContextPoset(["U", "V", "W"], [("V", "U"), ("W", "V")])
 EMPTY_STATE = KnowledgeState(EMPTY_TBOX, frozenset())
@@ -300,9 +300,10 @@ class TestInteract:
 
 
 class TestAgainstReferencePipeline:
-    """``interact`` runs on one working state; the reference builds a frozen
-    state at every stage: ``base.updated``, then ``oracle_step`` per query,
-    then ``evaluate``, then ``scan_project``. Both record their sessions."""
+    """``interact`` runs on one working state; the reference shares none of
+    its state code: a plain set for the fact set, ``plain_session`` for the
+    queries, ``reference_evaluate_trace`` for the program, then
+    ``scan_project``. Both record their sessions."""
 
     TBOX = TBox([(Atomic("A"), And(Atomic("B"), Atomic("C")))])
     SUBSUMPTIONS = (SubsumeGuard(Atomic("A"), Atomic("B")), SubsumeGuard(Atomic("B"), Atomic("A")))
@@ -313,16 +314,21 @@ class TestAgainstReferencePipeline:
 
     @staticmethod
     def reference(agent, latent, seed, budget):
-        state = agent.base_state.updated(f.at(agent.input_context) for f in latent.payload)
+        injected = {f.at(agent.input_context) for f in latent.payload}
+        state = agent.base_state.with_abox(agent.base_state.abox | injected)
         if agent.oracle is not None:
-            for template in agent.queries:
-                query = OracleQuery(agent.oracle.name, template.format(seed=seed, parity=seed % 2))
-                try:
-                    state, _ = oracle_step(state, agent.oracle, query)
-                except OracleError as exc:
-                    raise InteractionError(f"oracle failure: {exc}") from exc
+            queries = [
+                OracleQuery(agent.oracle.name, template.format(seed=seed, parity=seed % 2))
+                for template in agent.queries
+            ]
+            try:
+                state, _ = plain_session(state, agent.oracle, queries)
+            except OracleError as exc:
+                raise InteractionError(f"oracle failure: {exc}") from exc
         if agent.program is not None:
-            outcome = evaluate(agent.program, state, agent.fuel, agent.guard_mode, agent.poset, budget=budget)
+            outcome, _ = reference_evaluate_trace(
+                agent.program, state, agent.fuel, agent.guard_mode, agent.poset, budget=budget
+            )
             if isinstance(outcome, FuelExhausted):
                 raise InteractionError(
                     f"agent program exhausted its fuel of {agent.fuel} after {outcome.steps} steps"
@@ -344,18 +350,19 @@ class TestAgainstReferencePipeline:
         for pattern in ("w*", "scan-*", "tail-1*", "t*", "probe"):
             if rng.random() < 0.6:
                 spec.add(ScriptEntry(pattern, None, respond()))
+        injected = {f.at(agent.input_context) for f in latent.payload}
         for seed in seeds:
-            state = agent.base_state.updated(f.at(agent.input_context) for f in latent.payload)
+            state = agent.base_state.with_abox(agent.base_state.abox | injected)
             for template in self.TEMPLATES:
                 payload = template.format(seed=seed, parity=seed % 2)
-                missed = state.updated({random_assertion(rng, SIG, contexts)}).digest
-                for digest in [state.digest] * (rng.random() < 0.7) + [missed] * (rng.random() < 0.5):
+                missed = plain_digest(state.abox | {random_assertion(rng, SIG, contexts)})
+                for digest in [plain_digest(state.abox)] * (rng.random() < 0.7) + [missed] * (rng.random() < 0.5):
                     try:
                         spec.add(ScriptEntry(payload, digest, respond()))
                     except ValueError:  # an earlier seed keyed it already
                         pass
                 try:
-                    state, _ = oracle_step(state, spec, OracleQuery("feed", payload))
+                    state, _ = plain_session(state, spec, (OracleQuery("feed", payload),))
                 except OracleError:
                     break
         return spec

@@ -228,6 +228,57 @@ class TestOracleCommand:
         assert code == 1
         assert "position 0" in err
 
+    def write_deleting_script(self, tmp_path):
+        """Payload scan-2 deletes a fact only in the state that scan-1 reaches
+        from chain.kb; in any other state it changes nothing."""
+        script = tmp_path / "deleting.jsonl"
+        entries = [
+            {"allow_deletions": True},
+            {"oracle": "probe", "match": {"payload": "scan-1"}, "add": ["a:B@U"]},
+            {
+                "oracle": "probe",
+                "match": {"payload": "scan-2", "state": "a:A@U;a:B@U"},
+                "add": ["a:C@U"],
+                "del": ["a:A@U"],
+            },
+            {"oracle": "probe", "match": {"payload": "scan-2"}, "add": []},
+        ]
+        script.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
+        return script
+
+    def test_exact_state_deletion_records_and_replays(self, capsys, tmp_path):
+        script, log = self.write_deleting_script(tmp_path), tmp_path / "session.jsonl"
+        payloads = ("--payload", "scan-1", "--payload", "scan-2")
+        code, first, _ = run_cli(
+            "apply-oracle", SAMPLES / "chain.kb", "--script", script, *payloads, "--record", log,
+            "--format", "records", capsys=capsys,
+        )
+        assert code == 0
+        recs = records_of(first)
+        assert recs[1]["added"] == ["a:C@U"] and recs[1]["removed"] == ["a:A@U"]
+        assert recs[-1]["assertions"] == ["a:B@U", "a:C@U"]
+        assert [json.loads(line)["match"]["state"] for line in log.read_text(encoding="utf-8").splitlines()] == [
+            "a:A@U",
+            "a:A@U;a:B@U",
+        ]
+        code, second, _ = run_cli(
+            "apply-oracle", SAMPLES / "chain.kb", "--replay", log, *payloads,
+            "--format", "records", capsys=capsys,
+        )
+        assert code == 0
+        assert first == second
+
+    def test_miss_after_two_steps_prints_nothing_and_keeps_their_log(self, capsys, tmp_path):
+        script, log = self.write_deleting_script(tmp_path), tmp_path / "session.jsonl"
+        code, out, err = run_cli(
+            "apply-oracle", SAMPLES / "chain.kb", "--script", script,
+            "--payload", "scan-1", "--payload", "scan-2", "--payload", "bogus", "--record", log,
+            capsys=capsys,
+        )
+        assert code == 1 and out == ""
+        assert "no entry for payload 'bogus'" in err
+        assert [json.loads(line)["seq"] for line in log.read_text(encoding="utf-8").splitlines()] == [0, 1]
+
     def test_unknown_payload_is_a_runtime_error(self, capsys):
         code, _, err = run_cli(
             "apply-oracle", SAMPLES / "chain.kb", "--script", SAMPLES / "probe_session.jsonl",

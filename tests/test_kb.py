@@ -29,6 +29,7 @@ from ctxdl.kb import (
     RoleAssertion,
     SubsumeGuard,
     TRUE_GUARD,
+    WorkingState,
     abox_digest,
     canonical_abox,
     guard_sat,
@@ -172,7 +173,10 @@ class TestRenderingCache:
         assert kept.lines == tuple(canonical_abox(abox)) and fresh._digest is None
         assert kept.with_abox(()) == KnowledgeState(EMPTY_TBOX, frozenset())
         assert kept.with_abox(())._digest is None
-        child = kept.updated({ca("a", "A", "U")})
+        work = WorkingState(kept)
+        work.apply({ca("a", "A", "U")})
+        work.digest  # spliced from the kept lines; freeze hands it on
+        child = work.freeze()
         assert child._digest == abox_digest(child.abox)
         assert child == KnowledgeState(EMPTY_TBOX, abox | {ca("a", "A", "U")})
 

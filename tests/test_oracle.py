@@ -115,6 +115,14 @@ class TestOracleStep:
             OracleResponse(frozenset({BETA}), frozenset({BETA}))
 
 
+def frozen_change(state, additions, deletions=()):
+    """The state whose fact set is ``(abox | additions) - deletions``, made
+    the way ``oracle_step`` makes it: a working state, one change, frozen."""
+    work = WorkingState(state)
+    work.apply(additions, deletions)
+    return work.freeze()
+
+
 class Unhashable(str):
     """A digest that fails any lookup that hashes it."""
 
@@ -477,13 +485,13 @@ class TestDerivedDigests:
     @example(frozenset({SPLIT_NAME}), [(frozenset({BETA}), frozenset()), (frozenset(), frozenset({SPLIT_NAME}))])
     @example(frozenset({BETA}), [(frozenset({SPLIT_ROLE}), frozenset()), (frozenset({GAMMA}), frozenset({SPLIT_ROLE}))])
     @settings(max_examples=300, deadline=None)
-    def test_updated_digests_equal_abox_digest(self, base, changes):
+    def test_frozen_chain_digests_equal_abox_digest(self, base, changes):
         state, want = KnowledgeState(EMPTY_TBOX, base), base
         for additions, deletions in changes:
-            state = state.updated(additions, deletions)
+            state = frozen_change(state, additions, deletions)
             want = (want | additions) - deletions
             assert state.abox == want
-            assert state._digest in (None, abox_digest(want))  # spliced, or left for a sort
+            assert state._digest in (None, abox_digest(want))  # carried over, or left for a splice or sort
             assert state.digest == abox_digest(want) == plain_digest(want)
             # Kept exactly when no line holds a ';'.
             assert (state._digest is None) == any(";" in a.text for a in want)
@@ -554,12 +562,12 @@ class TestDerivedDigests:
             if write[0] == "apply":
                 _, additions, deletions = write
                 work.apply(additions, deletions)
-                chain = chain.updated(additions, deletions)
+                chain = frozen_change(chain, additions, deletions)
                 want = (want | additions) - deletions
             else:
                 _, a = write
                 getattr(work, write[0])(a)
-                chain = chain.updated({a}) if write[0] == "add" else chain.updated((), {a})
+                chain = frozen_change(chain, {a}) if write[0] == "add" else frozen_change(chain, (), {a})
                 want = want | {a} if write[0] == "add" else want - {a}
             assert work.abox == want == chain.abox
             if read:
