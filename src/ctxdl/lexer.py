@@ -145,9 +145,6 @@ class TokenStream:
         tok = self.peek()
         return tok.kind == IDENT and tok.text == word
 
-    def at_end(self) -> bool:
-        return self.peek().kind == END
-
     def expect_end(self) -> None:
         tok = self.peek()
         if tok.kind != END:

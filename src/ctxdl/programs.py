@@ -84,8 +84,6 @@ from ctxdl.values import Node, Record, render
 
 DEFAULT_FUEL = 10_000
 
-_set = object.__setattr__  # writes a field past Record's frozen __setattr__
-
 
 # Program nodes are interned like guard and concept nodes (see
 # ``ctxdl.values``), so comparing or hashing a long ``;`` chain costs one step.
@@ -130,14 +128,6 @@ class TraceEntry(Record):
     """
 
     __slots__ = ("rule", "guard", "added", "removed")
-
-    def __init__(
-        self, rule: str, guard: bool | None, added: frozenset[Assertion], removed: frozenset[Assertion]
-    ):
-        _set(self, "rule", rule)
-        _set(self, "guard", guard)
-        _set(self, "added", added)
-        _set(self, "removed", removed)
 
 
 class Terminated(Record):
@@ -355,89 +345,6 @@ def _guard_parts(g: Guard) -> list:
 # ---------------------------------------------------------------------------
 
 
-class _Runner:
-    """One evaluation on a working state: the inclusions, the working fact
-    set, the writes made so far and, when asked for, the trace.
-
-    ``Add`` and ``Del`` write the working state in place, so a write costs
-    its one assertion, not a copy of the fact set; the writes are kept so
-    that ``undo`` can take them back. The verdicts of subsumption atoms are
-    kept on the TBox, not on the run.
-    """
-
-    def __init__(self, work: WorkingState, mode: str, poset: ContextPoset | None, budget: int, tracing: bool):
-        self.work = work
-        self.written: list[Assertion] = []
-        self.mode = mode
-        self.poset = poset
-        self.budget = budget
-        self.trace: list[TraceEntry] | None = [] if tracing else None
-
-    def _record(self, rule: str, guard: bool | None, added: tuple = (), removed: tuple = ()):
-        self.trace.append(TraceEntry(rule, guard, frozenset(added), frozenset(removed)))
-
-    def undo(self) -> None:
-        """Take back every write, last first: each flipped its assertion in or out."""
-        for beta in reversed(self.written):
-            self.work.add(beta) or self.work.discard(beta)
-
-    def exec(self, prog: Program, fuel: int) -> tuple[int, bool]:
-        """Run *prog* on the working set; returns (fuel left, completed). A
-        False flag means the fuel hit zero before the next rule application.
-
-        Pending commands wait on an explicit stack, so nesting depth costs
-        no Python recursion. Fuel is checked before every rule application
-        and spent in the order of the big-step derivation: a ``Seq`` pays
-        before its first part runs, a loop pays for each guard test. Whether
-        a trace is kept is looked up once, so a run without one makes no
-        call to ``_record``. Each command's rule is picked by its exact
-        type, the most frequent kinds first.
-        """
-        tracing = self.trace is not None
-        pending = [prog]
-        while pending:
-            if fuel == 0:
-                return 0, False
-            prog = pending.pop()
-            fuel -= 1
-            kind = type(prog)
-            if kind is Seq:
-                pending.append(prog.second)
-                pending.append(prog.first)
-            elif kind is Add:
-                beta = prog.assertion
-                written = self.work.add(beta)
-                if written:
-                    self.written.append(beta)
-                if tracing:
-                    self._record("add", None, added=(beta,) if written else ())
-            elif kind is Del:
-                beta = prog.assertion
-                written = self.work.discard(beta)
-                if written:
-                    self.written.append(beta)
-                if tracing:
-                    self._record("del", None, removed=(beta,) if written else ())
-            elif kind is If:
-                taken = guard_sat(self.work, prog.guard, self.mode, self.poset, budget=self.budget)
-                if tracing:
-                    self._record("if-true" if taken else "if-false", taken)
-                pending.append(prog.then_branch if taken else prog.else_branch)
-            elif kind is While:
-                taken = guard_sat(self.work, prog.guard, self.mode, self.poset, budget=self.budget)
-                if tracing:
-                    self._record("while-true" if taken else "while-false", taken)
-                if taken:
-                    pending.append(prog)  # test the guard again after the body
-                    pending.append(prog.body)
-            elif kind is Skip:
-                if tracing:
-                    self._record("skip", None)
-            else:
-                raise TypeError(f"not a program: {prog!r}")
-        return fuel, True
-
-
 def execute(
     prog: Program,
     work: WorkingState,
@@ -452,21 +359,73 @@ def execute(
     completed before the fuel ran out, and, if *tracing*, the trace (else
     an empty one).
 
-    A run without a trace that aborts takes back its writes and runs again
-    with one: the run is deterministic, so it aborts at the same rule
-    application, and ``EvalAborted`` always carries the partial trace.
+    ``Add`` and ``Del`` write the working state in place, so a write costs
+    its one assertion, not a copy of the fact set. Pending commands wait on
+    an explicit stack, so nesting depth costs no Python recursion. Fuel is
+    checked before every rule application and spent in the order of the
+    big-step derivation: a ``Seq`` pays before its first part runs, a loop
+    pays for each guard test. Each command's rule is picked by its exact
+    type, the most frequent kinds first; a run without a trace makes no
+    trace entry.
+
+    A run without a trace that aborts takes back its writes, last first,
+    and runs again with one: the run is deterministic, so it aborts at the
+    same rule application, and ``EvalAborted`` always carries the partial
+    trace.
     """
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
-    runner = _Runner(work, mode, poset, budget, tracing)
+    written: list[Assertion] = []  # the writes that flipped their assertion in or out
+    trace: list[TraceEntry] = []
+    left = fuel
+    pending = [prog]
     try:
-        left, done = runner.exec(prog, fuel)
+        while pending and left:
+            cmd = pending.pop()
+            left -= 1
+            kind = type(cmd)
+            if kind is Seq:
+                pending.append(cmd.second)
+                pending.append(cmd.first)
+            elif kind is Add:
+                beta = cmd.assertion
+                flipped = work.add(beta)
+                if flipped:
+                    written.append(beta)
+                if tracing:
+                    trace.append(TraceEntry("add", None, frozenset((beta,) if flipped else ()), frozenset()))
+            elif kind is Del:
+                beta = cmd.assertion
+                flipped = work.discard(beta)
+                if flipped:
+                    written.append(beta)
+                if tracing:
+                    trace.append(TraceEntry("del", None, frozenset(), frozenset((beta,) if flipped else ())))
+            elif kind is If:
+                taken = guard_sat(work, cmd.guard, mode, poset, budget=budget)
+                if tracing:
+                    trace.append(TraceEntry("if-true" if taken else "if-false", taken, frozenset(), frozenset()))
+                pending.append(cmd.then_branch if taken else cmd.else_branch)
+            elif kind is While:
+                taken = guard_sat(work, cmd.guard, mode, poset, budget=budget)
+                if tracing:
+                    rule = "while-true" if taken else "while-false"
+                    trace.append(TraceEntry(rule, taken, frozenset(), frozenset()))
+                if taken:
+                    pending.append(cmd)  # test the guard again after the body
+                    pending.append(cmd.body)
+            elif kind is Skip:
+                if tracing:
+                    trace.append(TraceEntry("skip", None, frozenset(), frozenset()))
+            else:
+                raise TypeError(f"not a program: {cmd!r}")
     except BudgetExceededError as exc:
-        if not tracing:
-            runner.undo()
-            return execute(prog, work, fuel, mode, poset, budget=budget, tracing=True)
-        raise EvalAborted(exc, tuple(runner.trace)) from exc
-    return fuel - left, done, tuple(runner.trace or ())
+        if tracing:
+            raise EvalAborted(exc, tuple(trace)) from exc
+        for beta in reversed(written):
+            work.add(beta) or work.discard(beta)
+        return execute(prog, work, fuel, mode, poset, budget=budget, tracing=True)
+    return fuel - left, not pending, tuple(trace)
 
 
 def _run(

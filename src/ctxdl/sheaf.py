@@ -44,7 +44,7 @@ subset; the ``Section`` records are filled column by column
 from __future__ import annotations
 
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Union
 
 from ctxdl.contexts import ContextPoset, Covering, validate_covering
@@ -173,7 +173,10 @@ def glue(
     candidates map to Incompatible, Glued, and NonUnique (all candidates
     listed in canonical order). *max_universe* bounds only that listing:
     more free facts than that raise SearchSpaceError, whatever the size of
-    the target universe.
+    the target universe. When the family is compatible but no candidate
+    exists, Incompatible lists one conflict per obstructing fact, member by
+    member in family order: those of a member's own facts first, then those
+    of the facts it leaves out, each group sorted by text.
     """
     ok, conflicts = compatible(ps, family, cov)
     if not ok:
@@ -182,32 +185,33 @@ def glue(
     forced_in: set[Fact] = set()
     forced_out: set[Fact] = set()
     first_seen: dict[Fact, str] = {}
-    obstructions: list[Conflict] = []
-    for sec in family:
+    # The sets are walked in node-hash order, which depends on the nodes
+    # made before, so each obstruction waits under its (member, group,
+    # text) key and only the keys are compared.
+    obstructions: list[tuple[tuple[int, int, str], Conflict]] = []
+    for i, sec in enumerate(family):
         visible = ps.universe(sec.context)
         for f in sec.facts:
             if f not in target_univ:
                 # No target section can restrict to contain f.
-                obstructions.append(
-                    Conflict(sec.context, cov.target, cov.target, frozenset({f}))
-                )
+                conflict = Conflict(sec.context, cov.target, cov.target, frozenset({f}))
+                obstructions.append(((i, 0, f.text), conflict))
             elif f in forced_out:
-                obstructions.append(
-                    Conflict(first_seen[f], sec.context, cov.target, frozenset({f}))
-                )
+                conflict = Conflict(first_seen[f], sec.context, cov.target, frozenset({f}))
+                obstructions.append(((i, 0, f.text), conflict))
             else:
                 forced_in.add(f)
                 first_seen.setdefault(f, sec.context)
         for f in (visible & target_univ) - sec.facts:
             if f in forced_in:
-                obstructions.append(
-                    Conflict(first_seen[f], sec.context, cov.target, frozenset({f}))
-                )
+                conflict = Conflict(first_seen[f], sec.context, cov.target, frozenset({f}))
+                obstructions.append(((i, 1, f.text), conflict))
             else:
                 forced_out.add(f)
                 first_seen.setdefault(f, sec.context)
     if obstructions:
-        return Incompatible(tuple(obstructions))
+        obstructions.sort(key=itemgetter(0))
+        return Incompatible(tuple(map(itemgetter(1), obstructions)))
     free = target_univ - forced_in - forced_out
     base = frozenset(forced_in)
     if not free:

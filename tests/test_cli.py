@@ -356,6 +356,10 @@ GOLDEN_COMMANDS = {
     "glue_nonunique_mixed.records": [
         "glue", GOLDEN / "mixed.kb", "--target", "Dock", "--section", "Probe: scene:Obstacle",
     ],
+    "glue_incompatible_order.records": [
+        "glue", GOLDEN / "order.kb", "--target", "T",
+        "--section", "R: x:B, y:B", "--section", "L: x:A, z:B, w:A",
+    ],
     "stability_alternating.records": ["stability", SAMPLES / "sensor_alternating.json", "--runs", "4"],
     "stability_constant.records": ["stability", SAMPLES / "sensor_constant.json", "--runs", "4"],
 }

@@ -21,6 +21,7 @@ from ctxdl.kb import (
     RoleAssertion,
     SubsumeGuard,
     TRUE_GUARD,
+    WorkingState,
 )
 from ctxdl.programs import (
     Add,
@@ -33,6 +34,7 @@ from ctxdl.programs import (
     While,
     evaluate,
     evaluate_trace,
+    execute,
     parse_guard,
     parse_program,
     print_guard,
@@ -355,6 +357,19 @@ class TestAgainstReferenceEvaluator:
             untraced = run(evaluate, prog, start, fuel, mode, poset, budget=budget)
             assert untraced == (want if want[0] == "aborted" else want[0])
             assert start.abox is abox and abox == snapshot
+            # execute on working states the caller holds: an untraced run
+            # that aborts leaves its state as the traced run does.
+            traced_work, untraced_work = WorkingState(start), WorkingState(start)
+            traced = run(execute, prog, traced_work, fuel, mode, poset, budget=budget, tracing=True)
+            plain = run(execute, prog, untraced_work, fuel, mode, poset, budget=budget)
+            if want[0] == "aborted":
+                assert traced == plain == want
+            else:
+                steps, done = want[0].steps, isinstance(want[0], Terminated)
+                assert traced == (steps, done, want[1]) and plain == (steps, done, ())
+                assert traced_work.abox == want[0].state.abox
+            assert untraced_work.abox == traced_work.abox
+            assert untraced_work.digest == traced_work.digest
             seen.add(got[0] if isinstance(got[0], str) else type(got[0]).__name__)
         assert seen == {"Terminated", "FuelExhausted", "aborted"}
 

@@ -11,6 +11,7 @@ from oracles import brute_force_glue, brute_force_stable, per_code_subsets, powe
 from ctxdl.contexts import ContextPoset, Covering
 from ctxdl.errors import RefinementChainError, SearchSpaceError
 from ctxdl.sheaf import (
+    Conflict,
     Glued,
     Incompatible,
     NonUnique,
@@ -196,6 +197,27 @@ class TestGlue:
         result = glue(ps, [Section("V", frozenset({F1, F3}))], Covering("U", ["V"]))
         assert isinstance(result, Incompatible)
         assert any(F3 in c.facts for c in result.conflicts)
+
+    def test_obstructions_are_listed_in_family_and_text_order(self):
+        # The facts' nodes are made in reverse text order first, so their
+        # hashes (creation serials) set an order that is not text order.
+        pairs = [("oz", "B"), ("oy", "B"), ("ox", "B"), ("ox", "A"), ("ow", "A")]
+        zb, yb, xb, xa, wa = [concept_fact(a, c) for a, c in pairs]
+        # L and R have no meet, so the family is compatible; R forces x:B
+        # and y:B in and x:A and z:B out, and L claims the opposite, plus
+        # w:A, which T cannot express.
+        poset = ContextPoset(["T", "L", "R"], [("L", "T"), ("R", "T")])
+        shared = {xa, xb, yb, zb}
+        ps = Presheaf(poset, {"T": shared, "L": shared | {wa}, "R": shared})
+        family = [Section("R", frozenset({xb, yb})), Section("L", frozenset({xa, zb, wa}))]
+        result = glue(ps, family, Covering("T", ["L", "R"]))
+        assert result == Incompatible((
+            Conflict("L", "T", "T", frozenset({wa})),  # L's own facts, by text
+            Conflict("R", "L", "T", frozenset({xa})),
+            Conflict("R", "L", "T", frozenset({zb})),
+            Conflict("R", "L", "T", frozenset({xb})),  # then the facts L leaves out
+            Conflict("R", "L", "T", frozenset({yb})),
+        ))
 
     def test_universe_guard(self):
         # The limit bounds the listing of candidates: free facts, not the

@@ -24,7 +24,10 @@ bound (a fraction of the parent's median), "worse than bound" when by more,
 and "unresolved" when the parent's interquartile spread, as a fraction of
 its median, exceeds the bound, unless every run of the change read better
 than every run of the parent.
-Standard library only; it edits no file of either checkout.
+Standard library only; it edits no tracked file of either checkout. With
+``--trace 1``, ``perfbench/run.py`` leaves
+``.perfbench_work/trace-<workload>.tsv`` in each checkout, in a directory
+that git ignores.
 """
 
 from __future__ import annotations
