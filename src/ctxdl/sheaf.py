@@ -185,9 +185,9 @@ def glue(
     forced_in: set[Fact] = set()
     forced_out: set[Fact] = set()
     first_seen: dict[Fact, str] = {}
-    # The sets are walked in node-hash order, which depends on the nodes
-    # made before, so each obstruction waits under its (member, group,
-    # text) key and only the keys are compared.
+    # The sets are walked in node-hash order, which follows addresses, so
+    # each obstruction waits under its (member, group, text) key and only
+    # the keys are compared.
     obstructions: list[tuple[tuple[int, int, str], Conflict]] = []
     for i, sec in enumerate(family):
         visible = ps.universe(sec.context)

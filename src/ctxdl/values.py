@@ -22,18 +22,19 @@ stack, so a long chain costs no Python recursion.
 fields equal those of a live node returns that node. The unique table is
 keyed on the class and the fields, whose nodes are themselves unique, and
 holds its nodes weakly, so a node lives exactly as long as something else
-refers to it. Equality is identity. The hash is a serial number assigned
-when the node is made and stored on it: hashing never walks the tree, and
-set orders depend neither on addresses nor on ``PYTHONHASHSEED``. They do
-depend on the order in which nodes were first made, so a hash is fixed
-within a process only. This is the unique table of Horrocks and
-Patel-Schneider (J. Logic Comput. 1999) and of FaCT++.
+refers to it. Equality is identity, and so is the hash: ``object``'s, from
+the address, so hashing never walks the tree and runs no Python code.
+A set of nodes therefore iterates in an order that follows addresses,
+which changes with the nodes made before and from run to run; no output
+may follow it, and the tests check that under scrambled node hashes.
+This is the unique table of Horrocks and Patel-Schneider (J. Logic
+Comput. 1999) and of FaCT++.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import count, repeat
+from itertools import repeat
 from operator import attrgetter
 from weakref import ref
 
@@ -153,7 +154,6 @@ class _Entry(ref):
 # make twin nodes: setdefault adds an entry only where there is none, and
 # _remove_dead_weakref drops one only while its node is dead.
 _table: dict[tuple, _Entry] = {}
-_serial = count()
 
 
 def _forget(entry: _Entry, table=_table, remove=_remove_dead_weakref) -> None:
@@ -165,12 +165,14 @@ class Node(Record):
     """Hash-consed ``Record``: equal fields give the identical node.
 
     Fields are given by position; every user of a node shares its caches.
+    Equality and the hash are identity, so set order follows addresses.
     """
 
-    __slots__ = ("_hash", "__weakref__")
+    __slots__ = ("__weakref__",)
     __init__ = object.__init__  # __new__ sets the fields, once
     __eq__ = object.__eq__
     __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     def __new__(cls, *values):
         # Fields by position only: a ** parameter would cost every call a dict.
@@ -187,7 +189,6 @@ class Node(Record):
             _set(node, name, value)
         for name in cls._caches:
             _set(node, name, None)
-        _set(node, "_hash", next(_serial))
         entry = _Entry(node, _forget)
         entry.key = key
         while True:
@@ -199,17 +200,11 @@ class Node(Record):
                 return twin  # another thread made it first
             _remove_dead_weakref(_table, key)  # a node that died, not yet forgotten
 
-    def __hash__(self):
-        return self._hash
-
     @classmethod
     def existing(cls, *values):
         """The live node ``cls(*values)`` if there is one, else None; makes no node."""
         entry = _table.get((cls, *values))
         return None if entry is None else entry()
-
-
-Node._caches = ()  # not _hash, which __new__ sets once and never to None
 
 
 def records(cls: type, count: int, *columns) -> list:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import re
 import shutil
 import subprocess
@@ -12,13 +11,13 @@ from pathlib import Path
 
 import pytest
 
+from children import SALTS, hash_orders, run_child
 from ctxdl.cli import main
 from ctxdl.lexer import MAX_NESTING
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv, capsys):
@@ -29,18 +28,6 @@ def run_cli(*argv, capsys):
 
 def records_of(out: str) -> list[dict]:
     return [json.loads(line) for line in out.splitlines()]
-
-
-def run_child(code: str, *argv, cwd=None, stdin=None, hashseed=None) -> subprocess.CompletedProcess:
-    """Run *code* in a fresh interpreter on this checkout's sources."""
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "PYTHONPATH": path}
-    if hashseed is not None:
-        env["PYTHONHASHSEED"] = str(hashseed)
-    return subprocess.run(
-        [sys.executable, "-c", code, *map(str, argv)],
-        cwd=cwd, input=stdin, env=env, capture_output=True, text=True, encoding="utf-8", timeout=120,
-    )
 
 
 class TestVerdictCommands:
@@ -364,17 +351,44 @@ GOLDEN_COMMANDS = {
     "stability_constant.records": ["stability", SAMPLES / "sensor_constant.json", "--runs", "4"],
 }
 
-# Reads a JSON list of argument lists; prints the JSON list of their outputs.
+# samples/ commands run from a copy of samples/: the tour's command kinds on
+# more inputs and outcomes, and two errors.
+SAMPLE_COMMANDS = [
+    ["check", "refine.kb"],
+    ["saturate", "chain.kb", "--dump", "state.txt"],
+    ["run", "promote.p", "--kb", "chain.kb", "--trace"],
+    ["run", "loop.p", "--kb", "empty.kb", "--fuel", "100"],
+    ["run", "sensor.p", "--kb", "sensor.kb", "--trace"],
+    [
+        "apply-oracle", "chain.kb", "--script", "probe_session.jsonl",
+        "--payload", "scan-3", "--payload", "scan-1", "--payload", "scan-2", "--record", "session.log",
+    ],
+    ["apply-oracle", "chain.kb", "--replay", "session.log", "--payload", "scan-3", "--payload", "scan-1", "--payload", "scan-2"],
+    ["stable", "refine.kb", "--context", "Cam", "--section", "scene:Obstacle, cam1:Glare"],
+    ["global-sections", "refine.kb", "--top", "Cam"],
+    [
+        "glue", "sensing.kb", "--target", "Scene",
+        "--section", "Cam: scene:Obstacle, cam1:Glare", "--section", "Lidar: scene:Obstacle",
+    ],
+    ["glue", "sensing.kb", "--target", "Scene", "--section", "Cam: scene:Obstacle", "--section", "Lidar:"],
+    ["glue", "refine.kb", "--target", "Cam", "--section", "Core: scene:Obstacle"],
+    ["stability", "sensor_alternating.json", "--runs", "4"],
+    ["stable", "refine.kb", "--context", "Nowhere", "--section", "scene:Obstacle"],
+    ["glue", "sensing.kb", "--target", "Scene", "--section", "Cam: scene:Nope"],
+]
+
+# Reads a JSON list of argument lists, runs each in process, and prints the
+# JSON list of their [exit code, stdout, stderr].
 _RUN_EACH = """
 import contextlib, io, json, sys
 from ctxdl.cli import main
-outs = []
+runs = []
 for argv in json.load(sys.stdin):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        assert main(argv) == 0, argv
-    outs.append(buf.getvalue())
-print(json.dumps(outs))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
 """
 
 
@@ -477,15 +491,16 @@ class TestRecordsGoldens:
         assert len(rec["candidates"]) == 8
 
     def test_goldens_under_fixed_hash_seeds(self):
-        # One child per seed runs every golden command in process.
+        # One child per string-hash seed or node-hash salt runs every golden
+        # command in process.
         assert sorted(GOLDEN_COMMANDS) == sorted(p.name for p in GOLDEN.glob("*.records"))
         argvs = json.dumps([[*map(str, argv), "--format", "records"] for argv in GOLDEN_COMMANDS.values()])
-        expected = [(GOLDEN / name).read_bytes() for name in GOLDEN_COMMANDS]
-        for seed in (2, 3, 17, 4242, 4294967295):
-            proc = run_child(_RUN_EACH, stdin=argvs, hashseed=seed)
+        expected = [(0, (GOLDEN / name).read_bytes(), "") for name in GOLDEN_COMMANDS]
+        for seed, salt in hash_orders((2, 3, 17, 4242, 4294967295)):
+            proc = run_child(_RUN_EACH, stdin=argvs, hashseed=seed, salt=salt)
             assert proc.returncode == 0, proc.stderr
-            outs = [out.encode("utf-8") for out in json.loads(proc.stdout)]
-            assert outs == expected, f"PYTHONHASHSEED={seed}"
+            outs = [(code, out.encode("utf-8"), err) for code, out, err in json.loads(proc.stdout)]
+            assert outs == expected, f"PYTHONHASHSEED={seed}, salt={salt}"
 
     def test_benchmark_tour_records(self, capsys, monkeypatch, tmp_path):
         # The cli benchmark's README tour, in-process: the same commands on
@@ -505,6 +520,34 @@ class TestRecordsGoldens:
             code, out, err = run_cli(*argv, "--format", "records", capsys=capsys)
             assert (code, err) == (0, ""), label
             assert out.splitlines() == expected[label], label
+
+
+class TestScrambledNodeHashes:
+    """The README tour and the samples/ commands, in text and records
+    format: exit codes, stdout, stderr and the files written are the same
+    whatever order node hashes give sets."""
+
+    def test_tour_and_samples_under_scrambled_node_hashes(self, monkeypatch, tmp_path):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from tour import TOUR
+
+        def run(fixtures, argvs, salt):
+            # Each child works in its own copy: the files it writes are compared too.
+            workdir = tmp_path / f"{fixtures.name}-{salt}"
+            shutil.copytree(fixtures, workdir)
+            proc = run_child(_RUN_EACH, cwd=workdir, stdin=json.dumps(argvs), salt=salt)
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout), {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
+
+        for fixtures, commands in [(PERFBENCH / "tour", TOUR.values()), (SAMPLES, SAMPLE_COMMANDS)]:
+            argvs = [[*argv, *fmt] for fmt in ([], ["--format", "records"]) for argv in commands]
+            plain_runs, plain_files = run(fixtures, argvs, None)
+            assert "session.log" in plain_files
+            for salt in SALTS:
+                runs, files = run(fixtures, argvs, salt)
+                for argv, got, want in zip(argvs, runs, plain_runs, strict=True):
+                    assert got == want, (salt, argv)
+                assert files == plain_files, (fixtures.name, salt)
 
 
 class TestStabilityCommand:

@@ -3,11 +3,7 @@
 from __future__ import annotations
 
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +11,7 @@ from hypothesis import strategies as st
 
 import ctxdl.kb
 import oracles
+from children import hash_orders, run_child
 from corpus import SIG, random_abox, random_assertion, random_concept, random_guard, random_poset, random_tbox
 from ctxdl.concepts import RESERVED_WORDS, And, Atomic, Not, Signature
 from ctxdl.contexts import ContextPoset
@@ -41,7 +38,6 @@ from ctxdl.reasoner import DEFAULT_NODE_BUDGET, EMPTY_TBOX, TBox, decide
 from ctxdl.programs import parse_guard
 from oracles import plain_digest, plain_fact_text, recursive_guard_sat
 
-ROOT = Path(__file__).resolve().parent.parent
 A = Atomic("A")
 B = Atomic("B")
 POSET = ContextPoset(["U", "V", "W"], [("V", "U"), ("W", "V")])
@@ -411,15 +407,11 @@ class TestGuardStack:
         assert len(budget_sweep()) == 40
 
     def test_budget_sweep_is_the_same_under_every_hash_seed(self):
-        path = os.pathsep.join(p for p in (str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")) if p)
         want = json.loads(json.dumps(budget_sweep()))
-        for seed in ("0", "1", "random"):
-            proc = subprocess.run(
-                [sys.executable, "-c", "import json, test_kb; print(json.dumps(test_kb.budget_sweep()))"],
-                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
-                capture_output=True, text=True, encoding="utf-8", check=True, timeout=120,
-            )
-            assert json.loads(proc.stdout) == want, f"PYTHONHASHSEED={seed}"
+        for seed, salt in hash_orders(("0", "1", "random")):
+            proc = run_child("import json, test_kb; print(json.dumps(test_kb.budget_sweep()))", hashseed=seed, salt=salt)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout) == want, f"PYTHONHASHSEED={seed}, salt={salt}"
 
     @pytest.mark.parametrize("n", [700, 3000])
     def test_long_disjunction_and_conjunction_chains(self, n):

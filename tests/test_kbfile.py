@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +11,7 @@ from ctxdl.concepts import Atomic
 from ctxdl.errors import LoadError
 from ctxdl.kb import ConceptAssertion, RoleAssertion
 from ctxdl.kbfile import dump_state, load_kb, load_state, loads, write_state
+from children import hash_orders, run_child
 from corpus import concept_fact
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -204,18 +202,10 @@ print(json.dumps(messages))
 
 class TestDeterministicDiagnostics:
     def test_one_message_per_document_across_hash_seeds(self):
-        src = str(ROOT / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         seen = set()
-        for seed in range(6):
-            proc = subprocess.run(
-                [sys.executable, "-c", _LOAD_EACH],
-                input=json.dumps([CYCLE_DOC, STRANDED_DOC]),
-                env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path},
-                capture_output=True,
-                text=True, encoding="utf-8",
-                check=True,
-            )
+        for seed, salt in hash_orders(range(6)):
+            proc = run_child(_LOAD_EACH, stdin=json.dumps([CYCLE_DOC, STRANDED_DOC]), hashseed=seed, salt=salt)
+            assert proc.returncode == 0, proc.stderr
             seen.add(tuple(json.loads(proc.stdout)))
         assert seen == {
             (

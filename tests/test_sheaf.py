@@ -199,8 +199,10 @@ class TestGlue:
         assert any(F3 in c.facts for c in result.conflicts)
 
     def test_obstructions_are_listed_in_family_and_text_order(self):
-        # The facts' nodes are made in reverse text order first, so their
-        # hashes (creation serials) set an order that is not text order.
+        # The facts' nodes are made in reverse text order, so an order that
+        # follows when or where they were made (node hashes are addresses)
+        # is not text order; the scrambled-hash runs of the glue goldens
+        # cover every other order.
         pairs = [("oz", "B"), ("oy", "B"), ("ox", "B"), ("ox", "A"), ("ow", "A")]
         zb, yb, xb, xa, wa = [concept_fact(a, c) for a, c in pairs]
         # L and R have no meet, so the family is compatible; R forces x:B
