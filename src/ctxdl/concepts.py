@@ -22,7 +22,7 @@ deeper than ``lexer.MAX_NESTING`` levels is rejected the same way.
 from __future__ import annotations
 
 from ctxdl.errors import ParseError, UnknownNameError
-from ctxdl.lexer import IDENT, TokenStream, is_identifier, tokenize
+from ctxdl.lexer import IDENT, TokenStream, is_identifier, parse_whole
 from ctxdl.values import Node, Record, render
 
 _set = object.__setattr__  # writes a field past Record's frozen __setattr__
@@ -146,10 +146,7 @@ def expect_name(ts: TokenStream, names: frozenset[str], kind: str) -> str:
 
 def parse_concept(text: str, sig: Signature) -> ConceptExpr:
     """Parse *text* into a concept expression over *sig*."""
-    ts = TokenStream(tokenize(text))
-    expr = parse_concept_stream(ts, sig)
-    ts.expect_end()
-    return expr
+    return parse_whole(text, parse_concept_stream, sig)
 
 
 def parse_concept_stream(ts: TokenStream, sig: Signature) -> ConceptExpr:

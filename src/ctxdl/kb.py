@@ -16,32 +16,33 @@ universes, sections, latent structures and manifested sets hold facts;
 assertion asserts. One reader parses the ``a:C`` / ``(a,b):r`` head of
 both; an assertion's concept is any expression and ``@ U`` follows it.
 
-A knowledge state keeps its digest the same way: one sort and join, the
-first time it is needed. A state made by a change keeps a base, the state
-whose digest it splices from, and the assertions touched since. When its
-digest is read, each touched line that the base holds and the state does
-not is removed, each one the state holds and the base does not is added,
-and each is placed by ``bisect.bisect_left`` over the base's line index:
-its sorted lines as a tuple and their offsets, built once, on the base's
-first splice. One join of the untouched stretches, sliced by offset, and
-the added lines builds the result, so a run of small updates pays for its
-changes, not for the whole fact set. The kept digest is exactly what
-``abox_digest`` gives for the fact set, and ``lines`` what
-``canonical_abox`` gives; the digest format is unchanged. A line that
-holds a ``;`` would make the kept string ambiguous; only names built in
-the library can, and a state with such a line sorts its fact set
-whenever it is asked. A digest that JSON writes unchanged is a
+A knowledge state keeps its digest the same way: the first time it is
+needed, it sorts its fact set once (``canonical_abox``) and keeps the
+digest together with the lines it sorted and their offsets. The kept
+digest is exactly what ``abox_digest`` gives for the fact set, and
+``lines`` what ``canonical_abox`` gives; the digest format is unchanged.
+The lines are kept apart from the string, so a line that holds a ``;``
+(only names built in the library can) leaves nothing ambiguous, and
+every digest is kept. A digest that JSON writes unchanged is a
 ``Digest``, a ``str`` subclass: the sort checks the whole string once,
-the splice only the lines it adds, and a session log writes it verbatim.
+a splice only the lines it adds, and a session log writes it verbatim.
 
 A ``KnowledgeState`` is never changed. Every change goes through a
 ``WorkingState``, which a run (an agent's interaction, an oracle session,
 a program evaluation) changes in place: it copies the fact set of the
 state it starts from once, into a ``set``, and notes each assertion it
-writes, so ``apply``, ``add`` and ``discard`` each cost a set update; the
-digest is spliced only when it is read. ``freeze`` gives the
-``KnowledgeState`` at the end, which splices from the same base, so a
-chain of runs splices from one indexed string.
+writes, so ``apply``, ``add`` and ``discard`` each cost a set update. It
+is the one kind of state that splices: it keeps a base, the state whose
+digest it splices from, and the assertions touched since. When its
+digest is read, each touched line that the base holds and the working
+state does not is removed, each one it holds and the base does not is
+added, and each is placed by ``bisect.bisect_left`` over the base's
+lines. One join of the untouched stretches, sliced by offset, and the
+added lines builds the result, so a run of small updates pays for its
+changes, not for the whole fact set. Once the touched assertions
+outnumber the square root of the fact set, the fact set becomes the
+base, with the lines merged in that splice. ``freeze`` gives a plain
+``KnowledgeState`` at the end, which sorts its own digest if it is read.
 
 Guard satisfaction has two modes. ``literal`` checks raw membership of the
 asserted fact in the current fact set. ``saturated`` additionally accepts a
@@ -61,7 +62,7 @@ from typing import AbstractSet, Callable, Iterable, Union
 from ctxdl.concepts import And, Atomic, Not, Signature, expect_name, parse_concept_stream, print_concept
 from ctxdl.contexts import ContextPoset
 from ctxdl.errors import BudgetExceededError
-from ctxdl.lexer import END, TokenStream, tokenize
+from ctxdl.lexer import END, TokenStream, parse_whole
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET, TBox, decide
 from ctxdl.values import Node, Record
 
@@ -128,43 +129,51 @@ def _json_plain(text: str) -> bool:
 class KnowledgeState(Record):
     """The pair a program run transforms: fixed inclusions, current assertions."""
 
-    __slots__ = ("tbox", "abox", "_digest", "_index", "_base", "_touched")
+    __slots__ = ("tbox", "abox", "_digest", "_index")
 
     def __init__(self, tbox: TBox, abox: frozenset[Assertion]):
         _set(self, "tbox", tbox)
         _set(self, "abox", abox)
         _set(self, "_digest", None)
-        _set(self, "_index", None)  # the kept digest's lines and offsets (_line_index)
-        _set(self, "_base", None)  # the state the digest is spliced from, if not sorted
-        _set(self, "_touched", frozenset())  # the assertions changed since _base
+        _set(self, "_index", None)  # the kept digest's lines and offsets (_keep)
 
     def with_abox(self, abox: Iterable[Assertion]) -> "KnowledgeState":
         return KnowledgeState(self.tbox, frozenset(abox))
 
     @property
     def lines(self) -> tuple[str, ...]:
-        """``canonical_abox(self.abox)``, the digest's lines."""
-        return tuple(canonical_abox(self.abox))
+        """``canonical_abox(self.abox)``, the digest's lines, kept with it."""
+        self.digest  # sorted on first use
+        return self._index[0]
 
     @property
     def digest(self) -> str:
-        """``abox_digest(self.abox)``, sorted or spliced on first use and kept
-        unless a line holds a ';', which would make the kept string ambiguous."""
-        return _kept_digest(self)
+        """``abox_digest(self.abox)``, sorted on first use and kept with its lines."""
+        if self._digest is None:
+            lines = canonical_abox(self.abox)
+            digest = ";".join(lines)
+            _keep(self, Digest(digest) if _json_plain(digest) else digest, lines)
+        return self._digest
+
+
+def _keep(state: KnowledgeState, digest: str, lines: list[str]) -> KnowledgeState:
+    """*state*, keeping *digest* and its index: its *lines*, in order, and
+    the length of the lines before each, then of all. Line i starts at
+    ``ahead[i] + i``, after i ';', whatever the lines hold."""
+    _set(state, "_digest", digest)
+    _set(state, "_index", (tuple(lines), tuple(accumulate(map(len, lines), initial=0))))
+    return state
 
 
 class WorkingState:
     """A fact set that one run changes in place: the inclusions, a ``set``
-    of assertions, the state it started from and the assertions written
-    since.
+    of assertions, a base state and the assertions written since.
 
-    It is made from a ``KnowledgeState`` with one copy of the fact set and
-    splices from that state's base (the state itself when it has none), so
-    every run made from one state splices from one sorted string. ``apply``,
-    ``add`` and ``discard`` change the set, note the written assertions and
-    drop the digest read last; ``digest`` splices the next one when it is
-    read. ``freeze`` gives the ``KnowledgeState`` of the set, which splices
-    from the same base.
+    It is made from a ``KnowledgeState``, its first base, with one copy of
+    the fact set. ``apply``, ``add`` and ``discard`` change the set, note
+    the written assertions and drop the digest read last; ``digest``
+    splices the next one from the base's when it is read (``_spliced``).
+    ``freeze`` gives a plain ``KnowledgeState`` of the set.
     """
 
     __slots__ = ("tbox", "abox", "_base", "_touched", "_digest")
@@ -172,15 +181,16 @@ class WorkingState:
     def __init__(self, state: KnowledgeState):
         self.tbox = state.tbox
         self.abox = set(state.abox)
-        self._base = state if state._base is None else state._base
-        self._touched = set(state._touched)
+        self._base = state
+        self._touched = set()
         self._digest = state._digest
 
     @property
     def digest(self) -> str:
-        """``abox_digest(self.abox)``, kept until the next write as
-        ``KnowledgeState.digest`` is."""
-        return _kept_digest(self)
+        """``abox_digest(self.abox)``, spliced when read and kept until the next write."""
+        if self._digest is None:
+            self._digest = self._spliced()
+        return self._digest
 
     def apply(self, additions: Iterable[Assertion], deletions: Iterable[Assertion] = ()) -> None:
         """Make the fact set ``(abox | additions) - deletions``."""
@@ -211,92 +221,57 @@ class WorkingState:
         return True
 
     def freeze(self) -> KnowledgeState:
-        """The state of the fact set as it is now, with the digest kept so far."""
-        state = KnowledgeState(self.tbox, frozenset(self.abox))
-        _set(state, "_digest", self._digest)
-        _set(state, "_base", self._base)
-        _set(state, "_touched", frozenset(self._touched))
-        return state
+        """The state of the fact set as it is now; it sorts its own digest if read."""
+        return KnowledgeState(self.tbox, frozenset(self.abox))
 
+    def _spliced(self) -> str:
+        """The digest of the fact set, spliced from the one the base keeps.
 
-def _kept_digest(state: Union[KnowledgeState, WorkingState]) -> str:
-    """``abox_digest(state.abox)``: spliced from the state's base, else
-    sorted, and kept in ``state._digest`` unless a line holds a ';' (a
-    sorted string then holds as many ';' as lines, or more).
+        The touched assertions that the base holds and the set does not are
+        removed, those the set holds and the base does not are added. Each
+        is placed by ``bisect_left`` over the base's lines; one join of the
+        untouched stretches, sliced at their offsets, and the added lines
+        builds the result. It is a ``Digest`` when the base's is and each
+        added line is plain for JSON.
 
-    A splice costs a bisection and two lookups per touched assertion, a
-    new base a copy of the fact set and, at its first splice, its index.
-    So the state makes its own fact set its base once the touched
-    assertions outnumber the square root of the fact set, which bounds a
-    long session's cost per digest by that root, not by its length.
-    """
-    if state._digest is None:
-        digest = _spliced(state)  # none of its lines holds a ';'
-        if digest is None:
-            digest = abox_digest(state.abox)
-            if digest.count(";") >= max(len(state.abox), 1):
-                return digest
-            if _json_plain(digest):
-                digest = Digest(digest)
-        _set(state, "_digest", digest)
-        if len(state._touched) ** 2 > len(state.abox):
-            base = KnowledgeState(state.tbox, frozenset(state.abox))
-            _set(base, "_digest", digest)
-            _set(state, "_base", base)
-            _set(state, "_touched", type(state._touched)())
-    return state._digest
-
-
-def _line_index(digest: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The lines of a kept *digest*, in order, and the length of the lines
-    before each, then of all: line i starts at ``ahead[i] + i``, after i
-    ';'. The empty digest has no line."""
-    lines = tuple(digest.split(";")) if digest else ()
-    return lines, tuple(accumulate(map(len, lines), initial=0))
-
-
-def _spliced(state: Union[KnowledgeState, WorkingState]) -> str | None:
-    """The digest of *state*, spliced from the one its base keeps.
-
-    The touched assertions that the base holds and the state does not are
-    removed, those the state holds and the base does not are added. Each
-    is placed by ``bisect_left`` over the base's lines; one join of the
-    untouched stretches, sliced at their offsets, and the added lines
-    builds the result. It is a ``Digest`` when the base's is and each added
-    line is plain for JSON. None when the state has no base, the base keeps
-    no digest, or an added line holds a ';' (only names built in the
-    library can): the state then sorts its fact set when asked.
-    """
-    base = state._base
-    if base is None:
-        return None
-    digest = base.digest  # sorted on the base's first use
-    if base._digest is None:  # not kept: a line holds a ';'
-        return None
-    touched, before, abox = state._touched, base.abox, state.abox  # set algebra reuses the stored hashes
-    gone = [a.text for a in (touched - abox) & before]
-    new = [a.text for a in (touched & abox) - before]
-    if not gone and not new:
-        return digest
-    added = "".join(new)
-    if ";" in added:
-        return None
-    if base._index is None:
-        _set(base, "_index", _line_index(digest))
-    lines, ahead = base._index
-    edits = [(bisect_left(lines, text), 1, text) for text in gone]
-    edits += [(bisect_left(lines, text), 0, text) for text in new]
-    pieces, pos = [], 0  # lines from pos on are not yet copied
-    for i, removing, text in sorted(edits):  # at one line: insertions, in order, then its removal
-        if i > pos:
-            pieces.append(digest[ahead[pos] + pos : ahead[i] + i - 1])  # untouched lines, without the ';' after them
-        if not removing:
-            pieces.append(text)
-        pos = i + removing
-    if pos < len(lines):
-        pieces.append(digest[ahead[pos] + pos :])
-    spliced = ";".join(pieces)
-    return Digest(spliced) if isinstance(digest, Digest) and _json_plain(added) else spliced
+        A splice costs a bisection and two lookups per touched assertion.
+        So once the touched assertions outnumber the square root of the
+        fact set, the set becomes the base: a copy of it that keeps the
+        spliced digest, and the lines merged in the same pass from the old
+        base's and the added ones, with no split and no sort. That bounds a
+        long session's cost per digest by the root, not by its length.
+        """
+        base = self._base
+        digest, (lines, ahead) = base.digest, base._index  # sorted on the base's first use
+        touched, before, abox = self._touched, base.abox, self.abox  # set algebra reuses the stored hashes
+        gone = [a.text for a in (touched - abox) & before]
+        new = [a.text for a in (touched & abox) - before]
+        if not gone and not new:
+            touched.clear()  # the set is the base's again
+            return digest
+        rebase = len(touched) ** 2 > len(abox)
+        edits = [(bisect_left(lines, text), 1, text) for text in gone]
+        edits += [(bisect_left(lines, text), 0, text) for text in new]
+        pieces, merged, pos = [], [], 0  # the digest's pieces, the new base's lines; lines from pos on are not yet copied
+        for i, removing, text in sorted(edits):  # at one line: insertions, in order, then its removal
+            if i > pos:
+                pieces.append(digest[ahead[pos] + pos : ahead[i] + i - 1])  # untouched lines, without the ';' after them
+                if rebase:
+                    merged += lines[pos:i]
+            if not removing:
+                pieces.append(text)
+                merged.append(text)
+            pos = i + removing
+        if pos < len(lines):
+            pieces.append(digest[ahead[pos] + pos :])
+        spliced = ";".join(pieces)
+        if isinstance(digest, Digest) and _json_plain("".join(new)):
+            spliced = Digest(spliced)
+        if rebase:
+            merged += lines[pos:]
+            self._base = _keep(KnowledgeState(self.tbox, frozenset(abox)), spliced, merged)
+            self._touched = set()
+        return spliced
 
 
 NameReader = Callable[[TokenStream, frozenset[str], str], str]
@@ -323,10 +298,7 @@ def _parse_head(ts: TokenStream, sig: Signature, name: NameReader, expression: b
 
 def parse_assertion(text: str, sig: Signature) -> Assertion:
     """Parse one assertion; contexts are validated against the signature."""
-    ts = TokenStream(tokenize(text))
-    a = parse_assertion_stream(ts, sig)
-    ts.expect_end()
-    return a
+    return parse_whole(text, parse_assertion_stream, sig)
 
 
 def parse_assertion_stream(ts: TokenStream, sig: Signature) -> Assertion:
@@ -361,10 +333,7 @@ def parse_fact_list_stream(ts: TokenStream, sig: Signature, stop: str = END) -> 
 
 def parse_fact_list(text: str, sig: Signature) -> frozenset[Assertion]:
     """Parse a comma-separated fact list; the empty string is the empty set."""
-    ts = TokenStream(tokenize(text))
-    facts = parse_fact_list_stream(ts, sig)
-    ts.expect_end()
-    return facts
+    return parse_whole(text, parse_fact_list_stream, sig)
 
 
 def canonical_abox(abox: Iterable[Assertion]) -> list[str]:

@@ -9,7 +9,8 @@ starts a comment running to end of line. Every token carries a 1-based
 (line, col) position. Only projection patterns read ``*``, as a name slot
 that matches any name; every other parser meets it where a name or an
 operator belongs and rejects it there. A syntax error names the token it
-met by ``Token.found``.
+met by ``Token.found``. ``parse_whole`` reads a whole text with one of
+their stream readers, and rejects any input left after it.
 
 The concept, guard and program parsers share one nesting limit,
 ``MAX_NESTING``. Each ``!``, ``exists``/``forall``, parenthesis, ``if`` and
@@ -28,6 +29,8 @@ comparing or hashing a chain costs one step.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from ctxdl.errors import ParseError
 from ctxdl.values import Record
@@ -170,3 +173,12 @@ class TokenStream:
 
     def restore(self, mark: tuple[int, int]) -> None:
         self._i, self._depth = mark
+
+
+def parse_whole(text: str, read: Callable, sig: object):
+    """``read(stream, sig)`` over the tokens of *text*; input left after
+    what it reads is a positioned ParseError."""
+    ts = TokenStream(tokenize(text))
+    value = read(ts, sig)
+    ts.expect_end()
+    return value

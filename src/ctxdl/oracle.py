@@ -5,15 +5,16 @@ additions and deletions. The digest is the canonical sorted one-line
 rendering of the fact set (see kb.abox_digest), so scripts can key on exact
 states; entries may instead match on the payload alone, with ``fnmatch``
 globbing. A lookup tries the exact entries of the payload first, then the
-payload patterns in file order. A step reads the digest its state keeps,
-and the next state's digest is spliced from its base's (see ``ctxdl.kb``),
-so a session sorts its fact set once, not once per query; the digest
-format is unchanged. ``ask`` runs queries on one ``WorkingState`` in
-place and splices a digest only when a query reads it. ``run_session``
-makes that working state from a ``KnowledgeState`` and freezes it at the
-end, so it copies the fact set once on the way in and once on the way
-out. ``oracle_step`` is ``run_session`` of one query; nothing in the
-library calls it.
+payload patterns in file order. ``ask`` runs queries on one
+``WorkingState`` in place and splices a digest only when a query reads
+it, from the digest its base keeps (see ``ctxdl.kb``), so a session
+sorts its fact set once, not once per query; the digest format is
+unchanged. ``run_session`` makes that working state from a
+``KnowledgeState`` and freezes it at the end, so it copies the fact set
+once on the way in and once on the way out. ``oracle_step`` is
+``run_session`` of one query, so each state of a chain of steps sorts
+its own digest when the next step reads it; nothing in the library
+calls it.
 
 Script files are line-delimited JSON. An optional first header record sets
 flags; every other record is one table entry::

@@ -78,7 +78,7 @@ from ctxdl.kb import (
     guard_sat,
     parse_assertion_stream,
 )
-from ctxdl.lexer import IDENT, TokenStream, tokenize
+from ctxdl.lexer import IDENT, TokenStream, parse_whole
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET
 from ctxdl.values import Node, Record, render
 
@@ -154,10 +154,7 @@ _COMMAND_WORDS = frozenset({"skip", "add", "del", "if", "while"})
 
 def parse_program(text: str, sig: Signature) -> Program:
     """Parse a program; every name is validated against the signature."""
-    ts = TokenStream(tokenize(text))
-    prog = _parse_program(ts, sig)
-    ts.expect_end()
-    return prog
+    return parse_whole(text, _parse_program, sig)
 
 
 def load_program(path: Union[str, Path], sig: Signature) -> Program:
@@ -169,10 +166,7 @@ def load_program(path: Union[str, Path], sig: Signature) -> Program:
 
 
 def parse_guard(text: str, sig: Signature) -> Guard:
-    ts = TokenStream(tokenize(text))
-    g = _parse_guard(ts, sig)
-    ts.expect_end()
-    return g
+    return parse_whole(text, _parse_guard, sig)
 
 
 def _parse_program(ts: TokenStream, sig: Signature) -> Program:

@@ -171,10 +171,13 @@ class TestRenderingCache:
         assert kept.with_abox(())._digest is None
         work = WorkingState(kept)
         work.apply({ca("a", "A", "U")})
-        work.digest  # spliced from the kept lines; freeze hands it on
+        work.digest  # spliced from the kept lines
         child = work.freeze()
-        assert child._digest == abox_digest(child.abox)
         assert child == KnowledgeState(EMPTY_TBOX, abox | {ca("a", "A", "U")})
+        assert child._digest is None  # the child sorts its own digest when read
+        digest = child.digest
+        assert digest == abox_digest(child.abox) and child._digest is digest
+        assert child.digest is digest and child.lines == tuple(canonical_abox(child.abox))
 
 
 class TestSaturate:

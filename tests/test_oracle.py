@@ -491,10 +491,10 @@ class TestDerivedDigests:
             state = frozen_change(state, additions, deletions)
             want = (want | additions) - deletions
             assert state.abox == want
-            assert state._digest in (None, abox_digest(want))  # carried over, or left for a splice or sort
-            assert state.digest == abox_digest(want) == plain_digest(want)
-            # Kept exactly when no line holds a ';'.
-            assert (state._digest is None) == any(";" in a.text for a in want)
+            assert state._digest is None  # a frozen state keeps no digest until it is read
+            digest = state.digest
+            assert digest == abox_digest(want) == plain_digest(want)
+            assert state._digest is digest  # then keeps it, whatever its lines hold
             assert state.lines == tuple(canonical_abox(want))
 
     # Names built in the library with non-ASCII letters, one also with a ';'.
@@ -590,12 +590,43 @@ class TestDerivedDigests:
         state = KnowledgeState(EMPTY_TBOX, frozenset(POOL))
         state.digest  # sorted once, and kept
         sorts = []
-        monkeypatch.setattr(kb, "abox_digest", lambda abox: sorts.append(abox) or abox_digest(abox))
+        monkeypatch.setattr(kb, "canonical_abox", lambda abox: sorts.append(abox) or canonical_abox(abox))
         work = WorkingState(state)
         prog = parse_program("add a:C@U; del b:B@V; add (a,a):s@W; del a:A@U", SIG)
         assert execute(prog, work, 100)[:2] == (7, True)
         assert work.digest == plain_digest(work.abox) and isinstance(work.digest, Digest)
         assert sorts == []
+
+    def test_lines_with_a_semicolon_are_spliced_across_rebases(self, monkeypatch):
+        """A base whose lines hold a ';' is sorted once: every later digest
+        is spliced from it or from a base the working state makes."""
+        split, split_role, c_u, c_u2 = self.SPLIT_NAME, self.SPLIT_ROLE, self.C_AT_U, self.C_AT_U2
+        source = KnowledgeState(EMPTY_TBOX, frozenset({*POOL, split, split_role}))
+        sorts = []
+        monkeypatch.setattr(kb, "canonical_abox", lambda abox: sorts.append(abox) or canonical_abox(abox))
+        writes = [
+            ("discard", split), ("add", c_u), ("add", c_u2), ("discard", BETA),
+            ("add", split), ("discard", split_role), ("discard", GAMMA), ("add", BETA),
+            ("discard", c_u), ("add", split_role), ("discard", LINK), ("add", GAMMA),
+            ("add", self.ACCENTED_SPLIT), ("discard", split), ("add", self.ACCENTED),
+        ]
+        work, bases, reads = WorkingState(source), [source], []
+        for method, a in writes:
+            assert getattr(work, method)(a)
+            reads.append((work.digest, frozenset(work.abox)))
+            if work._base is not bases[-1]:
+                bases.append(work._base)
+        monkeypatch.undo()
+        assert len(sorts) == 1 and sorts[0] is source.abox
+        assert len(bases) >= 3  # rebased at least twice
+        for base in bases:  # each new base keeps the lines merged in its splice
+            assert base.lines == tuple(canonical_abox(base.abox))
+        assert any(";" in line for line in bases[-1].lines)
+        for digest, want in reads:
+            assert digest == abox_digest(want) == plain_digest(want)
+            if isinstance(digest, Digest):
+                assert json.dumps(digest) == '"' + digest + '"'
+        assert isinstance(reads[0][0], Digest) and not isinstance(reads[-1][0], Digest)
 
 
 # Globs over the characters fnmatch treats specially, and payloads over the
