@@ -21,8 +21,10 @@ deeper than ``lexer.MAX_NESTING`` levels is rejected the same way.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ctxdl.errors import ParseError, UnknownNameError
-from ctxdl.lexer import IDENT, TokenStream, is_identifier, parse_whole
+from ctxdl.lexer import IDENT, TokenStream, chain, is_identifier, parse_whole
 from ctxdl.values import Node, Record, render
 
 _set = object.__setattr__  # writes a field past Record's frozen __setattr__
@@ -172,22 +174,6 @@ def print_concept_operand(c: ConceptExpr) -> str:
     return render(c, _parts_unary)
 
 
-def _parse_or(ts: TokenStream, sig: Signature) -> ConceptExpr:
-    left = _parse_and(ts, sig)
-    while ts.peek().kind == "|":
-        ts.next()
-        left = Or(left, _parse_and(ts, sig))
-    return left
-
-
-def _parse_and(ts: TokenStream, sig: Signature) -> ConceptExpr:
-    left = _parse_unary(ts, sig)
-    while ts.peek().kind == "&":
-        ts.next()
-        left = And(left, _parse_unary(ts, sig))
-    return left
-
-
 def _parse_unary(ts: TokenStream, sig: Signature) -> ConceptExpr:
     tok = ts.peek()
     if tok.kind == "!":
@@ -217,6 +203,10 @@ def _parse_unary(ts: TokenStream, sig: Signature) -> ConceptExpr:
         ts.ascend()
         return expr
     raise ParseError(f"expected a concept expression, found {tok.found}", tok.line, tok.col)
+
+
+_parse_and = partial(chain, "&", _parse_unary, And)
+_parse_or = partial(chain, "|", _parse_and, Or)
 
 
 # Printing precedence levels: higher binds tighter.

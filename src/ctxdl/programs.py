@@ -50,6 +50,7 @@ raises below it, as the tableau would, so budgets stay exact.
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 from typing import Union
 
@@ -78,7 +79,7 @@ from ctxdl.kb import (
     guard_sat,
     parse_assertion_stream,
 )
-from ctxdl.lexer import IDENT, TokenStream, parse_whole
+from ctxdl.lexer import IDENT, TokenStream, chain, parse_whole
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET
 from ctxdl.values import Node, Record, render
 
@@ -169,14 +170,6 @@ def parse_guard(text: str, sig: Signature) -> Guard:
     return parse_whole(text, _parse_guard, sig)
 
 
-def _parse_program(ts: TokenStream, sig: Signature) -> Program:
-    prog = _parse_command(ts, sig)
-    while ts.peek().kind == ";":
-        ts.next()
-        prog = Seq(prog, _parse_command(ts, sig))
-    return prog
-
-
 def _parse_command(ts: TokenStream, sig: Signature) -> Program:
     tok = ts.peek()
     if tok.kind == IDENT and tok.text in _COMMAND_WORDS:
@@ -204,23 +197,6 @@ def _parse_command(ts: TokenStream, sig: Signature) -> Program:
         ts.ascend()
         return While(guard, body)
     raise ParseError(f"expected a command, found {tok.found}", tok.line, tok.col)
-
-
-def _parse_guard(ts: TokenStream, sig: Signature) -> Guard:
-    left = _parse_gconj(ts, sig)
-    while ts.peek().kind == "|":
-        ts.next()
-        right = _parse_gconj(ts, sig)
-        left = GuardNot(GuardAnd(GuardNot(left), GuardNot(right)))
-    return left
-
-
-def _parse_gconj(ts: TokenStream, sig: Signature) -> Guard:
-    left = _parse_gunary(ts, sig)
-    while ts.peek().kind == "&":
-        ts.next()
-        left = GuardAnd(left, _parse_gunary(ts, sig))
-    return left
 
 
 def _parse_gunary(ts: TokenStream, sig: Signature) -> Guard:
@@ -272,6 +248,15 @@ def _parse_subsume(ts: TokenStream, sig: Signature) -> Guard:
     ts.expect("<=")
     rhs = parse_concept_operand(ts, sig)
     return SubsumeGuard(lhs, rhs)
+
+
+def _guard_or(left: Guard, right: Guard) -> Guard:
+    return GuardNot(GuardAnd(GuardNot(left), GuardNot(right)))
+
+
+_parse_program = partial(chain, ";", _parse_command, Seq)
+_parse_gconj = partial(chain, "&", _parse_gunary, GuardAnd)
+_parse_guard = partial(chain, "|", _parse_gconj, _guard_or)
 
 
 # ---------------------------------------------------------------------------

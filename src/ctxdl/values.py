@@ -11,7 +11,9 @@ The generic constructor, ``==`` and ``hash`` cost more per call than
 generated ones, so a class used on a hot path writes its own ``__init__``
 of ``object.__setattr__`` calls (caches included), which is faster.
 A listing of many records of one class is built by ``records``, which
-fills each slot column by column and makes no Python call per record.
+fills each slot column by column and makes no Python call per record. Its
+two users are the section listings of ``sheaf`` and the tokens of
+``lexer.tokenize``.
 
 ``render`` is the one walk that turns a tree into text: the repr here,
 and the printers of concepts, guards and programs. Each node lists its
@@ -209,7 +211,8 @@ class Node(Record):
 
 def records(cls: type, count: int, *columns) -> list:
     """*count* records of *cls*; record i takes value i of each column, one
-    column per field in field order, and its caches start as None.
+    column per field in field order, and its caches start as None. Section
+    listings and tokens are built with it.
 
     Each record equals ``cls(*values)``, but no ``__init__`` runs, so one
     that does more than set the fields and caches is skipped: the objects

@@ -959,6 +959,45 @@ NESTED = {
 }
 
 
+# Runs the command of stdin's first argv under a profile hook that keeps
+# the deepest Python stack it reaches, then the second argv with the
+# recursion limit MAX_NESTING levels of four frames above that depth.
+_RUN_IN_FOUR_FRAMES_PER_LEVEL = """
+import json, sys
+from ctxdl.cli import main
+from ctxdl.lexer import MAX_NESTING
+
+base, deep = json.load(sys.stdin)
+depth = deepest = 1  # this module's frame
+
+def profile(frame, event, arg):
+    global depth, deepest
+    if event == "call":
+        depth += 1
+        deepest = max(deepest, depth)
+    elif event == "return":
+        depth -= 1
+
+sys.setprofile(profile)
+main(base)
+sys.setprofile(None)
+sys.setrecursionlimit(4 * MAX_NESTING + deepest)
+sys.exit(main(deep))
+"""
+
+
+def nested_argv(tmp_path: Path, kind: str, levels: int) -> list[str]:
+    """The CLI arguments that run NESTED[kind] at *levels* levels."""
+    kb = tmp_path / "deep.kb"
+    kb.write_text(DEEP_KB, encoding="utf-8")
+    command, text = NESTED[kind](levels)
+    if command == "sat":
+        return ["sat", str(kb), text]
+    program = tmp_path / "deep.p"
+    program.write_text(text, encoding="utf-8")
+    return ["run", str(program), "--kb", str(kb)]
+
+
 class TestNestingLimit:
     """Input nested up to MAX_NESTING levels gets a verdict; one level more
     is a positioned parse error. Neither may end in a traceback."""
@@ -966,26 +1005,28 @@ class TestNestingLimit:
     @pytest.mark.parametrize("kind", sorted(NESTED))
     @pytest.mark.parametrize("extra", [0, 1])
     def test_at_and_past_the_limit(self, tmp_path, kind, extra):
-        kb = tmp_path / "deep.kb"
-        kb.write_text(DEEP_KB, encoding="utf-8")
-        command, text = NESTED[kind](MAX_NESTING + extra)
-        if command == "sat":
-            argv = ["sat", str(kb), text]
-        else:
-            program = tmp_path / "deep.p"
-            program.write_text(text, encoding="utf-8")
-            argv = ["run", str(program), "--kb", str(kb)]
+        argv = nested_argv(tmp_path, kind, MAX_NESTING + extra)
         proc = subprocess.run(
             [sys.executable, "-m", "ctxdl.cli", *argv], capture_output=True, text=True, encoding="utf-8"
         )
         assert "Traceback" not in proc.stderr
         if extra:
             assert proc.returncode == 2
-            where = r"1:\d+" if command == "sat" else r".*deep\.p:1:\d+"
+            where = r"1:\d+" if argv[0] == "sat" else r".*deep\.p:1:\d+"
             assert re.fullmatch(f"error: {where}: nesting deeper than {MAX_NESTING} levels\n", proc.stderr)
         else:
             assert proc.returncode == 0, proc.stderr
             assert proc.stderr == ""
+
+    @pytest.mark.parametrize("kind", sorted(NESTED))
+    def test_at_the_limit_in_four_frames_per_level(self, tmp_path, kind):
+        # The lexer's bound: parsing and the tableau take at most four
+        # Python frames per level, over the depth the command reaches on
+        # input that opens no level beyond its own.
+        (tmp_path / "base").mkdir()
+        argvs = [nested_argv(tmp_path / "base", kind, 0), nested_argv(tmp_path, kind, MAX_NESTING)]
+        proc = run_child(_RUN_IN_FOUR_FRAMES_PER_LEVEL, stdin=json.dumps(argvs))
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestFlatChains:
