@@ -24,7 +24,7 @@ ParseError. Parsing and the tableau each take at most four Python frames
 per level, so the limit keeps them well inside the default recursion
 limit of 1,000 frames. At ``MAX_NESTING`` levels under CPython 3.11 the
 CLI needs a recursion limit of 312 for concept parentheses (three frames a
-level), 310 for ``exists``, 417 for guard parentheses (four: the guard
+level), 307 for ``exists``, 417 for guard parentheses (four: the guard
 levels, with the concept reading tried first at each), 219 for ``if`` and
 213 for ``while`` in ``if`` (two), against 30 for the same commands on
 input that opens no level. ``chain`` is bound with ``functools.partial``,

@@ -10,20 +10,34 @@ whose saturated label is contained in an ancestor's label is not expanded
 further (sound here because the language has no inverse roles, so the
 blocked node can be folded onto its blocker when reading off a model).
 
+Labels hold ints, not nodes. On the first decision over a TBox, its
+compiled table (``_Table``) numbers every node that the unfold map and the
+constraints reach, and keeps per id the rule the tableau applies to it
+and, for a literal, the id of its complement, so that the clash test is
+one lookup. The table is kept on the immutable ``TBox`` and never grows:
+the nodes of a query that it lacks are numbered after its ids, for that
+decision alone. Ids follow the structure of the inclusions and the query,
+never the order of a set or dict of nodes, and they decide no output
+order: labels keep insertion order, and blocking compares sets of ids.
+``subsumes`` decides ``c & !d`` without building that node: it seeds the
+label that the conjunction's expansion would leave and spends its unit.
+This is the numbered concept form of Horrocks and Patel-Schneider (J.
+Logic Comput. 1999) and of FaCT++ (Tsarkov and Horrocks, IJCAR 2006).
+
 Backjumping: each label entry carries the branch points (disjunction
-choices) it depends on, and a clash returns the union of its two sides'
-sets. An unfolded concept depends on its name, a successor's whole label
-on the existential that made it. When the left disjunct's clash does not
-depend on its own choice, the right disjunct would meet the same clash, so
-it is skipped and the clash passed up; otherwise the right disjunct
-depends on the rest of that clash. The node budget counts nodes,
-conjunctions decomposed, names unfolded and disjuncts tried.
+choices) it depends on, as a bit set, and a clash returns the union of
+its two sides' sets. An unfolded concept depends on its name, a
+successor's whole label on the existential that made it. When the left
+disjunct's clash does not depend on its own choice, the right disjunct
+would meet the same clash, so it is skipped and the clash passed up;
+otherwise the right disjunct depends on the rest of that clash. The node
+budget counts nodes, conjunctions decomposed, names unfolded and
+disjuncts tried.
 
 Determinism: labels are processed in insertion order, disjunctions explore
 the left branch first, branch points are numbered in the order the choices
 are made, and successors are expanded in label order. Two things outlive
-a call, both kept on the immutable ``TBox``. Its absorbed form (the
-unfold map and the constraints) is made on first use; it is a pure
+a call, both kept on the immutable ``TBox``. Its compiled table is a pure
 function of the inclusions and no call mutates it, so repeated calls
 return identical results and spend identical budgets, whether they share
 one TBox object or use equal ones. Its ``_guards`` keeps the verdicts of
@@ -54,6 +68,8 @@ from operator import and_, or_
 from typing import Iterable, Iterator, Mapping
 
 from ctxdl.concepts import (
+    BOT,
+    TOP,
     And,
     Atomic,
     Bot,
@@ -74,44 +90,39 @@ DEFAULT_MAX_BITS = 24
 # find_witness evaluates the codes of a domain size in blocks of 2^BLOCK_BITS.
 BLOCK_BITS = 18
 
-# The branch points (disjunction choices) a label entry or a clash depends on.
-Deps = frozenset[int]
-NO_DEPS: Deps = frozenset()
+# A label entry's or a clash's branch points (disjunction choices), as a
+# bit set: bit p stands for branch point p.
+NO_DEPS = 0
+
+# The ids of Top and Bot in every compiled table.
+_TOP, _BOT = 0, 1
+# The kinds of rule the tableau applies to an id (see _compile).
+_AND, _OR, _EXISTS, _FORALL = range(4)
 
 
 class TBox(Record):
     """A finite list of concept inclusions (lhs <= rhs).
 
     Duplicates collapse under set semantics; first-occurrence order is kept
-    so derived data (internalized constraints, the witness search) is stable.
+    so derived data (the compiled table, the witness search) is stable.
     """
 
-    __slots__ = ("inclusions", "_absorbed", "_guards")
+    __slots__ = ("inclusions", "_compiled", "_guards")
 
     def __init__(self, inclusions: Iterable[tuple[ConceptExpr, ConceptExpr]] = ()):
         super().__init__(tuple(dict.fromkeys(inclusions)))
         object.__setattr__(self, "_guards", {})  # subsumption guard -> (verdict, units spent)
 
     @property
-    def absorbed(self) -> tuple[Mapping[str, tuple[ConceptExpr, ...]], tuple[ConceptExpr, ...]]:
-        """The form the tableau reads, computed on first use and kept.
+    def compiled(self) -> _Table:
+        """The table the tableau reads, built on first use and kept.
 
-        The unfold map sends each concept name A to the NNF right sides of
-        the inclusions ``A <= D``; the constraints are the deduplicated
-        ``nnf(!C | D)`` of every other inclusion, in first-occurrence order.
         Not a field, so equality, hashing and the repr ignore it. Readers
         never mutate it.
         """
-        if self._absorbed is None:
-            unfold: dict[str, tuple[ConceptExpr, ...]] = {}
-            constraints: dict[ConceptExpr, None] = {}
-            for lhs, rhs in self.inclusions:
-                if isinstance(lhs, Atomic):
-                    unfold[lhs.name] = unfold.get(lhs.name, ()) + (nnf(rhs),)
-                else:
-                    constraints[nnf(Or(Not(lhs), rhs))] = None
-            object.__setattr__(self, "_absorbed", (unfold, tuple(constraints)))
-        return self._absorbed
+        if self._compiled is None:
+            object.__setattr__(self, "_compiled", _Table(self.inclusions))
+        return self._compiled
 
 
 EMPTY_TBOX = TBox()
@@ -132,42 +143,186 @@ class FiniteModel(Record):
 # ---------------------------------------------------------------------------
 
 
+class _Table:
+    """A TBox compiled for the tableau: its nodes numbered by dense ints.
+
+    An inclusion ``A <= D`` whose left side is a concept name unfolds A to
+    ``nnf(D)``; every other ``C <= D`` becomes the constraint
+    ``nnf(!C | D)``. ``_compile`` numbers Top and Bot (ids 0 and 1), the
+    concept names on the left, the concepts they unfold to and the
+    constraints, inclusion by inclusion, and then every node these reach.
+    Each concept name's negation is numbered with it, so a literal that a
+    query brings is never the complement of one in the table.
+
+    ``ids`` maps each node to its id; ``comp`` and ``rules`` are indexed by
+    id, as ``_compile`` fills them, except that the rule of a name that
+    unfolds decomposes it into the ids it unfolds to, in the order of the
+    inclusions. ``constraints`` holds the constraints' ids in
+    first-occurrence order, and ``ands`` maps the operand ids of each
+    conjunction to its id.
+    """
+
+    __slots__ = ("ids", "comp", "rules", "constraints", "ands")
+
+    def __init__(self, inclusions: tuple[tuple[ConceptExpr, ConceptExpr], ...]):
+        unfold: dict[ConceptExpr, list[ConceptExpr]] = {}
+        constraints = []
+        roots = [TOP, BOT]
+        for lhs, rhs in inclusions:
+            if isinstance(lhs, Atomic):
+                unfold.setdefault(lhs, []).append(nnf(rhs))
+                roots += (lhs, unfold[lhs][-1])
+            else:
+                constraints.append(nnf(Or(Not(lhs), rhs)))
+                roots.append(constraints[-1])
+        ids: dict[ConceptExpr, int] = {}
+        self.comp: list[int] = []
+        self.rules: list[tuple | None] = []
+        _compile(roots, {}, ids, self.comp, self.rules, pair=True)
+        for atom, parts in unfold.items():
+            self.rules[ids[atom]] = (_AND, tuple(ids[part] for part in parts), None)
+        self.ids = ids
+        self.constraints = tuple(dict.fromkeys(ids[k] for k in constraints))
+        self.ands = {self.rules[i][1]: i for node, i in ids.items() if type(node) is And}
+
+
+def _compile(
+    roots: Iterable[ConceptExpr],
+    known: Mapping[ConceptExpr, int],
+    ids: dict[ConceptExpr, int],
+    comp: list[int],
+    rules: list[tuple | None],
+    pair: bool = False,
+) -> list[int]:
+    """Number the NNF nodes reachable from *roots* that neither *known*
+    nor *ids* holds, into *ids*, and return the roots' ids.
+
+    A new node takes the next id, the length of *comp* and *rules*, which
+    grow with *ids*. ``comp`` gives a literal's complement when that is
+    numbered, else 0, Top's id, which no label holds. ``rules`` gives what
+    the tableau does with the node: ``(_AND, ids, None)`` adds the ids,
+    ``(_OR, left, right)`` chooses a disjunct, ``(_EXISTS, role, id)`` and
+    ``(_FORALL, role, id)`` make and constrain successors, and None does
+    nothing. With *pair*, a concept name's negation is numbered with it.
+
+    The roots take the next ids in order, and the new nodes are visited
+    in the order of their ids: each gives its operands that lack an id the
+    next ones, left first. So the ids follow the roots' structure alone,
+    never the order of a set or dict of nodes, and each node's entries are
+    appended when it is visited.
+    """
+    base = len(rules)
+    nodes: list[ConceptExpr] = []  # the new nodes, in the order of their ids
+    links: list[tuple[int, int]] = []  # (negation, concept name) pairs
+
+    def number(node: ConceptExpr) -> int:
+        i = known.get(node)
+        if i is None:
+            i = ids.setdefault(node, base + len(nodes))
+            if i == base + len(nodes):
+                nodes.append(node)
+        return i
+
+    roots_ids = list(map(number, roots))
+    for i, node in enumerate(nodes, base):  # the list grows as the walk goes
+        kind = type(node)
+        rule = None
+        if kind is And:
+            rule = (_AND, (number(node.left), number(node.right)), None)
+        elif kind is Or:
+            rule = (_OR, number(node.left), number(node.right))
+        elif kind is Exists:
+            rule = (_EXISTS, node.role, number(node.child))
+        elif kind is Forall:
+            rule = (_FORALL, node.role, number(node.child))
+        elif kind is Not:
+            links.append((i, number(node.child)))
+        elif pair and kind is Atomic:
+            number(Not(node))
+        comp.append(_TOP)
+        rules.append(rule)
+    for i, j in links:
+        comp[i], comp[j] = j, i
+    return roots_ids
+
+
 class _Tableau:
-    def __init__(
-        self,
-        constraints: tuple[ConceptExpr, ...],
-        unfold: Mapping[str, tuple[ConceptExpr, ...]],
-        budget: int,
-    ):
-        self.constraints = constraints
-        self.unfold = unfold
+    """One decision: is the conjunction of *roots* satisfiable in a model
+    of *tbox*?
+
+    Labels hold ids of the TBox's compiled table. The roots' nodes that the
+    table lacks are numbered for this decision alone, in copies of the
+    table's lists, so the table never grows.
+    """
+
+    __slots__ = ("budget", "spent", "points", "constraints", "ands", "comp", "rules", "roots")
+
+    def __init__(self, tbox: TBox, budget: int, roots: tuple[ConceptExpr, ...]):
+        table = tbox.compiled
         self.budget = budget
         self.spent = 0
         self.points = 0
+        self.constraints = table.constraints
+        self.ands = table.ands
+        self.comp, self.rules = table.comp, table.rules
+        self.roots = list(map(table.ids.get, roots))
+        if None in self.roots:
+            self.comp, self.rules = table.comp.copy(), table.rules.copy()
+            self.roots = _compile(roots, table.ids, {}, self.comp, self.rules)
 
     def _spend(self) -> None:
         self.spent += 1
         if self.spent > self.budget:
             raise BudgetExceededError(self.budget)
 
-    def sat(self, label: list[tuple[ConceptExpr, Deps]], ancestors: tuple[frozenset, ...]) -> Deps | None:
+    def run(self) -> bool:
+        """The verdict. One root: its label holds the root and the
+        constraints. Two roots c and d, as ``subsumes`` asks: the label
+        holds what the expansion of the conjunction c & d, with the
+        constraints after it, would leave, and the conjunction's unit is
+        spent. The conjunction itself is on the label, expanded already,
+        when the table holds it, since only then can a successor's label
+        hold it and a blocking test see it."""
+        comp = self.comp
+        self._spend()
+        items: list[int] = []
+        present: dict[int, int] = {}
+        start = 0
+        if len(self.roots) == 1:
+            label = (*self.roots, *self.constraints)
+        else:
+            conjunction = self.ands.get(tuple(self.roots))
+            if conjunction is not None:
+                present[conjunction] = NO_DEPS
+                items.append(conjunction)
+                start = 1
+            label = self.constraints
+        for c in label:
+            if _add(c, NO_DEPS, items, present, comp) is not None:
+                return False
+        if len(self.roots) == 2:
+            self._spend()
+            for c in self.roots:
+                if _add(c, NO_DEPS, items, present, comp) is not None:
+                    return False
+        return self._expand(items, present, (), start) is None
+
+    def sat(self, label: list[tuple[int, int]], ancestors: tuple[frozenset[int], ...]) -> int | None:
         """None when *label* is satisfiable, else the branch points its clash depends on."""
         self._spend()
-        items: list[ConceptExpr] = []
-        present: dict[ConceptExpr, Deps] = {}
+        items: list[int] = []
+        present: dict[int, int] = {}
+        comp = self.comp
         for c, dep in label:
-            clash = _add(c, dep, items, present)
+            clash = _add(c, dep, items, present, comp)
             if clash is not None:
                 return clash
-        return self._expand(items, present, ancestors)
+        return self._expand(items, present, ancestors, 0)
 
     def _expand(
-        self,
-        items: list[ConceptExpr],
-        present: dict[ConceptExpr, Deps],
-        ancestors: tuple[frozenset, ...],
-    ) -> Deps | None:
-        """Expand one node's label in place; the result is as for ``sat``.
+        self, items: list[int], present: dict[int, int], ancestors: tuple[frozenset[int], ...], i: int
+    ) -> int | None:
+        """Expand one node's label in place from entry *i*; the result is as for ``sat``.
 
         A disjunction tries its left disjunct on the same label. Its choice
         point keeps the label's length, so trying the right disjunct first
@@ -176,97 +331,107 @@ class _Tableau:
         a label with thousands of disjunctions costs neither Python
         recursion nor a copy of the label per choice.
         """
-        # (label length, next item, deps, branch point, right disjunct) per open choice
-        choices: list[tuple[int, int, Deps, int, ConceptExpr]] = []
-        i = 0
+        comp, rules = self.comp, self.rules
+        # The rules of the quantifiers among the entries before i, in label order.
+        quantifiers: list[tuple[int, tuple]] = []
+        # (label length, next item, quantifiers, deps, branch point, right disjunct) per open choice
+        choices: list[tuple[int, int, int, int, int, int]] = []
         while True:
             clash = None
             while i < len(items):
                 c = items[i]
                 i += 1
-                dep = present[c]
-                if isinstance(c, Or):
-                    if c.left in present or c.right in present:
+                rule = rules[c]
+                if rule is None:
+                    continue
+                kind, parts, right = rule
+                if kind == _OR:
+                    if parts in present or right in present:
                         continue
                     self.points += 1
-                    self._spend()
-                    choices.append((len(items), i, dep, self.points, c.right))
-                    clash = _add(c.left, dep | {self.points}, items, present)
-                    if clash is not None:
-                        break
-                    continue
-                if isinstance(c, And):
-                    parts = (c.left, c.right)
-                elif isinstance(c, Atomic) and c.name in self.unfold:
-                    parts = self.unfold[c.name]
+                    choices.append((len(items), i, len(quantifiers), present[c], self.points, right))
+                    parts, dep = (parts,), present[c] | 1 << self.points
+                elif kind == _AND:
+                    dep = present[c]
                 else:
+                    quantifiers.append((c, rule))
                     continue
-                self._spend()
+                self.spent += 1  # _spend and _add, inlined on the hottest path
+                if self.spent > self.budget:
+                    raise BudgetExceededError(self.budget)
                 for part in parts:
-                    clash = _add(part, dep, items, present)
-                    if clash is not None:
+                    if part in present:
+                        continue
+                    if part <= _BOT:
+                        if part == _TOP:
+                            continue
+                        clash = dep
                         break
+                    partner = comp[part]
+                    if partner in present:
+                        clash = dep | present[partner]
+                        break
+                    present[part] = dep
+                    items.append(part)
                 if clash is not None:
                     break
             else:
-                clash = self._successors(items, present, ancestors)
+                clash = self._successors(present, ancestors, quantifiers)
             if clash is None:
                 return None
             # Hand the clash to the innermost choice whose disjunct it depends on.
             while choices:
-                size, i, dep, point, right = choices.pop()
-                if point not in clash:
+                size, i, scanned, dep, point, right = choices.pop()
+                if not clash >> point & 1:
                     continue  # the right disjunct would meet the same clash
                 for c in items[size:]:
                     del present[c]
                 del items[size:]
+                del quantifiers[scanned:]
                 # No choice is left here, so the right disjunct goes on in place.
-                dep = dep | (clash - {point})
+                dep |= clash ^ 1 << point
                 self._spend()
-                clash = _add(right, dep, items, present)
+                clash = _add(right, dep, items, present, comp)
                 if clash is None:
                     break
             else:
                 return clash
 
     def _successors(
-        self, items: list[ConceptExpr], present: dict[ConceptExpr, Deps], ancestors: tuple[frozenset, ...]
-    ) -> Deps | None:
+        self, present: dict[int, int], ancestors: tuple[frozenset[int], ...], quantifiers: list[tuple[int, tuple]]
+    ) -> int | None:
         """Propositionally saturated: block, or expand the existential successors."""
+        if not quantifiers:
+            return None  # no successor to block or to expand
         snapshot = frozenset(present)
-        if any(snapshot <= ancestor for ancestor in ancestors):
-            return None
+        for ancestor in ancestors:
+            if snapshot <= ancestor:
+                return None
         deeper = ancestors + (snapshot,)
-        for c in items:
-            if isinstance(c, Exists):
+        for c, (kind, role, child) in quantifiers:
+            if kind == _EXISTS:
                 # The successor exists only through c, so its whole label depends on c.
                 dep = present[c]
-                child = [(c.child, dep)]
-                child.extend(
-                    (d.child, present[d] | dep) for d in items if isinstance(d, Forall) and d.role == c.role
-                )
-                child.extend((k, dep) for k in self.constraints)
-                clash = self.sat(child, deeper)
+                label = [(child, dep)]
+                label += [
+                    (only, present[d] | dep) for d, (other, by, only) in quantifiers if other == _FORALL and by == role
+                ]
+                label += [(k, dep) for k in self.constraints]
+                clash = self.sat(label, deeper)
                 if clash is not None:
                     return clash
         return None
 
 
-def _add(
-    c: ConceptExpr, dep: Deps, items: list[ConceptExpr], present: dict[ConceptExpr, Deps]
-) -> Deps | None:
-    """Insert a concept into a node label; on a clash return both sides' branch points."""
-    if isinstance(c, Top) or c in present:
+def _add(c: int, dep: int, items: list[int], present: dict[int, int], comp: list[int]) -> int | None:
+    """Insert an id into a node label; on a clash return both sides' branch points."""
+    if c in present:
         return None
-    if isinstance(c, Bot):
-        return dep
-    if isinstance(c, Atomic):
-        # Nodes are interned: when no node Not(c) exists, no label holds one.
-        negated = Not.existing(c)
-        if negated is not None and negated in present:
-            return dep | present[negated]
-    elif isinstance(c, Not) and c.child in present:
-        return dep | present[c.child]
+    if c <= _BOT:
+        return None if c == _TOP else dep
+    partner = comp[c]
+    if partner in present:
+        return dep | present[partner]
     present[c] = dep
     items.append(c)
     return None
@@ -278,24 +443,21 @@ def is_satisfiable(tbox: TBox, concept: ConceptExpr, *, budget: int = DEFAULT_NO
     Raises BudgetExceededError when the node budget runs out; the exception
     is the third outcome, never folded into True or False.
     """
-    unfold, constraints = tbox.absorbed
-    tableau = _Tableau(constraints, unfold, budget)
-    return tableau.sat([(c, NO_DEPS) for c in (nnf(concept), *constraints)], ()) is None
+    return _Tableau(tbox, budget, (nnf(concept),)).run()
 
 
 def decide(tbox: TBox, concept: ConceptExpr, budget: int) -> tuple[bool, int]:
     """``is_satisfiable`` and the units it spent: the same call at any
-    budget from that count up gives the same verdict, and below it raises.
-    (``is_satisfiable`` repeats these lines rather than call this, which
-    cost the ``reason`` benchmark about 2% of its throughput.)"""
-    unfold, constraints = tbox.absorbed
-    tableau = _Tableau(constraints, unfold, budget)
-    return tableau.sat([(c, NO_DEPS) for c in (nnf(concept), *constraints)], ()) is None, tableau.spent
+    budget from that count up gives the same verdict, and below it raises."""
+    tableau = _Tableau(tbox, budget, (nnf(concept),))
+    return tableau.run(), tableau.spent
 
 
 def subsumes(tbox: TBox, c: ConceptExpr, d: ConceptExpr, *, budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """True iff every model of *tbox* interprets *c* within *d*."""
-    return not is_satisfiable(tbox, And(c, Not(d)), budget=budget)
+    """True iff every model of *tbox* interprets *c* within *d*: whether
+    ``c & !d`` is unsatisfiable, decided without building that node, at
+    the same cost."""
+    return not _Tableau(tbox, budget, (nnf(c), nnf(Not(d)))).run()
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ recursive printers recurse once per program and guard node, the
 whole-space witness search evaluates every code of a domain size in one
 int, and the per-code model enumerator decodes every code into an
 explicit model and checks each inclusion on it with the recursive model
-evaluator. The forking tableau copies the label at each disjunction and
-recurses into the left branch, the recursive ``nnf`` builds a fresh tree
+evaluator. The forking tableau labels nodes with concept nodes, not the
+engine's ids, copies the label at each disjunction and recurses into the
+left branch, the recursive ``nnf`` builds a fresh tree
 without reading any node's cache, the recursive concept printer and the
 recursive model evaluator recurse once per concept node, and the
 recursive repr once per record. The pattern regexes read a projection
@@ -76,11 +77,9 @@ from ctxdl.programs import (
 from ctxdl.reasoner import (
     DEFAULT_MAX_BITS,
     DEFAULT_NODE_BUDGET,
-    _add,
     _bit_layout,
     _decode_model,
     _guard_bits,
-    _Tableau,
     subsumes,
 )
 from ctxdl.sheaf import Covering, Presheaf, Section, compatible
@@ -658,13 +657,39 @@ def recursive_print_guard(g):
     raise TypeError(f"not a guard: {g!r}")
 
 
-class ForkingTableau(_Tableau):
-    """The tableau with the choice points of reasoner._Tableau, mirroring
-    its contract down to the budget units spent and the branch points
-    numbered: a disjunction copies the label and recurses into its left
-    branch. A label with more than about 950 disjunctions exceeds Python's
-    recursion limit here.
+class ForkingTableau:
+    """The node-based tableau with the choice points of reasoner._Tableau,
+    mirroring its contract down to the budget units spent and the branch
+    points numbered: labels hold concept nodes and their branch points
+    are frozensets, and a disjunction copies the label and recurses into
+    its left branch. A label with more than about 950 disjunctions exceeds
+    Python's recursion limit here.
+
+    *constraints* and *unfold* are as ``absorb`` gives them. ``sat`` takes
+    a label of (concept, branch points) pairs and the ancestors' labels.
     """
+
+    def __init__(self, constraints, unfold, budget):
+        self.constraints = constraints
+        self.unfold = unfold
+        self.budget = budget
+        self.spent = 0
+        self.points = 0
+
+    def _spend(self):
+        self.spent += 1
+        if self.spent > self.budget:
+            raise BudgetExceededError(self.budget)
+
+    def sat(self, label, ancestors):
+        """None when *label* is satisfiable, else the branch points its clash depends on."""
+        self._spend()
+        items, present = [], {}
+        for c, dep in label:
+            clash = _add_node(c, dep, items, present)
+            if clash is not None:
+                return clash
+        return self._expand(items, present, ancestors)
 
     def _expand(self, items, present, ancestors, i=0):
         while i < len(items):
@@ -678,7 +703,7 @@ class ForkingTableau(_Tableau):
                 point = self.points
                 self._spend()
                 forked_items, forked_present = items[:], dict(present)
-                clash = _add(c.left, dep | {point}, forked_items, forked_present)
+                clash = _add_node(c.left, dep | {point}, forked_items, forked_present)
                 if clash is None:
                     clash = self._expand(forked_items, forked_present, ancestors, i)
                 if clash is None or point not in clash:
@@ -692,10 +717,60 @@ class ForkingTableau(_Tableau):
                 continue
             self._spend()
             for part in parts:
-                clash = _add(part, dep, items, present)
+                clash = _add_node(part, dep, items, present)
                 if clash is not None:
                     return clash
         return self._successors(items, present, ancestors)
+
+    def _successors(self, items, present, ancestors):
+        snapshot = frozenset(present)
+        if any(snapshot <= ancestor for ancestor in ancestors):
+            return None
+        deeper = ancestors + (snapshot,)
+        for c in items:
+            if isinstance(c, Exists):
+                # The successor exists only through c, so its whole label depends on c.
+                dep = present[c]
+                child = [(c.child, dep)]
+                child.extend(
+                    (d.child, present[d] | dep) for d in items if isinstance(d, Forall) and d.role == c.role
+                )
+                child.extend((k, dep) for k in self.constraints)
+                clash = self.sat(child, deeper)
+                if clash is not None:
+                    return clash
+        return None
+
+
+def _add_node(c, dep, items, present):
+    """Insert a concept into a node label; on a clash return both sides' branch points."""
+    if isinstance(c, Top) or c in present:
+        return None
+    if isinstance(c, Bot):
+        return dep
+    if isinstance(c, Atomic):
+        # Nodes are interned: when no node Not(c) exists, no label holds one.
+        negated = Not.existing(c)
+        if negated is not None and negated in present:
+            return dep | present[negated]
+    elif isinstance(c, Not) and c.child in present:
+        return dep | present[c.child]
+    present[c] = dep
+    items.append(c)
+    return None
+
+
+def absorb(tbox):
+    """The unfold map (concept name -> the NNF right sides of its
+    inclusions ``A <= D``) and the deduplicated constraints ``nnf(!C | D)``
+    of every other inclusion, in first-occurrence order."""
+    unfold, constraints = {}, {}
+    for lhs, rhs in tbox.inclusions:
+        if isinstance(lhs, Atomic):
+            unfold[lhs.name] = unfold.get(lhs.name, ()) + (nnf(rhs),)
+        else:
+            constraints[nnf(Or(Not(lhs), rhs))] = None
+    return unfold, tuple(constraints)
 
 
 def recursive_nnf(c):

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import importlib.util
+import json
 import random
+import sys
 from collections import Counter
 
 import pytest
 
+from children import ROOT, hash_orders, run_child
 from corpus import (
     CURATED_UNSAT,
     random_absorbable_tbox,
@@ -17,6 +23,7 @@ from corpus import (
 )
 from oracles import (
     ForkingTableau,
+    absorb,
     per_code_models,
     plain_satisfiable,
     recursive_extension,
@@ -37,6 +44,8 @@ from ctxdl.concepts import (
     parse_concept,
 )
 from ctxdl.errors import BudgetExceededError, SearchSpaceError, UnknownNameError
+from ctxdl import values
+from ctxdl.kbfile import loads
 from ctxdl.reasoner import (
     BLOCK_BITS,
     DEFAULT_NODE_BUDGET,
@@ -53,6 +62,10 @@ from ctxdl.reasoner import (
 )
 
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
+
+# sha256 of the JSON of exactness_runs(), as the tableau gave it before
+# its labels were int-coded.
+EXACTNESS_SHA256 = "f21cca264100a570ac5583f83732ef9af6dc7d49acda593a20885f073378e842"
 
 
 class TestSatisfiability:
@@ -132,33 +145,147 @@ class TestDependencySets:
             is_satisfiable(EMPTY_TBOX, ladder, budget=2 * n + 2)
 
 
-def tableau_run(tableau_class, tbox, concept, budget):
-    """Verdict, budget units spent and branch points made, as is_satisfiable runs them."""
-    unfold, constraints = tbox.absorbed
-    tableau = tableau_class(constraints, unfold, budget)
+def outcome(tableau, run):
+    """Verdict, or "budget", then the units spent and branch points made."""
     try:
-        verdict = tableau.sat([(c, frozenset()) for c in (nnf(concept), *constraints)], ()) is None
+        verdict = run()
     except BudgetExceededError:
         verdict = "budget"
     return verdict, tableau.spent, tableau.points
+
+
+def tableau_run(tbox, concept, budget):
+    """The outcome of is_satisfiable(tbox, concept, budget=budget)."""
+    tableau = _Tableau(tbox, budget, (nnf(concept),))
+    return outcome(tableau, tableau.run)
+
+
+def subsumes_run(tbox, c, d, budget):
+    """The outcome of subsumes(tbox, c, d, budget=budget), the verdict
+    being that of the satisfiability of c & !d."""
+    tableau = _Tableau(tbox, budget, (nnf(c), nnf(Not(d))))
+    return outcome(tableau, tableau.run)
+
+
+def reference_run(tbox, concept, budget):
+    """The outcome of the node-based reference tableau on *concept*."""
+    unfold, constraints = absorb(tbox)
+    tableau = ForkingTableau(constraints, unfold, budget)
+    return outcome(tableau, lambda: tableau.sat([(c, frozenset()) for c in (nnf(concept), *constraints)], ()) is None)
+
+
+def load_gen():
+    """perfbench/gen.py, imported read-only by path as the module ``gen``."""
+    if "gen" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+        sys.modules["gen"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["gen"])
+    return sys.modules["gen"]
+
+
+def forking_corpus():
+    """(tbox, concept, budgets) of TestAgainstForkingTableau, in its order."""
+    rng = random.Random(31)
+    names = {"concepts": ("A", "B", "C"), "roles": ("r",)}
+    runs = []
+    for _ in range(1_000):
+        t = random_absorbable_tbox(rng, max_inclusions=3, depth=2, **names)
+        runs.append((t, random_conjunction(rng, 3, **names), (30, DEFAULT_NODE_BUDGET)))
+    for _ in range(300):
+        t = random_tbox(rng, max_inclusions=3, depth=3, **names)
+        runs.append((t, random_concept(rng, 4, **names), (20_000,)))
+    return runs
+
+
+def plain_corpus():
+    """(tbox, concept) of TestAgainstPlainTableau, in its order."""
+    rng = random.Random(31)
+    names = {"concepts": ("A", "B", "C"), "roles": ("r",)}
+    return [
+        (random_absorbable_tbox(rng, max_inclusions=3, depth=2, **names), random_conjunction(rng, 3, **names))
+        for _ in range(2_000)
+    ]
+
+
+def classification_tboxes(gen):
+    """The two classification TBoxes of perfbench's reason workload at
+    seed 1, with the atomic concept of each name, in name order."""
+    labels = [f"Q{i}" for i in random.Random(1).sample(range(100), 16)]
+    structure = random.Random(0)
+    out = []
+    for _ in range(2):
+        cls = gen.classification_tbox(structure, labels)
+        doc = loads(cls.text)
+        out.append((doc.tbox, [parse_concept(name, doc.signature) for name in cls.names]))
+    return out
+
+
+def exactness_runs() -> list:
+    """(verdict or "budget", units spent, branch points) of every run the
+    exactness golden covers."""
+    gen = load_gen()
+    out = []
+    for t, c, budgets in forking_corpus():
+        out += [tableau_run(t, c, budget) for budget in budgets]
+    out += [tableau_run(t, c, DEFAULT_NODE_BUDGET) for t, c in plain_corpus()]
+    for tbox, atoms in classification_tboxes(gen):
+        out += [subsumes_run(tbox, a, b, DEFAULT_NODE_BUDGET) for a in atoms for b in atoms if a is not b]
+    rng = random.Random(0)
+    for n in range(1, 15):
+        ladder = gen.ladder(rng, n)
+        doc = loads(ladder.text)
+        out.append(tableau_run(doc.tbox, parse_concept(ladder.concept, doc.signature), DEFAULT_NODE_BUDGET))
+    for inst in gen.instance_pool(7, 50):
+        doc = loads(inst.text)
+        out.append(tableau_run(doc.tbox, parse_concept(inst.concept, doc.signature), DEFAULT_NODE_BUDGET))
+    return out
+
+
+class TestExactness:
+    def test_verdicts_units_and_branch_points_hash_to_the_golden(self):
+        # Every run of the two tableau corpora, of perfbench reason's
+        # classification pairs, ladders (n = 1..14) and random pool. A
+        # change to the tableau's rules, label order, blocking or
+        # backjumping moves some unit or branch point, and so this hash.
+        runs = exactness_runs()
+        assert len(runs) == 2 * 1_000 + 300 + 2_000 + 2 * 15 * 14 + 14 + 50
+        text = json.dumps(runs, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == EXACTNESS_SHA256
 
 
 class TestAgainstForkingTableau:
     def test_same_verdicts_budgets_and_choices(self):
         # Trying a right disjunct in place, after dropping the left one's
         # entries, spends the units and makes the choices that copying the
-        # label at each disjunction did.
-        rng = random.Random(31)
+        # label at each disjunction did, and int-coded labels spend what
+        # labels of nodes did.
+        for t, c, budgets in forking_corpus():
+            for budget in budgets:
+                assert tableau_run(t, c, budget) == reference_run(t, c, budget), (t, c, budget)
+
+    def test_subsumption_spends_what_the_conjunction_did(self):
+        # subsumes seeds the label that c & !d's expansion left, without
+        # building that node: the same units and branch points as the
+        # reference on c & !d. Half the TBoxes hold the conjunction under
+        # an existential, where it may reach a successor's label and decide
+        # whether the root blocks it.
+        rng = random.Random(43)
         names = {"concepts": ("A", "B", "C"), "roles": ("r",)}
-        for _ in range(1_000):
-            t = random_absorbable_tbox(rng, max_inclusions=3, depth=2, **names)
-            c = random_conjunction(rng, 3, **names)
-            for budget in (30, DEFAULT_NODE_BUDGET):
-                assert tableau_run(_Tableau, t, c, budget) == tableau_run(ForkingTableau, t, c, budget)
-        for _ in range(300):
-            t = random_tbox(rng, max_inclusions=3, depth=3, **names)
-            c = random_concept(rng, 4, **names)
-            assert tableau_run(_Tableau, t, c, 20_000) == tableau_run(ForkingTableau, t, c, 20_000)
+        kept = 0
+        for n in range(600):
+            c, d = random_concept(rng, 2, **names), random_concept(rng, 2, **names)
+            t = random_absorbable_tbox(rng, max_inclusions=2, depth=2, **names)
+            if n % 2:
+                both = And(nnf(c), nnf(Not(d)))
+                t = TBox([*t.inclusions, (rng.choice((A, B, C)), Exists("r", both))])
+                kept += (t.compiled.ids[nnf(c)], t.compiled.ids[nnf(Not(d))]) in t.compiled.ands
+            for budget in (5, 30, DEFAULT_NODE_BUDGET):
+                assert subsumes_run(t, c, d, budget) == reference_run(t, And(c, Not(d)), budget), (t, c, d, budget)
+        assert kept == 300
+        # The root holds B & !C, so it blocks the successor that needs B & !C.
+        t = TBox([(B, Exists("r", And(B, Not(C))))])
+        assert subsumes_run(t, B, C, DEFAULT_NODE_BUDGET) == reference_run(t, And(B, Not(C)), DEFAULT_NODE_BUDGET)
+        assert subsumes_run(t, B, C, DEFAULT_NODE_BUDGET) == (True, 6, 0)
 
 
 class TestAgainstPlainTableau:
@@ -166,12 +293,8 @@ class TestAgainstPlainTableau:
         # Every verdict matches the plain tableau's unless that one runs out
         # of budget, and every sat verdict is confirmed by a finite model.
         # (Criterion 2 checks unsat verdicts against find_witness.)
-        rng = random.Random(31)
-        names = {"concepts": ("A", "B", "C"), "roles": ("r",)}
         compared = atomic = inclusions = 0
-        for _ in range(2_000):
-            t = random_absorbable_tbox(rng, max_inclusions=3, depth=2, **names)
-            c = random_conjunction(rng, 3, **names)
+        for t, c in plain_corpus():
             inclusions += len(t.inclusions)
             atomic += sum(isinstance(lhs, Atomic) for lhs, _ in t.inclusions)
             got = is_satisfiable(t, c)
@@ -201,13 +324,7 @@ class TestAgainstTypeElimination:
         return verdicts
 
     def test_on_the_plain_tableau_corpus(self):
-        rng = random.Random(31)
-        names = {"concepts": ("A", "B", "C"), "roles": ("r",)}
-        instances = [
-            (random_absorbable_tbox(rng, max_inclusions=3, depth=2, **names), random_conjunction(rng, 3, **names))
-            for _ in range(2_000)
-        ]
-        verdicts = self.agree(instances)
+        verdicts = self.agree(plain_corpus())
         assert min(verdicts.values()) >= 800, verdicts
 
     def test_on_the_criterion_2_corpus(self):
@@ -233,8 +350,67 @@ class TestAgainstTypeElimination:
             assert find_witness(sig, TBox(inclusions), chain[0], 3) is None
 
 
+def subsumes_sweep() -> list:
+    """(verdict, units) of subsumes over every ordered pair of names of
+    the first classification TBox of perfbench's reason workload, each at
+    exactly the units it spends, after a call one unit short that must
+    run out."""
+    tbox, atoms = classification_tboxes(load_gen())[0]
+    sweep = []
+    for a in atoms:
+        for b in atoms:
+            if a is not b:
+                verdict, need, _ = subsumes_run(tbox, a, b, DEFAULT_NODE_BUDGET)
+                with pytest.raises(BudgetExceededError):
+                    subsumes(tbox, a, b, budget=need - 1)
+                assert subsumes(TBox(tbox.inclusions), a, b, budget=need) is (not verdict)
+                sweep.append((not verdict, need))
+    return sweep
+
+
 class TestCompiledTBox:
-    """The absorbed form is kept on the TBox; it changes no answer."""
+    """The compiled table is kept on the TBox; it changes no answer."""
+
+    def test_table_stays_bounded_and_keeps_no_node_alive(self):
+        # Names no other test uses, so that every node made here can die.
+        names = {"concepts": ("Bounded0", "Bounded1", "Bounded2"), "roles": ("r",)}
+        gc.collect()
+        before = len(values._table)
+        gc.disable()  # reference counting alone must free every node: no cycle may hold one
+        try:
+            rng = random.Random(47)
+            tbox = random_tbox(rng, max_inclusions=3, depth=3, **names)
+            queries = {}
+            while len(queries) < 5_000:
+                queries.setdefault(random_concept(rng, 4, **names), None)
+            sizes = set()
+            for i, q in enumerate(queries):
+                try:
+                    if i % 2:
+                        subsumes(tbox, q, Atomic("Bounded0"), budget=2_000)
+                    else:
+                        is_satisfiable(tbox, q, budget=2_000)
+                except BudgetExceededError:
+                    pass
+                sizes.add((len(tbox.compiled.ids), len(tbox.compiled.rules), len(tbox.compiled.comp)))
+            assert len(sizes) == 1
+            assert len(values._table) > before
+            del tbox, queries, q
+            assert len(values._table) == before
+        finally:
+            gc.enable()
+
+    def test_subsumes_sweep_is_the_same_under_every_hash_order(self):
+        # Ids come from the walk of the inclusions, never from the order of
+        # a set or dict of nodes, so no verdict or unit count may follow
+        # PYTHONHASHSEED or node addresses.
+        want = json.loads(json.dumps(subsumes_sweep()))
+        assert len(want) == 15 * 14
+        code = "import json, test_reasoner; print(json.dumps(test_reasoner.subsumes_sweep()))"
+        for seed, salt in hash_orders(("0", "1", "random")):
+            proc = run_child(code, hashseed=seed, salt=salt)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout) == want, f"PYTHONHASHSEED={seed}, salt={salt}"
 
     def test_shared_tbox_answers_as_fresh_equal_ones(self):
         # The TestAgainstPlainTableau corpus: each instance is asked of one
@@ -263,13 +439,14 @@ class TestCompiledTBox:
         inclusions = [(A, And(B, C)), (Exists("r", B), Not(A)), (A, B)]
         t, u = TBox(inclusions), TBox(inclusions)
         before = (repr(t), hash(t))
-        unfold, constraints = t.absorbed
-        assert unfold == {"A": (And(B, C), B)}
-        assert constraints == (Or(Forall("r", Not(B)), Not(A)),)
+        table = t.compiled
+        nodes = list(table.ids)  # in id order
+        assert [nodes[i] for i in table.rules[table.ids[A]][1]] == [And(B, C), B]
+        assert [nodes[k] for k in table.constraints] == [Or(Forall("r", Not(B)), Not(A))]
         assert (repr(t), hash(t)) == before
         assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
-        assert TBox._fields == ("inclusions",)  # the absorbed form is not a field
-        assert t.absorbed is t.absorbed
+        assert TBox._fields == ("inclusions",)  # the compiled table is not a field
+        assert t.compiled is t.compiled
 
 
 class TestSubsumption:
