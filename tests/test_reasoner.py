@@ -268,7 +268,9 @@ class TestAgainstForkingTableau:
         # building that node: the same units and branch points as the
         # reference on c & !d. Half the TBoxes hold the conjunction under
         # an existential, where it may reach a successor's label and decide
-        # whether the root blocks it.
+        # whether the root blocks it. Budgets 0, 1 and 2 raise before, at
+        # and just after the conjunction's unit, and the units spent at the
+        # raise must match too.
         rng = random.Random(43)
         names = {"concepts": ("A", "B", "C"), "roles": ("r",)}
         kept = 0
@@ -279,7 +281,7 @@ class TestAgainstForkingTableau:
                 both = And(nnf(c), nnf(Not(d)))
                 t = TBox([*t.inclusions, (rng.choice((A, B, C)), Exists("r", both))])
                 kept += (t.compiled.ids[nnf(c)], t.compiled.ids[nnf(Not(d))]) in t.compiled.ands
-            for budget in (5, 30, DEFAULT_NODE_BUDGET):
+            for budget in (0, 1, 2, 5, 30, DEFAULT_NODE_BUDGET):
                 assert subsumes_run(t, c, d, budget) == reference_run(t, And(c, Not(d)), budget), (t, c, d, budget)
         assert kept == 300
         # The root holds B & !C, so it blocks the successor that needs B & !C.
