@@ -51,6 +51,10 @@ membership in the downward-closed saturation. Saturation is computed on
 demand and never stored, so deletion stays plain set difference; a saturated
 guard atom costs one membership lookup per declared supercontext of V, not a
 scan of the fact set.
+
+A subsumption atom ``C <= D`` is one call to ``reasoner.decide``, which
+decides it over the state's TBox once and keeps the verdict there; this
+module builds no concept for it and keeps nothing.
 """
 
 from __future__ import annotations
@@ -59,9 +63,8 @@ from bisect import bisect_left
 from itertools import accumulate
 from typing import AbstractSet, Callable, Iterable, Union
 
-from ctxdl.concepts import And, Atomic, Not, Signature, expect_name, parse_concept_stream, print_concept
+from ctxdl.concepts import Atomic, Signature, expect_name, parse_concept_stream, print_concept
 from ctxdl.contexts import ContextPoset
-from ctxdl.errors import BudgetExceededError
 from ctxdl.lexer import END, TokenStream, parse_whole
 from ctxdl.reasoner import DEFAULT_NODE_BUDGET, TBox, decide
 from ctxdl.values import Node, Record
@@ -433,14 +436,12 @@ def guard_sat(
     *state* is read through its ``tbox`` and its ``abox``, which may be any
     set of assertions: program evaluation passes its ``WorkingState``.
     Assertion atoms test membership (literal mode) or saturated membership
-    (saturated mode, which requires the context poset). Subsumption atoms
-    consult the reasoner and may raise BudgetExceededError. The inclusions
-    are immutable, so a TBox decides each atom once: its ``_guards`` keeps
-    the verdict and the tableau units spent (``reasoner.decide``), and every
-    later test of the atom over that TBox, in any run, replay or state,
-    gives the verdict at a budget of at least those units and, below them,
-    the BudgetExceededError that a fresh tableau would raise. A decision
-    that exhausts its budget is not kept.
+    (saturated mode, which requires the context poset). A subsumption atom
+    is one call to ``reasoner.decide``, which may raise
+    BudgetExceededError. The inclusions are immutable, so a TBox decides
+    each atom once, and every later test of the atom over that TBox, in
+    any run, replay or state, is answered from what it kept, exactly as a
+    fresh decision at that budget would answer.
 
     Negations and conjunctions wait on an explicit stack, so a long guard
     (``a | b`` is ``!(!a & !b)``, left-nested) costs no Python recursion.
@@ -465,13 +466,7 @@ def guard_sat(
             guard = guard.left if kind is GuardAnd else guard.child
             continue
         elif kind is SubsumeGuard:
-            known = state.tbox._guards.get(guard)
-            if known is None:  # an exhausted budget raises here, so it is never kept
-                sat, spent = decide(state.tbox, And(guard.lhs, Not(guard.rhs)), budget)
-                known = state.tbox._guards[guard] = (not sat, spent)
-            if known[1] > budget:
-                raise BudgetExceededError(budget)
-            value = known[0]
+            value = decide(state.tbox, guard.lhs, guard.rhs, budget)
         elif kind is Truth:
             value = True
         elif kind is Falsity:

@@ -41,11 +41,12 @@ Only ``evaluate_trace`` builds a trace while it runs; ``evaluate`` builds
 one only for a run that aborts, by taking back its writes and running it
 again.
 The inclusions never change, so a TBox keeps the verdict of every
-subsumption atom decided over it (see ``kb.guard_sat``): a
-``while A <= B do ... od`` loop runs the tableau once, not once per
-unfolding, and the runs, replays and states that share the TBox run it
-no more. A kept verdict answers at any budget its decision fitted in and
-raises below it, as the tableau would, so budgets stay exact.
+subsumption atom decided over it (``reasoner.decide``, which
+``kb.guard_sat`` calls once per atom): a ``while A <= B do ... od`` loop
+runs the tableau once, not once per unfolding, and the runs, replays and
+states that share the TBox run it no more. A kept verdict answers at any
+budget its decision fitted in and raises below it, as the tableau would,
+so budgets stay exact.
 """
 
 from __future__ import annotations

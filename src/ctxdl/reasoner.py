@@ -19,8 +19,10 @@ the nodes of a query that it lacks are numbered after its ids, for that
 decision alone. Ids follow the structure of the inclusions and the query,
 never the order of a set or dict of nodes, and they decide no output
 order: labels keep insertion order, and blocking compares sets of ids.
-``subsumes`` decides ``c & !d`` without building that node: it seeds the
-label that the conjunction's expansion would leave and spends its unit.
+The tableau has one way in: ``_Tableau`` computes the root label once,
+as ids, and ``run`` seeds it. ``subsumes`` and ``decide`` ask whether
+``c & !d`` is satisfiable without building that node: the root label is
+what the conjunction's expansion would leave, after its unit is spent.
 This is the numbered concept form of Horrocks and Patel-Schneider (J.
 Logic Comput. 1999) and of FaCT++ (Tsarkov and Horrocks, IJCAR 2006).
 
@@ -40,11 +42,11 @@ are made, and successors are expanded in label order. Two things outlive
 a call, both kept on the immutable ``TBox``. Its compiled table is a pure
 function of the inclusions and no call mutates it, so repeated calls
 return identical results and spend identical budgets, whether they share
-one TBox object or use equal ones. Its ``_guards`` keeps the verdicts of
-guard atoms, and only ``kb.guard_sat`` fills it: ``is_satisfiable`` and
-``subsumes`` read no verdict and keep none. ``decide`` also gives the
-units a decision spent, from which a caller that keeps the verdict can
-honour any later budget exactly.
+one TBox object or use equal ones. Its ``_guards`` keeps, per pair
+(c, d), the verdict on ``c <= d`` and the units that decision spent, and
+only ``decide`` reads or fills it, for the P-Box's guard atoms (through
+``kb.guard_sat``): from the units it answers any later budget exactly.
+``is_satisfiable`` and ``subsumes`` read no verdict and keep none.
 
 The brute-force side exists as an independent check on the tableau; it
 shares nothing with it but the concept semantics, which one evaluator,
@@ -111,7 +113,7 @@ class TBox(Record):
 
     def __init__(self, inclusions: Iterable[tuple[ConceptExpr, ConceptExpr]] = ()):
         super().__init__(tuple(dict.fromkeys(inclusions)))
-        object.__setattr__(self, "_guards", {})  # subsumption guard -> (verdict, units spent)
+        object.__setattr__(self, "_guards", {})  # (c, d) -> (c <= d, units spent), by decide
 
     @property
     def compiled(self) -> _Table:
@@ -247,15 +249,18 @@ def _compile(
 
 
 class _Tableau:
-    """One decision: is the conjunction of *roots* satisfiable in a model
-    of *tbox*?
+    """One decision: is the conjunction of *roots*, one concept or ``c``
+    and ``!d``, satisfiable in a model of *tbox*?
 
     Labels hold ids of the TBox's compiled table. The roots' nodes that the
     table lacks are numbered for this decision alone, in copies of the
-    table's lists, so the table never grows.
+    table's lists, so the table never grows. The root label is computed
+    here, as ids, and ``units`` counts what is spent before it is seeded:
+    the root node's unit, and for c and !d, when the table lacks their
+    conjunction, that conjunction's unit too.
     """
 
-    __slots__ = ("budget", "spent", "points", "constraints", "ands", "comp", "rules", "roots")
+    __slots__ = ("budget", "spent", "points", "constraints", "comp", "rules", "label", "units")
 
     def __init__(self, tbox: TBox, budget: int, roots: tuple[ConceptExpr, ...]):
         table = tbox.compiled
@@ -263,12 +268,19 @@ class _Tableau:
         self.spent = 0
         self.points = 0
         self.constraints = table.constraints
-        self.ands = table.ands
         self.comp, self.rules = table.comp, table.rules
-        self.roots = list(map(table.ids.get, roots))
-        if None in self.roots:
+        ids = list(map(table.ids.get, roots))
+        if None in ids:
             self.comp, self.rules = table.comp.copy(), table.rules.copy()
-            self.roots = _compile(roots, table.ids, {}, self.comp, self.rules)
+            ids = _compile(roots, table.ids, {}, self.comp, self.rules)
+        root = ids[0] if len(ids) == 1 else table.ands.get(tuple(ids))
+        if root is None:
+            # What the expansion of c & !d would leave. Only a conjunction
+            # that the table holds can reach a successor's label and a
+            # blocking test, so leaving this one out changes no outcome.
+            self.label, self.units = (*self.constraints, *ids), 2
+        else:
+            self.label, self.units = (root, *self.constraints), 1
 
     def _spend(self) -> None:
         self.spent += 1
@@ -276,36 +288,16 @@ class _Tableau:
             raise BudgetExceededError(self.budget)
 
     def run(self) -> bool:
-        """The verdict. One root: its label holds the root and the
-        constraints. Two roots c and d, as ``subsumes`` asks: the label
-        holds what the expansion of the conjunction c & d, with the
-        constraints after it, would leave, and the conjunction's unit is
-        spent. The conjunction itself is on the label, expanded already,
-        when the table holds it, since only then can a successor's label
-        hold it and a blocking test see it."""
-        comp = self.comp
-        self._spend()
+        """The verdict: whether the root label is satisfiable."""
+        while self.spent < self.units:
+            self._spend()
         items: list[int] = []
         present: dict[int, int] = {}
-        start = 0
-        if len(self.roots) == 1:
-            label = (*self.roots, *self.constraints)
-        else:
-            conjunction = self.ands.get(tuple(self.roots))
-            if conjunction is not None:
-                present[conjunction] = NO_DEPS
-                items.append(conjunction)
-                start = 1
-            label = self.constraints
-        for c in label:
+        comp = self.comp
+        for c in self.label:
             if _add(c, NO_DEPS, items, present, comp) is not None:
                 return False
-        if len(self.roots) == 2:
-            self._spend()
-            for c in self.roots:
-                if _add(c, NO_DEPS, items, present, comp) is not None:
-                    return False
-        return self._expand(items, present, (), start) is None
+        return self._expand(items, present, ()) is None
 
     def sat(self, label: list[tuple[int, int]], ancestors: tuple[frozenset[int], ...]) -> int | None:
         """None when *label* is satisfiable, else the branch points its clash depends on."""
@@ -317,12 +309,10 @@ class _Tableau:
             clash = _add(c, dep, items, present, comp)
             if clash is not None:
                 return clash
-        return self._expand(items, present, ancestors, 0)
+        return self._expand(items, present, ancestors)
 
-    def _expand(
-        self, items: list[int], present: dict[int, int], ancestors: tuple[frozenset[int], ...], i: int
-    ) -> int | None:
-        """Expand one node's label in place from entry *i*; the result is as for ``sat``.
+    def _expand(self, items: list[int], present: dict[int, int], ancestors: tuple[frozenset[int], ...]) -> int | None:
+        """Expand one node's label in place; the result is as for ``sat``.
 
         A disjunction tries its left disjunct on the same label. Its choice
         point keeps the label's length, so trying the right disjunct first
@@ -332,6 +322,7 @@ class _Tableau:
         recursion nor a copy of the label per choice.
         """
         comp, rules = self.comp, self.rules
+        i = 0
         # The rules of the quantifiers among the entries before i, in label order.
         quantifiers: list[tuple[int, tuple]] = []
         # (label length, next item, quantifiers, deps, branch point, right disjunct) per open choice
@@ -446,18 +437,31 @@ def is_satisfiable(tbox: TBox, concept: ConceptExpr, *, budget: int = DEFAULT_NO
     return _Tableau(tbox, budget, (nnf(concept),)).run()
 
 
-def decide(tbox: TBox, concept: ConceptExpr, budget: int) -> tuple[bool, int]:
-    """``is_satisfiable`` and the units it spent: the same call at any
-    budget from that count up gives the same verdict, and below it raises."""
-    tableau = _Tableau(tbox, budget, (nnf(concept),))
-    return tableau.run(), tableau.spent
-
-
 def subsumes(tbox: TBox, c: ConceptExpr, d: ConceptExpr, *, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """True iff every model of *tbox* interprets *c* within *d*: whether
     ``c & !d`` is unsatisfiable, decided without building that node, at
     the same cost."""
     return not _Tableau(tbox, budget, (nnf(c), nnf(Not(d)))).run()
+
+
+def decide(tbox: TBox, c: ConceptExpr, d: ConceptExpr, budget: int) -> bool:
+    """``subsumes``, decided once per TBox: the verdict and the units the
+    decision spent are kept in its ``_guards``, and every later call at a
+    budget from those units up gives that verdict, and below them raises
+    the BudgetExceededError that a fresh decision would raise. A decision
+    that exhausts its budget is not kept."""
+    known = tbox._guards.get((c, d))
+    if known is None:  # an exhausted budget raises here, so it is never kept
+        known = tbox._guards[c, d] = _subsumption(tbox, c, d, budget)
+    if known[1] > budget:
+        raise BudgetExceededError(budget)
+    return known[0]
+
+
+def _subsumption(tbox: TBox, c: ConceptExpr, d: ConceptExpr, budget: int) -> tuple[bool, int]:
+    """A fresh decision of ``decide``: the verdict and the units it spent."""
+    tableau = _Tableau(tbox, budget, (nnf(c), nnf(Not(d))))
+    return not tableau.run(), tableau.spent
 
 
 # ---------------------------------------------------------------------------

@@ -773,6 +773,16 @@ def absorb(tbox):
     return unfold, tuple(constraints)
 
 
+def forking_subsumption(tbox, c, d, budget=DEFAULT_NODE_BUDGET):
+    """Whether *c* <= *d* holds in every model of *tbox*, and the units
+    spent, by ForkingTableau on ``c & !d``: what a fresh
+    ``reasoner.decide`` keeps. Raises BudgetExceededError."""
+    unfold, constraints = absorb(tbox)
+    tableau = ForkingTableau(constraints, unfold, budget)
+    label = [(k, frozenset()) for k in (nnf(And(c, Not(d))), *constraints)]
+    return tableau.sat(label, ()) is not None, tableau.spent
+
+
 def recursive_nnf(c):
     """One Python call per node and no cache, mirroring the contract of
     concepts.nnf(). A long flat chain exceeds Python's recursion limit here.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ctxdl.kb
+import ctxdl.reasoner
 import oracles
 from children import hash_orders, run_child
 from corpus import SIG, random_abox, random_assertion, random_concept, random_guard, random_poset, random_tbox
@@ -34,9 +34,9 @@ from ctxdl.kb import (
     parse_fact_list,
     saturate,
 )
-from ctxdl.reasoner import DEFAULT_NODE_BUDGET, EMPTY_TBOX, TBox, decide
+from ctxdl.reasoner import EMPTY_TBOX, TBox
 from ctxdl.programs import parse_guard
-from oracles import plain_digest, plain_fact_text, recursive_guard_sat
+from oracles import forking_subsumption, plain_digest, plain_fact_text, recursive_guard_sat
 
 A = Atomic("A")
 B = Atomic("B")
@@ -314,9 +314,10 @@ def budget_sweep() -> list:
     for _ in range(40):
         tbox = random_tbox(rng)
         atom = SubsumeGuard(random_concept(rng, 3), random_concept(rng, 3))
-        _, need = decide(tbox, And(atom.lhs, Not(atom.rhs)), DEFAULT_NODE_BUDGET)
-        assert outcome(tbox, atom, need - 1) == "budget" and atom not in tbox._guards
-        assert outcome(tbox, atom, need) != "budget" and atom in tbox._guards
+        _, need = forking_subsumption(tbox, atom.lhs, atom.rhs)
+        key = (atom.lhs, atom.rhs)
+        assert outcome(tbox, atom, need - 1) == "budget" and key not in tbox._guards
+        assert outcome(tbox, atom, need) != "budget" and key in tbox._guards
         got = [outcome(tbox, atom, b) for b in range(1, need + 2)]
         assert got == [outcome(TBox(tbox.inclusions), atom, b) for b in range(1, need + 2)]
         assert got == ["budget"] * (need - 1) + got[-2:] and got[-1] == got[-2]
@@ -349,13 +350,13 @@ class TestGuardStack:
             asked.append((lhs, rhs))
             return subsumes(tbox, lhs, rhs, budget=budget)
 
-        def deciding(tbox, concept, budget):
-            decided.append((concept.left, concept.right.child))  # And(lhs, Not(rhs))
-            return decide(tbox, concept, budget)
+        def deciding(tbox, lhs, rhs, budget):
+            decided.append((lhs, rhs))
+            return fresh(tbox, lhs, rhs, budget)
 
-        subsumes, decide = oracles.subsumes, ctxdl.kb.decide
+        subsumes, fresh = oracles.subsumes, ctxdl.reasoner._subsumption
         monkeypatch.setattr(oracles, "subsumes", asking)
-        monkeypatch.setattr(ctxdl.kb, "decide", deciding)
+        monkeypatch.setattr(ctxdl.reasoner, "_subsumption", deciding)
         rng = random.Random(53)
         universe = [ca("a", "A", "U"), ca("b", "B", "V"), RoleAssertion("a", "b", "r", "W")]
         seen = {True: 0, False: 0, "budget": 0}
@@ -380,7 +381,7 @@ class TestGuardStack:
         asked = []
 
         def asking(tbox, lhs, rhs, *, budget):
-            asked.append(SubsumeGuard(lhs, rhs))
+            asked.append((lhs, rhs))
             return subsumes(tbox, lhs, rhs, budget=budget)
 
         subsumes = oracles.subsumes
@@ -397,9 +398,8 @@ class TestGuardStack:
             assert guard_sat(state, guard) == want
             kept = dict(tbox._guards)
             assert list(kept) == list(dict.fromkeys(asked))
-            for g, (verdict, spent) in kept.items():
-                sat, units = decide(tbox, And(g.lhs, Not(g.rhs)), DEFAULT_NODE_BUDGET)
-                assert (verdict, spent) == (not sat, units)
+            for (lhs, rhs), known in kept.items():
+                assert known == forking_subsumption(tbox, lhs, rhs)
             # Another state over the same TBox decides nothing again.
             other = KnowledgeState(tbox, frozenset())
             assert guard_sat(other, guard) == recursive_guard_sat(other, guard)

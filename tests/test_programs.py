@@ -7,6 +7,7 @@ import random
 import pytest
 
 import ctxdl.kb
+import ctxdl.reasoner
 from corpus import SIG, assertion_universe, random_concept, random_guard, random_program
 from ctxdl.concepts import And, Atomic, Not
 from ctxdl.contexts import ContextPoset
@@ -389,15 +390,15 @@ class TestSubsumptionMemo:
 
     @pytest.fixture
     def tableau_runs(self, monkeypatch):
-        # The atoms guard_sat decides with the tableau, in order.
+        # The atoms reasoner.decide decides afresh, with the tableau, in order.
         calls = []
-        decide = ctxdl.kb.decide
+        fresh = ctxdl.reasoner._subsumption
 
-        def counted(tbox, concept, budget):
-            calls.append((concept.left, concept.right.child))  # And(lhs, Not(rhs))
-            return decide(tbox, concept, budget)
+        def counted(tbox, lhs, rhs, budget):
+            calls.append((lhs, rhs))
+            return fresh(tbox, lhs, rhs, budget)
 
-        monkeypatch.setattr(ctxdl.kb, "decide", counted)
+        monkeypatch.setattr(ctxdl.reasoner, "_subsumption", counted)
         return calls
 
     @pytest.mark.parametrize("unfoldings", [1, 5, 60])
