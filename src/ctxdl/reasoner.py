@@ -278,6 +278,8 @@ class _Tableau:
             # What the expansion of c & !d would leave. Only a conjunction
             # that the table holds can reach a successor's label and a
             # blocking test, so leaving this one out changes no outcome.
+            # The constraints are disjunctions and never clash when seeded,
+            # so the conjunction's unit may be spent before them.
             self.label, self.units = (*self.constraints, *ids), 2
         else:
             self.label, self.units = (root, *self.constraints), 1
