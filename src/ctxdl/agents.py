@@ -10,11 +10,12 @@ assertion manifesting as its fact (``a.at(None)``).
 The empty manifested set is a first-class outcome: it encodes that the
 latent structure carries no information for this agent.
 
-A run copies the agent's base fact set once, into a ``kb.WorkingState``:
-the injection, every oracle step (``oracle.ask``) and the program's
-writes (``programs.execute``) change it in place, and the projection
-reads it. Its digest is spliced from the one the base state keeps, so a
-run costs its changes, not its state.
+A run keeps the agent's base state as the base of a ``kb.WorkingState``
+and copies nothing from it: the injection, every oracle step
+(``oracle.ask``) and the program's writes (``programs.execute``) change
+only the working state's two deltas, and the projection reads its view.
+Its digest is spliced from the one the base state keeps, so a run costs
+its changes, not its state.
 
 Stability is exact: k independent runs (fresh state each run) under a seed
 policy are Stable iff every run manifests the identical fact set.

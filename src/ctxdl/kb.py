@@ -29,28 +29,30 @@ a splice only the lines it adds, and a session log writes it verbatim.
 
 A ``KnowledgeState`` is never changed. Every change goes through a
 ``WorkingState``, which a run (an agent's interaction, an oracle session,
-a program evaluation) changes in place: it copies the fact set of the
-state it starts from once, into a ``set``, and notes each assertion it
-writes, so ``apply``, ``add`` and ``discard`` each cost a set update. It
-is the one kind of state that splices: it keeps a base, the state whose
-digest it splices from, and the assertions touched since. When its
-digest is read, each touched line that the base holds and the working
-state does not is removed, each one it holds and the base does not is
-added, and each is placed by ``bisect.bisect_left`` over the base's
-lines. One join of the untouched stretches, sliced by offset, and the
-added lines builds the result, so a run of small updates pays for its
-changes, not for the whole fact set. Once the touched assertions
-outnumber the square root of the fact set, the fact set becomes the
-base, with the lines merged in that splice. ``freeze`` gives a plain
-``KnowledgeState`` at the end, which sorts its own digest if it is read.
+a program evaluation) changes in place. It copies nothing from the state
+it starts from, its base: it keeps two net deltas, the assertions present
+now that the base lacks and the base's assertions absent now, so
+``apply``, ``add`` and ``discard`` each cost a set update of their own
+assertions, and a run pays for its changes, not for the base's fact set.
+Its ``abox`` is a read-only view of ``(base - removed) | added``. It is
+the one kind of state that splices: when its digest is read, the line of
+each removed assertion is taken out of the base's lines and each added
+one put in, each placed by ``bisect.bisect_left``. One join of the
+untouched stretches, sliced by offset, and the added lines builds the
+result. Once the deltas outnumber the square root of the fact set, the
+fact set becomes the base, with the lines merged in that splice, and the
+deltas are cleared. ``freeze`` gives a plain ``KnowledgeState`` at the
+end, which sorts its own digest if it is read.
 
 Guard satisfaction has two modes. ``literal`` checks raw membership of the
 asserted fact in the current fact set. ``saturated`` additionally accepts a
 fact at context V whenever it is asserted at some supercontext U >= V, i.e.
 membership in the downward-closed saturation. Saturation is computed on
-demand and never stored, so deletion stays plain set difference; a saturated
-guard atom costs one membership lookup per declared supercontext of V, not a
-scan of the fact set.
+demand and never stored, so deletion stays plain set difference. A saturated
+guard atom keeps its lifts on the guard node, for the last poset it was
+tested under: the assertion at each declared supercontext of V. A test is
+then one membership lookup per lift, with no node looked up or built, and
+not a scan of the fact set; the lifts live exactly as long as the guard.
 
 A subsumption atom ``C <= D`` is one call to ``reasoner.decide``, which
 decides it over the state's TBox once and keeps the verdict there; this
@@ -60,8 +62,9 @@ module builds no concept for it and keeps nothing.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate
-from typing import AbstractSet, Callable, Iterable, Union
+from collections.abc import Set
+from itertools import accumulate, chain, filterfalse
+from typing import AbstractSet, Callable, Iterable, Iterator, Union
 
 from ctxdl.concepts import Atomic, Signature, expect_name, parse_concept_stream, print_concept
 from ctxdl.contexts import ContextPoset
@@ -168,24 +171,56 @@ def _keep(state: KnowledgeState, digest: str, lines: list[str]) -> KnowledgeStat
     return state
 
 
-class WorkingState:
-    """A fact set that one run changes in place: the inclusions, a ``set``
-    of assertions, a base state and the assertions written since.
+class _Facts(Set):
+    """The fact set of a ``WorkingState``, read-only: ``(base - removed) | added``.
 
-    It is made from a ``KnowledgeState``, its first base, with one copy of
-    the fact set. ``apply``, ``add`` and ``discard`` change the set, note
-    the written assertions and drop the digest read last; ``digest``
-    splices the next one from the base's when it is read (``_spliced``).
-    ``freeze`` gives a plain ``KnowledgeState`` of the set.
+    It holds the base's fact set and the two deltas, which the working
+    state changes in place and keeps disjoint (``added`` outside the base,
+    ``removed`` inside it), so the view is always current. Membership is at
+    most three lookups, the length is arithmetic, and iteration walks the
+    base, skipping the removed, then the added. ``collections.abc.Set``
+    gives ``==`` and the other comparisons; its set operators return
+    frozensets.
     """
 
-    __slots__ = ("tbox", "abox", "_base", "_touched", "_digest")
+    __slots__ = ("_base", "_added", "_removed")
+
+    _from_iterable = frozenset
+
+    def __init__(self, base: frozenset[Assertion], added: set[Assertion], removed: set[Assertion]):
+        self._base, self._added, self._removed = base, added, removed
+
+    def __contains__(self, assertion) -> bool:
+        return assertion in self._added or (assertion in self._base and assertion not in self._removed)
+
+    def __iter__(self) -> Iterator[Assertion]:
+        return chain(filterfalse(self._removed.__contains__, self._base), self._added)
+
+    def __len__(self) -> int:
+        return len(self._base) - len(self._removed) + len(self._added)
+
+
+class WorkingState:
+    """A fact set that one run changes: the inclusions, a base state and
+    two net deltas over the base's fact set.
+
+    ``_added`` holds the assertions present now and absent from the base,
+    ``_removed`` the base's assertions absent now. Making one from a
+    ``KnowledgeState``, its first base, copies nothing; ``apply``, ``add``
+    and ``discard`` update the deltas and drop the digest read last, and
+    ``abox`` is a read-only view of ``(base.abox - removed) | added``.
+    ``digest`` splices the next digest from the base's when it is read
+    (``_spliced``); ``freeze`` gives a plain ``KnowledgeState``.
+    """
+
+    __slots__ = ("tbox", "abox", "_base", "_added", "_removed", "_digest")
 
     def __init__(self, state: KnowledgeState):
         self.tbox = state.tbox
-        self.abox = set(state.abox)
         self._base = state
-        self._touched = set()
+        self._added: set[Assertion] = set()
+        self._removed: set[Assertion] = set()
+        self.abox: AbstractSet[Assertion] = _Facts(state.abox, self._added, self._removed)
         self._digest = state._digest
 
     @property
@@ -198,62 +233,67 @@ class WorkingState:
     def apply(self, additions: Iterable[Assertion], deletions: Iterable[Assertion] = ()) -> None:
         """Make the fact set ``(abox | additions) - deletions``."""
         deletions = frozenset(deletions)
-        removed, added = deletions & self.abox, frozenset(additions) - deletions - self.abox
-        if removed or added:
-            self.abox -= removed
-            self.abox |= added
-            self._touched |= removed | added
+        additions = frozenset(additions) - deletions
+        base, added, removed = self._base.abox, self._added, self._removed
+        new, back = additions - base - added, additions & removed
+        gone, dropped = deletions & added, (deletions & base) - removed
+        if new or back or gone or dropped:
+            added -= gone
+            added |= new
+            removed -= back
+            removed |= dropped
             self._digest = None
 
     def add(self, assertion: Assertion) -> bool:
         """Add one assertion; whether it was absent."""
-        if assertion in self.abox:
+        if assertion in self._removed:
+            self._removed.remove(assertion)
+        elif assertion in self._added or assertion in self._base.abox:
             return False
-        self.abox.add(assertion)
-        self._touched.add(assertion)
+        else:
+            self._added.add(assertion)
         self._digest = None
         return True
 
     def discard(self, assertion: Assertion) -> bool:
         """Remove one assertion; whether it was present."""
-        if assertion not in self.abox:
+        if assertion in self._added:
+            self._added.remove(assertion)
+        elif assertion in self._removed or assertion not in self._base.abox:
             return False
-        self.abox.remove(assertion)
-        self._touched.add(assertion)
+        else:
+            self._removed.add(assertion)
         self._digest = None
         return True
 
     def freeze(self) -> KnowledgeState:
         """The state of the fact set as it is now; it sorts its own digest if read."""
-        return KnowledgeState(self.tbox, frozenset(self.abox))
+        return KnowledgeState(self.tbox, (self._base.abox - self._removed) | self._added)
 
     def _spliced(self) -> str:
         """The digest of the fact set, spliced from the one the base keeps.
 
-        The touched assertions that the base holds and the set does not are
-        removed, those the set holds and the base does not are added. Each
-        is placed by ``bisect_left`` over the base's lines; one join of the
-        untouched stretches, sliced at their offsets, and the added lines
-        builds the result. It is a ``Digest`` when the base's is and each
-        added line is plain for JSON.
+        The removed assertions' lines are taken out and the added ones'
+        put in, each placed by ``bisect_left`` over the base's lines; one
+        join of the untouched stretches, sliced at their offsets, and the
+        added lines builds the result. It is a ``Digest`` when the base's
+        is and each added line is plain for JSON.
 
-        A splice costs a bisection and two lookups per touched assertion.
-        So once the touched assertions outnumber the square root of the
-        fact set, the set becomes the base: a copy of it that keeps the
-        spliced digest, and the lines merged in the same pass from the old
-        base's and the added ones, with no split and no sort. That bounds a
-        long session's cost per digest by the root, not by its length.
+        A splice costs a bisection per assertion in the deltas. So once
+        they outnumber the square root of the fact set, the fact set
+        becomes the base: a new state that keeps the spliced digest, and
+        the lines merged in the same pass from the old base's and the added
+        ones, with no split and no sort; the deltas are cleared. That
+        bounds a long session's cost per digest by the root, not by its
+        length.
         """
-        base = self._base
+        base, added, removed = self._base, self._added, self._removed
         digest, (lines, ahead) = base.digest, base._index  # sorted on the base's first use
-        touched, before, abox = self._touched, base.abox, self.abox  # set algebra reuses the stored hashes
-        gone = [a.text for a in (touched - abox) & before]
-        new = [a.text for a in (touched & abox) - before]
-        if not gone and not new:
-            touched.clear()  # the set is the base's again
+        if not added and not removed:
             return digest
-        rebase = len(touched) ** 2 > len(abox)
-        edits = [(bisect_left(lines, text), 1, text) for text in gone]
+        new = [a.text for a in added]
+        rebase = (len(added) + len(removed)) ** 2 > len(self.abox)
+        edits = [(bisect_left(lines, a.text), 1, a.text) for a in removed]
         edits += [(bisect_left(lines, text), 0, text) for text in new]
         pieces, merged, pos = [], [], 0  # the digest's pieces, the new base's lines; lines from pos on are not yet copied
         for i, removing, text in sorted(edits):  # at one line: insertions, in order, then its removal
@@ -272,8 +312,10 @@ class WorkingState:
             spliced = Digest(spliced)
         if rebase:
             merged += lines[pos:]
-            self._base = _keep(KnowledgeState(self.tbox, frozenset(abox)), spliced, merged)
-            self._touched = set()
+            self._base = _keep(self.freeze(), spliced, merged)
+            self.abox._base = self._base.abox
+            added.clear()
+            removed.clear()
         return spliced
 
 
@@ -395,7 +437,7 @@ class Falsity(Node):
 
 
 class AssertGuard(Node):
-    __slots__ = ("assertion",)
+    __slots__ = ("assertion", "_lifts")  # _lifts: (poset, the assertion at each of its supercontexts)
 
 
 class SubsumeGuard(Node):
@@ -416,11 +458,17 @@ TRUE_GUARD = Truth()
 FALSE_GUARD = Falsity()
 
 
-def _holds_saturated(abox: AbstractSet[Assertion], wanted: Assertion, poset: ContextPoset) -> bool:
-    # Membership in saturate(abox) without materializing the closure. Facts in
-    # abox are live nodes, so a probe only looks up: making one costs ~4 us.
-    head = wanted._values(wanted)[:-1]  # context is the last field
-    return any(type(wanted).existing(*head, u) in abox for u in poset.above(wanted.context))
+def _holds_saturated(abox: AbstractSet[Assertion], guard: AssertGuard, poset: ContextPoset) -> bool:
+    # Membership in saturate(abox) without materializing the closure: whether
+    # the assertion at some supercontext is in abox. The guard keeps those
+    # lifts for the last poset it was tested under, so they live as long as
+    # the guard does.
+    kept = guard._lifts
+    if kept is None or kept[0] is not poset:
+        a = guard.assertion
+        kept = (poset, frozenset(a.at(u) for u in poset.above(a.context)))
+        _set(guard, "_lifts", kept)
+    return any(map(abox.__contains__, kept[1]))
 
 
 def guard_sat(
@@ -460,7 +508,7 @@ def guard_sat(
             if mode == "literal":
                 value = guard.assertion in state.abox
             else:
-                value = _holds_saturated(state.abox, guard.assertion, poset)
+                value = _holds_saturated(state.abox, guard, poset)
         elif kind is GuardAnd or kind is GuardNot:
             pending.append(guard)
             guard = guard.left if kind is GuardAnd else guard.child

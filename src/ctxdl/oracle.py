@@ -10,8 +10,8 @@ payload patterns in file order. ``ask`` runs queries on one
 it, from the digest its base keeps (see ``ctxdl.kb``), so a session
 sorts its fact set once, not once per query; the digest format is
 unchanged. ``run_session`` makes that working state from a
-``KnowledgeState`` and freezes it at the end, so it copies the fact set
-once on the way in and once on the way out. ``oracle_step`` is
+``KnowledgeState``, which copies nothing, and freezes it at the end,
+which builds the fact set once, on the way out. ``oracle_step`` is
 ``run_session`` of one query, so each state of a chain of steps sorts
 its own digest when the next step reads it; nothing in the library
 calls it.

@@ -29,9 +29,9 @@ Evaluation is the standard big-step relation over knowledge states. One
 fuel unit is spent per rule application, each loop unfolding included, so
 non-terminating loops surface as a FuelExhausted outcome instead of hanging.
 ``execute`` runs a program on a ``kb.WorkingState``, whose fact set its
-``add`` and ``del`` commands change in place; an evaluation makes one from
-the input state, with one copy of the fact set, and freezes the final
-state once, so the caller's state is never changed. Commands wait on an
+``add`` and ``del`` commands change in place; an evaluation makes one over
+the input state, which copies nothing, and freezes the final state once,
+so the caller's state is never changed. Commands wait on an
 explicit stack, so a long ``;`` chain costs no Python recursion; the
 printers walk with ``values.render``, so a long ``;`` or ``|`` chain
 prints.

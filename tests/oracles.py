@@ -59,7 +59,6 @@ from ctxdl.kb import (
     RoleAssertion,
     SubsumeGuard,
     Truth,
-    _holds_saturated,
     guard_sat,
 )
 from ctxdl.programs import (
@@ -425,7 +424,8 @@ def recursive_guard_sat(state, guard, mode="literal", poset=None, *, budget=DEFA
     if isinstance(guard, AssertGuard):
         if mode == "literal":
             return guard.assertion in state.abox
-        return _holds_saturated(state.abox, guard.assertion, poset)
+        a = guard.assertion  # a fact at U holds at every V <= U
+        return any(a.at(u) in state.abox for u in poset.above(a.context))
     if isinstance(guard, SubsumeGuard):
         return subsumes(state.tbox, guard.lhs, guard.rhs, budget=budget)
     if isinstance(guard, GuardNot):

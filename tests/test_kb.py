@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctxdl.reasoner
@@ -180,6 +182,111 @@ class TestRenderingCache:
         assert child.digest is digest and child.lines == tuple(canonical_abox(child.abox))
 
 
+# Four base facts and four others; the writes flip each kind out and in.
+DELTA_POOL = (
+    ca("a", "A", "U"), ca("b", "B", "V"), RoleAssertion("a", "b", "r", "U"), ca("a", "C", "W"),
+    ca("b", "A", "U"), ca("a", "B", "V"), RoleAssertion("b", "a", "s", "W"), ca("b", "C", "U"),
+)
+delta_sets = st.frozensets(st.sampled_from(DELTA_POOL))
+delta_writes = st.one_of(
+    st.tuples(st.just("apply"), delta_sets, delta_sets),
+    st.tuples(st.sampled_from(("add", "discard", "flip")), st.sampled_from(DELTA_POOL)),
+)
+
+
+def check_against_model(base: frozenset, writes) -> int:
+    """Run *writes* on a working state over *base* and on a plain set,
+    compare them after every write, and return how often the working
+    state rebased. A ``flip`` takes an assertion out and back in if it is
+    present, else in and out: two writes, each compared."""
+    work, model, rebases = WorkingState(KnowledgeState(EMPTY_TBOX, base)), set(base), 0
+    steps = []
+    for write in writes:
+        if write[0] == "flip":
+            a = write[1]
+            steps += [("discard", a), ("add", a)] if a in model else [("add", a), ("discard", a)]
+        else:
+            steps.append(write)
+    for step in steps:
+        if step[0] == "apply":
+            _, additions, deletions = step
+            work.apply(additions, deletions)
+            model = (model | additions) - deletions
+        elif step[0] == "add":
+            assert work.add(step[1]) == (step[1] not in model)
+            model.add(step[1])
+        else:
+            assert work.discard(step[1]) == (step[1] in model)
+            model.discard(step[1])
+        view, base_facts = work.abox, work._base.abox
+        assert view == model and model == view and len(view) == len(model)
+        assert [a in view for a in DELTA_POOL] == [a in model for a in DELTA_POOL]
+        listed = list(view)
+        assert len(listed) == len(set(listed)) == len(model) and set(listed) == model
+        assert work._added.isdisjoint(base_facts) and work._removed <= base_facts  # net deltas
+        before = work._base
+        assert work.digest == abox_digest(model)
+        rebases += work._base is not before
+        assert work.freeze().abox == model
+    return rebases
+
+
+class TestWorkingState:
+    """A working state is a base and two net deltas, and reads as a plain set."""
+
+    @given(delta_sets, st.lists(delta_writes, max_size=12))
+    @example(frozenset(DELTA_POOL[:4]), [("flip", a) for a in DELTA_POOL])
+    @example(frozenset(DELTA_POOL[:4]), [("apply", frozenset(DELTA_POOL[4:]), frozenset(DELTA_POOL[:2]))])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_plain_set_model(self, base, writes):
+        check_against_model(base, writes)
+
+    def test_matches_a_plain_set_model_across_rebases(self):
+        writes = [
+            *(("flip", a) for a in DELTA_POOL),
+            *(("add", a) for a in DELTA_POOL[4:]),  # rebases at the third
+            *(("discard", a) for a in DELTA_POOL),  # and again
+            ("apply", frozenset(DELTA_POOL[:4]), frozenset()),
+            *(("flip", a) for a in DELTA_POOL),
+        ]
+        assert check_against_model(frozenset(DELTA_POOL[:4]), writes) >= 2
+
+    def test_the_view_is_read_only_and_its_operators_give_frozensets(self):
+        work = WorkingState(KnowledgeState(EMPTY_TBOX, frozenset(DELTA_POOL[:4])))
+        view = work.abox
+        work.discard(DELTA_POOL[0])
+        work.add(DELTA_POOL[4])
+        assert view == {*DELTA_POOL[1:5]}  # the view follows the writes
+        assert (view | {DELTA_POOL[5]}) == frozenset(DELTA_POOL[1:6]) and type(view & view) is frozenset
+        with pytest.raises(AttributeError):
+            view.add(DELTA_POOL[6])
+
+    @staticmethod
+    def allocated(state: KnowledgeState, fresh, gone) -> int:
+        """Peak bytes allocated by making a working state of *state* and
+        writing one addition and one removal."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            work = WorkingState(state)
+            work.add(fresh)
+            work.discard(gone)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def test_making_one_copies_no_fact_set(self):
+        fresh = ca("a", "C", "U")
+        states = [
+            KnowledgeState(EMPTY_TBOX, frozenset(ConceptAssertion(f"i{i}", A, "U") for i in range(n)))
+            for n in (1_000, 10_000)
+        ]
+        gone = ConceptAssertion("i0", A, "U")
+        self.allocated(states[0], fresh, gone)  # first calls fill caches of their own
+        small, large = (self.allocated(state, fresh, gone) for state in states)
+        assert abs(large - small) <= 2048, (small, large)
+
+
 class TestSaturate:
     def test_empty_is_empty(self):
         assert saturate(frozenset(), POSET) == frozenset()
@@ -242,6 +349,41 @@ class TestGuardSat:
         g = AssertGuard(ca("a", "A", "V"))
         assert guard_sat(self.state, g, "saturated", POSET) is True
         assert guard_sat(self.state, g, "literal") is False
+
+    def test_saturated_atoms_agree_with_saturate(self):
+        rng = random.Random(53)
+        for _ in range(100):
+            poset = random_poset(rng, rng.randint(1, 4))
+            contexts = sorted(poset.contexts)
+            state = KnowledgeState(EMPTY_TBOX, random_abox(rng, SIG, contexts))
+            work = WorkingState(state)
+            for _ in range(rng.randint(0, 4)):
+                a = random_assertion(rng, SIG, contexts)
+                work.add(a) if rng.random() < 0.5 else work.discard(a)
+            for s in (state, work):
+                closed = saturate(s.abox, poset)
+                for _ in range(6):
+                    a = random_assertion(rng, SIG, contexts)
+                    assert guard_sat(s, AssertGuard(a), "saturated", poset) == (a in closed)
+
+    def test_one_guard_under_two_posets_in_turn(self):
+        # Under the first poset V <= U, so a:A@U holds at V; under the second it does not.
+        below, apart = ContextPoset(["U", "V"], [("V", "U")]), ContextPoset(["U", "V"], [])
+        g = AssertGuard(ca("two_posets", "A", "V"))
+        state = KnowledgeState(EMPTY_TBOX, frozenset({ca("two_posets", "A", "U")}))
+        for poset, want in ((below, True), (apart, False), (below, True), (apart, False)):
+            assert guard_sat(state, g, "saturated", poset) is want
+
+    def test_lifts_live_as_long_as_the_guard(self):
+        # Names no other test uses, so only the guard holds these nodes.
+        heads = [("lift_only", Atomic("A")), ("lift_only", "b", "r")]
+        for cls, head in zip((ConceptAssertion, RoleAssertion), heads):
+            g = AssertGuard(cls(*head, "W"))
+            assert guard_sat(self.state, g, "saturated", POSET) is False
+            assert all(cls.existing(*head, u) is not None for u in "UVW")
+            del g
+            gc.collect()
+            assert all(cls.existing(*head, u) is None for u in "UVW")
 
     def test_saturated_guard_over_undeclared_context_raises(self):
         # Raises even though no assertion in the state could match.

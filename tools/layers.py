@@ -25,10 +25,21 @@ over the sorted order. Each case is the best of 5 runs in one process:
 - a chain of 50 ``oracle_step`` calls with the same responses, each
   freezing a new state that the next step starts from.
 
+The interaction cases take the agents of the ``update`` workload, built
+by ``gen.update_agent`` with a stable oracle, in microseconds per call,
+each the best of 5 runs in one process:
+
+- ``WorkingState`` made from an agent's base state, and freed, at 3,000
+  and 10,000 facts;
+- ``programs.execute`` of the agent's program in literal and in saturated
+  mode, each on a fresh working state that has taken the injection and
+  the oracle session, made before the timing starts;
+- one whole ``agents.interact`` run of the agent, in each guard mode.
+
 The same case reads very differently from one process to the next on a
-shared machine, so each group of cases (the reasoner's, and the sessions'
-on each fact set) is timed in 5 fresh child processes, the groups taken
-in turn. One line is printed per case: the median [min-max] over the
+shared machine, so each group of cases (the reasoner's, the sessions' on
+each fact set, and the interaction's) is timed in 5 fresh child processes,
+the groups taken in turn. One line is printed per case: the median [min-max] over the
 processes, as ``tools/bench_pairs.py`` reports its runs.
 """
 
@@ -39,6 +50,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from functools import partial
 from itertools import product
@@ -48,10 +60,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen
+from ctxdl.agents import LatentStructure, interact, load_agent
 from ctxdl.concepts import Atomic, parse_concept
-from ctxdl.kb import ConceptAssertion
+from ctxdl.kb import ConceptAssertion, WorkingState, parse_fact_list
 from ctxdl.kbfile import loads
-from ctxdl.oracle import OracleQuery, OracleResponse, OracleSpec, oracle_step, run_session
+from ctxdl.oracle import OracleQuery, OracleResponse, OracleSpec, ask, oracle_step, run_session
+from ctxdl.programs import execute
 from ctxdl.reasoner import find_witness, is_satisfiable, subsumes
 
 PROCESSES = 5  # fresh child processes per group of cases
@@ -69,7 +83,11 @@ REPEATS = 5  # runs per session case in one process, best kept
 INDIVIDUALS = [f"i{i}" for i in range(200)]
 KEPT, FRESH = gen.UPDATE_CONCEPTS[:12], gen.UPDATE_CONCEPTS[12:]  # the fact sets use only the first 12
 
-GROUPS = ("reasoner", *map(str, SIZES))
+AGENT_SIZES = (3_000, 10_000)  # base facts of the agents whose working state is timed
+AGENT_SIZE = 3_000  # base facts of the agent whose program and runs are timed, as in the workload
+CALLS = 50  # calls per interaction case in one run
+
+GROUPS = ("reasoner", *map(str, SIZES), "interact")
 
 
 def best(run, units: int, repeats: int) -> float:
@@ -173,9 +191,60 @@ def session_cases(size: int) -> list[tuple[str, str, float]]:
     return cases
 
 
+def update_agent(size: int, mode: str, workdir: Path):
+    """The agent of ``gen.update_agent`` with *size* base facts and a stable
+    oracle, loaded from *workdir*, and its latent structure."""
+    files = gen.update_agent(random.Random(SEED), f"{mode}_{size}", size, mode, False)
+    for name, text in files.files.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    agent = load_agent(workdir / files.agent_file)
+    facts = parse_fact_list(", ".join(files.latent), agent.signature)
+    return agent, LatentStructure.of("latent", facts)
+
+
+def before_program(agent, latent: LatentStructure) -> WorkingState:
+    """The working state an ``interact`` run (seed 0) hands to the program."""
+    work = WorkingState(agent.base_state)
+    work.apply(f.at(agent.input_context) for f in latent.payload)
+    queries = [OracleQuery(agent.oracle.name, q.format(seed=0, parity=0)) for q in agent.queries]
+    ask(work, agent.oracle, queries)
+    return work
+
+
+def execute_each(agent, mode: str, works: list[WorkingState]) -> None:
+    for work in works:
+        execute(agent.program, work, agent.fuel, mode, agent.poset)
+
+
+def interaction_cases() -> list[tuple[str, str, float]]:
+    cases = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for size in AGENT_SIZES:
+            base = update_agent(size, "literal", Path(workdir))[0].base_state
+            base.digest  # sorted once, as in every run after the first
+            run = partial(call_each, WorkingState, [(base,)] * CALLS)
+            cases.append((f"WorkingState {size:6,d} facts", "us/call", best(run, CALLS, REPEATS)))
+        for mode in ("literal", "saturated"):
+            agent, latent = update_agent(AGENT_SIZE, mode, Path(workdir))
+            times = []
+            for _ in range(REPEATS):
+                works = [before_program(agent, latent) for _ in range(CALLS)]
+                times.append(best(partial(execute_each, agent, mode, works), CALLS, 1))
+            cases.append((f"execute      {AGENT_SIZE:6,d} facts  {mode}", "us/call", min(times)))
+            run = partial(call_each, interact, [(agent, latent)] * CALLS)
+            cases.append((f"interact     {AGENT_SIZE:6,d} facts  {mode}", "us/call", best(run, CALLS, REPEATS)))
+    return cases
+
+
 def child(group: str) -> None:
     """Print the JSON list of (label, unit, microseconds) of each case of *group*."""
-    print(json.dumps(reasoner_cases() if group == "reasoner" else session_cases(int(group))))
+    if group == "reasoner":
+        cases = reasoner_cases()
+    elif group == "interact":
+        cases = interaction_cases()
+    else:
+        cases = session_cases(int(group))
+    print(json.dumps(cases))
 
 
 def main() -> None:
