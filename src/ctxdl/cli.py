@@ -5,7 +5,8 @@ text summary (default) or line-delimited JSON records (``--format records``,
 keys sorted, byte-stable across runs). Verdicts are data: a "no" answer
 still exits 0. Exit code 2 flags bad input (files, syntax, cross-reference
 failures), 1 flags runtime limits (reasoner budget, enumeration guards,
-oracle mismatches).
+oracle mismatches) and a stdout that its reader closed before the report
+was written, which is not reported on stderr.
 
 Only the handlers that run programs, oracles, presheaves or agents import
 those layers, so a command loads no module it does not use.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Iterable
 
@@ -512,7 +514,14 @@ def main(argv: list[str] | None = None) -> int:
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report.emit(sys.stdout)
+    try:
+        report.emit(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has closed stdout. Say nothing more, and point stdout
+        # at the null device, so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

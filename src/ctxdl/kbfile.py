@@ -308,7 +308,7 @@ def write_state(path: Union[str, Path], sig: Signature, abox: Iterable[Assertion
 
 def load_state(path: Union[str, Path], sig: Signature) -> frozenset[Assertion]:
     """Read a state dump written under the same signature."""
-    lines = read_text(path).splitlines()
+    lines = read_text(path).split("\n")  # as the tokenizer counts lines, not at U+2028 and the like
     if not lines or not lines[0].startswith(STATE_HEADER + " "):
         raise LoadError(str(path), 1, f"missing '{STATE_HEADER} <digest>' header")
     digest = lines[0][len(STATE_HEADER) + 1 :].strip()

@@ -20,21 +20,23 @@ The concept, guard and program parsers share one nesting limit,
 ``MAX_NESTING``. Each ``!``, ``exists``/``forall``, parenthesis, ``if`` and
 ``while`` opens a level, counted across the three grammars together, and
 the token that would open a level past the limit is a positioned
-ParseError. Parsing and the tableau each take at most four Python frames
-per level, so the limit keeps them well inside the default recursion
-limit of 1,000 frames. At ``MAX_NESTING`` levels under CPython 3.11 the
-CLI needs a recursion limit of 312 for concept parentheses (three frames a
-level), 307 for ``exists``, 417 for guard parentheses (four: the guard
-levels, with the concept reading tried first at each), 219 for ``if`` and
-213 for ``while`` in ``if`` (two), against 30 for the same commands on
-input that opens no level. ``chain`` is bound with ``functools.partial``,
-which adds no frame; called as a plain function it would add one per
-operator level, and the limits for concept parentheses, guard parentheses
-and ``while`` in ``if`` would be 514, 620 and 315. ``values.render``
+ParseError. Only the parsers take Python frames per level, at most four,
+so the limit keeps them well inside the default recursion limit of 1,000
+frames. At ``MAX_NESTING`` levels under CPython 3.11 the CLI needs a
+recursion limit of 312 for concept parentheses (three frames a level),
+112 for ``exists`` and for ``!`` (one), 417 for guard parentheses (four:
+the guard levels, with the concept reading tried first at each), 219 for
+``if`` and 213 for ``while`` in ``if`` (two), against 30 for the same
+commands on input that opens no level. ``chain`` is bound with
+``functools.partial``, which adds no frame; called as a plain function it
+would add one per operator level, and the limits for concept
+parentheses, guard parentheses and ``while`` in ``if`` would be 514, 620
+and 315. ``values.render``
 (behind the concept, guard and program printers and ``repr``), ``nnf``,
-program evaluation, ``guard_sat`` and the finite-model evaluator
-``_CodeSpace.extension`` (behind ``extension``, ``check_interpretation``
-and the witness search) take none.
+the tableau, program evaluation, ``guard_sat`` and the finite-model
+evaluator ``_CodeSpace.extension`` (behind ``extension``,
+``check_interpretation`` and the witness search) take none, so neither
+a deeply nested concept nor a deep model costs them frames.
 Long flat chains (``A & B & ...``, ``c1; c2; ...``) open no levels, and
 all of these walk them without recursion. Nodes are interned, so
 comparing or hashing a chain costs one step.

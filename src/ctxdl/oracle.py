@@ -260,6 +260,8 @@ def replay_session(source: Union[str, Path, IO[str]], sig: Signature) -> ReplayO
     for expected_seq, (lineno, obj) in enumerate(records):
         if "seq" not in obj:
             raise LoadError(path, lineno, "log record is missing its sequence number")
+        if type(obj["seq"]) is not int:  # not a bool, nor a float that equals an int
+            raise LoadError(path, lineno, "log record's sequence number must be an integer")
         if obj["seq"] != expected_seq:
             raise LoadError(
                 path, lineno, f"log truncated or reordered: expected seq {expected_seq}, found {obj['seq']}"
@@ -344,14 +346,20 @@ def _read_records(source: Union[str, Path, IO[str]]) -> tuple[str, Iterator[tupl
     """The path of *source* and its nonblank lines as (line number, JSON object).
 
     The lines are parsed as they are iterated, so the first bad line in
-    file order is the one reported.
+    file order is the one reported. A line ends at '\n' alone, the line
+    that the tokenizer and ``json`` count, not at U+2028 and the other
+    breaks of ``str.splitlines``, which JSON allows raw in a string. A
+    stream's CR LF leaves no CR on the line, where it would move a JSON
+    error's column.
     """
     if isinstance(source, (str, Path)):
         path, text = str(source), read_text(source)
     else:
         path, text = getattr(source, "name", "<stream>"), source.read()
-    lines = enumerate(text.splitlines(), start=1)
-    return path, ((lineno, _parse_json_line(path, lineno, raw)) for lineno, raw in lines if raw.strip())
+    lines = enumerate(text.split("\n"), start=1)
+    return path, (
+        (lineno, _parse_json_line(path, lineno, raw.removesuffix("\r"))) for lineno, raw in lines if raw.strip()
+    )
 
 
 def _parse_json_line(path: str, lineno: int, raw: str) -> dict:

@@ -20,11 +20,21 @@ decision alone. Ids follow the structure of the inclusions and the query,
 never the order of a set or dict of nodes, and they decide no output
 order: labels keep insertion order, and blocking compares sets of ids.
 The tableau has one way in: ``_Tableau`` computes the root label once,
-as ids, and ``run`` seeds it. ``subsumes`` and ``decide`` ask whether
+as (id, branch points) pairs, and ``run`` seeds it by the loop that
+seeds every successor. ``subsumes`` and ``decide`` ask whether
 ``c & !d`` is satisfiable without building that node: the root label is
 what the conjunction's expansion would leave, after its unit is spent.
 This is the numbered concept form of Horrocks and Patel-Schneider (J.
 Logic Comput. 1999) and of FaCT++ (Tsarkov and Horrocks, IJCAR 2006).
+
+The tableau is one loop over a stack of waiting nodes, as Baader and
+Sattler (Studia Logica 2001) present it: completion rules applied until
+none applies. ``run`` opens, seeds, expands and closes the root and every
+successor by the same code. A saturated node that is not blocked opens its
+existential successors one at a time and waits on the stack; a
+successor's verdict resumes it. The waiting nodes are exactly the path
+from the root, so the blocking test reads their labels there, and a model
+deeper than Python's recursion limit costs node budget, not frames.
 
 Backjumping: each label entry carries the branch points (disjunction
 choices) it depends on, as a bit set, and a clash returns the union of
@@ -159,12 +169,13 @@ class _Table:
     ``ids`` maps each node to its id; ``comp`` and ``rules`` are indexed by
     id, as ``_compile`` fills them, except that the rule of a name that
     unfolds decomposes it into the ids it unfolds to, in the order of the
-    inclusions. ``constraints`` holds the constraints' ids in
-    first-occurrence order, and ``ands`` maps the operand ids of each
-    conjunction to its id.
+    inclusions. ``seeds`` holds the constraints' ids in first-occurrence
+    order, each paired with no branch points, as every label is seeded
+    with them, and ``ands`` maps the operand ids of each conjunction to
+    its id.
     """
 
-    __slots__ = ("ids", "comp", "rules", "constraints", "ands")
+    __slots__ = ("ids", "comp", "rules", "seeds", "ands")
 
     def __init__(self, inclusions: tuple[tuple[ConceptExpr, ConceptExpr], ...]):
         unfold: dict[ConceptExpr, list[ConceptExpr]] = {}
@@ -184,7 +195,7 @@ class _Table:
         for atom, parts in unfold.items():
             self.rules[ids[atom]] = (_AND, tuple(ids[part] for part in parts), None)
         self.ids = ids
-        self.constraints = tuple(dict.fromkeys(ids[k] for k in constraints))
+        self.seeds = tuple((k, NO_DEPS) for k in dict.fromkeys(ids[k] for k in constraints))
         self.ands = {self.rules[i][1]: i for node, i in ids.items() if type(node) is And}
 
 
@@ -195,7 +206,7 @@ def _compile(
     comp: list[int],
     rules: list[tuple | None],
     pair: bool = False,
-) -> list[int]:
+) -> tuple[int, ...]:
     """Number the NNF nodes reachable from *roots* that neither *known*
     nor *ids* holds, into *ids*, and return the roots' ids.
 
@@ -225,7 +236,7 @@ def _compile(
                 nodes.append(node)
         return i
 
-    roots_ids = list(map(number, roots))
+    roots_ids = tuple(map(number, roots))
     for i, node in enumerate(nodes, base):  # the list grows as the walk goes
         kind = type(node)
         rule = None
@@ -255,165 +266,167 @@ class _Tableau:
     Labels hold ids of the TBox's compiled table. The roots' nodes that the
     table lacks are numbered for this decision alone, in copies of the
     table's lists, so the table never grows. The root label is computed
-    here, as ids, and ``units`` counts what is spent before it is seeded:
-    the root node's unit, and for c and !d, when the table lacks their
-    conjunction, that conjunction's unit too.
+    here, as (id, branch points) pairs like every label ``run`` seeds, and
+    ``units`` counts what is spent before the root node's own unit: for c
+    and !d, when the table lacks their conjunction, that conjunction's
+    unit, else nothing.
     """
 
-    __slots__ = ("budget", "spent", "points", "constraints", "comp", "rules", "label", "units")
+    __slots__ = ("budget", "spent", "points", "seeds", "comp", "rules", "label", "units")
 
     def __init__(self, tbox: TBox, budget: int, roots: tuple[ConceptExpr, ...]):
         table = tbox.compiled
         self.budget = budget
         self.spent = 0
         self.points = 0
-        self.constraints = table.constraints
+        self.seeds = table.seeds
         self.comp, self.rules = table.comp, table.rules
-        ids = list(map(table.ids.get, roots))
+        ids = tuple(map(table.ids.get, roots))
         if None in ids:
             self.comp, self.rules = table.comp.copy(), table.rules.copy()
             ids = _compile(roots, table.ids, {}, self.comp, self.rules)
-        root = ids[0] if len(ids) == 1 else table.ands.get(tuple(ids))
+        root = ids[0] if len(ids) == 1 else table.ands.get(ids)
         if root is None:
             # What the expansion of c & !d would leave. Only a conjunction
             # that the table holds can reach a successor's label and a
             # blocking test, so leaving this one out changes no outcome.
             # The constraints are disjunctions and never clash when seeded,
             # so the conjunction's unit may be spent before them.
-            self.label, self.units = (*self.constraints, *ids), 2
+            self.label, self.units = (*self.seeds, (ids[0], NO_DEPS), (ids[1], NO_DEPS)), 1
         else:
-            self.label, self.units = (root, *self.constraints), 1
-
-    def _spend(self) -> None:
-        self.spent += 1
-        if self.spent > self.budget:
-            raise BudgetExceededError(self.budget)
+            self.label, self.units = ((root, NO_DEPS), *self.seeds), 0
 
     def run(self) -> bool:
-        """The verdict: whether the root label is satisfiable."""
-        while self.spent < self.units:
-            self._spend()
-        items: list[int] = []
-        present: dict[int, int] = {}
-        comp = self.comp
-        for c in self.label:
-            if _add(c, NO_DEPS, items, present, comp) is not None:
-                return False
-        return self._expand(items, present, ()) is None
+        """The verdict: whether the root label is satisfiable.
 
-    def sat(self, label: list[tuple[int, int]], ancestors: tuple[frozenset[int], ...]) -> int | None:
-        """None when *label* is satisfiable, else the branch points its clash depends on."""
-        self._spend()
-        items: list[int] = []
-        present: dict[int, int] = {}
-        comp = self.comp
-        for c, dep in label:
-            clash = _add(c, dep, items, present, comp)
-            if clash is not None:
-                return clash
-        return self._expand(items, present, ancestors)
-
-    def _expand(self, items: list[int], present: dict[int, int], ancestors: tuple[frozenset[int], ...]) -> int | None:
-        """Expand one node's label in place; the result is as for ``sat``.
-
-        A disjunction tries its left disjunct on the same label. Its choice
-        point keeps the label's length, so trying the right disjunct first
+        One loop opens, expands and closes the root and every successor
+        alike. A disjunction tries its left disjunct on the same label. Its
+        choice point keeps the label's length, so trying the right disjunct
         drops what the left one added: entries are only ever appended, and
-        each is one key of *present*. Open choice points wait on a stack, so
-        a label with thousands of disjunctions costs neither Python
-        recursion nor a copy of the label per choice.
+        each is one key of ``present``. A saturated node that is not
+        blocked opens its existential successors one at a time, and waits
+        on ``stack`` for each one's verdict: None sends it on to its next
+        successor, a clash back through its own choices. The waiting nodes
+        are the path from the root, so blocking compares a node's label
+        with theirs. Neither a deep model nor a label with thousands of
+        disjunctions costs Python recursion or a copy of a label.
         """
-        comp, rules = self.comp, self.rules
-        i = 0
-        # The rules of the quantifiers among the entries before i, in label order.
-        quantifiers: list[tuple[int, tuple]] = []
-        # (label length, next item, quantifiers, deps, branch point, right disjunct) per open choice
-        choices: list[tuple[int, int, int, int, int, int]] = []
+        comp, rules, seeds = self.comp, self.rules, self.seeds
+        label = self.label
+        # The nodes waiting for a successor's verdict, innermost first, as
+        # nested tuples: each one's entries, present, quantifiers, choices,
+        # next quantifier and snapshot, and the node it waits on in turn.
+        stack = None
+        if self.units:  # the conjunction's unit, before the root's own
+            self.spent += 1
+            if self.spent > self.budget:
+                raise BudgetExceededError(self.budget)
         while True:
-            clash = None
-            while i < len(items):
-                c = items[i]
-                i += 1
-                rule = rules[c]
-                if rule is None:
-                    continue
-                kind, parts, right = rule
-                if kind == _OR:
-                    if parts in present or right in present:
-                        continue
-                    self.points += 1
-                    choices.append((len(items), i, len(quantifiers), present[c], self.points, right))
-                    parts, dep = (parts,), present[c] | 1 << self.points
-                elif kind == _AND:
-                    dep = present[c]
-                else:
-                    quantifiers.append((c, rule))
-                    continue
-                self.spent += 1  # _spend and _add, inlined on the hottest path
+            if label is not None:  # open a node: spend its unit and seed its label
+                self.spent += 1
                 if self.spent > self.budget:
                     raise BudgetExceededError(self.budget)
-                for part in parts:
-                    if part in present:
-                        continue
-                    if part <= _BOT:
-                        if part == _TOP:
-                            continue
-                        clash = dep
+                items: list[int] = []
+                present: dict[int, int] = {}
+                # The rules of the quantifiers among the entries before i, in label order.
+                quantifiers: list[tuple[int, tuple]] = []
+                # (label length, next item, quantifiers, deps, branch point, right disjunct) per open choice
+                choices: list[tuple[int, int, int, int, int, int]] = []
+                i = k = 0
+                snapshot = None
+                for c, dep in label:
+                    clash = _add(c, dep, items, present, comp)
+                    if clash is not None:
                         break
-                    partner = comp[part]
-                    if partner in present:
-                        clash = dep | present[partner]
-                        break
-                    present[part] = dep
-                    items.append(part)
-                if clash is not None:
-                    break
-            else:
-                clash = self._successors(present, ancestors, quantifiers)
+                label = None
             if clash is None:
-                return None
-            # Hand the clash to the innermost choice whose disjunct it depends on.
-            while choices:
-                size, i, scanned, dep, point, right = choices.pop()
-                if not clash >> point & 1:
-                    continue  # the right disjunct would meet the same clash
-                for c in items[size:]:
-                    del present[c]
-                del items[size:]
-                del quantifiers[scanned:]
-                # No choice is left here, so the right disjunct goes on in place.
-                dep |= clash ^ 1 << point
-                self._spend()
-                clash = _add(right, dep, items, present, comp)
-                if clash is None:
-                    break
+                while i < len(items):
+                    c = items[i]
+                    i += 1
+                    rule = rules[c]
+                    if rule is None:
+                        continue
+                    kind, parts, right = rule
+                    if kind == _OR:
+                        if parts in present or right in present:
+                            continue
+                        self.points += 1
+                        choices.append((len(items), i, len(quantifiers), present[c], self.points, right))
+                        parts, dep = (parts,), present[c] | 1 << self.points
+                    elif kind == _AND:
+                        dep = present[c]
+                    else:
+                        quantifiers.append((c, rule))
+                        continue
+                    self.spent += 1
+                    if self.spent > self.budget:
+                        raise BudgetExceededError(self.budget)
+                    for part in parts:  # _add, inlined on the hottest path
+                        if part in present:
+                            continue
+                        if part <= _BOT:
+                            if part == _TOP:
+                                continue
+                            clash = dep
+                            break
+                        partner = comp[part]
+                        if partner in present:
+                            clash = dep | present[partner]
+                            break
+                        present[part] = dep
+                        items.append(part)
+                    if clash is not None:
+                        break
+            if clash is None:
+                if quantifiers:  # saturated: block, or open the next successor
+                    if snapshot is None:
+                        snapshot = frozenset(present)
+                        waiting = stack
+                        while waiting is not None:
+                            if snapshot <= waiting[5]:
+                                k = len(quantifiers)  # blocked: no successor opens
+                                break
+                            waiting = waiting[6]
+                    while k < len(quantifiers) and quantifiers[k][1][0] != _EXISTS:
+                        k += 1
+                    if k < len(quantifiers):
+                        c, (_, role, child) = quantifiers[k]
+                        k += 1
+                        # The successor exists only through c, so its whole label depends on c.
+                        dep = present[c]
+                        label = [(child, dep)]
+                        label += [
+                            (only, present[d] | dep) for d, (q, by, only) in quantifiers if q == _FORALL and by == role
+                        ]
+                        label += [(seed, dep) for seed, _ in seeds]
+                        stack = (items, present, quantifiers, choices, k, snapshot, stack)
+                        continue
             else:
-                return clash
-
-    def _successors(
-        self, present: dict[int, int], ancestors: tuple[frozenset[int], ...], quantifiers: list[tuple[int, tuple]]
-    ) -> int | None:
-        """Propositionally saturated: block, or expand the existential successors."""
-        if not quantifiers:
-            return None  # no successor to block or to expand
-        snapshot = frozenset(present)
-        for ancestor in ancestors:
-            if snapshot <= ancestor:
-                return None
-        deeper = ancestors + (snapshot,)
-        for c, (kind, role, child) in quantifiers:
-            if kind == _EXISTS:
-                # The successor exists only through c, so its whole label depends on c.
-                dep = present[c]
-                label = [(child, dep)]
-                label += [
-                    (only, present[d] | dep) for d, (other, by, only) in quantifiers if other == _FORALL and by == role
-                ]
-                label += [(k, dep) for k in self.constraints]
-                clash = self.sat(label, deeper)
-                if clash is not None:
-                    return clash
-        return None
+                # Hand the clash to the innermost choice whose disjunct it depends on.
+                while choices:
+                    size, i, scanned, dep, point, right = choices.pop()
+                    if not clash >> point & 1:
+                        continue  # the right disjunct would meet the same clash
+                    for c in items[size:]:
+                        del present[c]
+                    del items[size:]
+                    del quantifiers[scanned:]
+                    # No choice is left here, so the right disjunct goes on in place.
+                    dep |= clash ^ 1 << point
+                    self.spent += 1
+                    if self.spent > self.budget:
+                        raise BudgetExceededError(self.budget)
+                    clash = _add(right, dep, items, present, comp)
+                    if clash is None:
+                        break
+                if clash is None:
+                    k, snapshot = 0, None
+                    continue
+            # Close the node: its verdict goes to the node waiting for it.
+            if stack is None:
+                return clash is None
+            items, present, quantifiers, choices, k, snapshot, stack = stack
+            i = len(items)
 
 
 def _add(c: int, dep: int, items: list[int], present: dict[int, int], comp: list[int]) -> int | None:

@@ -331,3 +331,41 @@ def random_chain(rng: random.Random, ps: Presheaf, max_stages=4) -> tuple[str, l
         chain.append(Covering(target, members))
         reached += [m for m in members if m not in reached]
     return top, chain
+
+
+def deep_document(concepts: list[str], inclusions: list[str]) -> str:
+    """A document over *concepts*, role r, individual a and context U,
+    whose TBox is *inclusions* (concept syntax, without the final dot)."""
+    return (
+        f"signature\n  concept {', '.join(concepts)}.\n  role r.\n  individual a.\n"
+        "contexts\n  context U.\ntbox\n" + "".join(f"  {text}.\n" for text in inclusions)
+    )
+
+
+def chain_document(links: int) -> str:
+    """``Ai <= exists r.A(i+1)`` for i below *links*: A0's only models hold
+    an r-path of *links* + 1 elements, and no node of the tableau blocks
+    before the last."""
+    return deep_document(
+        [f"A{i}" for i in range(links + 1)], [f"A{i} <= exists r.A{i + 1}" for i in range(links)]
+    )
+
+
+def counter_document(bits: int) -> str:
+    """A binary counter of *bits* bits B0.. on an r-path, in ``4 * bits``
+    inclusions: every element has an r-successor, ``Start`` has every bit
+    0, and under ``forall r`` bit 0 always flips and bit i > 0 flips
+    exactly when every lower bit is 1. So the tableau opens 2^bits nodes on
+    one path before one blocks."""
+    names = [f"B{i}" for i in range(bits)]
+    inclusions = ["top <= exists r.top", "Start <= " + " & ".join(f"!{b}" for b in names)]
+    inclusions += ["B0 <= forall r.!B0", "!B0 <= forall r.B0"]
+    for i, b in enumerate(names[1:], 1):
+        low, some_low_zero = " & ".join(names[:i]), " | ".join(f"!{x}" for x in names[:i])
+        inclusions += [
+            f"({low}) & {b} <= forall r.!{b}",
+            f"({low}) & !{b} <= forall r.{b}",
+            f"({some_low_zero}) & {b} <= forall r.{b}",
+            f"({some_low_zero}) & !{b} <= forall r.!{b}",
+        ]
+    return deep_document(["Start", *names], inclusions)

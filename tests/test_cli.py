@@ -820,6 +820,22 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert proc.stdout.startswith("ok:")
 
+    def test_closed_stdout_exits_1_without_a_traceback(self, capsys, tmp_path):
+        # The reader of stdout is gone before the report is written, as
+        # after ``| head -1`` has its line: exit 1, and nothing on stderr.
+        log = tmp_path / "session.log"
+        chain = str(SAMPLES / "chain.kb")
+        script = ["--script", str(SAMPLES / "probe_session.jsonl"), "--record", str(log)]
+        assert main(["apply-oracle", chain, *script, "--payload", "scan-1"]) == 0
+        capsys.readouterr()
+        argv = ["apply-oracle", chain, "--replay", str(log), "--payload", "scan-1"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "ctxdl.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (1, b"")
+
     def test_tour_commands_load_only_their_layers(self, capsys, monkeypatch, tmp_path):
         # A fresh interpreter per command: in this process other tests have
         # already imported every module, so only a child shows a handler
@@ -1020,9 +1036,9 @@ class TestNestingLimit:
 
     @pytest.mark.parametrize("kind", sorted(NESTED))
     def test_at_the_limit_in_four_frames_per_level(self, tmp_path, kind):
-        # The lexer's bound: parsing and the tableau take at most four
-        # Python frames per level, over the depth the command reaches on
-        # input that opens no level beyond its own.
+        # The lexer's bound: parsing takes at most four Python frames per
+        # level, and the tableau none, over the depth the command reaches
+        # on input that opens no level beyond its own.
         (tmp_path / "base").mkdir()
         argvs = [nested_argv(tmp_path / "base", kind, 0), nested_argv(tmp_path, kind, MAX_NESTING)]
         proc = run_child(_RUN_IN_FOUR_FRAMES_PER_LEVEL, stdin=json.dumps(argvs))

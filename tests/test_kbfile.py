@@ -247,3 +247,18 @@ class TestStateDump:
         doc = load_kb(SAMPLES / "chain.kb")
         with pytest.raises(LoadError):
             load_state(path, doc.signature)
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_only_a_newline_ends_a_line(self, tmp_path, separator):
+        # str.splitlines breaks lines at each of these; a state dump, like
+        # the tokenizer, breaks them at '\n' alone, so the comment holds the
+        # rest of its line, and the bad line after it is line 4.
+        doc = load_kb(SAMPLES / "chain.kb")
+        header = dump_state(doc.signature, ()).rstrip("\n")
+        path = tmp_path / "state.txt"
+        path.write_text(f"{header}\r\na:A@U\r\n# note{separator}more\n", encoding="utf-8")
+        assert load_state(path, doc.signature) == {ConceptAssertion("a", Atomic("A"), "U")}
+        path.write_text(f"{header}\r\na:A@U\r\n# note{separator}more\na:Zz@U\n", encoding="utf-8")
+        with pytest.raises(LoadError) as exc:
+            load_state(path, doc.signature)
+        assert str(exc.value) == f"{path}:4:3: unknown concept name 'Zz'"

@@ -232,6 +232,11 @@ class TestScriptFiles:
         with pytest.raises(LoadError) as exc:
             load_script(io.StringIO('{"oracle": oops\n'), SIG)
         assert exc.value.line == 1
+        # A stream's line keeps no newline, so an error at the end of a
+        # record is placed there, not on the line after it.
+        with pytest.raises(LoadError) as exc:
+            load_script(io.StringIO('{"oracle": "s"\r\n'), SIG)
+        assert str(exc.value) == "<stream>:1:15: invalid JSON record: Expecting ',' delimiter"
 
     def test_header_name_must_match_the_entries(self):
         text = '{"name": "hdr"}\n{"oracle": "s", "match": {"payload": "p"}, "add": []}\n'
@@ -264,6 +269,37 @@ class TestScriptFiles:
         with pytest.raises(LoadError) as exc:
             load_script(io.StringIO("\n".join(lines) + "\n"), SIG)
         assert str(exc.value) == f"<stream>:4: {message}"
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_only_a_newline_ends_a_record(self, tmp_path, separator):
+        # str.splitlines breaks lines at these too, but JSON allows them
+        # raw in a string: the record is one line, and the bad record after
+        # it is on line 2, as the tokenizer and json count lines.
+        record = f'{{"oracle": "s", "match": {{"payload": "a{separator}b"}}, "add": ["a:A@U"]}}\r\n'
+        path = tmp_path / "script.jsonl"
+        path.write_text(record, encoding="utf-8")
+        assert load_script(path, SIG).respond("", f"a{separator}b").additions == {BETA}
+        path.write_text(record + "{oops\n", encoding="utf-8")
+        with pytest.raises(LoadError) as exc:
+            load_script(path, SIG)
+        assert str(exc.value).startswith(f"{path}:2:2: invalid JSON record")
+        log = tmp_path / "session.jsonl"
+        log.write_text(
+            f'{{"seq": 0, "oracle": "s", "match": {{"payload": "p{separator}", "state": "{separator}"}}, "add": []}}\n'
+            '{"seq": 1, "oracle": "s", "match": {"payload": "q"}, "add": []}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(LoadError) as exc:
+            replay_session(log, SIG)
+        assert str(exc.value) == f"{log}:2: log record needs match.payload and match.state"
+
+    @pytest.mark.parametrize("control", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_a_control_character_in_a_record_is_not_a_line_break(self, tmp_path, control):
+        path = tmp_path / "script.jsonl"
+        path.write_text(f'{{"oracle": "s", "match": {{"payload": "a{control}b"}}, "add": []}}\n', encoding="utf-8")
+        with pytest.raises(LoadError) as exc:
+            load_script(path, SIG)
+        assert str(exc.value).startswith(f"{path}:1:40: invalid JSON record: Invalid control character")
 
     def test_pattern_entries_answer_in_file_order(self):
         text = (
@@ -352,6 +388,15 @@ class TestRecordReplay:
         with pytest.raises(LoadError) as exc:
             replay_session(io.StringIO(lines[1] + "\n"), SIG)
         assert "truncated" in str(exc.value)
+
+    @pytest.mark.parametrize("seq", ["false", "true", "0.0", "1.0", '"1"'])
+    def test_sequence_number_must_be_a_json_integer(self, seq):
+        # Python's false and 0.0 equal 0, and true and 1.0 equal 1.
+        first = '{"seq": 0, "oracle": "s", "match": {"payload": "p", "state": "d"}, "add": []}\n'
+        text = first + first.replace('"seq": 0', f'"seq": {seq}').replace('"p"', '"q"')
+        with pytest.raises(LoadError) as exc:
+            replay_session(io.StringIO(text), SIG)
+        assert str(exc.value) == "<stream>:2: log record's sequence number must be an integer"
 
     def test_log_records_are_well_formed_json(self):
         sink = io.StringIO()

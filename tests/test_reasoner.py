@@ -15,6 +15,8 @@ import pytest
 from children import ROOT, hash_orders, run_child
 from corpus import (
     CURATED_UNSAT,
+    chain_document,
+    counter_document,
     random_absorbable_tbox,
     random_concept,
     random_conjunction,
@@ -45,11 +47,14 @@ from ctxdl.concepts import (
 )
 from ctxdl.errors import BudgetExceededError, SearchSpaceError, UnknownNameError
 from ctxdl import values
+from ctxdl.kb import ConceptAssertion
 from ctxdl.kbfile import loads
+from ctxdl.programs import evaluate, parse_program
 from ctxdl.reasoner import (
     BLOCK_BITS,
     DEFAULT_NODE_BUDGET,
     EMPTY_TBOX,
+    NO_DEPS,
     FiniteModel,
     TBox,
     _Tableau,
@@ -352,6 +357,38 @@ class TestAgainstTypeElimination:
             assert find_witness(sig, TBox(inclusions), chain[0], 3) is None
 
 
+class TestDeepModels:
+    """Models deeper than Python's recursion limit. The tableau keeps the
+    nodes that wait for a successor on its own stack, so a deep model costs
+    node budget, not Python frames. The units and branch points pinned here
+    are the ones the recursive tableau spent and made on the same inputs
+    when it was given a recursion limit high enough to finish."""
+
+    def test_chain_of_2000_links(self):
+        # A0 needs an r-path of 2,001 elements; no node blocks before the
+        # last. A0 is satisfiable and not subsumed by A5, over 2,001 nodes,
+        # each spending its own unit, and 2,000 names unfolded.
+        doc = loads(chain_document(2_000))
+        a0, a5 = (parse_concept(name, doc.signature) for name in ("A0", "A5"))
+        assert tableau_run(doc.tbox, a0, DEFAULT_NODE_BUDGET) == (True, 4_001, 0)
+        assert subsumes_run(doc.tbox, a0, a5, DEFAULT_NODE_BUDGET) == (True, 4_002, 0)
+        prog = parse_program("if A0 <= A5 then add a:A1@U else add a:A2@U fi", doc.signature)
+        assert evaluate(prog, doc.state()).state.abox == {ConceptAssertion("a", Atomic("A2"), "U")}
+
+    def test_nine_bit_counter_runs_out_of_the_default_budget(self):
+        # 2^9 = 512 nodes on one path, each deciding the 34 flip rules.
+        doc = loads(counter_document(9))
+        assert len(doc.tbox.inclusions) == 36
+        start = parse_concept("Start", doc.signature)
+        with pytest.raises(BudgetExceededError):
+            is_satisfiable(doc.tbox, start)
+
+    def test_nine_bit_counter_is_satisfiable_at_a_larger_budget(self):
+        doc = loads(counter_document(9))
+        start = parse_concept("Start", doc.signature)
+        assert tableau_run(doc.tbox, start, 10_000_000) == (True, 145_808, 114_698)
+
+
 def subsumes_sweep() -> list:
     """(verdict, units) of subsumes over every ordered pair of names of
     the first classification TBox of perfbench's reason workload, each at
@@ -444,7 +481,7 @@ class TestCompiledTBox:
         table = t.compiled
         nodes = list(table.ids)  # in id order
         assert [nodes[i] for i in table.rules[table.ids[A]][1]] == [And(B, C), B]
-        assert [nodes[k] for k in table.constraints] == [Or(Forall("r", Not(B)), Not(A))]
+        assert [(nodes[k], deps) for k, deps in table.seeds] == [(Or(Forall("r", Not(B)), Not(A)), NO_DEPS)]
         assert (repr(t), hash(t)) == before
         assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
         assert TBox._fields == ("inclusions",)  # the compiled table is not a field

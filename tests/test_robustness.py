@@ -22,9 +22,11 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import chain_document, counter_document
 from ctxdl.cli import main
 
 VALID_KB = """\
@@ -186,6 +188,10 @@ BAD_LOGS = [
     ("invalid-json", "{oops}\n"),
     ("not-an-object", "[1]\n"),
     ("missing-seq", '{"oracle": "s", "match": {"payload": "p", "state": "d"}}\n'),
+    ("seq-false", GOOD_LOG_LINE.replace('"seq": 0', '"seq": false')),
+    ("seq-true", GOOD_LOG_LINE + GOOD_LOG_LINE.replace('"seq": 0', '"seq": true')),
+    ("seq-float", GOOD_LOG_LINE.replace('"seq": 0', '"seq": 0.0')),
+    ("seq-float-one", GOOD_LOG_LINE + GOOD_LOG_LINE.replace('"seq": 0', '"seq": 1.0')),
     ("reordered", GOOD_LOG_LINE + GOOD_LOG_LINE),
     ("missing-oracle-name", '{"seq": 0, "match": {"payload": "p", "state": "d"}}\n'),
     ("match-not-an-object", '{"seq": 0, "oracle": "s", "match": [1]}\n'),
@@ -421,3 +427,34 @@ def test_cli_fuzz_ends_in_an_exit_code(command, argv_edits, fmt, target, text_ed
             os.chdir(cwd)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err.getvalue()
+
+
+# Documents whose models are deeper than Python's recursion limit: A0 of
+# the chain needs 2,001 elements on one r-path, and the 9-bit counter's
+# Start 512 before a node blocks, which the default budget does not reach.
+DEEP_DOCUMENTS = {
+    "chain-2000": (chain_document(2_000), "A0", "A5", 0),
+    "counter-9-bits": (counter_document(9), "Start", "B0", 1),
+}
+
+
+@pytest.mark.parametrize("command", ["sat", "subsumes", "run"])
+@pytest.mark.parametrize("document", sorted(DEEP_DOCUMENTS))
+def test_deep_models_end_in_a_verdict_or_a_budget_error(tmp_path, capsys, document, command):
+    text, c, d, code = DEEP_DOCUMENTS[document]
+    kb = tmp_path / "deep.kb"
+    kb.write_text(text, encoding="utf-8")
+    program = tmp_path / "guarded.p"
+    program.write_text(f"if {c} <= {d} then add a:{c}@U else skip fi\n", encoding="utf-8")
+    argv = {
+        "sat": ["sat", str(kb), c],
+        "subsumes": ["subsumes", str(kb), c, d],
+        "run": ["run", str(program), "--kb", str(kb)],
+    }[command]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ") and err.endswith("tableau node budget of 100000 exceeded\n"), err
+    else:
+        assert err == ""

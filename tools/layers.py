@@ -13,7 +13,11 @@ process:
 - ``is_satisfiable`` over the 50 instances of the random pool;
 - ``is_satisfiable`` over the disjunction ladders, n = 10, 12 and 14;
 - ``find_witness`` over the pool's unsat instances, domain capped as the
-  workload caps it.
+  workload caps it;
+- ``is_satisfiable`` of A0 over a 1,000-link chain ``Ai <= exists
+  r.A(i+1)``, and of Start over the 9-bit counter at a budget of 10^7,
+  whose models are 1,001 and 512 elements deep (the documents of
+  ``tests/corpus.py``), in milliseconds per call, each the best of 3.
 
 The session cases take fact sets of 3,000 and 10,000 assertions, built as
 the ``update`` workload builds its scaling inputs; each loaded state's
@@ -57,9 +61,10 @@ from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import gen
+from corpus import chain_document, counter_document
 from ctxdl.agents import LatentStructure, interact, load_agent
 from ctxdl.concepts import Atomic, parse_concept
 from ctxdl.kb import ConceptAssertion, WorkingState, parse_fact_list
@@ -74,6 +79,11 @@ SEED = 1  # the reason workload's seed: it picks the names and the ladders' conj
 LADDER_SIZES = (10, 12, 14)
 POOL_SEED, POOL_SIZE = 7, 50
 PASSES = 20  # passes per reasoner case in one process, best kept
+DEEP_PASSES = 3  # passes per deep-model case
+DEEP = (  # label, document, concept, budget
+    ("is_satisfiable  chain 1,000 links", chain_document(1_000), "A0", 100_000),
+    ("is_satisfiable  counter 9 bits", counter_document(9), "Start", 10_000_000),
+)
 
 SIZES = (3_000, 10_000)
 SESSIONS = (50, 500)  # queries per run_session
@@ -139,10 +149,15 @@ def reasoner_cases() -> list[tuple[str, str, float]]:
         "find_witness    pool unsat",
     )
     fns = (subsumes, is_satisfiable, is_satisfiable, find_witness)
-    return [
+    cases = [
         (label, "us/call", best(partial(call_each, fn, calls), len(calls), PASSES))
         for label, fn, calls in zip(labels, fns, reasoner_inputs())
     ]
+    for label, text, name, budget in DEEP:
+        doc = loads(text)
+        run = partial(is_satisfiable, doc.tbox, parse_concept(name, doc.signature), budget=budget)
+        cases.append((label, "ms/call", best(run, 1, DEEP_PASSES) / 1000))
+    return cases
 
 
 class Scripted(OracleSpec):
