@@ -154,10 +154,16 @@ class SeedPolicy(Record):
         super().__init__(kind, value)
 
     def seeds(self, k: int) -> list[int]:
-        if self.kind == "constant":
-            return [self.value] * k
-        if self.kind == "sequence":
-            return [self.value + i for i in range(k)]
+        """The seeds of *k* runs, in a list allocated whole before it is
+        filled, so a *k* whose list cannot be held fails at once, as a
+        ValueError, not after growing the list until memory runs out."""
+        try:
+            if self.kind == "constant":
+                return [self.value] * k
+            if self.kind == "sequence":
+                return list(range(self.value, self.value + k))  # range gives list its exact length
+        except (MemoryError, OverflowError):
+            raise ValueError(f"{k} runs are too many: their seeds do not fit in memory") from None
         raise ValueError(f"unknown seed policy {self.kind!r}")
 
 

@@ -23,9 +23,10 @@ digest is exactly what ``abox_digest`` gives for the fact set, and
 ``lines`` what ``canonical_abox`` gives; the digest format is unchanged.
 The lines are kept apart from the string, so a line that holds a ``;``
 (only names built in the library can) leaves nothing ambiguous, and
-every digest is kept. A digest that JSON writes unchanged is a
-``Digest``, a ``str`` subclass: the sort checks the whole string once,
-a splice only the lines it adds, and a session log writes it verbatim.
+every digest is kept. Beside the digest, a state keeps whether JSON
+writes it unchanged (a private flag, ``_plain``): the sort checks the
+whole string once, a splice only the lines it adds, and a session log
+writes a plain digest verbatim, with no scan and no copy.
 
 A ``KnowledgeState`` is never changed. Every change goes through a
 ``WorkingState``, which a run (an agent's interaction, an oracle session,
@@ -112,35 +113,23 @@ class RoleAssertion(Node):
 Assertion = Union[ConceptAssertion, RoleAssertion]
 
 
-class Digest(str):
-    """A digest that JSON writes unchanged: ASCII, with none of the 35
-    characters JSON escapes (the controls, DEL, ``"`` and ``\\``).
-
-    The type marks the text the way markupsafe's ``Markup`` marks text that
-    needs no escaping: a session log writes a ``Digest`` as it is, without
-    scanning it again. A sorted digest is checked once, when it is sorted,
-    and a spliced one by its added lines only.
-    """
-
-    __slots__ = ()
-
-
 def _json_plain(text: str) -> bool:
-    """Whether ``json.dumps(text)`` is *text* in quotes; for ASCII text,
-    ``isprintable`` rules out exactly the controls and DEL."""
+    """Whether ``json.dumps(text)`` is *text* in quotes: ASCII, with none of
+    the 35 characters JSON escapes (the controls, DEL, ``"`` and ``\\``);
+    for ASCII text, ``isprintable`` rules out exactly the controls and DEL."""
     return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
-
 
 
 class KnowledgeState(Record):
     """The pair a program run transforms: fixed inclusions, current assertions."""
 
-    __slots__ = ("tbox", "abox", "_digest", "_index")
+    __slots__ = ("tbox", "abox", "_digest", "_plain", "_index")
 
     def __init__(self, tbox: TBox, abox: frozenset[Assertion]):
         _set(self, "tbox", tbox)
         _set(self, "abox", abox)
         _set(self, "_digest", None)
+        _set(self, "_plain", None)  # whether JSON writes the kept digest unchanged
         _set(self, "_index", None)  # the kept digest's lines and offsets (_keep)
 
     def with_abox(self, abox: Iterable[Assertion]) -> "KnowledgeState":
@@ -158,15 +147,17 @@ class KnowledgeState(Record):
         if self._digest is None:
             lines = canonical_abox(self.abox)
             digest = ";".join(lines)
-            _keep(self, Digest(digest) if _json_plain(digest) else digest, lines)
+            _keep(self, digest, _json_plain(digest), lines)
         return self._digest
 
 
-def _keep(state: KnowledgeState, digest: str, lines: list[str]) -> KnowledgeState:
-    """*state*, keeping *digest* and its index: its *lines*, in order, and
-    the length of the lines before each, then of all. Line i starts at
-    ``ahead[i] + i``, after i ';', whatever the lines hold."""
+def _keep(state: KnowledgeState, digest: str, plain: bool, lines: list[str]) -> KnowledgeState:
+    """*state*, keeping *digest*, whether it is *plain* for JSON, and its
+    index: its *lines*, in order, and the length of the lines before each,
+    then of all. Line i starts at ``ahead[i] + i``, after i ';', whatever
+    the lines hold."""
     _set(state, "_digest", digest)
+    _set(state, "_plain", plain)
     _set(state, "_index", (tuple(lines), tuple(accumulate(map(len, lines), initial=0))))
     return state
 
@@ -210,10 +201,11 @@ class WorkingState:
     and ``discard`` update the deltas and drop the digest read last, and
     ``abox`` is a read-only view of ``(base.abox - removed) | added``.
     ``digest`` splices the next digest from the base's when it is read
-    (``_spliced``); ``freeze`` gives a plain ``KnowledgeState``.
+    (``_spliced``), and ``_plain`` is whether JSON writes it unchanged;
+    ``freeze`` gives a plain ``KnowledgeState``.
     """
 
-    __slots__ = ("tbox", "abox", "_base", "_added", "_removed", "_digest")
+    __slots__ = ("tbox", "abox", "_base", "_added", "_removed", "_digest", "_plain")
 
     def __init__(self, state: KnowledgeState):
         self.tbox = state.tbox
@@ -221,13 +213,13 @@ class WorkingState:
         self._added: set[Assertion] = set()
         self._removed: set[Assertion] = set()
         self.abox: AbstractSet[Assertion] = _Facts(state.abox, self._added, self._removed)
-        self._digest = state._digest
+        self._digest, self._plain = state._digest, state._plain
 
     @property
     def digest(self) -> str:
         """``abox_digest(self.abox)``, spliced when read and kept until the next write."""
         if self._digest is None:
-            self._digest = self._spliced()
+            self._digest, self._plain = self._spliced()
         return self._digest
 
     def apply(self, additions: Iterable[Assertion], deletions: Iterable[Assertion] = ()) -> None:
@@ -270,14 +262,15 @@ class WorkingState:
         """The state of the fact set as it is now; it sorts its own digest if read."""
         return KnowledgeState(self.tbox, (self._base.abox - self._removed) | self._added)
 
-    def _spliced(self) -> str:
-        """The digest of the fact set, spliced from the one the base keeps.
+    def _spliced(self) -> tuple[str, bool]:
+        """The digest of the fact set, spliced from the one the base keeps,
+        and whether it is plain for JSON: when the base's is and each added
+        line is.
 
         The removed assertions' lines are taken out and the added ones'
         put in, each placed by ``bisect_left`` over the base's lines; one
         join of the untouched stretches, sliced at their offsets, and the
-        added lines builds the result. It is a ``Digest`` when the base's
-        is and each added line is plain for JSON.
+        added lines builds the result.
 
         A splice costs a bisection per assertion in the deltas. So once
         they outnumber the square root of the fact set, the fact set
@@ -290,7 +283,7 @@ class WorkingState:
         base, added, removed = self._base, self._added, self._removed
         digest, (lines, ahead) = base.digest, base._index  # sorted on the base's first use
         if not added and not removed:
-            return digest
+            return digest, base._plain
         new = [a.text for a in added]
         rebase = (len(added) + len(removed)) ** 2 > len(self.abox)
         edits = [(bisect_left(lines, a.text), 1, a.text) for a in removed]
@@ -308,15 +301,14 @@ class WorkingState:
         if pos < len(lines):
             pieces.append(digest[ahead[pos] + pos :])
         spliced = ";".join(pieces)
-        if isinstance(digest, Digest) and _json_plain("".join(new)):
-            spliced = Digest(spliced)
+        plain = base._plain and _json_plain("".join(new))
         if rebase:
             merged += lines[pos:]
-            self._base = _keep(self.freeze(), spliced, merged)
+            self._base = _keep(self.freeze(), spliced, plain, merged)
             self.abox._base = self._base.abox
             added.clear()
             removed.clear()
-        return spliced
+        return spliced, plain
 
 
 NameReader = Callable[[TokenStream, frozenset[str], str], str]

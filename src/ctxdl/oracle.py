@@ -1,20 +1,21 @@
 """Externally justified state transitions: scripted oracles, record, replay.
 
-An oracle maps (state digest, query payload) to a response of assertion
-additions and deletions. The digest is the canonical sorted one-line
-rendering of the fact set (see kb.abox_digest), so scripts can key on exact
-states; entries may instead match on the payload alone, with ``fnmatch``
-globbing. A lookup tries the exact entries of the payload first, then the
-payload patterns in file order. ``ask`` runs queries on one
-``WorkingState`` in place and splices a digest only when a query reads
-it, from the digest its base keeps (see ``ctxdl.kb``), so a session
-sorts its fact set once, not once per query; the digest format is
-unchanged. ``run_session`` makes that working state from a
-``KnowledgeState``, which copies nothing, and freezes it at the end,
-which builds the fact set once, on the way out. ``oracle_step`` is
-``run_session`` of one query, so each state of a chain of steps sorts
-its own digest when the next step reads it; nothing in the library
-calls it.
+An oracle maps (state, query payload) to a response of assertion
+additions and deletions. It reads the state through its digest, the
+canonical sorted one-line rendering of the fact set (see kb.abox_digest),
+so scripts can key on exact states; entries may instead match on the
+payload alone, with ``fnmatch`` globbing. A lookup tries the exact entries
+of the payload first, then the payload patterns in file order. ``ask``
+runs queries on one ``WorkingState`` in place and hands it to the oracle,
+which splices a digest only when it reads one, from the digest the
+state's base keeps (see ``ctxdl.kb``): a session sorts its fact set once,
+not once per query, and an unrecorded query that a payload pattern
+answers splices nothing. The digest format is unchanged. ``run_session``
+makes that working state from a ``KnowledgeState``, which copies nothing,
+and freezes it at the end, which builds the fact set once, on the way
+out. ``oracle_step`` is ``run_session`` of one query, so each state of a
+chain of steps sorts its own digest when the next step reads it; nothing
+in the library calls it.
 
 Script files are line-delimited JSON. An optional first header record sets
 flags; every other record is one table entry::
@@ -61,7 +62,7 @@ from ctxdl.errors import (
     json_limit,
     read_text,
 )
-from ctxdl.kb import Assertion, Digest, KnowledgeState, WorkingState, canonical_abox, parse_assertion
+from ctxdl.kb import Assertion, KnowledgeState, WorkingState, canonical_abox, parse_assertion
 from ctxdl.values import Record
 
 _set = object.__setattr__  # writes a field past Record's frozen __setattr__
@@ -87,11 +88,16 @@ class OracleResponse(Record):
 
 
 class OracleSpec:
-    """Behavior interface: a function from (state digest, payload) to response."""
+    """Behavior interface: a function from (state, payload) to response.
+
+    ``respond`` gets the run's ``WorkingState`` as it is before the query.
+    An oracle reads it, through ``state.digest`` when it keys on the exact
+    state, and never writes it: ``ask`` applies the response.
+    """
 
     name: str
 
-    def respond(self, digest: str, payload: str) -> OracleResponse:
+    def respond(self, state: WorkingState, payload: str) -> OracleResponse:
         raise NotImplementedError
 
 
@@ -109,7 +115,8 @@ class ScriptedOracle(OracleSpec):
     payload-pattern entry in file order, so the behavior is a function of
     the key even when patterns overlap. Exact entries are indexed by
     payload, each payload's sorted by state, and a lookup bisects them with
-    the digest: a few string comparisons, which stop at the first
+    the state's digest, which it reads only for a payload that has exact
+    entries: a few string comparisons, which stop at the first
     differing character, and no hash of the digest, which a state splices
     afresh for each query and which would cost a pass over the whole
     string. The patterns are answered by one regex, the
@@ -143,9 +150,10 @@ class ScriptedOracle(OracleSpec):
             self._patterns[entry.payload] = entry.response
             self._matcher = None
 
-    def respond(self, digest: str, payload: str) -> OracleResponse:
+    def respond(self, state: WorkingState, payload: str) -> OracleResponse:
         keyed = self._exact.get(payload)
         if keyed is not None:
+            digest = state.digest
             i = bisect_left(keyed, digest, key=_state)
             if i < len(keyed) and keyed[i][0] == digest:
                 return keyed[i][1]
@@ -175,7 +183,17 @@ def _compile_patterns(patterns: dict[str, OracleResponse]) -> tuple[re.Pattern, 
 
 
 class RecordingOracle(OracleSpec):
-    """Wraps another oracle and appends every transition to a JSONL sink."""
+    """Wraps another oracle and appends every transition to a JSONL sink.
+
+    Each record is byte for byte ``json.dumps(record, sort_keys=True)`` plus
+    a newline, written in three writes: the JSON before the state digest,
+    the digest, then the rest. The digest is most of the line and is never
+    copied into it: one that JSON leaves unchanged (the state keeps that
+    flag with it, see ``ctxdl.kb``) is written as it is, with no scan; any
+    other, and each short field, goes through the encoder that
+    ``json.dumps`` calls for a ``str``. The inner oracle gets the state
+    first, and the recorder reads the digest after it, as it was.
+    """
 
     def __init__(self, inner: OracleSpec, sink: IO[str]):
         self.inner = inner
@@ -183,39 +201,18 @@ class RecordingOracle(OracleSpec):
         self._sink = sink
         self._seq = 0
 
-    def respond(self, digest: str, payload: str) -> OracleResponse:
-        response = self.inner.respond(digest, payload)
-        self._sink.write(
-            _log_line(
-                self._seq,
-                self.name,
-                payload,
-                digest,
-                canonical_abox(response.additions),
-                canonical_abox(response.deletions),
-            )
+    def respond(self, state: WorkingState, payload: str) -> OracleResponse:
+        response = self.inner.respond(state, payload)
+        digest, write = state.digest, self._sink.write
+        write(
+            f'{{"add": {_json_list(canonical_abox(response.additions))}, '
+            f'"del": {_json_list(canonical_abox(response.deletions))}, '
+            f'"match": {{"payload": {_json_str(payload)}, "state": "'
         )
+        write(digest if state._plain else _json_str(digest)[1:-1])
+        write(f'"}}, "oracle": {_json_str(self.name)}, "seq": {self._seq}}}\n')
         self._seq += 1
         return response
-
-
-def _log_line(
-    seq: int, oracle: str, payload: str, state: str, additions: list[str], deletions: list[str]
-) -> str:
-    """One session record, byte for byte ``json.dumps(record, sort_keys=True)``
-    plus a newline, with the keys written in sorted order.
-
-    The state digest is most of the line. A ``kb.Digest`` is one that JSON
-    leaves unchanged, so it is written as it is, with no scan; any other
-    string, and each short field, goes through the encoder that
-    ``json.dumps`` calls for a ``str``.
-    """
-    state_json = f'"{state}"' if isinstance(state, Digest) else _json_str(state)
-    return (
-        f'{{"add": {_json_list(additions)}, "del": {_json_list(deletions)}, '
-        f'"match": {{"payload": {_json_str(payload)}, "state": {state_json}}}, '
-        f'"oracle": {_json_str(oracle)}, "seq": {seq}}}\n'
-    )
 
 
 def _json_list(texts: list[str]) -> str:
@@ -231,7 +228,7 @@ class ReplayOracle(OracleSpec):
         self._records = records
         self._pos = 0
 
-    def respond(self, digest: str, payload: str) -> OracleResponse:
+    def respond(self, state: WorkingState, payload: str) -> OracleResponse:
         if self._pos >= len(self._records):
             raise ReplayMismatchError(self._pos, "log exhausted: no recorded transition left")
         rec = self._records[self._pos]
@@ -239,7 +236,7 @@ class ReplayOracle(OracleSpec):
             raise ReplayMismatchError(
                 self._pos, f"query payload {payload!r} differs from recorded {rec.payload!r}"
             )
-        if digest != rec.state:
+        if state.digest != rec.state:
             raise ReplayMismatchError(
                 self._pos, "knowledge state differs from the recorded one"
             )
@@ -322,8 +319,11 @@ def run_session(
 def ask(work: WorkingState, spec: OracleSpec, queries: Iterable[OracleQuery]) -> list[OracleResponse]:
     """Apply a sequence of queries in order to *work*, in place.
 
-    The inclusions are never touched. Raises UnknownOracleError when a
-    query names a different oracle than *spec* serves.
+    Each query hands *work* itself to ``spec.respond``, which reads it and
+    does not write it; ``ask`` reads no digest, so one is spliced only
+    when the oracle reads it, and at most once per query. The inclusions
+    are never touched. Raises UnknownOracleError when a query names a
+    different oracle than *spec* serves.
     """
     responses = []
     for query in queries:
@@ -331,7 +331,7 @@ def ask(work: WorkingState, spec: OracleSpec, queries: Iterable[OracleQuery]) ->
             raise UnknownOracleError(
                 f"unknown oracle {query.oracle!r}: this session serves {spec.name!r}"
             )
-        response = spec.respond(work.digest, query.payload)
+        response = spec.respond(work, query.payload)
         work.apply(response.additions, response.deletions)
         responses.append(response)
     return responses

@@ -29,6 +29,7 @@ valuations.
 
 from __future__ import annotations
 
+import json
 import re
 from functools import reduce
 from itertools import chain, combinations
@@ -324,8 +325,28 @@ def plain_fact_text(f):
     return f"({f.subject},{f.target}):{f.role}"
 
 
+class PlainState:
+    """A plain set as an oracle reads a state: ``digest`` is ``plain_digest``
+    of the set, rendered afresh on each read, and ``_plain`` whether
+    ``json.dumps`` writes it unchanged, mirroring the contract of the
+    reads of kb.WorkingState.
+    """
+
+    def __init__(self, abox):
+        self.abox = abox
+
+    @property
+    def digest(self):
+        return plain_digest(self.abox)
+
+    @property
+    def _plain(self):
+        digest = self.digest
+        return json.dumps(digest) == f'"{digest}"'
+
+
 def plain_session(state, spec, queries):
-    """Each query answered from ``plain_digest`` of a plain set, which is
+    """Each query answered from a ``PlainState`` of a plain set, which is
     rebuilt as ``(abox | additions) - deletions``, mirroring the contract
     of oracle.run_session(): the final state and the responses.
     """
@@ -333,7 +354,7 @@ def plain_session(state, spec, queries):
     for query in queries:
         if query.oracle != spec.name:
             raise UnknownOracleError(f"unknown oracle {query.oracle!r}: this session serves {spec.name!r}")
-        response = spec.respond(plain_digest(abox), query.payload)
+        response = spec.respond(PlainState(abox), query.payload)
         abox = (abox | response.additions) - response.deletions
         responses.append(response)
     return KnowledgeState(state.tbox, frozenset(abox)), responses

@@ -23,7 +23,7 @@ from ctxdl.errors import (
 )
 from ctxdl import kb
 from ctxdl.kb import (
-    ConceptAssertion, Digest, KnowledgeState, RoleAssertion, WorkingState, abox_digest, canonical_abox
+    ConceptAssertion, KnowledgeState, RoleAssertion, WorkingState, abox_digest, canonical_abox
 )
 from ctxdl.kbfile import loads
 from ctxdl.oracle import (
@@ -32,6 +32,7 @@ from ctxdl.oracle import (
     OracleSpec,
     ScriptEntry,
     ScriptedOracle,
+    ask,
     load_script,
     oracle_step,
     record_session,
@@ -45,6 +46,24 @@ from oracles import plain_digest
 BETA = ConceptAssertion("a", Atomic("A"), "U")
 GAMMA = ConceptAssertion("b", Atomic("B"), "V")
 EMPTY = KnowledgeState(EMPTY_TBOX, frozenset())
+
+
+def state_of(digest: str) -> WorkingState:
+    """A working state that reads as *digest*, the one thing a scripted
+    oracle reads of a state; no write follows, so it keeps that digest."""
+    work = WorkingState(EMPTY)
+    work._digest = digest
+    return work
+
+
+class Unread(WorkingState):
+    """A working state whose digest must not be read."""
+
+    __slots__ = ()
+
+    @property
+    def digest(self):
+        raise AssertionError("the oracle read the digest")
 
 
 def probe_oracle(**entries):
@@ -94,8 +113,8 @@ class TestOracleStep:
 
     def test_deterministic_responses(self):
         spec = probe_oracle(probe=OracleResponse(frozenset({BETA})))
-        digest = abox_digest(EMPTY.abox)
-        assert spec.respond(digest, "probe") == spec.respond(digest, "probe")
+        state = WorkingState(EMPTY)
+        assert spec.respond(state, "probe") == spec.respond(state, "probe")
 
     def test_duplicate_entries_rejected(self):
         entry = ScriptEntry("p", None, OracleResponse(frozenset()))
@@ -159,42 +178,85 @@ class TestExactLookup:
     def test_a_digest_that_cannot_be_hashed_finds_its_entry(self):
         spec = self.spec("p*")
         for state, name in self.STATES.items():
-            assert spec.respond(Unhashable(state), "p") == answer(name)
-        assert spec.respond(Unhashable("c:A@U"), "p") == answer("pat0")
+            assert spec.respond(state_of(Unhashable(state)), "p") == answer(name)
+        assert spec.respond(state_of(Unhashable("c:A@U")), "p") == answer("pat0")
 
     def test_one_payload_with_several_states_of_one_length(self):
         spec = self.spec()
         for state, name in self.STATES.items():
-            assert spec.respond(state, "p") == answer(name)
-            assert spec.respond(Digest(state), "p") == answer(name)
+            assert spec.respond(state_of(state), "p") == answer(name)
         for near_miss in ("c:A@U", "a:A@V", self.LONG[:-1] + "W", self.LONG + ";"):
             with pytest.raises(ScriptLookupError):
-                spec.respond(near_miss, "p")
+                spec.respond(state_of(near_miss), "p")
         with pytest.raises(ValueError, match="duplicate"):
             spec.add(ScriptEntry("p", "".join(["b:A", "@U"]), answer("again")))  # equal, not identical
         spec.add(ScriptEntry("p", "c:A@U", answer("c")))  # same length, new state
-        assert spec.respond("c:A@U", "p") == answer("c") and spec.respond("b:A@U", "p") == answer("b")
+        assert spec.respond(state_of("c:A@U"), "p") == answer("c")
+        assert spec.respond(state_of("b:A@U"), "p") == answer("b")
 
     def test_a_thousand_states_of_one_length_in_file_order(self):
         states = [f"i{k:04d}:A@U" for k in range(0, 2000, 2)]
         random.Random(7).shuffle(states)
         spec = ScriptedOracle("probe", [ScriptEntry("p", state, answer(state[:5])) for state in states])
         for state in states:
-            assert spec.respond(Unhashable(state), "p") == answer(state[:5])
+            assert spec.respond(state_of(Unhashable(state)), "p") == answer(state[:5])
             with pytest.raises(ScriptLookupError):
-                spec.respond(f"i{int(state[1:5]) + 1:04d}:A@U", "p")  # odd: keyed for no entry
+                spec.respond(state_of(f"i{int(state[1:5]) + 1:04d}:A@U"), "p")  # odd: keyed for no entry
         with pytest.raises(ValueError, match="duplicate"):
             spec.add(ScriptEntry("p", states[500], answer("again")))
 
     def test_a_miss_falls_through_to_the_patterns_in_file_order(self):
         spec = self.spec("q", "p*", "*")
-        assert spec.respond("a:A@U", "p") == answer("a")
-        assert spec.respond("c:A@U", "p") == answer("pat1")  # a state not keyed for p
-        assert spec.respond("a:A@U", "px") == answer("pat1")  # a payload with no exact entry
-        assert spec.respond("a:A@U", "q") == answer("pat0")
-        assert spec.respond("a:A@U", "r") == answer("pat2")
+        assert spec.respond(state_of("a:A@U"), "p") == answer("a")
+        assert spec.respond(state_of("c:A@U"), "p") == answer("pat1")  # a state not keyed for p
+        assert spec.respond(state_of("a:A@U"), "px") == answer("pat1")  # a payload with no exact entry
+        assert spec.respond(state_of("a:A@U"), "q") == answer("pat0")
+        assert spec.respond(state_of("a:A@U"), "r") == answer("pat2")
         with pytest.raises(ScriptLookupError):
-            self.spec("q").respond("c:A@U", "p")
+            self.spec("q").respond(state_of("c:A@U"), "p")
+
+
+class TestOracleReads:
+    """``ask`` hands the oracle its working state and reads no digest: a
+    scripted oracle reads one only for a payload with exact entries, and a
+    recorded query splices one digest, which the recorder and the inner
+    oracle share."""
+
+    EXACT = ScriptEntry("p", "a:A@U", answer("exact"))
+    PATTERNS = (ScriptEntry("p*", None, answer("p")), ScriptEntry("q", None, answer("q")))
+
+    def test_a_pattern_only_payload_reads_no_digest(self):
+        spec = ScriptedOracle("probe", [self.EXACT, *self.PATTERNS])
+        assert spec.respond(Unread(EMPTY), "q") == answer("q")
+        assert spec.respond(Unread(EMPTY), "px") == answer("p")  # p has exact entries, px has none
+
+    def test_an_exact_entry_payload_reads_the_digest(self):
+        spec = ScriptedOracle("probe", [self.EXACT, *self.PATTERNS])
+        with pytest.raises(AssertionError, match="read the digest"):
+            spec.respond(Unread(EMPTY), "p")
+        assert spec.respond(state_of("a:A@U"), "p") == answer("exact")
+        assert spec.respond(state_of("b:A@U"), "p") == answer("p")
+
+    def test_ask_splices_only_what_the_oracle_reads(self, monkeypatch):
+        splices = []
+        spliced = WorkingState._spliced
+        monkeypatch.setattr(WorkingState, "_spliced", lambda work: splices.append(1) or spliced(work))
+        responses = [OracleResponse(frozenset({a})) for a in POOL[2:]]
+        entries = [ScriptEntry(str(i), None, r) for i, r in enumerate(responses)]
+        entries += [ScriptEntry(str(i), "no such state", answer("never")) for i in range(0, len(responses), 2)]
+        queries = [OracleQuery("probe", str(i)) for i in range(len(responses))]
+        base = KnowledgeState(EMPTY_TBOX, frozenset({BETA}))
+        base.digest  # sorted, as an agent's base state is
+        for recorded in (False, True):
+            splices.clear()
+            work = WorkingState(base)
+            work.add(GAMMA)  # so that every query's state is spliced
+            spec = ScriptedOracle("probe", entries)
+            sink = io.StringIO()
+            ask(work, record_session(spec, sink) if recorded else spec, queries)
+            # Unrecorded, only the payloads with exact entries read the digest.
+            assert len(splices) == (len(queries) if recorded else len(range(0, len(responses), 2)))
+            assert len(sink.getvalue().splitlines()) == (len(queries) if recorded else 0)
 
 
 class TestScriptFiles:
@@ -278,7 +340,7 @@ class TestScriptFiles:
         record = f'{{"oracle": "s", "match": {{"payload": "a{separator}b"}}, "add": ["a:A@U"]}}\r\n'
         path = tmp_path / "script.jsonl"
         path.write_text(record, encoding="utf-8")
-        assert load_script(path, SIG).respond("", f"a{separator}b").additions == {BETA}
+        assert load_script(path, SIG).respond(Unread(EMPTY), f"a{separator}b").additions == {BETA}
         path.write_text(record + "{oops\n", encoding="utf-8")
         with pytest.raises(LoadError) as exc:
             load_script(path, SIG)
@@ -307,7 +369,7 @@ class TestScriptFiles:
             '{"oracle": "s", "match": {"payload": "read-1*"}, "add": ["b:B@V"]}\n'
         )
         spec = load_script(io.StringIO(text), SIG)
-        assert spec.respond("", "read-17").additions == {BETA}
+        assert spec.respond(Unread(EMPTY), "read-17").additions == {BETA}
 
 
 class TestRecordReplay:
@@ -446,8 +508,8 @@ class ListOracle(OracleSpec):
         self.responses = responses
         self.digests = []
 
-    def respond(self, digest, payload):
-        self.digests.append(digest)
+    def respond(self, state, payload):
+        self.digests.append(state.digest)
         return self.responses[int(payload)]
 
 
@@ -600,7 +662,7 @@ class TestDerivedDigests:
     @settings(max_examples=300, deadline=None)
     def test_touched_digests_equal_abox_digest_and_marks_hold(self, base, steps):
         """Writes fold into the digest when it is read: every digest handed
-        out is ``abox_digest``, and a marked one is what JSON writes."""
+        out is ``abox_digest``, and one flagged plain is what JSON writes."""
         source = KnowledgeState(EMPTY_TBOX, base)
         work, chain, want = WorkingState(source), source, set(base)
         for write, read in steps:
@@ -617,17 +679,20 @@ class TestDerivedDigests:
             assert work.abox == want == chain.abox
             if read:
                 frozen = work.freeze()
-                for digest in (work.digest, chain.digest, frozen.digest, WorkingState(frozen).digest):
+                for state in (work, chain, frozen, WorkingState(frozen)):
+                    digest = state.digest
                     assert digest == abox_digest(want) == plain_digest(want)
-                    if isinstance(digest, Digest):
-                        assert json.dumps(digest) == '"' + digest + '"'
+                    exact = json.dumps(digest) == '"' + digest + '"'
+                    # A sort checks the whole digest, a splice the lines it adds.
+                    assert state._plain is exact if state is not work else state._plain in (exact, False)
         assert work.digest == abox_digest(want)
         assert source.abox is base
 
     def test_a_loaded_state_has_a_marked_digest(self):
         doc = loads("signature\n  concept A.\n  individual a, b.\ncontexts\n  context U.\nabox\n  a : A @ U.\n  b : A @ U.\n")
-        digest = doc.state().digest
-        assert isinstance(digest, Digest) and digest == "a:A@U;b:A@U"
+        state = doc.state()
+        digest = state.digest
+        assert state._plain is True and digest == "a:A@U;b:A@U"
         assert json.dumps(digest) == '"' + digest + '"'
 
     def test_program_writes_keep_the_digest_spliced(self, monkeypatch):
@@ -639,7 +704,7 @@ class TestDerivedDigests:
         work = WorkingState(state)
         prog = parse_program("add a:C@U; del b:B@V; add (a,a):s@W; del a:A@U", SIG)
         assert execute(prog, work, 100)[:2] == (7, True)
-        assert work.digest == plain_digest(work.abox) and isinstance(work.digest, Digest)
+        assert work.digest == plain_digest(work.abox) and work._plain is True
         assert sorts == []
 
     def test_lines_with_a_semicolon_are_spliced_across_rebases(self, monkeypatch):
@@ -658,7 +723,7 @@ class TestDerivedDigests:
         work, bases, reads = WorkingState(source), [source], []
         for method, a in writes:
             assert getattr(work, method)(a)
-            reads.append((work.digest, frozenset(work.abox)))
+            reads.append((work.digest, frozenset(work.abox), work._plain))
             if work._base is not bases[-1]:
                 bases.append(work._base)
         monkeypatch.undo()
@@ -667,11 +732,11 @@ class TestDerivedDigests:
         for base in bases:  # each new base keeps the lines merged in its splice
             assert base.lines == tuple(canonical_abox(base.abox))
         assert any(";" in line for line in bases[-1].lines)
-        for digest, want in reads:
+        for digest, want, plain in reads:
             assert digest == abox_digest(want) == plain_digest(want)
-            if isinstance(digest, Digest):
+            if plain:
                 assert json.dumps(digest) == '"' + digest + '"'
-        assert isinstance(reads[0][0], Digest) and not isinstance(reads[-1][0], Digest)
+        assert reads[0][2] is True and reads[-1][2] is False
 
 
 # Globs over the characters fnmatch treats specially, and payloads over the
@@ -696,7 +761,7 @@ class TestPatternLookup:
             for payload in payloads:
                 want = next((r for p, r in table if fnmatchcase(payload, p)), None)
                 try:
-                    got = spec.respond("", payload)
+                    got = spec.respond(Unread(EMPTY), payload)
                 except ScriptLookupError:
                     got = None
                 assert got is want, (payload, table)
@@ -719,28 +784,54 @@ TEXTS = st.text() | st.text(
 
 class TestLogLines:
     """A recorded line equals json.dumps of its record with sorted keys,
-    whichever way the state digest is written."""
+    whichever way the state digest is written: a plain state's as it is, a
+    non-plain base's, and a plain base's that a spliced addition made
+    non-plain, through the encoder."""
+
+    # Names built in the library from any text: most hold a character
+    # that JSON escapes.
+    NAMED = st.builds(ConceptAssertion, TEXTS, st.just(Atomic("A")), st.just("U"))
+    FACTS = st.frozensets(st.sampled_from(TestDerivedDigests.MARK_POOL) | NAMED, max_size=6)
+    PLAIN = frozenset(POOL)
+    QUOTE, BACKSLASH, NEWLINE, DEL = TestDerivedDigests.ESCAPED_POOL
+    ACCENTED = TestDerivedDigests.ACCENTED
 
     @given(
         name=TEXTS,
         payload=TEXTS,
-        digest=TEXTS | fact_sets.map(abox_digest) | fact_sets.map(lambda abox: KnowledgeState(EMPTY_TBOX, abox).digest),
+        base=fact_sets | FACTS,
+        changes=st.lists(st.tuples(FACTS, FACTS), min_size=1, max_size=4),
         response=st.tuples(fact_sets, fact_sets).map(lambda ad: OracleResponse(ad[0] - ad[1], ad[1])),
     )
-    @example(name="probe", payload="p", digest='a:A@U;b:"B"@V', response=OracleResponse(frozenset({BETA})))
-    @example(name="é", payload='"', digest="a:A@U\\;\x7f", response=OracleResponse(frozenset()))
-    @example(name="probe", payload="\x00", digest="a:A@U;\x1f", response=OracleResponse(frozenset()))
-    @example(name="probe", payload="p", digest=Digest("a:A@U;b:B@V"), response=OracleResponse(frozenset({GAMMA})))
+    @example(  # a plain state
+        name="probe", payload="p", base=PLAIN, changes=[(frozenset({GAMMA}), frozenset({BETA}))],
+        response=OracleResponse(frozenset({GAMMA})),
+    )
+    @example(  # a non-plain base, read as it is and after a plain change
+        name="é", payload='"', base=PLAIN | {QUOTE, BACKSLASH, NEWLINE, DEL, ACCENTED},
+        changes=[(frozenset(), frozenset()), (frozenset({GAMMA}), frozenset({BETA}))],
+        response=OracleResponse(frozenset()),
+    )
+    @example(  # a plain base that one addition makes non-plain, and its deletion plain again
+        name="probe", payload="\x00", base=PLAIN,
+        changes=[(frozenset({DEL}), frozenset()), (frozenset(), frozenset({DEL}))],
+        response=OracleResponse(frozenset(), frozenset({BETA})),
+    )
     @settings(max_examples=300, deadline=None)
-    def test_lines_equal_sorted_json_dumps(self, name, payload, digest, response):
+    def test_lines_equal_sorted_json_dumps(self, name, payload, base, changes, response):
         sink = io.StringIO()
         inner = ScriptedOracle(name, [ScriptEntry("*", None, response)], allow_deletions=True)
-        record_session(inner, sink).respond(digest, payload)
-        record = {
-            "seq": 0,
-            "oracle": name,
-            "match": {"payload": payload, "state": digest},
-            "add": sorted(a.text for a in response.additions),
-            "del": sorted(a.text for a in response.deletions),
-        }
-        assert sink.getvalue() == json.dumps(record, sort_keys=True) + "\n"
+        recorder = record_session(inner, sink)
+        work, want, records = WorkingState(KnowledgeState(EMPTY_TBOX, base)), set(base), []
+        for seq, (additions, deletions) in enumerate(changes):
+            work.apply(additions, deletions)
+            want = (want | additions) - deletions
+            recorder.respond(work, payload)
+            records.append({
+                "seq": seq,
+                "oracle": name,
+                "match": {"payload": payload, "state": abox_digest(want)},
+                "add": sorted(a.text for a in response.additions),
+                "del": sorted(a.text for a in response.deletions),
+            })
+        assert sink.getvalue() == "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)

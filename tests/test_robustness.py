@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from children import run_child
 from corpus import chain_document, counter_document
 from ctxdl.cli import main
 
@@ -458,3 +459,29 @@ def test_deep_models_end_in_a_verdict_or_a_budget_error(tmp_path, capsys, docume
         assert err.startswith("error: ") and err.endswith("tableau node budget of 100000 exceeded\n"), err
     else:
         assert err == ""
+
+
+# A child whose address space is capped at 1 GiB: a run that tried to
+# hold more fails there with a MemoryError, and cannot fill the machine.
+_CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from ctxdl.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("runs", [10**11, 10**20])
+@pytest.mark.parametrize("policy", [{"kind": "constant", "value": 3}, None])
+def test_too_many_runs_end_in_one_error_line(tmp_path, policy, runs):
+    pytest.importorskip("resource")
+    for name in SAMPLE_NAMES:
+        shutil.copy(SAMPLES / name, tmp_path / name)
+    agent = tmp_path / "sensor_constant.json"
+    if policy is not None:  # else the sample's own sequence policy
+        fields = json.loads(agent.read_text(encoding="utf-8"))
+        agent.write_text(json.dumps({**fields, "seed_policy": policy}), encoding="utf-8")
+    done = run_child(_CAPPED_CLI, "stability", agent, "--runs", runs)
+    assert done.returncode in (1, 2), done.stderr
+    assert done.stderr == f"error: {runs} runs are too many: their seeds do not fit in memory\n"
+    assert done.stdout == ""

@@ -40,15 +40,28 @@ each the best of 5 runs in one process:
   the oracle session, made before the timing starts;
 - one whole ``agents.interact`` run of the agent, in each guard mode.
 
+The recorded-session cases take the literal agent of the ``update``
+workload on 3,000 facts, with its alternating oracle, in microseconds per
+call, each the best of 5 runs in one process:
+
+- ``ask`` of the four queries of one run (seed 0) through
+  ``record_session`` of the agent's oracle, into a memory sink, on a
+  fresh working state that has taken the injection, made before the
+  timing starts;
+- ``replay_session`` of the log of those four queries, read from a
+  ``StringIO`` of its text, as the workload reads it back.
+
 The same case reads very differently from one process to the next on a
 shared machine, so each group of cases (the reasoner's, the sessions' on
-each fact set, and the interaction's) is timed in 5 fresh child processes,
-the groups taken in turn. One line is printed per case: the median [min-max] over the
-processes, as ``tools/bench_pairs.py`` reports its runs.
+each fact set, the interaction's and the recorded session's) is timed in
+5 fresh child processes, the groups taken in turn. One line is printed
+per case: the median [min-max] over the processes, as
+``tools/bench_pairs.py`` reports its runs.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import statistics
@@ -69,7 +82,9 @@ from ctxdl.agents import LatentStructure, interact, load_agent
 from ctxdl.concepts import Atomic, parse_concept
 from ctxdl.kb import ConceptAssertion, WorkingState, parse_fact_list
 from ctxdl.kbfile import loads
-from ctxdl.oracle import OracleQuery, OracleResponse, OracleSpec, ask, oracle_step, run_session
+from ctxdl.oracle import (
+    OracleQuery, OracleResponse, OracleSpec, ask, oracle_step, record_session, replay_session, run_session
+)
 from ctxdl.programs import execute
 from ctxdl.reasoner import find_witness, is_satisfiable, subsumes
 
@@ -97,7 +112,7 @@ AGENT_SIZES = (3_000, 10_000)  # base facts of the agents whose working state is
 AGENT_SIZE = 3_000  # base facts of the agent whose program and runs are timed, as in the workload
 CALLS = 50  # calls per interaction case in one run
 
-GROUPS = ("reasoner", *map(str, SIZES), "interact")
+GROUPS = ("reasoner", *map(str, SIZES), "interact", "recorded")
 
 
 def best(run, units: int, repeats: int) -> float:
@@ -161,14 +176,16 @@ def reasoner_cases() -> list[tuple[str, str, float]]:
 
 
 class Scripted(OracleSpec):
-    """Answers payload i with the i-th response; ``ask`` reads the digest first."""
+    """Answers payload i with the i-th response, after reading the state's
+    digest, so each query splices one digest, as an exact lookup does."""
 
     name = "probe"
 
     def __init__(self, responses: list[OracleResponse]):
         self.responses = responses
 
-    def respond(self, digest: str, payload: str) -> OracleResponse:
+    def respond(self, state: WorkingState, payload: str) -> OracleResponse:
+        state.digest
         return self.responses[int(payload)]
 
 
@@ -206,10 +223,11 @@ def session_cases(size: int) -> list[tuple[str, str, float]]:
     return cases
 
 
-def update_agent(size: int, mode: str, workdir: Path):
+def update_agent(size: int, mode: str, workdir: Path, alternating: bool = False):
     """The agent of ``gen.update_agent`` with *size* base facts and a stable
-    oracle, loaded from *workdir*, and its latent structure."""
-    files = gen.update_agent(random.Random(SEED), f"{mode}_{size}", size, mode, False)
+    (or an *alternating*) oracle, loaded from *workdir*, and its latent
+    structure."""
+    files = gen.update_agent(random.Random(SEED), f"{mode}_{size}", size, mode, alternating)
     for name, text in files.files.items():
         (workdir / name).write_text(text, encoding="utf-8")
     agent = load_agent(workdir / files.agent_file)
@@ -217,12 +235,22 @@ def update_agent(size: int, mode: str, workdir: Path):
     return agent, LatentStructure.of("latent", facts)
 
 
-def before_program(agent, latent: LatentStructure) -> WorkingState:
-    """The working state an ``interact`` run (seed 0) hands to the program."""
+def before_session(agent, latent: LatentStructure) -> WorkingState:
+    """The working state an ``interact`` run hands to the oracle."""
     work = WorkingState(agent.base_state)
     work.apply(f.at(agent.input_context) for f in latent.payload)
-    queries = [OracleQuery(agent.oracle.name, q.format(seed=0, parity=0)) for q in agent.queries]
-    ask(work, agent.oracle, queries)
+    return work
+
+
+def run_queries(agent) -> list[OracleQuery]:
+    """The oracle queries of an ``interact`` run at seed 0."""
+    return [OracleQuery(agent.oracle.name, q.format(seed=0, parity=0)) for q in agent.queries]
+
+
+def before_program(agent, latent: LatentStructure) -> WorkingState:
+    """The working state an ``interact`` run (seed 0) hands to the program."""
+    work = before_session(agent, latent)
+    ask(work, agent.oracle, run_queries(agent))
     return work
 
 
@@ -251,12 +279,42 @@ def interaction_cases() -> list[tuple[str, str, float]]:
     return cases
 
 
+def record_each(agent, queries: list[OracleQuery], works: list[WorkingState]) -> None:
+    for work in works:
+        ask(work, record_session(agent.oracle, io.StringIO()), queries)
+
+
+def replay_each(log: str, sig) -> None:
+    for _ in range(CALLS):
+        replay_session(io.StringIO(log), sig)  # as the workload reads a log back
+
+
+def recorded_cases() -> list[tuple[str, str, float]]:
+    with tempfile.TemporaryDirectory() as workdir:
+        agent, latent = update_agent(AGENT_SIZE, "literal", Path(workdir), alternating=True)
+    agent.base_state.digest  # sorted once, as in every run after the first
+    queries = run_queries(agent)
+    times = []
+    for _ in range(REPEATS):
+        works = [before_session(agent, latent) for _ in range(CALLS)]
+        times.append(best(partial(record_each, agent, queries, works), CALLS, 1))
+    log = io.StringIO()
+    ask(before_session(agent, latent), record_session(agent.oracle, log), queries)
+    replay = partial(replay_each, log.getvalue(), agent.signature)
+    return [
+        (f"record_session {AGENT_SIZE:6,d} facts  {len(queries)} queries", "us/call", min(times)),
+        (f"replay_session {AGENT_SIZE:6,d} facts  {len(queries)} records", "us/call", best(replay, CALLS, REPEATS)),
+    ]
+
+
 def child(group: str) -> None:
     """Print the JSON list of (label, unit, microseconds) of each case of *group*."""
     if group == "reasoner":
         cases = reasoner_cases()
     elif group == "interact":
         cases = interaction_cases()
+    elif group == "recorded":
+        cases = recorded_cases()
     else:
         cases = session_cases(int(group))
     print(json.dumps(cases))
